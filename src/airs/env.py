@@ -180,7 +180,7 @@ class AirsEnv:
                 self._rng_reset.uniform(b.z_min, b.z_max),
             ]
         )
-        self.state = uav.UavState(position, np.zeros(3), self.slot_duration)
+        self.state = uav.UavState(position, self.slot_duration)
         self.tracks = [
             sc.UserTrack.spawn(p, self.network, self.scenario.user_speed, self._rng_users)
             for p in self.scenario.user_initial_positions

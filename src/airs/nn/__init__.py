@@ -1,5 +1,5 @@
 from .tensor import Tensor, backward, no_grad
-from .layers import Dense, MogrifierLstm, lstm_step, mogrify
+from .layers import Dense, MogrifierLstm
 from .policy import ActorCritic
 from .optim import Adam, adam_update
 from .checkpoint import load_checkpoint, save_checkpoint
@@ -10,8 +10,6 @@ __all__ = [
     "no_grad",
     "Dense",
     "MogrifierLstm",
-    "lstm_step",
-    "mogrify",
     "ActorCritic",
     "Adam",
     "adam_update",

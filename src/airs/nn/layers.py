@@ -117,13 +117,3 @@ class MogrifierLstm:
         for i, r in enumerate(self.R):
             out.append((f"{self.name}.R{2 * i + 2}", r))
         return out
-
-
-def mogrify(x: Tensor, h: Tensor, cell: MogrifierLstm):
-    """Functional view of the gating rounds; returns transformed (x, h)."""
-    return cell.mogrify(x, h)
-
-
-def lstm_step(x: Tensor, state, cell: MogrifierLstm):
-    """Functional view of the plain cell update (no gating rounds)."""
-    return cell.lstm_step(x, state)

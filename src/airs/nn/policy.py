@@ -98,6 +98,11 @@ class ActorCritic:
         z = T.tanh(self.v2(z))
         return T.reshape(self.v3(z), (-1,))
 
+    def value_of(self, obs: np.ndarray) -> float:
+        """Untaped critic value of one observation."""
+        with T.no_grad():
+            return float(self.value(Tensor(obs.reshape(1, -1))).value[0])
+
     def clamped_log_std(self) -> Tensor:
         return T.clip(self.log_std, LOG_STD_MIN, LOG_STD_MAX)
 
@@ -119,27 +124,14 @@ class ActorCritic:
     # -- rollout-time API -------------------------------------------------------
 
     def act(self, obs: np.ndarray, state, rng, greedy: bool = False):
-        """Sample (or take the mean of) one action.
+        """Sample (or take the mean of) one action and advance the recurrent state.
 
-        Returns (action, log_prob, value, new_state) as plain numpy/floats.
+        Returns (action, new_state); runs neither the critic nor a log-prob.
         """
         with T.no_grad():
-            obs_t = Tensor(obs.reshape(1, -1))
-            mean, new_state = self.actor_step(obs_t, state)
-            value = float(self.value(obs_t).value[0])
-            mu = mean.value[0]
-            log_std = np.clip(self.log_std.value, LOG_STD_MIN, LOG_STD_MAX)
-            std = np.exp(log_std)
-            if greedy:
-                action = mu.copy()
-            else:
-                action = mu + std * rng.standard_normal(self.action_dim)
-            z = (action - mu) / std
-            log_prob = float(
-                -0.5 * np.sum(z**2) - np.sum(log_std) - 0.5 * self.action_dim * _LOG_2PI
-            )
-        return action, log_prob, value, new_state
-
-    def state_values(self, state):
-        h, c = state
-        return h.value.copy(), c.value.copy()
+            mean, new_state = self.actor_step(Tensor(obs.reshape(1, -1)), state)
+        mu = mean.value[0]
+        if greedy:
+            return mu.copy(), new_state
+        std = np.exp(np.clip(self.log_std.value, LOG_STD_MIN, LOG_STD_MAX))
+        return mu + std * rng.standard_normal(self.action_dim), new_state

@@ -281,6 +281,39 @@ def reshape(a: Tensor, shape) -> Tensor:
     return _record(a.value.reshape(shape), lambda g: a.add_grad(g.reshape(a.value.shape)))
 
 
+def stack(tensors) -> Tensor:
+    """Same-shape tensors stacked along a new leading axis."""
+    tensors = [_wrap(t) for t in tensors]
+    out_value = np.stack([t.value for t in tensors])
+    if not (_grad_enabled and any(t.requires_grad for t in tensors)):
+        return Tensor(out_value)
+
+    def backward_fn(g):
+        for t, g_t in zip(tensors, g):
+            if t.requires_grad:
+                t.add_grad(g_t)
+
+    return _record(out_value, backward_fn)
+
+
+def take(a: Tensor, indices) -> Tensor:
+    """Elements of the flattened `a` at `indices`, as np.take without an axis.
+
+    Positions no index names get a zero gradient; repeated indices add up.
+    """
+    indices = np.asarray(indices)
+    out_value = a.value.take(indices)
+    if not (_grad_enabled and a.requires_grad):
+        return Tensor(out_value)
+
+    def backward_fn(g):
+        grad = np.zeros(a.value.size)
+        np.add.at(grad, indices, g)
+        a.add_grad(grad.reshape(a.value.shape))
+
+    return _record(out_value, backward_fn)
+
+
 def backward(loss: Tensor):
     """Propagate d(loss) through every taped node into .grad accumulators.
 

@@ -50,10 +50,9 @@ class PpoAgent:
         self.state = self.policy.initial_state(1)
 
     def act(self, obs, rng, greedy: bool = False):
-        action, log_prob, value, self.state = self.policy.act(
-            obs, self.state, rng, greedy=greedy
-        )
-        return action, log_prob, value
+        """The policy's action for `obs`; advances the agent's recurrent state."""
+        action, self.state = self.policy.act(obs, self.state, rng, greedy=greedy)
+        return action
 
     def state_arrays(self):
         h, c = self.state
@@ -71,7 +70,7 @@ class RandomAgent:
         pass
 
     def act(self, obs, rng, greedy: bool = False):
-        return rng.uniform(-1.0, 1.0, size=self.action_dim), 0.0, 0.0
+        return rng.uniform(-1.0, 1.0, size=self.action_dim)
 
 
 class HoverAgent:
@@ -85,7 +84,7 @@ class HoverAgent:
         pass
 
     def act(self, obs, rng, greedy: bool = False):
-        return np.zeros(self.action_dim), 0.0, 0.0
+        return np.zeros(self.action_dim)
 
 
 def baseline_agent(kind: str, obs_dim: int = 6, irs_elements: int = 16,

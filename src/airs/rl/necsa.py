@@ -39,12 +39,10 @@ class EpisodicTable:
     incremental update; they bound the true extremes from outside.
     """
 
-    def __init__(self, track_history: bool = False):
+    def __init__(self):
         self.stats = {}  # key -> [visit_count, mean_return]
         self.min_mean = None
         self.max_mean = None
-        self.track_history = track_history
-        self.history = {} if track_history else None
 
     def __len__(self):
         return len(self.stats)
@@ -61,8 +59,6 @@ class EpisodicTable:
             self.min_mean = mean
         if self.max_mean is None or mean > self.max_mean:
             self.max_mean = mean
-        if self.track_history:
-            self.history.setdefault(key, []).append(episode_return)
 
     def score(self, key: tuple) -> float:
         """Min-max normalized mean return for the key, neutral 0.5 otherwise."""
@@ -86,8 +82,7 @@ class NecsaShaper:
     """Per-episode driver: keys each step, revises rewards, updates the table
     with the episode's discounted return at episode end."""
 
-    def __init__(self, bins: int, order: int, weight: float, discount: float,
-                 track_history: bool = False):
+    def __init__(self, bins: int, order: int, weight: float, discount: float):
         if bins < 1:
             raise ValueError("bins must be >= 1")
         if order < 1:
@@ -96,7 +91,7 @@ class NecsaShaper:
         self.order = order
         self.weight = weight
         self.discount = discount
-        self.table = EpisodicTable(track_history=track_history)
+        self.table = EpisodicTable()
         self._history = deque(maxlen=max(order - 1, 1))
         self._visited = []
         self._return = 0.0

@@ -4,8 +4,11 @@ The buffer stores transitions in collection order, split into segments that
 each start at an episode boundary or at a buffer boundary mid-episode; every
 segment carries the recurrent state it started from so updates can replay
 sequences exactly as collected.  When the buffer reaches the configured batch
-size the trainer snapshots the current policy's log-probs, computes
-advantages, and runs K epochs of full-batch gradient steps.
+size the trainer computes advantages and runs K epochs of full-batch gradient
+steps.  Each epoch makes one taped recurrent forward over the batch and feeds
+its log-probs to `ppo_loss`.  Epoch 0 runs before any parameter moves, so its
+log-probs are the snapshot of the pre-update policy; there is no separate
+replay pass.
 """
 
 from dataclasses import dataclass, field
@@ -62,11 +65,8 @@ class PpoConfig:
 class Transition:
     state: np.ndarray
     action: np.ndarray
-    log_prob: float
     value: float
-    raw_reward: float
-    revised_reward: float
-    next_state: np.ndarray
+    reward: float  # after episodic revision, when a shaper is on
     done: bool
 
 
@@ -76,33 +76,32 @@ class Segment:
     length: int
     h0: np.ndarray
     c0: np.ndarray
-    done: bool  # episode ended inside this segment
 
 
 class RolloutBuffer:
     def __init__(self):
         self.transitions = []
         self.segments = []
+        self.next_obs = None  # observation after the last transition, for the bootstrap
 
     def __len__(self):
         return len(self.transitions)
 
     def begin_segment(self, lstm_state):
         h, c = lstm_state
-        self.segments.append(Segment(len(self.transitions), 0, h.copy(), c.copy(), False))
+        self.segments.append(Segment(len(self.transitions), 0, h.copy(), c.copy()))
 
-    def add(self, transition: Transition):
+    def add(self, transition: Transition, next_obs: np.ndarray):
         if not self.segments:
             raise RuntimeError("begin_segment() must be called before add()")
         self.transitions.append(transition)
-        seg = self.segments[-1]
-        seg.length += 1
-        if transition.done:
-            seg.done = True
+        self.next_obs = next_obs
+        self.segments[-1].length += 1
 
     def clear(self):
         self.transitions = []
         self.segments = []
+        self.next_obs = None
 
 
 def gae_advantages(rewards, values, dones, gamma, lam):
@@ -162,45 +161,36 @@ def ppo_loss(new_log_probs, old_log_probs, advantages, values, returns,
 
 
 class PaddedBatch:
-    """Segments stacked into (T_max, B, ...) arrays with a validity mask."""
+    """Segments stacked into (T_max, B, ...) arrays, zero past each segment's end.
 
-    def __init__(self, buffer: RolloutBuffer, obs_dim: int, action_dim: int, hidden: int):
+    `order[i]` is the position of buffer index i in the flattened T_max x B
+    grid, so `take(per_step_stack, order)` lists per-step values in buffer
+    order and skips the padded slots.
+    """
+
+    def __init__(self, buffer: RolloutBuffer):
         segments = buffer.segments
+        lengths = np.array([s.length for s in segments])
+        starts = np.array([s.start for s in segments])
         self.batch = len(segments)
-        self.t_max = max(s.length for s in segments)
-        self.total = len(buffer.transitions)
-        b, tm = self.batch, self.t_max
-        self.obs = np.zeros((tm, b, obs_dim))
-        self.actions = np.zeros((tm, b, action_dim))
-        self.mask = np.zeros((tm, b))
-        self.flat_index = np.full((tm, b), -1, dtype=int)
-        self.h0 = np.zeros((b, hidden))
-        self.c0 = np.zeros((b, hidden))
-        for s_idx, seg in enumerate(segments):
-            self.h0[s_idx] = seg.h0
-            self.c0[s_idx] = seg.c0
-            for t in range(seg.length):
-                tr = buffer.transitions[seg.start + t]
-                self.obs[t, s_idx] = tr.state
-                self.actions[t, s_idx] = tr.action
-                self.mask[t, s_idx] = 1.0
-                self.flat_index[t, s_idx] = seg.start + t
-
-    def scatter(self, per_step_values) -> np.ndarray:
-        """Map a (T_max, B) stack back to a flat (N,) buffer-ordered array."""
-        flat = np.zeros(self.total)
-        for t in range(self.t_max):
-            for s in range(self.batch):
-                idx = self.flat_index[t, s]
-                if idx >= 0:
-                    flat[idx] = per_step_values[t][s]
-        return flat
+        self.t_max = int(lengths.max())
+        seg = np.repeat(np.arange(self.batch), lengths)
+        t = np.arange(len(buffer)) - np.repeat(starts, lengths)
+        self.order = t * self.batch + seg
+        self.states = np.stack([tr.state for tr in buffer.transitions])
+        actions = np.stack([tr.action for tr in buffer.transitions])
+        self.obs = np.zeros((self.t_max, self.batch, self.states.shape[1]))
+        self.obs[t, seg] = self.states
+        self.actions = np.zeros((self.t_max, self.batch, actions.shape[1]))
+        self.actions[t, seg] = actions
+        self.h0 = np.stack([s.h0 for s in segments])
+        self.c0 = np.stack([s.c0 for s in segments])
 
 
 class PpoUpdater:
     """Runs the K-epoch update on a full buffer."""
 
-    def __init__(self, policy: ActorCritic, config: PpoConfig, debug: bool = False):
+    def __init__(self, policy: ActorCritic, config: PpoConfig):
         self.policy = policy
         self.config = config
         self.optimizer = Adam(
@@ -209,94 +199,58 @@ class PpoUpdater:
             betas=(config.adam_beta1, config.adam_beta2),
             eps=config.adam_eps,
         )
-        self.debug = debug
-        self.last_diagnostics = None
 
-    # -- replay machinery ----------------------------------------------------
+    def log_probs(self, batch: PaddedBatch) -> Tensor:
+        """Log-probs of the stored actions under the current policy, shape (N,).
 
-    def _replay_log_probs(self, batch: PaddedBatch) -> np.ndarray:
-        """Fresh log-probs of the stored actions under the current policy."""
-        with T.no_grad():
-            state = (Tensor(batch.h0), Tensor(batch.c0))
-            per_step = []
-            for t in range(batch.t_max):
-                obs_t = Tensor(batch.obs[t])
-                mean, state = self.policy.actor_step(obs_t, state)
-                logp = self.policy.log_prob(mean, Tensor(batch.actions[t]))
-                per_step.append(logp.value)
-        return batch.scatter(per_step)
-
-    def _actor_surrogate(self, batch: PaddedBatch, old_flat, adv_flat):
-        """Masked surrogate sum over the padded batch, in the graph."""
+        Replays every segment from its stored state, one recurrent step per
+        time index, cutting the gradient every `bptt_chunk` steps.
+        """
         chunk = self.policy.bptt_chunk
         state = (Tensor(batch.h0), Tensor(batch.c0))
-        surr_sum = Tensor(0.0)
-        ratios = []
-        eps = self.config.clip_epsilon
+        per_step = []
         for t in range(batch.t_max):
             if chunk > 0 and t > 0 and t % chunk == 0:
                 state = (state[0].detach(), state[1].detach())
-            obs_t = Tensor(batch.obs[t])
-            mean, state = self.policy.actor_step(obs_t, state)
-            logp = self.policy.log_prob(mean, Tensor(batch.actions[t]))
-            old_t = np.where(batch.flat_index[t] >= 0, old_flat[batch.flat_index[t]], 0.0)
-            adv_t = np.where(batch.flat_index[t] >= 0, adv_flat[batch.flat_index[t]], 0.0)
-            ratio = T.exp(T.sub(logp, Tensor(old_t)))
-            clipped = T.clip(ratio, 1.0 - eps, 1.0 + eps)
-            surr = T.minimum(T.mul(ratio, Tensor(adv_t)), T.mul(clipped, Tensor(adv_t)))
-            surr_sum = T.add(surr_sum, T.sum_all(T.mul(surr, Tensor(batch.mask[t]))))
-            if self.debug:
-                ratios.append(ratio.value.copy())
-        return surr_sum, ratios
-
-    # -- the update ------------------------------------------------------------
+            mean, state = self.policy.actor_step(Tensor(batch.obs[t]), state)
+            per_step.append(self.policy.log_prob(mean, Tensor(batch.actions[t])))
+        return T.take(T.stack(per_step), batch.order)
 
     def update(self, buffer: RolloutBuffer) -> dict:
         cfg = self.config
-        batch = PaddedBatch(
-            buffer, self.policy.obs_dim, self.policy.action_dim, self.policy.hidden
-        )
-        n = batch.total
+        batch = PaddedBatch(buffer)
 
-        rewards = np.array([tr.revised_reward for tr in buffer.transitions])
+        rewards = np.array([tr.reward for tr in buffer.transitions])
         values = np.array([tr.value for tr in buffer.transitions])
         dones = np.array([tr.done for tr in buffer.transitions])
-        last = buffer.transitions[-1]
-        if last.done:
-            bootstrap = 0.0
-        else:
-            with T.no_grad():
-                bootstrap = float(self.policy.value(Tensor(last.next_state.reshape(1, -1))).value[0])
+        bootstrap = 0.0 if dones[-1] else self.policy.value_of(buffer.next_obs)
         advantages, returns = gae_advantages(
             rewards, np.append(values, bootstrap), dones, cfg.discount, cfg.gae_lambda
         )
         adv_flat = normalize_advantages(advantages)
 
-        # Snapshot of the pre-update policy, taken immediately before the epochs.
-        old_flat = self._replay_log_probs(batch)
-
-        obs_flat = np.stack([tr.state for tr in buffer.transitions])
         stats = {}
-        diag_ratios = []
         for epoch in range(cfg.epochs):
             self.optimizer.zero_grad()
-            surr_sum, ratios = self._actor_surrogate(batch, old_flat, adv_flat)
-            actor_loss = T.mul(-1.0 / n, surr_sum)
-            value_pred = self.policy.value(Tensor(obs_flat))
-            critic_loss = T.mean_all(T.mul(0.5, T.square(T.sub(Tensor(returns), value_pred))))
+            new_log_probs = self.log_probs(batch)
+            if epoch == 0:
+                # Epoch 0 runs the pre-update policy: its log-probs are the snapshot.
+                old_flat = new_log_probs.value.copy()
+            # Taped after the log-probs, so backward adds the entropy's log-std
+            # gradient before the per-step ones: float sums depend on the order.
+            value_pred = self.policy.value(Tensor(batch.states))
             entropy = self.policy.entropy()
-            loss = T.add(
-                T.add(actor_loss, T.mul(cfg.critic_weight, critic_loss)),
-                T.mul(-cfg.entropy_weight, entropy),
-            )
+            loss = ppo_loss(new_log_probs, old_flat, adv_flat, value_pred, returns,
+                            entropy, cfg)
             if not np.isfinite(loss.value):
                 T.clear_tape()
                 raise NumericAbort(
                     f"non-finite loss at epoch {epoch}",
                     dump={
                         "epoch": epoch,
-                        "actor_loss": float(actor_loss.value),
-                        "critic_loss": float(critic_loss.value),
+                        "loss": float(loss.value),
+                        "new_log_probs": new_log_probs.value.tolist(),
+                        "values": value_pred.value.tolist(),
                         "rewards": rewards.tolist(),
                         "advantages": adv_flat.tolist(),
                         "returns": returns.tolist(),
@@ -306,19 +260,6 @@ class PpoUpdater:
             T.backward(loss)
             self.optimizer.step()
             if epoch == 0:
-                stats["actor_loss"] = float(actor_loss.value)
-                stats["critic_loss"] = float(critic_loss.value)
+                stats["loss"] = float(loss.value)
                 stats["entropy"] = float(entropy.value)
-            if self.debug:
-                diag_ratios.append([r for r in ratios])
-        if self.debug:
-            self.last_diagnostics = {
-                "ratios_per_epoch": diag_ratios,
-                "mask": batch.mask.copy(),
-                "flat_index": batch.flat_index.copy(),
-                "advantages": adv_flat.copy(),
-                "old_log_probs": old_flat.copy(),
-                "normalized_adv_mean": float(adv_flat.mean()),
-                "normalized_adv_var": float(adv_flat.var()),
-            }
         return stats

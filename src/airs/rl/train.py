@@ -167,7 +167,7 @@ def _run_episode(env, agent, explore_rng, writer, episode_stats, greedy,
     while not done:
         if trainer_hooks is not None:
             trainer_hooks.before_step(agent)
-        action, log_prob, value = agent.act(obs, explore_rng, greedy=greedy)
+        action = agent.act(obs, explore_rng, greedy=greedy)
         next_obs, breakdown, done = env.step(action)
         record = env.last_slot
         writer.slot(record)
@@ -176,8 +176,7 @@ def _run_episode(env, agent, explore_rng, writer, episode_stats, greedy,
         sum_f += record.f_t
         penalties.append(breakdown.penalty)
         if trainer_hooks is not None:
-            trainer_hooks.after_step(obs, action, log_prob, value, breakdown,
-                                     next_obs, done)
+            trainer_hooks.after_step(obs, action, breakdown, next_obs, done)
         obs = next_obs
     rates = [float(r) for r in env.per_user_average_rates()]
     mean_penalty = float(np.mean(penalties)) if penalties else 0.0
@@ -211,22 +210,19 @@ class _TrainerHooks:
             self.buffer.begin_segment(agent.state_arrays())
             self.need_segment = False
 
-    def after_step(self, obs, action, log_prob, value, breakdown, next_obs, done):
-        raw = breakdown.reward
-        revised = raw
+    def after_step(self, obs, action, breakdown, next_obs, done):
+        reward = breakdown.reward
         if self.shaper is not None:
-            revised = self.shaper.revise(next_obs, raw)
+            reward = self.shaper.revise(next_obs, reward)
         self.buffer.add(
             Transition(
                 state=np.array(obs),
                 action=np.array(action),
-                log_prob=log_prob,
-                value=value,
-                raw_reward=raw,
-                revised_reward=revised,
-                next_state=np.array(next_obs),
+                value=self.updater.policy.value_of(obs),
+                reward=reward,
                 done=done,
-            )
+            ),
+            np.array(next_obs),
         )
         if len(self.buffer) >= self.batch_size:
             self.update_stats.append(self.updater.update(self.buffer))
@@ -238,7 +234,7 @@ class _TrainerHooks:
             self.shaper.end_episode()
 
 
-def train(config: dict, out_dir, seed: int, env_factory=None, debug: bool = False) -> dict:
+def train(config: dict, out_dir, seed: int, env_factory=None) -> dict:
     """Full training run per the declared agent kind; returns a summary dict."""
     validate_config(config)
     out_dir = Path(out_dir)
@@ -265,7 +261,7 @@ def train(config: dict, out_dir, seed: int, env_factory=None, debug: bool = Fals
                 weight=ppo_cfg.necsa.weight,
                 discount=ppo_cfg.discount,
             )
-        updater = PpoUpdater(agent.policy, ppo_cfg, debug=debug)
+        updater = PpoUpdater(agent.policy, ppo_cfg)
         hooks = _TrainerHooks(RolloutBuffer(), updater, shaper, ppo_cfg.batch_size)
 
     write_manifest(out_dir, config, seed)

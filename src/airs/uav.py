@@ -60,14 +60,12 @@ class FlightBounds:
 @dataclass(frozen=True)
 class UavState:
     position: np.ndarray
-    last_action: np.ndarray
     slot_duration: float = 1.0
 
     def __post_init__(self):
         if self.slot_duration <= 0:
             raise UavError("slot duration must be positive")
         object.__setattr__(self, "position", np.asarray(self.position, dtype=float))
-        object.__setattr__(self, "last_action", np.asarray(self.last_action, dtype=float))
 
 
 def scale_action(raw: np.ndarray, d_max: float) -> np.ndarray:
@@ -96,7 +94,7 @@ def apply_action(state: UavState, action, bounds: FlightBounds):
         ]
     )
     violated = bool(np.any(clamped != target))
-    new_state = UavState(clamped, action, state.slot_duration)
+    new_state = UavState(clamped, state.slot_duration)
     return new_state, violated
 
 
@@ -128,10 +126,6 @@ def power_at(model: EnergyModel, v_h: float, v_v: float = 0.0) -> float:
     )
     climb = model.mass * model.gravity * v_v
     return blade + induced + parasite + climb
-
-
-def hover_power(model: EnergyModel) -> float:
-    return power_at(model, 0.0, 0.0)
 
 
 def distance(a, b) -> float:

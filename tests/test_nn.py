@@ -83,6 +83,26 @@ def test_primitive_gradients(name, rng):
     assert finite_difference_check(build, [a, b, w], rng) < FD_TOL
 
 
+def test_stack_gradients(rng):
+    parts = [Tensor(rng.standard_normal(4), requires_grad=True) for _ in range(3)]
+    weights = Tensor(rng.standard_normal((3, 4)))
+    build = lambda: T.sum_all(T.mul(T.square(T.stack(parts)), weights))
+    assert finite_difference_check(build, parts, rng) < FD_TOL
+
+
+def test_take_gradients_skip_untaken_slots(rng):
+    a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    order = np.array([5, 0, 9, 4, 1, 8, 6])  # flat slots 2, 3, 7, 10, 11 are never taken
+    weights = Tensor(rng.standard_normal(order.size))
+    build = lambda: T.sum_all(T.mul(T.square(T.take(a, order)), weights))
+    T.backward(build())
+    untaken = np.setdiff1d(np.arange(a.value.size), order)
+    assert np.all(a.grad.ravel()[untaken] == 0.0)
+    assert np.all(a.grad.ravel()[order] != 0.0)
+    a.grad = None
+    assert finite_difference_check(build, [a], rng, samples=a.value.size) < FD_TOL
+
+
 def test_bias_broadcast_gradient(rng):
     x = Tensor(rng.standard_normal((5, 3)))
     bias = Tensor(rng.standard_normal(3), requires_grad=True)

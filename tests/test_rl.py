@@ -8,16 +8,17 @@ from airs.config import build_env, default_config
 from airs.nn import tensor as T
 from airs.rl.agents import AGENT_SPECS, AgentSpec, baseline_agent
 from airs.rl.necsa import EpisodicTable, NecsaShaper, abstract_state, necsa_revise
+import airs.rl.ppo as ppo_module
 from airs.rl.ppo import (
     PpoConfig,
     PpoUpdater,
     RolloutBuffer,
-    Transition,
     gae_advantages,
     normalize_advantages,
     ppo_loss,
 )
-from airs.rl.train import _TrainerHooks, train
+from airs.rl.train import _TrainerHooks, build_agent, ppo_config_from, train
+from airs.rng import STREAM_EXPLORATION, substream
 from airs.nn.tensor import Tensor
 from conftest import toy_overrides
 
@@ -93,13 +94,16 @@ def test_single_value_table_neutral():
 
 
 def test_episodic_table_mean_is_exact(rng):
-    table = EpisodicTable(track_history=True)
+    table = EpisodicTable()
     keys = [(0,), (1,), (2,)]
+    recorded_by_key = {key: [] for key in keys}
     for _ in range(500):
         key = keys[int(rng.integers(3))]
-        table.record(key, float(rng.standard_normal()))
+        episode_return = float(rng.standard_normal())
+        table.record(key, episode_return)
+        recorded_by_key[key].append(episode_return)
     for key in keys:
-        recorded = table.history[key]
+        recorded = recorded_by_key[key]
         assert table.stats[key][0] == len(recorded)
         assert table.stats[key][1] == pytest.approx(np.mean(recorded), abs=1e-12)
 
@@ -283,7 +287,7 @@ def test_random_agent_observations_stay_normalized():
     rng = np.random.default_rng(0)
     obs = env.reset(seed=0)
     for _ in range(100):
-        action, _, _ = agent.act(obs, rng)
+        action = agent.act(obs, rng)
         obs, _, done = env.step(action)
         assert np.all(obs >= 0.0) and np.all(obs <= 1.0)
         if done:
@@ -338,17 +342,56 @@ def test_necsa_zero_weight_trace_matches_disabled(tmp_path):
     assert pa == pb
 
 
-def collect_and_update(debug=True, batch_size=30, episodes=4, horizon=10):
+def replay_segments(policy, buffer):
+    """Log-probs of the buffer's actions, each segment replayed alone at batch 1."""
+    out = np.zeros(len(buffer))
+    with T.no_grad():
+        for seg in buffer.segments:
+            state = (Tensor(seg.h0[None]), Tensor(seg.c0[None]))
+            for i in range(seg.start, seg.start + seg.length):
+                tr = buffer.transitions[i]
+                mean, state = policy.actor_step(Tensor(tr.state[None]), state)
+                out[i] = policy.log_prob(mean, Tensor(tr.action[None])).value[0]
+    return out
+
+
+def collect_and_update(monkeypatch, batch_size=30, episodes=4, horizon=10):
+    """Trains through the hooks with a spy on `ppo_loss`.
+
+    Returns one record per update: the buffer's segment layout and its
+    batch-1 replay under the pre-update policy, then the inputs and value of
+    every epoch's loss.
+    """
     cfg = small_cfg(episodes=episodes, horizon=horizon, batch_size=batch_size)
     env = build_env(cfg, seed=0)
-    from airs.rl.train import build_agent, ppo_config_from
-    from airs.rng import STREAM_EXPLORATION, substream
-
     agent = build_agent(cfg, env, seed=0)
-    updater = PpoUpdater(agent.policy, ppo_config_from(cfg), debug=debug)
+    ppo_cfg = ppo_config_from(cfg)
+    updater = PpoUpdater(agent.policy, ppo_cfg)
+    updates = []
+
+    def spy_loss(new_lp, old_lp, adv, values, returns, entropy, config):
+        loss = ppo_loss(new_lp, old_lp, adv, values, returns, entropy, config)
+        updates[-1]["epochs"].append({
+            "new": new_lp.value.copy(), "old": np.array(old_lp), "adv": np.array(adv),
+            "values": values.value.copy(), "returns": np.array(returns),
+            "entropy": float(entropy.value), "config": config, "loss": float(loss.value),
+        })
+        return loss
+
+    real_update = updater.update
+
+    def spy_update(buffer):
+        updates.append({
+            "segments": [(seg.start, seg.length, seg.h0.copy()) for seg in buffer.segments],
+            "replay": replay_segments(agent.policy, buffer),
+            "epochs": [],
+        })
+        return real_update(buffer)
+
+    monkeypatch.setattr(ppo_module, "ppo_loss", spy_loss)
+    updater.update = spy_update
     hooks = _TrainerHooks(RolloutBuffer(), updater, None, batch_size)
     explore = substream(0, STREAM_EXPLORATION)
-    diagnostics = []
     for _ in range(episodes):
         hooks.begin_episode()
         obs = env.reset()
@@ -356,53 +399,62 @@ def collect_and_update(debug=True, batch_size=30, episodes=4, horizon=10):
         done = False
         while not done:
             hooks.before_step(agent)
-            action, lp, value = agent.act(obs, explore)
+            action = agent.act(obs, explore)
             next_obs, breakdown, done = env.step(action)
-            hooks.after_step(obs, action, lp, value, breakdown, next_obs, done)
-            if updater.last_diagnostics is not None:
-                diagnostics.append(updater.last_diagnostics)
-                updater.last_diagnostics = None
+            hooks.after_step(obs, action, breakdown, next_obs, done)
             obs = next_obs
-    return diagnostics
+    assert updates and all(len(u["epochs"]) == ppo_cfg.epochs for u in updates)
+    return updates
 
 
-def test_first_epoch_ratios_are_exactly_one():
-    diagnostics = collect_and_update()
-    assert diagnostics
-    for diag in diagnostics:
-        mask = diag["mask"]
-        for t, ratios in enumerate(diag["ratios_per_epoch"][0]):
-            live = mask[t] > 0
-            assert np.array_equal(ratios[live], np.ones(live.sum()))
+def test_first_epoch_ratios_are_exactly_one(monkeypatch):
+    for update in collect_and_update(monkeypatch):
+        first = update["epochs"][0]
+        assert np.array_equal(first["new"], first["old"])
+        assert np.array_equal(np.exp(first["new"] - first["old"]), np.ones(first["new"].size))
 
 
-def test_surrogate_contributions_respect_clip_bounds():
-    diagnostics = collect_and_update()
-    eps = 0.2
-    for diag in diagnostics:
-        mask, index, adv = diag["mask"], diag["flat_index"], diag["advantages"]
-        for ratios_t in diag["ratios_per_epoch"]:
-            for t, ratios in enumerate(ratios_t):
-                live = mask[t] > 0
-                rho = ratios[live]
-                a = adv[index[t][live]]
-                surrogate = np.minimum(rho * a, np.clip(rho, 1 - eps, 1 + eps) * a)
-                lower = np.minimum(rho * a, np.clip(rho, 1 - eps, 1 + eps) * a)
-                upper = np.maximum(rho * a, np.clip(rho, 1 - eps, 1 + eps) * a)
-                assert np.all(surrogate >= lower - 1e-15)
-                assert np.all(surrogate <= upper + 1e-15)
+def test_every_epoch_loss_matches_oracle(monkeypatch):
+    for update in collect_and_update(monkeypatch):
+        for e in update["epochs"]:
+            expected = loss_oracle(e["new"], e["old"], e["adv"], e["values"], e["returns"],
+                                   e["entropy"], e["config"])
+            assert abs(e["loss"] - expected) < 1e-12
 
 
-def test_batch_advantages_are_normalized():
-    diagnostics = collect_and_update()
-    for diag in diagnostics:
-        assert abs(diag["normalized_adv_mean"]) < 1e-10
-        assert abs(diag["normalized_adv_var"] - 1.0) < 1e-10
+def test_batch_advantages_are_normalized(monkeypatch):
+    for update in collect_and_update(monkeypatch):
+        adv = update["epochs"][0]["adv"]
+        assert abs(adv.mean()) < 1e-10
+        assert abs(adv.var() - 1.0) < 1e-10
 
 
-def test_transition_revised_equals_raw_when_disabled(tmp_path):
+def test_batched_log_probs_match_per_segment_replay(monkeypatch):
+    updates = collect_and_update(monkeypatch, batch_size=25, episodes=5, horizon=10)
+    segments = [seg for u in updates for seg in u["segments"]]
+    assert len({length for _, length, _ in segments}) > 1  # some columns are padded
+    assert any(np.any(h0 != 0.0) for _, _, h0 in segments)  # some start mid-episode
+    for update in updates:
+        batched = update["epochs"][0]["new"]
+        assert np.max(np.abs(batched - update["replay"])) < 1e-12
+
+
+def test_buffered_reward_is_raw_without_shaper():
+    cfg = small_cfg(episodes=1, horizon=10, batch_size=100)
+    env = build_env(cfg, seed=0)
+    agent = build_agent(cfg, env, seed=0)
     buffer = RolloutBuffer()
-    buffer.begin_segment((np.zeros(4), np.zeros(4)))
-    tr = Transition(np.zeros(3), np.zeros(2), 0.0, 0.0, 1.5, 1.5, np.zeros(3), False)
-    buffer.add(tr)
-    assert buffer.transitions[0].revised_reward == buffer.transitions[0].raw_reward
+    hooks = _TrainerHooks(buffer, PpoUpdater(agent.policy, ppo_config_from(cfg)), None, 100)
+    rng = np.random.default_rng(0)
+    hooks.begin_episode()
+    obs = env.reset()
+    raw = []
+    done = False
+    while not done:
+        hooks.before_step(agent)
+        action = agent.act(obs, rng)
+        next_obs, breakdown, done = env.step(action)
+        hooks.after_step(obs, action, breakdown, next_obs, done)
+        raw.append(breakdown.reward)
+        obs = next_obs
+    assert [tr.reward for tr in buffer.transitions] == raw

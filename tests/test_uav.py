@@ -8,7 +8,7 @@ BOUNDS = uav.FlightBounds(0.0, 620.0, 0.0, 620.0, 80.0, 120.0)
 
 
 def state_at(x, y, z):
-    return uav.UavState(np.array([x, y, z]), np.zeros(3), 1.0)
+    return uav.UavState(np.array([x, y, z]), 1.0)
 
 
 # -- kinematics -----------------------------------------------------------------
