@@ -12,6 +12,7 @@ of the cascaded two-hop gain add coherently.
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -41,14 +42,16 @@ class IrsGeometry:
     def size(self) -> int:
         return self.rows * self.cols
 
+    @cached_property
     def element_indices(self):
-        """(row, col) pairs in row-major element order, zero based."""
+        """(row, col) pairs in row-major element order, zero based (read-only)."""
         m_r, m_c = np.divmod(np.arange(self.size), self.cols)
+        m_r.flags.writeable = m_c.flags.writeable = False
         return m_r, m_c
 
     def phase_profile(self, azimuth: float, elevation: float) -> np.ndarray:
         """Per-element plane-wave phase for a direction given at the array."""
-        m_r, m_c = self.element_indices()
+        m_r, m_c = self.element_indices
         scale = TWO_PI * self.element_spacing / self.wavelength
         return scale * (
             m_c * math.sin(azimuth) * math.cos(elevation) + m_r * math.sin(elevation)

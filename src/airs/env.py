@@ -8,6 +8,7 @@ whenever either hop of the relay path is occluded.
 """
 
 import math
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -185,7 +186,12 @@ class AirsEnv:
             sc.UserTrack.spawn(p, self.network, self.scenario.user_speed, self._rng_users)
             for p in self.scenario.user_initial_positions
         ]
-        self._rates = [[] for _ in range(self.cfg.users)]  # (slot, rate) pairs
+        # Per-user served-slot rates: episode sums added left to right from 0.0
+        # (what sum() does on Python 3.11), counts, and the (slot, rate) pairs
+        # still inside `rate_window`.
+        self._rate_sums = [0.0] * self.cfg.users
+        self._rate_counts = [0] * self.cfg.users
+        self._recent_rates = [deque() for _ in range(self.cfg.users)]
         self._episode += 1
         self._t = 0
         self._done = False
@@ -235,7 +241,10 @@ class AirsEnv:
             )
             rate = ch.achievable_rate(self.budget, g, phases, h)
 
-        self._rates[served].append((t, rate))
+        self._rate_sums[served] += rate
+        self._rate_counts[served] += 1
+        if self.cfg.rate_window is not None:
+            self._recent_rates[served].append((t, rate))
         fairness = self._running_fairness(t)
 
         rate = float(rate)
@@ -269,14 +278,14 @@ class AirsEnv:
 
     def _running_fairness(self, now: int) -> float:
         window = self.cfg.rate_window
-        means = []
-        for history in self._rates:
-            if window is not None:
-                history = [(s, r) for s, r in history if s > now - window]
-            if history:
-                means.append(sum(r for _, r in history) / len(history))
-            else:
-                means.append(0.0)
+        if window is None:
+            means = self.per_user_average_rates()
+        else:
+            means = []
+            for recent in self._recent_rates:
+                while recent and recent[0][0] <= now - window:
+                    recent.popleft()
+                means.append(sum(r for _, r in recent) / len(recent) if recent else 0.0)
         if sum(means) == 0.0:
             return 1.0 / self.cfg.users
         return jain_index(means)
@@ -284,8 +293,8 @@ class AirsEnv:
     def per_user_average_rates(self) -> list:
         """Mean served-slot rate per user over the episode so far (bit/s)."""
         return [
-            (sum(r for _, r in hist) / len(hist)) if hist else 0.0
-            for hist in self._rates
+            (total / count) if count else 0.0
+            for total, count in zip(self._rate_sums, self._rate_counts)
         ]
 
     def _observation(self) -> np.ndarray:

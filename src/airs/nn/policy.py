@@ -107,14 +107,40 @@ class ActorCritic:
         return T.clip(self.log_std, LOG_STD_MIN, LOG_STD_MAX)
 
     def log_prob(self, mean: Tensor, actions: Tensor) -> Tensor:
-        """Diagonal Gaussian log density of `actions`, shape (B,)."""
-        log_std = self.clamped_log_std()
-        inv_std = T.exp(T.neg(log_std))
-        z = T.mul(T.sub(actions, mean), inv_std)
-        quad = T.sum_axis(T.square(z), axis=1)
-        norm = T.sum_all(log_std)
+        """Diagonal Gaussian log density of `actions`, shape (B,).
+
+        One taped op, bit-equal to the primitive form: with
+        log_std = clamped_log_std() and z = (actions - mean) * exp(-log_std),
+        -0.5 * sum_axis(square(z), 1) - (sum_all(log_std) + 0.5 * A * log(2 pi)).
+        """
+        log_std = self.log_std
+        clamped = np.clip(log_std.value, LOG_STD_MIN, LOG_STD_MAX)
+        inv_std = np.exp(-clamped)
+        diff = actions.value - mean.value
+        z = diff * inv_std
+        quad = (z**2).sum(axis=1)
         const = 0.5 * self.action_dim * _LOG_2PI
-        return T.sub(T.mul(-0.5, quad), T.add(norm, Tensor(const)))
+        out_value = -0.5 * quad - (clamped.sum() + const)
+        if not T.needs_grad(mean, actions, log_std):
+            return Tensor(out_value)
+
+        def backward_fn(g):
+            g_norm = T.unbroadcast(-g, ())
+            g_clamped = np.broadcast_to(g_norm, clamped.shape).copy()
+            g_square = np.broadcast_to(np.expand_dims(g * -0.5, 1), z.shape).copy()
+            g_z = g_square * 2.0 * z
+            g_diff = T.unbroadcast(g_z * inv_std, diff.shape)
+            g_inv_std = T.unbroadcast(g_z * diff, inv_std.shape)
+            if actions.requires_grad:
+                actions.add_grad(T.unbroadcast(g_diff, actions.value.shape))
+            if mean.requires_grad:
+                mean.add_grad(T.unbroadcast(-g_diff, mean.value.shape))
+            g_clamped += -(g_inv_std * inv_std)
+            if log_std.requires_grad:
+                inside = (log_std.value >= LOG_STD_MIN) & (log_std.value <= LOG_STD_MAX)
+                log_std.add_grad(g_clamped * inside)
+
+        return T.record(out_value, backward_fn)
 
     def entropy(self) -> Tensor:
         """Entropy of the (state-independent) Gaussian, a scalar tensor."""

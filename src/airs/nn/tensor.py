@@ -6,6 +6,24 @@ routing each node's gradient to its inputs, and consumes the tape.  Gradients
 accumulate into .grad, so computing a fresh loss and calling backward() again
 adds to the accumulators.  A no_grad() context skips taping entirely, which
 keeps rollout-time forwards cheap.
+
+Fused ops.  A layer may tape a whole block of arithmetic as one node with a
+hand-written backward (`record`), or as two adjacent nodes when the block has
+two outputs (`record_pair`, whose backward runs once with both gradients,
+either of which may be None).  Float sums depend on their order, so a fused
+op reproduces the tape of the primitive ops it replaces bit for bit:
+- its forward evaluates the same numpy expressions as the primitives would;
+- it skips the part of its backward that hangs off an output, or an
+  intermediate, whose gradient is None, as the reverse walk would skip those
+  nodes;
+- it calls `add_grad` on each input and parameter once per use, in the order
+  the reverse walk over the primitive nodes did, and sums gradients of its
+  intermediates in that order too, consumers outside the block first;
+- under no_grad, or when no input needs a gradient, it returns plain Tensors
+  from the same forward, so rollouts and updates share one code path.
+The two nodes of a pair refer to each other through their shared backward, so
+`clear_tape` drops every node's `backward_fn`: the graph is then freed by
+reference counting, after backward() and on an aborted update alike.
 """
 
 from contextlib import contextmanager
@@ -37,6 +55,9 @@ def tape_size() -> int:
 
 
 def clear_tape():
+    """Empty the tape and release every node's backward closure."""
+    for node in _tape:
+        node.backward_fn = None
     _tape.clear()
 
 
@@ -100,7 +121,13 @@ def _wrap(x):
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
-def _record(out_value, backward_fn) -> Tensor:
+def needs_grad(*inputs) -> bool:
+    """Whether an op on `inputs` is taped: gradients on and one input needs one."""
+    return _grad_enabled and any(t.requires_grad for t in inputs)
+
+
+def record(out_value, backward_fn) -> Tensor:
+    """Tape one op output; `backward_fn(g)` routes its gradient g to the inputs."""
     out = Tensor(out_value)
     out.requires_grad = True
     out.backward_fn = backward_fn
@@ -108,7 +135,27 @@ def _record(out_value, backward_fn) -> Tensor:
     return out
 
 
-def _unbroadcast(grad, shape):
+def record_pair(first_value, second_value, backward_fn):
+    """Tape a two-output op as two adjacent nodes sharing one backward.
+
+    `backward_fn(g_first, g_second)` runs once, when the reverse walk meets the
+    first output that has a gradient; by then every consumer of both outputs,
+    all taped later, has run.  Either gradient may be None.
+    """
+    first, second = Tensor(first_value), Tensor(second_value)
+
+    def run(_):
+        first.backward_fn = second.backward_fn = None
+        backward_fn(first.grad, second.grad)
+
+    for out in (first, second):
+        out.requires_grad = True
+        out.backward_fn = run
+        _tape.append(out)
+    return first, second
+
+
+def unbroadcast(grad, shape):
     """Sum a broadcast gradient back down to the original shape."""
     if grad.shape == shape:
         return grad
@@ -129,11 +176,11 @@ def add(a, b) -> Tensor:
 
     def backward_fn(g):
         if a.requires_grad:
-            a.add_grad(_unbroadcast(g, a.value.shape))
+            a.add_grad(unbroadcast(g, a.value.shape))
         if b.requires_grad:
-            b.add_grad(_unbroadcast(g, b.value.shape))
+            b.add_grad(unbroadcast(g, b.value.shape))
 
-    return _record(out_value, backward_fn)
+    return record(out_value, backward_fn)
 
 
 def sub(a, b) -> Tensor:
@@ -144,18 +191,18 @@ def sub(a, b) -> Tensor:
 
     def backward_fn(g):
         if a.requires_grad:
-            a.add_grad(_unbroadcast(g, a.value.shape))
+            a.add_grad(unbroadcast(g, a.value.shape))
         if b.requires_grad:
-            b.add_grad(_unbroadcast(-g, b.value.shape))
+            b.add_grad(unbroadcast(-g, b.value.shape))
 
-    return _record(out_value, backward_fn)
+    return record(out_value, backward_fn)
 
 
 def neg(a) -> Tensor:
     a = _wrap(a)
     if not (_grad_enabled and a.requires_grad):
         return Tensor(-a.value)
-    return _record(-a.value, lambda g: a.add_grad(-g))
+    return record(-a.value, lambda g: a.add_grad(-g))
 
 
 def mul(a, b) -> Tensor:
@@ -166,11 +213,11 @@ def mul(a, b) -> Tensor:
 
     def backward_fn(g):
         if a.requires_grad:
-            a.add_grad(_unbroadcast(g * b.value, a.value.shape))
+            a.add_grad(unbroadcast(g * b.value, a.value.shape))
         if b.requires_grad:
-            b.add_grad(_unbroadcast(g * a.value, b.value.shape))
+            b.add_grad(unbroadcast(g * a.value, b.value.shape))
 
-    return _record(out_value, backward_fn)
+    return record(out_value, backward_fn)
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
@@ -184,40 +231,41 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if b.requires_grad:
             b.add_grad(a.value.T @ g)
 
-    return _record(out_value, backward_fn)
+    return record(out_value, backward_fn)
 
 
 def tanh(a: Tensor) -> Tensor:
     out_value = np.tanh(a.value)
     if not (_grad_enabled and a.requires_grad):
         return Tensor(out_value)
-    return _record(out_value, lambda g: a.add_grad(g * (1.0 - out_value**2)))
+    return record(out_value, lambda g: a.add_grad(g * (1.0 - out_value**2)))
 
 
-def _sigmoid(x):
+def logistic(x):
+    """Elementwise sigmoid of an array, the forward of `sigmoid`."""
     # exp overflow for very negative x just saturates to 0, which is correct.
     with np.errstate(over="ignore"):
         return 1.0 / (1.0 + np.exp(-x))
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    out_value = _sigmoid(a.value)
+    out_value = logistic(a.value)
     if not (_grad_enabled and a.requires_grad):
         return Tensor(out_value)
-    return _record(out_value, lambda g: a.add_grad(g * out_value * (1.0 - out_value)))
+    return record(out_value, lambda g: a.add_grad(g * out_value * (1.0 - out_value)))
 
 
 def exp(a: Tensor) -> Tensor:
     out_value = np.exp(a.value)
     if not (_grad_enabled and a.requires_grad):
         return Tensor(out_value)
-    return _record(out_value, lambda g: a.add_grad(g * out_value))
+    return record(out_value, lambda g: a.add_grad(g * out_value))
 
 
 def square(a: Tensor) -> Tensor:
     if not (_grad_enabled and a.requires_grad):
         return Tensor(a.value**2)
-    return _record(a.value**2, lambda g: a.add_grad(g * 2.0 * a.value))
+    return record(a.value**2, lambda g: a.add_grad(g * 2.0 * a.value))
 
 
 def minimum(a, b) -> Tensor:
@@ -230,11 +278,11 @@ def minimum(a, b) -> Tensor:
 
     def backward_fn(g):
         if a.requires_grad:
-            a.add_grad(_unbroadcast(g * take_a, a.value.shape))
+            a.add_grad(unbroadcast(g * take_a, a.value.shape))
         if b.requires_grad:
-            b.add_grad(_unbroadcast(g * ~take_a, b.value.shape))
+            b.add_grad(unbroadcast(g * ~take_a, b.value.shape))
 
-    return _record(out_value, backward_fn)
+    return record(out_value, backward_fn)
 
 
 def clip(a: Tensor, lo: float, hi: float) -> Tensor:
@@ -243,13 +291,13 @@ def clip(a: Tensor, lo: float, hi: float) -> Tensor:
     if not (_grad_enabled and a.requires_grad):
         return Tensor(out_value)
     inside = (a.value >= lo) & (a.value <= hi)
-    return _record(out_value, lambda g: a.add_grad(g * inside))
+    return record(out_value, lambda g: a.add_grad(g * inside))
 
 
 def sum_all(a: Tensor) -> Tensor:
     if not (_grad_enabled and a.requires_grad):
         return Tensor(a.value.sum())
-    return _record(
+    return record(
         a.value.sum(),
         lambda g: a.add_grad(np.broadcast_to(g, a.value.shape).copy()),
     )
@@ -259,7 +307,7 @@ def sum_axis(a: Tensor, axis: int) -> Tensor:
     out_value = a.value.sum(axis=axis)
     if not (_grad_enabled and a.requires_grad):
         return Tensor(out_value)
-    return _record(
+    return record(
         out_value,
         lambda g: a.add_grad(np.broadcast_to(np.expand_dims(g, axis), a.value.shape).copy()),
     )
@@ -269,7 +317,7 @@ def mean_all(a: Tensor) -> Tensor:
     n = a.value.size
     if not (_grad_enabled and a.requires_grad):
         return Tensor(a.value.mean())
-    return _record(
+    return record(
         a.value.mean(),
         lambda g: a.add_grad(np.broadcast_to(g / n, a.value.shape).copy()),
     )
@@ -278,7 +326,7 @@ def mean_all(a: Tensor) -> Tensor:
 def reshape(a: Tensor, shape) -> Tensor:
     if not (_grad_enabled and a.requires_grad):
         return Tensor(a.value.reshape(shape))
-    return _record(a.value.reshape(shape), lambda g: a.add_grad(g.reshape(a.value.shape)))
+    return record(a.value.reshape(shape), lambda g: a.add_grad(g.reshape(a.value.shape)))
 
 
 def stack(tensors) -> Tensor:
@@ -293,7 +341,7 @@ def stack(tensors) -> Tensor:
             if t.requires_grad:
                 t.add_grad(g_t)
 
-    return _record(out_value, backward_fn)
+    return record(out_value, backward_fn)
 
 
 def take(a: Tensor, indices) -> Tensor:
@@ -311,7 +359,7 @@ def take(a: Tensor, indices) -> Tensor:
         np.add.at(grad, indices, g)
         a.add_grad(grad.reshape(a.value.shape))
 
-    return _record(out_value, backward_fn)
+    return record(out_value, backward_fn)
 
 
 def backward(loss: Tensor):

@@ -385,6 +385,7 @@ def test_criterion_07_occlusion_against_sampling_oracle():
 # -- criteria 8 and 9: desk-scale learning -------------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_08_learning_margins(learning_runs):
     results = learning_runs["results"]
     eppo = [final_reward(results, "eppo", 1, s)[0] for s in SEEDS]
@@ -412,6 +413,7 @@ def episode_jains(run_dir):
     return np.array(out)
 
 
+@pytest.mark.slow
 def test_criterion_09_multi_user_fairness_trend(learning_runs):
     results = learning_runs["results"]
     improved = 0

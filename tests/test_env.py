@@ -186,6 +186,31 @@ def test_running_fairness_stays_in_bounds():
             env.reset()
 
 
+@pytest.mark.parametrize("window", [None, 7])
+def test_running_fairness_matches_history_resum(window):
+    """Running sums equal re-summing each user's served-slot rate history."""
+    env, _ = make_env(users=3, rate_window=window)
+    rng = np.random.default_rng(2)
+    env.reset(seed=2)
+    history = [[], [], []]  # (slot, rate) pairs per user
+    done = False
+    t = 0
+    while not done:
+        _, b, done = env.step(rng.uniform(-1, 1, 3))
+        history[t % 3].append((t, b.rate))
+        means = []
+        for served in history:
+            if window is not None:
+                served = [(s, r) for s, r in served if s > t - window]
+            means.append(sum(r for _, r in served) / len(served) if served else 0.0)
+        expected = 1.0 / 3.0 if sum(means) == 0.0 else jain_index(means)
+        assert b.fairness == expected
+        t += 1
+    assert all(any(r > 0.0 for _, r in served) for served in history)
+    averages = [sum(r for _, r in h) / len(h) for h in history]
+    assert env.per_user_average_rates() == averages
+
+
 def test_observe_all_users_dimension():
     env, _ = make_env(users=3, observe_all_users=True)
     obs = env.reset(seed=0)

@@ -188,6 +188,185 @@ def test_bptt_8_step_gradients(rng):
     assert finite_difference_check(build, policy.params(), rng, samples=3) < FD_TOL
 
 
+# -- fused ops against their primitive composition ---------------------------------------
+#
+# Dense, mogrify, lstm_step and log_prob each tape one fused node (two for the
+# pair outputs).  They must reproduce the tape of the primitive ops they replace
+# bit for bit: the same outputs and the same gradient in every input and
+# parameter, including the order in which gradients add up.  The primitive
+# compositions below are the references and live only here.
+
+
+def unfused_dense(layer, x):
+    return T.add(T.matmul(x, layer.W), layer.b)
+
+
+def unfused_mogrify(cell, x, h):
+    q_iter, r_iter = iter(cell.Q), iter(cell.R)
+    for i in range(1, cell.rounds + 1):
+        if i % 2 == 1:
+            x = T.mul(2.0 * T.sigmoid(T.matmul(h, next(q_iter))), x)
+        else:
+            h = T.mul(2.0 * T.sigmoid(T.matmul(x, next(r_iter))), h)
+    return x, h
+
+
+def unfused_lstm_step(cell, x, state):
+    h, c = state
+    gates = {}
+    for gate in cell.GATES:
+        pre = T.add(T.add(T.matmul(x, cell.Wx[gate]), T.matmul(h, cell.Wh[gate])), cell.b[gate])
+        gates[gate] = T.tanh(pre) if gate == "g" else T.sigmoid(pre)
+    c_new = T.add(T.mul(gates["f"], c), T.mul(gates["i"], gates["g"]))
+    return T.mul(gates["o"], T.tanh(c_new)), c_new
+
+
+def unfused_log_prob(policy, mean, actions):
+    log_std = policy.clamped_log_std()
+    inv_std = T.exp(T.neg(log_std))
+    z = T.mul(T.sub(actions, mean), inv_std)
+    quad = T.sum_axis(T.square(z), axis=1)
+    norm = T.sum_all(log_std)
+    const = 0.5 * policy.action_dim * math.log(2.0 * math.pi)
+    return T.sub(T.mul(-0.5, quad), T.add(norm, Tensor(const)))
+
+
+def unfused_actor_step(policy, obs, state):
+    x = T.tanh(unfused_dense(policy.trunk, obs))
+    x, h = unfused_mogrify(policy.cell, x, state[0])
+    h, c = unfused_lstm_step(policy.cell, x, (h, state[1]))
+    return T.tanh(unfused_dense(policy.mean_head, h)), (h, c)
+
+
+def weighted_loss(outputs, inputs, rng):
+    """Random-weighted sum of `outputs`, plus terms reusing each input that needs a
+    gradient, so those inputs already hold one when the op's backward runs."""
+    terms = [T.sum_all(T.mul(out, Tensor(rng.standard_normal(out.shape)))) for out in outputs]
+    terms += [T.sum_all(T.square(t)) for t in inputs if t.requires_grad]
+    loss = terms[0]
+    for term in terms[1:]:
+        loss = T.add(loss, term)
+    return loss
+
+
+def assert_fused_matches_unfused(build, tensors):
+    """`build(fused)` returns (outputs, loss); compare both ways bit for bit."""
+    results = []
+    for fused in (True, False):
+        for t in tensors:
+            t.grad = None
+        outputs, loss = build(fused)
+        T.backward(loss)
+        results.append(([o.value.copy() for o in outputs],
+                         [None if t.grad is None else t.grad.copy() for t in tensors]))
+    for t in tensors:
+        t.grad = None
+    (out_f, grads_f), (out_u, grads_u) = results
+    for a, b in zip(out_f, out_u):
+        assert np.array_equal(a, b)
+    for a, b in zip(grads_f, grads_u):
+        assert (a is None) == (b is None)
+        assert a is None or np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("batch", [1, 10])
+@pytest.mark.parametrize("input_grad", [True, False])
+def test_fused_dense_matches_primitives(batch, input_grad, rng):
+    layer = Dense(rng, 6, 4, "d")
+    x = Tensor(rng.standard_normal((batch, 6)), requires_grad=input_grad)
+
+    def build(fused):
+        out = layer(x) if fused else unfused_dense(layer, x)
+        return [out], weighted_loss([out], [x], np.random.default_rng(1))
+
+    assert_fused_matches_unfused(build, [x, layer.W, layer.b])
+
+
+@pytest.mark.parametrize("rounds", [0, 1, 2, 5])
+@pytest.mark.parametrize("batch", [1, 10])
+@pytest.mark.parametrize("uses", ["x", "h", "both"])
+@pytest.mark.parametrize("input_grad", [True, False])
+def test_fused_mogrify_matches_primitives(rounds, batch, uses, input_grad, rng):
+    cell = MogrifierLstm(rng, 4, 5, rounds=rounds, name="m")
+    x = Tensor(rng.standard_normal((batch, 4)), requires_grad=input_grad)
+    h = Tensor(rng.standard_normal((batch, 5)), requires_grad=input_grad)
+
+    def build(fused):
+        mx, mh = cell.mogrify(x, h) if fused else unfused_mogrify(cell, x, h)
+        used = {"x": [mx], "h": [mh], "both": [mx, mh]}[uses]
+        return [mx, mh], weighted_loss(used, [x, h], np.random.default_rng(1))
+
+    assert_fused_matches_unfused(build, [x, h] + [p for _, p in cell.params()])
+
+
+@pytest.mark.parametrize("batch", [1, 10])
+@pytest.mark.parametrize("uses", ["h", "c", "both"])
+@pytest.mark.parametrize("input_grad", [True, False])
+def test_fused_lstm_step_matches_primitives(batch, uses, input_grad, rng):
+    cell = MogrifierLstm(rng, 4, 5, rounds=0, name="l")
+    x = Tensor(rng.standard_normal((batch, 4)), requires_grad=input_grad)
+    h = Tensor(rng.standard_normal((batch, 5)), requires_grad=input_grad)
+    c = Tensor(rng.standard_normal((batch, 5)), requires_grad=input_grad)
+
+    def build(fused):
+        step = cell.lstm_step if fused else lambda x_, s: unfused_lstm_step(cell, x_, s)
+        nh, nc = step(x, (h, c))
+        used = {"h": [nh], "c": [nc], "both": [nh, nc]}[uses]
+        return [nh, nc], weighted_loss(used, [x, h, c], np.random.default_rng(1))
+
+    assert_fused_matches_unfused(build, [x, h, c] + [p for _, p in cell.params()])
+
+
+@pytest.mark.parametrize("batch", [1, 10])
+def test_fused_log_prob_matches_primitives(batch, rng):
+    policy = ActorCritic(rng, obs_dim=4, action_dim=4, hidden=6, mogrifier_rounds=0)
+    policy.log_std.value = np.array([-6.0, -0.7, 0.4, 1.5])  # two dims clamped
+    mean = Tensor(rng.standard_normal((batch, 4)), requires_grad=True)
+    actions = Tensor(rng.standard_normal((batch, 4)))
+
+    def build(fused):
+        logp = (policy.log_prob(mean, actions) if fused
+                else unfused_log_prob(policy, mean, actions))
+        return [logp], weighted_loss([logp], [mean], np.random.default_rng(1))
+
+    assert_fused_matches_unfused(build, [mean, policy.log_std])
+
+
+@pytest.mark.parametrize("rounds", [0, 1, 2, 5])
+def test_fused_recurrent_sequence_matches_primitives(rounds, rng):
+    """20 steps at batch 10 with a bptt_chunk detach, as the update replays them."""
+    policy = ActorCritic(rng, obs_dim=4, action_dim=3, hidden=6, mogrifier_rounds=rounds,
+                         bptt_chunk=8)
+    obs = rng.standard_normal((20, 10, 4))
+    actions = rng.standard_normal((20, 10, 3))
+    h0, c0 = rng.standard_normal((2, 10, 6))
+
+    def build(fused):
+        step = policy.actor_step if fused else lambda o, s: unfused_actor_step(policy, o, s)
+        log_prob = policy.log_prob if fused else lambda m, a: unfused_log_prob(policy, m, a)
+        state = (Tensor(h0), Tensor(c0))
+        per_step = []
+        for t in range(20):
+            if t > 0 and t % policy.bptt_chunk == 0:
+                state = (state[0].detach(), state[1].detach())
+            mean, state = step(Tensor(obs[t]), state)
+            per_step.append(log_prob(mean, Tensor(actions[t])))
+        logp = T.stack(per_step)
+        return [logp, *state], weighted_loss([logp, state[1]], [], np.random.default_rng(1))
+
+    assert_fused_matches_unfused(build, policy.params())
+
+
+def test_fused_ops_untaped_under_no_grad(rng):
+    policy = ActorCritic(rng, obs_dim=4, action_dim=3, hidden=6, mogrifier_rounds=5)
+    obs = Tensor(rng.standard_normal((2, 4)))
+    with T.no_grad():
+        mean, (h, c) = policy.actor_step(obs, policy.initial_state(2))
+        logp = policy.log_prob(mean, Tensor(rng.standard_normal((2, 3))))
+    assert T.tape_size() == 0
+    assert all(t.backward_fn is None and not t.requires_grad for t in (mean, h, c, logp))
+
+
 # -- mogrifier behaviour ----------------------------------------------------------------
 
 

@@ -1,3 +1,4 @@
+import gc
 import json
 import math
 
@@ -9,10 +10,13 @@ from airs.nn import tensor as T
 from airs.rl.agents import AGENT_SPECS, AgentSpec, baseline_agent
 from airs.rl.necsa import EpisodicTable, NecsaShaper, abstract_state, necsa_revise
 import airs.rl.ppo as ppo_module
+from airs.nn.policy import ActorCritic
 from airs.rl.ppo import (
+    NumericAbort,
     PpoConfig,
     PpoUpdater,
     RolloutBuffer,
+    Transition,
     gae_advantages,
     normalize_advantages,
     ppo_loss,
@@ -458,3 +462,51 @@ def test_buffered_reward_is_raw_without_shaper():
         raw.append(breakdown.reward)
         obs = next_obs
     assert [tr.reward for tr in buffer.transitions] == raw
+
+
+def random_buffer(policy, rng, lengths):
+    """A buffer of random transitions in segments of the given lengths."""
+    buffer = RolloutBuffer()
+    for n in lengths:
+        buffer.begin_segment(tuple(rng.standard_normal((2, policy.hidden))))
+        for i in range(n):
+            transition = Transition(rng.uniform(size=policy.obs_dim),
+                                    rng.standard_normal(policy.action_dim),
+                                    float(rng.standard_normal()), float(rng.standard_normal()),
+                                    i == n - 1)
+            buffer.add(transition, rng.uniform(size=policy.obs_dim))
+    return buffer
+
+
+def tensors_tracked_by_gc():
+    return sum(type(obj) is Tensor for obj in gc.get_objects())
+
+
+@pytest.mark.parametrize("abort", [False, True])
+def test_update_graph_is_freed_without_the_cycle_collector(monkeypatch, abort):
+    """After an update, finished or aborted, no tape Tensor waits for gc.collect()."""
+    rng = np.random.default_rng(0)
+    policy = ActorCritic(rng, obs_dim=4, action_dim=3, hidden=6, mogrifier_rounds=5,
+                         bptt_chunk=4)
+    updater = PpoUpdater(policy, small_ppo_config(epochs=2))
+    buffer = random_buffer(policy, rng, [7, 10, 3])
+    if abort:
+        real_loss = ppo_module.ppo_loss
+        monkeypatch.setattr(ppo_module, "ppo_loss",
+                            lambda *args: T.mul(real_loss(*args), float("nan")))
+    was_enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        try:
+            updater.update(buffer)
+        except NumericAbort:
+            assert abort
+        else:
+            assert not abort
+        before = tensors_tracked_by_gc()
+        gc.collect()
+        assert tensors_tracked_by_gc() == before
+    finally:
+        if was_enabled:
+            gc.enable()
