@@ -49,6 +49,13 @@ class MogrifierLstm:
     times: odd rounds scale x by 2*sigmoid(h @ Q_i), even rounds scale h by
     2*sigmoid(x @ R_i).  With r = 0 (or all-zero Q/R) this is a plain LSTM,
     since 2*sigmoid(0) is exactly 1.
+
+    The four gates are stacked gate-major in GATES order (i, f, o, g), the
+    usual fused-LSTM layout: Wx is (4, in_dim, hidden), Wh is
+    (4, hidden, hidden) and b is (4, hidden), and slice k belongs to gate
+    GATES[k].  A step makes one batched matmul per weight, which numpy runs as
+    one gemm per gate of the per-gate shape, so the results are bit-equal to
+    four separate gate matmuls.
     """
 
     GATES = ("i", "f", "o", "g")
@@ -60,20 +67,15 @@ class MogrifierLstm:
         self.in_dim = in_dim
         self.hidden = hidden
         self.rounds = rounds
-        self.Wx = {}
-        self.Wh = {}
-        self.b = {}
-        for gate in self.GATES:
-            self.Wx[gate] = Tensor(
-                uniform_init(rng, in_dim, (in_dim, hidden)), requires_grad=True
-            )
-            self.Wh[gate] = Tensor(
-                uniform_init(rng, hidden, (hidden, hidden)), requires_grad=True
-            )
-            bias = np.zeros(hidden)
-            if gate == "f":
-                bias += 1.0  # start with a remembering forget gate
-            self.b[gate] = Tensor(bias, requires_grad=True)
+        wx, wh = [], []
+        for _ in self.GATES:  # per gate Wx, then Wh: this draw order fixes what a seed gives
+            wx.append(uniform_init(rng, in_dim, (in_dim, hidden)))
+            wh.append(uniform_init(rng, hidden, (hidden, hidden)))
+        self.Wx = Tensor(np.stack(wx), requires_grad=True)
+        self.Wh = Tensor(np.stack(wh), requires_grad=True)
+        bias = np.zeros((len(self.GATES), hidden))
+        bias[self.GATES.index("f")] = 1.0  # start with a remembering forget gate
+        self.b = Tensor(bias, requires_grad=True)
         self.Q = []  # odd rounds, gate x from h: (hidden, in_dim)
         self.R = []  # even rounds, gate h from x: (in_dim, hidden)
         for i in range(1, rounds + 1):
@@ -109,12 +111,14 @@ class MogrifierLstm:
         # making version (i + 1) // 2 of that kind from version i // 2 of the other.
         values = ([x.value], [h.value])
         gates = []
-        for i in range(1, rounds + 1):
-            kind = 0 if i % 2 else 1
-            s = T.logistic(values[1 - kind][-1] @ weights[i - 1].value)
-            s2 = 2.0 * s
-            values[kind].append(s2 * values[kind][-1])
-            gates.append((s, s2))
+        # T.logistic's expression, under one errstate for all rounds.
+        with np.errstate(over="ignore"):
+            for i in range(1, rounds + 1):
+                kind = 0 if i % 2 else 1
+                s = 1.0 / (1.0 + np.exp(-(values[1 - kind][-1] @ weights[i - 1].value)))
+                s2 = 2.0 * s
+                values[kind].append(s2 * values[kind][-1])
+                gates.append((s, s2))
         if not T.needs_grad(x, h, *weights):
             return Tensor(values[0][-1]), (Tensor(values[1][-1]) if rounds > 1 else h)
 
@@ -152,52 +156,48 @@ class MogrifierLstm:
     def lstm_step(self, x: Tensor, state):
         """LSTM cell update as one taped op; returns (h_new, c_new).
 
-        Bit-equal to the primitive form: per gate
-        pre = add(add(matmul(x, Wx), matmul(h, Wh)), b), then
-        c_new = f * c + i * g and h_new = o * tanh(c_new).
+        Bit-equal to the per-gate primitive form: for gate k,
+        pre = add(add(matmul(x, Wx[k]), matmul(h, Wh[k])), b[k]), then
+        c_new = f * c + i * g and h_new = o * tanh(c_new).  The backward adds
+        each input's gradient gate by gate in the order g, o, f, i, as the
+        reverse walk over the per-gate ops did.  When h_new gets no gradient
+        the o slice of each parameter gets a zero gradient.
         """
         h, c = state
-        params = []
-        acts = {}
-        for gate in self.GATES:
-            Wx, Wh, b = self.Wx[gate], self.Wh[gate], self.b[gate]
-            params += (Wx, Wh, b)
-            pre = x.value @ Wx.value + h.value @ Wh.value + b.value
-            acts[gate] = np.tanh(pre) if gate == "g" else T.logistic(pre)
-        i_act, f_act, o_act, g_act = (acts[gate] for gate in self.GATES)
+        Wx, Wh, b = self.Wx, self.Wh, self.b
+        pre = np.matmul(x.value, Wx.value) + np.matmul(h.value, Wh.value) + b.value[:, None]
+        sig = T.logistic(pre[:3])
+        g_act = np.tanh(pre[3])
+        i_act, f_act, o_act = sig
         c_new = f_act * c.value + i_act * g_act
         tanh_c = np.tanh(c_new)
         h_new = o_act * tanh_c
-        if not T.needs_grad(x, h, c, *params):
+        if not T.needs_grad(x, h, c, Wx, Wh, b):
             return Tensor(h_new), Tensor(c_new)
 
         def backward_fn(gh, gc):
-            d_acts = {}
-            if gh is not None:
-                d_acts["o"] = gh * tanh_c
+            d_pre = np.empty((len(self.GATES),) + h_new.shape)
+            if gh is None:
+                d_pre[2] = 0.0
+            else:
+                d_pre[2] = gh * tanh_c
                 g_tanh = (gh * o_act) * (1.0 - tanh_c**2)
                 gc = g_tanh if gc is None else gc + g_tanh
-            d_acts["i"] = gc * g_act
-            d_acts["g"] = gc * i_act
-            d_acts["f"] = gc * c.value
+            d_pre[0] = gc * g_act
+            d_pre[1] = gc * c.value
             if c.requires_grad:
                 c.add_grad(gc * f_act)
-            for gate in reversed(self.GATES):
-                if gate not in d_acts:
-                    continue
-                act = acts[gate]
-                if gate == "g":
-                    d_pre = d_acts[gate] * (1.0 - act**2)
-                else:
-                    d_pre = d_acts[gate] * act * (1.0 - act)
-                Wx, Wh, b = self.Wx[gate], self.Wh[gate], self.b[gate]
-                b.add_grad(T.unbroadcast(d_pre, b.value.shape))
-                if h.requires_grad:
-                    h.add_grad(d_pre @ Wh.value.T)
-                Wh.add_grad(h.value.T @ d_pre)
-                if x.requires_grad:
-                    x.add_grad(d_pre @ Wx.value.T)
-                Wx.add_grad(x.value.T @ d_pre)
+            d_pre[:3] *= sig  # (d * act) * (1 - act), the sigmoid backward's rounding
+            d_pre[:3] *= 1.0 - sig
+            d_pre[3] = (gc * i_act) * (1.0 - g_act**2)
+            b.add_grad(d_pre.sum(axis=1))
+            Wh.add_grad(np.matmul(h.value.T, d_pre))
+            Wx.add_grad(np.matmul(x.value.T, d_pre))
+            for inp, W in ((h, Wh), (x, Wx)):
+                if inp.requires_grad:
+                    g_inp = np.matmul(d_pre, W.value.transpose(0, 2, 1))
+                    for k in (3, 2, 1, 0):
+                        inp.add_grad(g_inp[k])
 
         return T.record_pair(h_new, c_new, backward_fn)
 
@@ -207,11 +207,8 @@ class MogrifierLstm:
         return self.lstm_step(x, (h, state[1]))
 
     def params(self):
-        out = []
-        for gate in self.GATES:
-            out.append((f"{self.name}.Wx_{gate}", self.Wx[gate]))
-            out.append((f"{self.name}.Wh_{gate}", self.Wh[gate]))
-            out.append((f"{self.name}.b_{gate}", self.b[gate]))
+        out = [(f"{self.name}.Wx", self.Wx), (f"{self.name}.Wh", self.Wh),
+               (f"{self.name}.b", self.b)]
         for i, q in enumerate(self.Q):
             out.append((f"{self.name}.Q{2 * i + 1}", q))
         for i, r in enumerate(self.R):

@@ -63,7 +63,7 @@ class ActorCritic:
     def load_state(self, state: dict):
         for name, param in self.named_params():
             if name not in state:
-                raise KeyError(f"checkpoint is missing parameter {name}")
+                raise ValueError(f"checkpoint is missing parameter {name}")
             arr = state[name]
             if arr.shape != param.value.shape:
                 raise ValueError(
@@ -107,38 +107,43 @@ class ActorCritic:
         return T.clip(self.log_std, LOG_STD_MIN, LOG_STD_MAX)
 
     def log_prob(self, mean: Tensor, actions: Tensor) -> Tensor:
-        """Diagonal Gaussian log density of `actions`, shape (B,).
+        """Diagonal Gaussian log density of `actions`, shape (..., B) for (..., B, A).
 
-        One taped op, bit-equal to the primitive form: with
-        log_std = clamped_log_std() and z = (actions - mean) * exp(-log_std),
+        One taped op, bit-equal to the primitive form applied to each (B, A)
+        step: with log_std = clamped_log_std() and
+        z = (actions - mean) * exp(-log_std),
         -0.5 * sum_axis(square(z), 1) - (sum_all(log_std) + 0.5 * A * log(2 pi)).
+        The log-std is clamped and exponentiated once for all steps.  The
+        backward sums each step's log-std gradient over B and adds the steps
+        one at a time, last step first, as the reverse walk over per-step
+        calls would.
         """
         log_std = self.log_std
         clamped = np.clip(log_std.value, LOG_STD_MIN, LOG_STD_MAX)
         inv_std = np.exp(-clamped)
         diff = actions.value - mean.value
         z = diff * inv_std
-        quad = (z**2).sum(axis=1)
+        quad = (z**2).sum(axis=-1)
         const = 0.5 * self.action_dim * _LOG_2PI
         out_value = -0.5 * quad - (clamped.sum() + const)
         if not T.needs_grad(mean, actions, log_std):
             return Tensor(out_value)
 
         def backward_fn(g):
-            g_norm = T.unbroadcast(-g, ())
-            g_clamped = np.broadcast_to(g_norm, clamped.shape).copy()
-            g_square = np.broadcast_to(np.expand_dims(g * -0.5, 1), z.shape).copy()
-            g_z = g_square * 2.0 * z
-            g_diff = T.unbroadcast(g_z * inv_std, diff.shape)
-            g_inv_std = T.unbroadcast(g_z * diff, inv_std.shape)
+            g_z = np.expand_dims(g * -0.5, -1) * 2.0 * z
+            g_diff = g_z * inv_std
             if actions.requires_grad:
                 actions.add_grad(T.unbroadcast(g_diff, actions.value.shape))
             if mean.requires_grad:
                 mean.add_grad(T.unbroadcast(-g_diff, mean.value.shape))
-            g_clamped += -(g_inv_std * inv_std)
             if log_std.requires_grad:
+                batch, dims = z.shape[-2:]
+                g_norm = (-g).reshape(-1, batch).sum(axis=1)
+                g_inv_std = (g_z * diff).reshape(-1, batch, dims).sum(axis=1)
                 inside = (log_std.value >= LOG_STD_MIN) & (log_std.value <= LOG_STD_MAX)
-                log_std.add_grad(g_clamped * inside)
+                per_step = (g_norm[:, None] - g_inv_std * inv_std) * inside
+                for step_grad in per_step[::-1]:
+                    log_std.add_grad(step_grad)
 
         return T.record(out_value, backward_fn)
 

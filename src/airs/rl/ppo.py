@@ -65,7 +65,6 @@ class PpoConfig:
 class Transition:
     state: np.ndarray
     action: np.ndarray
-    value: float
     reward: float  # after episodic revision, when a shaper is on
     done: bool
 
@@ -164,7 +163,7 @@ class PaddedBatch:
     """Segments stacked into (T_max, B, ...) arrays, zero past each segment's end.
 
     `order[i]` is the position of buffer index i in the flattened T_max x B
-    grid, so `take(per_step_stack, order)` lists per-step values in buffer
+    grid, so `take(grid_values, order)` lists per-step values in buffer
     order and skips the padded slots.
     """
 
@@ -204,24 +203,29 @@ class PpoUpdater:
         """Log-probs of the stored actions under the current policy, shape (N,).
 
         Replays every segment from its stored state, one recurrent step per
-        time index, cutting the gradient every `bptt_chunk` steps.
+        time index, cutting the gradient every `bptt_chunk` steps, then takes
+        the log-probs of all steps' means in one call.
         """
         chunk = self.policy.bptt_chunk
         state = (Tensor(batch.h0), Tensor(batch.c0))
-        per_step = []
+        means = []
         for t in range(batch.t_max):
             if chunk > 0 and t > 0 and t % chunk == 0:
                 state = (state[0].detach(), state[1].detach())
             mean, state = self.policy.actor_step(Tensor(batch.obs[t]), state)
-            per_step.append(self.policy.log_prob(mean, Tensor(batch.actions[t])))
-        return T.take(T.stack(per_step), batch.order)
+            means.append(mean)
+        log_probs = self.policy.log_prob(T.stack(means), Tensor(batch.actions))
+        return T.take(log_probs, batch.order)
 
     def update(self, buffer: RolloutBuffer) -> dict:
         cfg = self.config
         batch = PaddedBatch(buffer)
 
         rewards = np.array([tr.reward for tr in buffer.transitions])
-        values = np.array([tr.value for tr in buffer.transitions])
+        # One (1, obs_dim) row per state, as `value_of` runs it: a flat (N, obs_dim)
+        # matmul would round differently.
+        with T.no_grad():
+            values = self.policy.value(Tensor(batch.states[:, None, :])).value
         dones = np.array([tr.done for tr in buffer.transitions])
         bootstrap = 0.0 if dones[-1] else self.policy.value_of(buffer.next_obs)
         advantages, returns = gae_advantages(

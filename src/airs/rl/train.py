@@ -7,6 +7,7 @@ optional per-slot and trajectory CSVs, and checkpoints.  Identical
 """
 
 import json
+import os
 from pathlib import Path
 
 import numpy as np
@@ -218,7 +219,6 @@ class _TrainerHooks:
             Transition(
                 state=np.array(obs),
                 action=np.array(action),
-                value=self.updater.policy.value_of(obs),
                 reward=reward,
                 done=done,
             ),
@@ -300,8 +300,15 @@ def train(config: dict, out_dir, seed: int, env_factory=None) -> dict:
     if hooks is not None:
         summary["updates_run"] = len(hooks.update_stats)
         summary["buffer_leftover"] = len(hooks.buffer)
-    (out_dir / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
+    _write_json_atomic(out_dir / "summary.json", summary)
     return summary
+
+
+def _write_json_atomic(path: Path, document: dict):
+    """Write `document` to a temporary sibling, then move it onto `path`."""
+    staging = path.with_name(f".{path.name}.tmp")
+    staging.write_text(json.dumps(document, indent=2, sort_keys=True))
+    os.replace(staging, path)
 
 
 def summarize(episode_stats, window: int = FINAL_WINDOW) -> dict:
@@ -339,18 +346,19 @@ def _save_agent(directory, agent: PpoAgent, config: dict):
 
 def agent_from_checkpoint(path) -> PpoAgent:
     manifest, arrays = load_checkpoint(path)
-    hp = manifest["hyperparams"]
-    arch = hp["architecture"]
-    policy = ActorCritic(
-        np.random.default_rng(0),
-        obs_dim=arch["obs_dim"],
-        action_dim=arch["action_dim"],
-        hidden=arch["hidden"],
-        mogrifier_rounds=arch["mogrifier_rounds"],
-        bptt_chunk=arch["bptt_chunk"],
-    )
+    try:
+        hp = manifest["hyperparams"]
+        kind = hp["agent"]
+        arch = hp["architecture"]
+        sizes = {key: arch[key] for key in
+                 ("obs_dim", "action_dim", "hidden", "mogrifier_rounds", "bptt_chunk")}
+    except KeyError as exc:
+        raise ValueError(f"checkpoint {path} manifest is missing {exc}") from None
+    spec = AGENT_SPECS.get(kind)
+    if spec is None:
+        raise ValueError(f"checkpoint {path} names unknown agent kind {kind!r}")
+    policy = ActorCritic(np.random.default_rng(0), **sizes)
     policy.load_state(arrays)
-    spec = AGENT_SPECS[hp["agent"]]
     return PpoAgent(policy, spec)
 
 
@@ -402,5 +410,5 @@ def evaluate(config: dict, out_dir, seed: int, episodes: int,
         writer.close()
     summary = summarize(episode_stats, window=max(episodes, 1))
     summary["episodes"] = len(episode_stats)
-    (out_dir / "eval_summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
+    _write_json_atomic(out_dir / "eval_summary.json", summary)
     return summary

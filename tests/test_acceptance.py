@@ -235,10 +235,9 @@ def test_criterion_04_mogrifier_degeneracy():
     for r in gated.R:
         r.value = np.zeros_like(r.value)
     plain = MogrifierLstm(np.random.default_rng(0), 6, 7, rounds=0, name="b")
-    for gate in MogrifierLstm.GATES:
-        plain.Wx[gate].value = gated.Wx[gate].value.copy()
-        plain.Wh[gate].value = gated.Wh[gate].value.copy()
-        plain.b[gate].value = gated.b[gate].value.copy()
+    plain.Wx.value = gated.Wx.value.copy()
+    plain.Wh.value = gated.Wh.value.copy()
+    plain.b.value = gated.b.value.copy()
     xs = rng.standard_normal((6, 3, 6))
     state_a = gated.initial_state(3)
     state_b = plain.initial_state(3)

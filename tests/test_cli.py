@@ -133,6 +133,37 @@ def test_eval_checkpoint_config_mismatch_rejected(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _drop_param(manifest):
+    manifest["params"] = [e for e in manifest["params"] if e["name"] != "actor.log_std"]
+
+
+def _drop_architecture(manifest):
+    del manifest["hyperparams"]["architecture"]
+
+
+def _drop_param_list(manifest):
+    del manifest["params"]
+
+
+@pytest.mark.parametrize("corrupt, named", [(_drop_param, "actor.log_std"),
+                                             (_drop_architecture, "architecture"),
+                                             (_drop_param_list, "params")])
+def test_eval_bad_checkpoint_exits_2(tmp_path, capsys, corrupt, named):
+    cfg_path = tmp_path / "c.json"
+    write_tiny_config(cfg_path)
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_path), "--out", str(run)]) == 0
+    manifest_path = run / "checkpoints" / "final" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    corrupt(manifest)
+    manifest_path.write_text(json.dumps(manifest))
+    capsys.readouterr()
+    code = main(["eval", "--checkpoint", str(manifest_path.parent), "--config", str(cfg_path),
+                 "--episodes", "1", "--out", str(tmp_path / "ev")])
+    assert code == 2
+    assert named in capsys.readouterr().err
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_numeric_abort_exits_3(tmp_path, capsys):
     cfg_path = tmp_path / "c.json"

@@ -1,4 +1,6 @@
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -194,7 +196,9 @@ def test_bptt_8_step_gradients(rng):
 # pair outputs).  They must reproduce the tape of the primitive ops they replace
 # bit for bit: the same outputs and the same gradient in every input and
 # parameter, including the order in which gradients add up.  The primitive
-# compositions below are the references and live only here.
+# compositions below are the references and live only here.  The reference
+# LSTM step runs each gate on its own leaf weights (`per_gate_leaves`), and
+# the stacked parameters' gradients are compared with the stacked per-gate ones.
 
 
 def unfused_dense(layer, x):
@@ -211,11 +215,18 @@ def unfused_mogrify(cell, x, h):
     return x, h
 
 
-def unfused_lstm_step(cell, x, state):
+def per_gate_leaves(cell):
+    """Leaf copies of each gate's slice of Wx, Wh and b, keyed by id of the stacked Tensor."""
+    return {id(p): [Tensor(p.value[k].copy(), requires_grad=True) for k in range(len(cell.GATES))]
+            for p in (cell.Wx, cell.Wh, cell.b)}
+
+
+def unfused_lstm_step(cell, x, state, leaves):
     h, c = state
+    wx, wh, b = (leaves[id(p)] for p in (cell.Wx, cell.Wh, cell.b))
     gates = {}
-    for gate in cell.GATES:
-        pre = T.add(T.add(T.matmul(x, cell.Wx[gate]), T.matmul(h, cell.Wh[gate])), cell.b[gate])
+    for k, gate in enumerate(cell.GATES):
+        pre = T.add(T.add(T.matmul(x, wx[k]), T.matmul(h, wh[k])), b[k])
         gates[gate] = T.tanh(pre) if gate == "g" else T.sigmoid(pre)
     c_new = T.add(T.mul(gates["f"], c), T.mul(gates["i"], gates["g"]))
     return T.mul(gates["o"], T.tanh(c_new)), c_new
@@ -231,10 +242,10 @@ def unfused_log_prob(policy, mean, actions):
     return T.sub(T.mul(-0.5, quad), T.add(norm, Tensor(const)))
 
 
-def unfused_actor_step(policy, obs, state):
+def unfused_actor_step(policy, obs, state, leaves):
     x = T.tanh(unfused_dense(policy.trunk, obs))
     x, h = unfused_mogrify(policy.cell, x, state[0])
-    h, c = unfused_lstm_step(policy.cell, x, (h, state[1]))
+    h, c = unfused_lstm_step(policy.cell, x, (h, state[1]), leaves)
     return T.tanh(unfused_dense(policy.mean_head, h)), (h, c)
 
 
@@ -249,17 +260,32 @@ def weighted_loss(outputs, inputs, rng):
     return loss
 
 
-def assert_fused_matches_unfused(build, tensors):
-    """`build(fused)` returns (outputs, loss); compare both ways bit for bit."""
+def assert_fused_matches_unfused(build, tensors, leaves=None):
+    """`build(fused)` returns (outputs, loss); compare both ways bit for bit.
+
+    `leaves` maps id(stacked Tensor) to the per-gate leaves the unfused build
+    uses in its place; their gradients are compared stacked, a gate with no
+    gradient counting as zeros.
+    """
+    leaves = leaves or {}
+    everything = tensors + [leaf for parts in leaves.values() for leaf in parts]
+
+    def grad_of(t, fused):
+        parts = None if fused else leaves.get(id(t))
+        if parts is None:
+            return None if t.grad is None else t.grad.copy()
+        if all(p.grad is None for p in parts):
+            return None
+        return np.stack([np.zeros_like(p.value) if p.grad is None else p.grad for p in parts])
+
     results = []
     for fused in (True, False):
-        for t in tensors:
+        for t in everything:
             t.grad = None
         outputs, loss = build(fused)
         T.backward(loss)
-        results.append(([o.value.copy() for o in outputs],
-                         [None if t.grad is None else t.grad.copy() for t in tensors]))
-    for t in tensors:
+        results.append(([o.value.copy() for o in outputs], [grad_of(t, fused) for t in tensors]))
+    for t in everything:
         t.grad = None
     (out_f, grads_f), (out_u, grads_u) = results
     for a, b in zip(out_f, out_u):
@@ -307,14 +333,15 @@ def test_fused_lstm_step_matches_primitives(batch, uses, input_grad, rng):
     x = Tensor(rng.standard_normal((batch, 4)), requires_grad=input_grad)
     h = Tensor(rng.standard_normal((batch, 5)), requires_grad=input_grad)
     c = Tensor(rng.standard_normal((batch, 5)), requires_grad=input_grad)
+    leaves = per_gate_leaves(cell)
 
     def build(fused):
-        step = cell.lstm_step if fused else lambda x_, s: unfused_lstm_step(cell, x_, s)
+        step = cell.lstm_step if fused else lambda x_, s: unfused_lstm_step(cell, x_, s, leaves)
         nh, nc = step(x, (h, c))
         used = {"h": [nh], "c": [nc], "both": [nh, nc]}[uses]
         return [nh, nc], weighted_loss(used, [x, h, c], np.random.default_rng(1))
 
-    assert_fused_matches_unfused(build, [x, h, c] + [p for _, p in cell.params()])
+    assert_fused_matches_unfused(build, [x, h, c] + [p for _, p in cell.params()], leaves)
 
 
 @pytest.mark.parametrize("batch", [1, 10])
@@ -340,9 +367,11 @@ def test_fused_recurrent_sequence_matches_primitives(rounds, rng):
     obs = rng.standard_normal((20, 10, 4))
     actions = rng.standard_normal((20, 10, 3))
     h0, c0 = rng.standard_normal((2, 10, 6))
+    leaves = per_gate_leaves(policy.cell)
 
     def build(fused):
-        step = policy.actor_step if fused else lambda o, s: unfused_actor_step(policy, o, s)
+        step = (policy.actor_step if fused
+                else lambda o, s: unfused_actor_step(policy, o, s, leaves))
         log_prob = policy.log_prob if fused else lambda m, a: unfused_log_prob(policy, m, a)
         state = (Tensor(h0), Tensor(c0))
         per_step = []
@@ -354,7 +383,31 @@ def test_fused_recurrent_sequence_matches_primitives(rounds, rng):
         logp = T.stack(per_step)
         return [logp, *state], weighted_loss([logp, state[1]], [], np.random.default_rng(1))
 
-    assert_fused_matches_unfused(build, policy.params())
+    assert_fused_matches_unfused(build, policy.params(), leaves)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_batched_log_prob_matches_per_step_calls(seed):
+    """One (T, B, A) call against T per-step calls, as the update used to make them.
+
+    Several draws: adding the steps' log-std gradients in another order
+    changes the sum's last bit for most draws, not for every one.
+    """
+    rng = np.random.default_rng(seed)
+    policy = ActorCritic(rng, obs_dim=4, action_dim=3, hidden=6, mogrifier_rounds=0)
+    policy.log_std.value = np.array([-6.0, -0.7, 1.5])  # two dims clamped
+    means = [Tensor(rng.standard_normal((10, 3)), requires_grad=True) for _ in range(20)]
+    actions = rng.standard_normal((20, 10, 3))
+
+    def build(batched):
+        if batched:
+            logp = policy.log_prob(T.stack(means), Tensor(actions))
+        else:
+            logp = T.stack([policy.log_prob(m, Tensor(a)) for m, a in zip(means, actions)])
+        # Reusing log_std after the log-probs hands it a gradient before theirs.
+        return [logp], weighted_loss([logp], [policy.log_std], np.random.default_rng(1))
+
+    assert_fused_matches_unfused(build, means + [policy.log_std])
 
 
 def test_fused_ops_untaped_under_no_grad(rng):
@@ -371,10 +424,9 @@ def test_fused_ops_untaped_under_no_grad(rng):
 
 
 def copy_lstm_weights(dst: MogrifierLstm, src: MogrifierLstm):
-    for gate in MogrifierLstm.GATES:
-        dst.Wx[gate].value = src.Wx[gate].value.copy()
-        dst.Wh[gate].value = src.Wh[gate].value.copy()
-        dst.b[gate].value = src.b[gate].value.copy()
+    dst.Wx.value = src.Wx.value.copy()
+    dst.Wh.value = src.Wh.value.copy()
+    dst.b.value = src.b.value.copy()
 
 
 def test_zero_mogrifier_matches_plain_lstm_bitwise(rng):
@@ -431,10 +483,9 @@ def test_mogrify_matches_unrolled_oracle(rng):
 
 def test_lstm_zero_everything_gives_zero_hidden(rng):
     cell = MogrifierLstm(rng, 3, 4, rounds=0)
-    for gate in MogrifierLstm.GATES:
-        cell.Wx[gate].value = np.zeros_like(cell.Wx[gate].value)
-        cell.Wh[gate].value = np.zeros_like(cell.Wh[gate].value)
-        cell.b[gate].value = np.zeros_like(cell.b[gate].value)
+    cell.Wx.value = np.zeros_like(cell.Wx.value)
+    cell.Wh.value = np.zeros_like(cell.Wh.value)
+    cell.b.value = np.zeros_like(cell.b.value)
     with T.no_grad():
         h, c = cell.lstm_step(Tensor(np.zeros((2, 3))), cell.initial_state(2))
     assert np.array_equal(h.value, np.zeros((2, 4)))
@@ -442,12 +493,12 @@ def test_lstm_zero_everything_gives_zero_hidden(rng):
 
 def test_lstm_forced_gates_carry_memory(rng):
     cell = MogrifierLstm(rng, 3, 4, rounds=0)
-    for gate in MogrifierLstm.GATES:
-        cell.Wx[gate].value = np.zeros_like(cell.Wx[gate].value)
-        cell.Wh[gate].value = np.zeros_like(cell.Wh[gate].value)
-    cell.b["f"].value = np.full(4, 40.0)   # forget gate pinned to 1
-    cell.b["i"].value = np.full(4, -40.0)  # input gate pinned to 0
-    cell.b["o"].value = np.zeros(4)
+    cell.Wx.value = np.zeros_like(cell.Wx.value)
+    cell.Wh.value = np.zeros_like(cell.Wh.value)
+    gate = MogrifierLstm.GATES.index
+    cell.b.value[gate("f")] = np.full(4, 40.0)   # forget gate pinned to 1
+    cell.b.value[gate("i")] = np.full(4, -40.0)  # input gate pinned to 0
+    cell.b.value[gate("o")] = np.zeros(4)
     c0 = rng.standard_normal((2, 4))
     with T.no_grad():
         h, c = cell.lstm_step(Tensor(np.zeros((2, 3))), (Tensor(np.zeros((2, 4))), Tensor(c0)))
@@ -464,12 +515,12 @@ def test_lstm_matches_scalar_loop_oracle(rng):
     for row in range(2):
         for j in range(4):
             pre = {}
-            for gate in MogrifierLstm.GATES:
-                s = cell.b[gate].value[j]
+            for k, gate in enumerate(MogrifierLstm.GATES):
+                s = cell.b.value[k, j]
                 for i in range(3):
-                    s += x[row, i] * cell.Wx[gate].value[i, j]
+                    s += x[row, i] * cell.Wx.value[k, i, j]
                 for i in range(4):
-                    s += h0[row, i] * cell.Wh[gate].value[i, j]
+                    s += h0[row, i] * cell.Wh.value[k, i, j]
                 pre[gate] = s
             i_g = sigmoid_ref(pre["i"])
             f_g = sigmoid_ref(pre["f"])
@@ -600,6 +651,62 @@ def test_checkpoint_shape_mismatch_rejected(tmp_path, rng):
     other = ActorCritic(rng, obs_dim=5, action_dim=3, hidden=6, mogrifier_rounds=5)
     with pytest.raises(ValueError):
         other.load_state(arrays)
+
+
+def test_v1_checkpoint_loads_bit_equal(tmp_path, rng):
+    """A format-1 checkpoint (one array per gate) loads as the stacked parameters."""
+    policy = ActorCritic(rng, obs_dim=4, action_dim=3, hidden=6, mogrifier_rounds=5)
+    stacked = {name for name, _ in policy.cell.params()[:3]}
+    named = []
+    for name, param in policy.named_params():
+        if name in stacked:
+            named += [(f"{name}_{gate}", param.value[k])
+                      for k, gate in enumerate(MogrifierLstm.GATES)]
+        else:
+            named.append((name, param.value))
+    save_checkpoint(tmp_path / "v1", named, step=0, hyperparams={})
+    manifest_path = tmp_path / "v1" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["format_version"] = 1
+    manifest_path.write_text(json.dumps(manifest))
+
+    _, arrays = load_checkpoint(tmp_path / "v1")
+    assert sorted(arrays) == sorted(name for name, _ in policy.named_params())
+    for name, param in policy.named_params():
+        assert arrays[name].tobytes() == param.value.tobytes()
+    other = ActorCritic(np.random.default_rng(1), obs_dim=4, action_dim=3, hidden=6,
+                        mogrifier_rounds=5)
+    other.load_state(arrays)
+    for mine, theirs in zip(policy.params(), other.params()):
+        assert np.array_equal(mine.value, theirs.value)
+
+
+def test_failed_save_leaves_previous_checkpoint(tmp_path, rng, monkeypatch):
+    policy = ActorCritic(rng, obs_dim=4, action_dim=3, hidden=6, mogrifier_rounds=0)
+    named = [(n, p.value) for n, p in policy.named_params()]
+    target = tmp_path / "ck"
+    save_checkpoint(target, named, step=1, hyperparams={})
+
+    def fail(*args, **kwargs):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(Path, "write_text", fail)  # the manifest, after params.bin
+    with pytest.raises(OSError):
+        save_checkpoint(target, [(n, v + 1.0) for n, v in named], step=2, hyperparams={})
+    monkeypatch.undo()
+    manifest, arrays = load_checkpoint(target)
+    assert manifest["step"] == 1
+    for name, value in named:
+        assert np.array_equal(arrays[name], value)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ck"]
+
+    # A save that completes replaces the old checkpoint.
+    save_checkpoint(target, [(n, v + 1.0) for n, v in named], step=2, hyperparams={})
+    manifest, arrays = load_checkpoint(target)
+    assert manifest["step"] == 2
+    for name, value in named:
+        assert np.array_equal(arrays[name], value + 1.0)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["ck"]
 
 
 def test_uniform_init_spans_fan_in_limit(rng):

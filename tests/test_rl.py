@@ -472,10 +472,30 @@ def random_buffer(policy, rng, lengths):
         for i in range(n):
             transition = Transition(rng.uniform(size=policy.obs_dim),
                                     rng.standard_normal(policy.action_dim),
-                                    float(rng.standard_normal()), float(rng.standard_normal()),
-                                    i == n - 1)
+                                    float(rng.standard_normal()), i == n - 1)
             buffer.add(transition, rng.uniform(size=policy.obs_dim))
     return buffer
+
+
+def test_rollout_values_equal_batch_one_critic_calls(monkeypatch):
+    """The update's one batched critic pass gives each state's `value_of` bit for bit."""
+    rng = np.random.default_rng(0)
+    policy = ActorCritic(rng, obs_dim=4, action_dim=3, hidden=6, mogrifier_rounds=5)
+    updater = PpoUpdater(policy, small_ppo_config(epochs=1))
+    buffer = random_buffer(policy, rng, [7, 10, 3])
+    buffer.transitions[-1].done = False  # so the update bootstraps
+    expected = [policy.value_of(tr.state) for tr in buffer.transitions]
+    expected.append(policy.value_of(buffer.next_obs))
+    seen = []
+
+    def spy_gae(rewards, values, *args):
+        seen.append(np.array(values))
+        return gae_advantages(rewards, values, *args)
+
+    monkeypatch.setattr(ppo_module, "gae_advantages", spy_gae)
+    updater.update(buffer)
+    assert len(seen) == 1
+    assert seen[0].tolist() == expected
 
 
 def tensors_tracked_by_gc():

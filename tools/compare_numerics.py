@@ -1,0 +1,94 @@
+"""Check that two source trees train byte-identical runs.
+
+    python3 tools/compare_numerics.py --base <src> --change <src>
+
+`<src>` is a directory holding the `airs` package (a checkout's `src/`).
+Each tree trains eppo, ppo_vanilla, ppo_mogrifier and ppo_necsa on the
+benchmark's learning city (`airsbench/workloads.py` LEARNING_CITY), once at
+`rl.batch_size=370` for 12 episodes (updates on segments that start
+mid-episode) and once at 1000 for 20 episodes, each run in its own `airs
+train` subprocess with BLAS pinned to one thread.  The tool compares the
+sha256 of metrics.csv, slots.csv, episodes.jsonl and summary.json, then loads
+both final checkpoints with the change's loader and compares every parameter
+array.  Checkpoint file bytes are not compared, so a change of checkpoint
+layout alone is not a difference.  Exits 1 on any difference, 0 otherwise.
+"""
+
+import argparse
+import hashlib
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT))
+from airsbench.workloads import BLAS_THREAD_VARS, LEARNING_CITY  # noqa: E402
+
+AGENTS = ("eppo", "ppo_vanilla", "ppo_mogrifier", "ppo_necsa")
+SIZES = ((370, 12), (1000, 20))  # (rl.batch_size, episodes)
+ARTIFACTS = ("metrics.csv", "slots.csv", "episodes.jsonl", "summary.json")
+SEED = 7
+
+
+def train(src: Path, out_dir: Path, agent: str, batch_size: int, episodes: int):
+    env = {k: v for k, v in os.environ.items() if not k.startswith("AIRS_")}
+    env.update({name: "1" for name in BLAS_THREAD_VARS})
+    env["PYTHONPATH"] = str(src)
+    overrides = LEARNING_CITY + (f"rl.agent={agent}", f"rl.batch_size={batch_size}",
+                                 f"rl.episodes={episodes}")
+    subprocess.run(
+        [sys.executable, "-m", "airs.cli", "train", "--out", str(out_dir),
+         "--seed", str(SEED), "--override", *overrides],
+        env=env, check=True, stdout=subprocess.DEVNULL,
+    )
+
+
+def digest(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def compare_run(base_dir: Path, change_dir: Path, load_checkpoint) -> list:
+    """Differences between two run directories, as messages."""
+    problems = [f"{name} differs" for name in ARTIFACTS
+                if digest(base_dir / name) != digest(change_dir / name)]
+    _, base = load_checkpoint(base_dir / "checkpoints" / "final")
+    _, change = load_checkpoint(change_dir / "checkpoints" / "final")
+    if base.keys() != change.keys():
+        problems.append(f"checkpoint names differ: {sorted(base.keys() ^ change.keys())}")
+    for name in sorted(base.keys() & change.keys()):
+        if base[name].shape != change[name].shape or base[name].tobytes() != change[name].tobytes():
+            problems.append(f"checkpoint parameter {name} differs")
+    return problems
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--base", required=True, type=Path, help="source tree of the reference")
+    parser.add_argument("--change", required=True, type=Path, help="source tree under test")
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(args.change.resolve()))
+    from airs.nn.checkpoint import load_checkpoint
+
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        failures = 0
+        for agent in AGENTS:
+            for batch_size, episodes in SIZES:
+                label = f"{agent}_b{batch_size}"
+                dirs = {}
+                for side in ("base", "change"):
+                    dirs[side] = out / side / label
+                    train(getattr(args, side).resolve(), dirs[side], agent, batch_size, episodes)
+                problems = compare_run(dirs["base"], dirs["change"], load_checkpoint)
+                failures += bool(problems)
+                print(f"{label}: {'; '.join(problems) if problems else 'identical'}")
+    print(f"{failures} of {len(AGENTS) * len(SIZES)} runs differ")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
