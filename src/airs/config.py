@@ -182,7 +182,12 @@ def apply_overrides(config: dict, overrides):
 
 
 def validate_config(config: dict):
+    from .rl.agents import AGENT_SPECS  # airs.rl imports this module
+
     rl = config["rl"]
+    if not isinstance(rl["agent"], str) or rl["agent"] not in AGENT_SPECS:
+        raise ConfigError("rl.agent", f"unknown agent kind {rl['agent']!r}; "
+                                      f"choose from {sorted(AGENT_SPECS)}")
     for key, low in (("episodes", 0), ("epochs", 1), ("batch_size", 1)):
         if not isinstance(rl[key], int) or rl[key] < low:
             raise ConfigError(f"rl.{key}", f"expected an integer >= {low}, got {rl[key]!r}")

@@ -21,20 +21,30 @@ class Dense:
         self.W = Tensor(uniform_init(rng, in_dim, (in_dim, out_dim)), requires_grad=True)
         self.b = Tensor(np.zeros(out_dim), requires_grad=True)
 
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        return x @ self.W.value + self.b.value
+
+    def backward(self, x: np.ndarray, g: np.ndarray, want_x: bool):
+        """Add the b and W gradients for output gradient g; return x's gradient.
+
+        The same arithmetic as the primitive form `add(matmul(x, W), b)`.
+        Returns None unless `want_x`.
+        """
+        self.b.add_grad(T.unbroadcast(g, self.b.value.shape))
+        gx = g @ self.W.value.T if want_x else None
+        self.W.add_grad(x.T @ g)
+        return gx
+
     def __call__(self, x: Tensor) -> Tensor:
-        """One taped node, bit-equal to `add(matmul(x, W), b)`."""
-        W, b = self.W, self.b
-        out_value = x.value @ W.value + b.value
-        if not T.needs_grad(x, W, b):
+        """One taped node over `forward` and `backward`."""
+        out_value = self.forward(x.value)
+        if not T.needs_grad(x, self.W, self.b):
             return Tensor(out_value)
 
         def backward_fn(g):
-            if b.requires_grad:
-                b.add_grad(T.unbroadcast(g, b.value.shape))
-            if x.requires_grad:
-                x.add_grad(g @ W.value.T)
-            if W.requires_grad:
-                W.add_grad(x.value.T @ g)
+            gx = self.backward(x.value, g, x.requires_grad)
+            if gx is not None:
+                x.add_grad(gx)
 
         return T.record(out_value, backward_fn)
 
@@ -43,7 +53,7 @@ class Dense:
 
 
 class MogrifierLstm:
-    """LSTM cell preceded by alternating input/state gating rounds.
+    """LSTM cell preceded by alternating input/state gating rounds, on arrays.
 
     Before the cell update, input x and hidden state h modulate each other r
     times: odd rounds scale x by 2*sigmoid(h @ Q_i), even rounds scale h by
@@ -56,6 +66,11 @@ class MogrifierLstm:
     GATES[k].  A step makes one batched matmul per weight, which numpy runs as
     one gemm per gate of the per-gate shape, so the results are bit-equal to
     four separate gate matmuls.
+
+    `step` and `step_backward` are plain-array kernels: the caller keeps the
+    cache and tapes the sequence (`ActorCritic.actor_sequence`).  Float sums
+    depend on their order, so `step_backward` adds every gradient in the order
+    of the reverse walk over the primitive per-gate, per-round ops.
     """
 
     GATES = ("i", "f", "o", "g")
@@ -87,124 +102,99 @@ class MogrifierLstm:
                 self.R.append(
                     Tensor(uniform_init(rng, in_dim, (in_dim, hidden)), requires_grad=True)
                 )
+        # Round i (from 1) uses round_weights[i - 1].
+        self.round_weights = [self.Q[i // 2] if i % 2 == 0 else self.R[i // 2]
+                              for i in range(rounds)]
 
     def initial_state(self, batch: int = 1):
-        return (
-            Tensor(np.zeros((batch, self.hidden))),
-            Tensor(np.zeros((batch, self.hidden))),
-        )
+        return np.zeros((batch, self.hidden)), np.zeros((batch, self.hidden))
 
-    def mogrify(self, x: Tensor, h: Tensor):
-        """Gating rounds as one taped op; returns (x, h).
+    def mogrify(self, x: np.ndarray, h: np.ndarray):
+        """Gating rounds; returns (x, h, trace), x and h as given when r = 0.
 
-        Bit-equal to the primitive rounds: odd round i sets
-        x = mul(2.0 * sigmoid(matmul(h, Q)), x), even rounds gate h from x
-        through R.  With fewer than two rounds h is returned as given, and
-        with none x is too.
+        Odd round i sets x = 2.0 * sigmoid(h @ Q) * x, even rounds gate h
+        from x through R.  `trace` holds what `step_backward` reads.
         """
-        rounds = self.rounds
-        if rounds == 0:
-            return x, h
-        weights = [self.Q[i // 2] if i % 2 == 0 else self.R[i // 2] for i in range(rounds)]
-        # values[0] lists the successive versions of x, values[1] those of h.
+        # versions[0] lists the successive versions of x, versions[1] those of h.
         # Round i (from 1) rescales x when odd and h when even ("kind" 0 or 1),
         # making version (i + 1) // 2 of that kind from version i // 2 of the other.
-        values = ([x.value], [h.value])
+        versions = ([x], [h])
         gates = []
         # T.logistic's expression, under one errstate for all rounds.
         with np.errstate(over="ignore"):
-            for i in range(1, rounds + 1):
+            for i, weight in enumerate(self.round_weights, start=1):
                 kind = 0 if i % 2 else 1
-                s = 1.0 / (1.0 + np.exp(-(values[1 - kind][-1] @ weights[i - 1].value)))
+                s = 1.0 / (1.0 + np.exp(-(versions[1 - kind][-1] @ weight.value)))
                 s2 = 2.0 * s
-                values[kind].append(s2 * values[kind][-1])
+                versions[kind].append(s2 * versions[kind][-1])
                 gates.append((s, s2))
-        if not T.needs_grad(x, h, *weights):
-            return Tensor(values[0][-1]), (Tensor(values[1][-1]) if rounds > 1 else h)
+        return versions[0][-1], versions[1][-1], (versions, gates)
 
-        inputs = (x, h)
+    def step(self, x: np.ndarray, h: np.ndarray, c: np.ndarray):
+        """One mogrified recurrence step; returns (h_new, c_new, cache).
 
-        def backward_fn(gx, gh):
-            # grads[k]: gradient of the latest version of kind k not yet walked.
-            grads = [gx, gh]
-
-            def feed(kind, version, g):
-                if version > 0:
-                    grads[kind] = g if grads[kind] is None else grads[kind] + g
-                elif inputs[kind].requires_grad:
-                    inputs[kind].add_grad(g)
-
-            for i in range(rounds, 0, -1):
-                kind = 0 if i % 2 else 1
-                g = grads[kind]
-                grads[kind] = None
-                if g is None:
-                    continue
-                s, s2 = gates[i - 1]
-                version = (i + 1) // 2
-                g_s2 = g * values[kind][version - 1]
-                feed(kind, version - 1, g * s2)
-                g_m = g_s2 * 2.0 * s * (1.0 - s)
-                source = values[1 - kind][i // 2]
-                feed(1 - kind, i // 2, g_m @ weights[i - 1].value.T)
-                weights[i - 1].add_grad(source.T @ g_m)
-
-        if rounds == 1:
-            return T.record(values[0][-1], lambda g: backward_fn(g, None)), h
-        return T.record_pair(values[0][-1], values[1][-1], backward_fn)
-
-    def lstm_step(self, x: Tensor, state):
-        """LSTM cell update as one taped op; returns (h_new, c_new).
-
-        Bit-equal to the per-gate primitive form: for gate k,
-        pre = add(add(matmul(x, Wx[k]), matmul(h, Wh[k])), b[k]), then
-        c_new = f * c + i * g and h_new = o * tanh(c_new).  The backward adds
-        each input's gradient gate by gate in the order g, o, f, i, as the
-        reverse walk over the per-gate ops did.  When h_new gets no gradient
-        the o slice of each parameter gets a zero gradient.
+        The gating rounds, then for gate k pre = x @ Wx[k] + h @ Wh[k] + b[k],
+        c_new = f * c + i * g and h_new = o * tanh(c_new).
         """
-        h, c = state
-        Wx, Wh, b = self.Wx, self.Wh, self.b
-        pre = np.matmul(x.value, Wx.value) + np.matmul(h.value, Wh.value) + b.value[:, None]
+        x, h, trace = self.mogrify(x, h)
+        pre = np.matmul(x, self.Wx.value) + np.matmul(h, self.Wh.value) + self.b.value[:, None]
         sig = T.logistic(pre[:3])
         g_act = np.tanh(pre[3])
         i_act, f_act, o_act = sig
-        c_new = f_act * c.value + i_act * g_act
+        c_new = f_act * c + i_act * g_act
         tanh_c = np.tanh(c_new)
         h_new = o_act * tanh_c
-        if not T.needs_grad(x, h, c, Wx, Wh, b):
-            return Tensor(h_new), Tensor(c_new)
+        return h_new, c_new, (trace, x, h, c, sig, g_act, tanh_c)
 
-        def backward_fn(gh, gc):
-            d_pre = np.empty((len(self.GATES),) + h_new.shape)
-            if gh is None:
-                d_pre[2] = 0.0
-            else:
-                d_pre[2] = gh * tanh_c
-                g_tanh = (gh * o_act) * (1.0 - tanh_c**2)
-                gc = g_tanh if gc is None else gc + g_tanh
-            d_pre[0] = gc * g_act
-            d_pre[1] = gc * c.value
-            if c.requires_grad:
-                c.add_grad(gc * f_act)
-            d_pre[:3] *= sig  # (d * act) * (1 - act), the sigmoid backward's rounding
-            d_pre[:3] *= 1.0 - sig
-            d_pre[3] = (gc * i_act) * (1.0 - g_act**2)
-            b.add_grad(d_pre.sum(axis=1))
-            Wh.add_grad(np.matmul(h.value.T, d_pre))
-            Wx.add_grad(np.matmul(x.value.T, d_pre))
-            for inp, W in ((h, Wh), (x, Wx)):
-                if inp.requires_grad:
-                    g_inp = np.matmul(d_pre, W.value.transpose(0, 2, 1))
-                    for k in (3, 2, 1, 0):
-                        inp.add_grad(g_inp[k])
+    def step_backward(self, cache, gh: np.ndarray, gc, want_state: bool):
+        """Add the parameter gradients of one `step`; return (gx, gh_prev, gc_prev).
 
-        return T.record_pair(h_new, c_new, backward_fn)
+        `gh` is h_new's gradient and `gc` c_new's (None when nothing reads
+        c_new).  The state gradients are None unless `want_state`.  Each
+        input's gradient is summed as the primitive reverse walk added it up:
+        the cell's input slices first, gates g, o, f, i, then the feeds of the
+        gating rounds, last round first.
+        """
+        (versions, gates), x, h, c, sig, g_act, tanh_c = cache
+        i_act, f_act, o_act = sig
+        Wx, Wh = self.Wx.value, self.Wh.value
+        d_pre = np.empty((len(self.GATES),) + gh.shape)
+        d_pre[2] = gh * tanh_c
+        g_tanh = (gh * o_act) * (1.0 - tanh_c**2)
+        gc = g_tanh if gc is None else gc + g_tanh
+        d_pre[0] = gc * g_act
+        d_pre[1] = gc * c
+        gc_prev = gc * f_act if want_state else None
+        d_pre[:3] *= sig  # (d * act) * (1 - act), the sigmoid backward's rounding
+        d_pre[:3] *= 1.0 - sig
+        d_pre[3] = (gc * i_act) * (1.0 - g_act**2)
+        self.b.add_grad(d_pre.sum(axis=1))
+        self.Wh.add_grad(np.matmul(h.T, d_pre))
+        self.Wx.add_grad(np.matmul(x.T, d_pre))
 
-    def __call__(self, x: Tensor, state):
-        """One mogrified recurrence step: gate rounds, then the cell update."""
-        x, h = self.mogrify(x, state[0])
-        return self.lstm_step(x, (h, state[1]))
+        # grads[k]: gradient of the latest version of kind k not yet walked.
+        # With fewer than two rounds the cell reads the state h itself.
+        g_in = np.matmul(d_pre, Wx.transpose(0, 2, 1))
+        grads = [g_in[3] + g_in[2] + g_in[1] + g_in[0], None]
+        if want_state or self.rounds > 1:
+            g_in = np.matmul(d_pre, Wh.transpose(0, 2, 1))
+            grads[1] = g_in[3] + g_in[2] + g_in[1] + g_in[0]
+
+        def feed(kind, g):
+            grads[kind] = g if grads[kind] is None else grads[kind] + g
+
+        for i in range(self.rounds, 0, -1):
+            kind = 0 if i % 2 else 1
+            g = grads[kind]
+            grads[kind] = None
+            s, s2 = gates[i - 1]
+            weight = self.round_weights[i - 1]
+            g_s2 = g * versions[kind][(i + 1) // 2 - 1]
+            feed(kind, g * s2)
+            g_m = g_s2 * 2.0 * s * (1.0 - s)
+            feed(1 - kind, g_m @ weight.value.T)
+            weight.add_grad(versions[1 - kind][i // 2].T @ g_m)
+        return grads[0], (grads[1] if want_state else None), gc_prev
 
     def params(self):
         out = [(f"{self.name}.Wx", self.Wx), (f"{self.name}.Wh", self.Wh),

@@ -2,8 +2,9 @@
 
 Actor: dense trunk with tanh, a mogrifier LSTM, a tanh-squashed mean head,
 and one state-independent learnable log-std per action dimension (clamped to
-[-5, 1]).  Critic: two tanh layers to a scalar value.  All math is float64;
-rollouts run under no_grad, updates replay stored sequences with gradients.
+[-5, 1]).  Critic: two tanh layers to a scalar value.  All math is float64.
+Rollouts call `actor_step` on plain arrays; updates replay stored sequences
+through `actor_sequence`, one taped node built from the same step.
 """
 
 import math
@@ -85,12 +86,45 @@ class ActorCritic:
     def initial_state(self, batch: int = 1):
         return self.cell.initial_state(batch)
 
-    def actor_step(self, obs: Tensor, state):
-        """One recurrent step; returns (mean (B,A), new_state)."""
-        x = T.tanh(self.trunk(obs))
-        h, c = self.cell(x, state)
-        mean = T.tanh(self.mean_head(h))
-        return mean, (h, c)
+    def actor_step(self, obs: np.ndarray, state):
+        """One recurrent step on arrays; returns (mean (B,A), new_state, cache)."""
+        x = np.tanh(self.trunk.forward(obs))
+        h, c, cell_cache = self.cell.step(x, *state)
+        mean = np.tanh(self.mean_head.forward(h))
+        return mean, (h, c), (obs, x, cell_cache, h, mean)
+
+    def actor_sequence(self, obs: np.ndarray, h0: np.ndarray, c0: np.ndarray) -> Tensor:
+        """Means (T, B, A) over observations (T, B, obs_dim) from state (h0, c0).
+
+        One taped node (untaped under no_grad): the forward makes T
+        `actor_step` calls.  The backward
+        walks t = T-1 down to 0 and repeats the reverse walk over the per-step
+        primitive ops: the mean head, then the cell (h_t's gradient is step
+        t+1's contribution plus the mean head's), then the trunk.  The state
+        gradient is cut at t = 0 and at every multiple of `bptt_chunk`
+        (truncated backpropagation through time; 0 never cuts).
+        """
+        state = (h0, c0)
+        means = np.empty(obs.shape[:2] + (self.action_dim,))
+        caches = []
+        for t in range(len(obs)):
+            means[t], state, cache = self.actor_step(obs[t], state)
+            caches.append(cache)
+        if not T.grad_enabled():
+            return Tensor(means)
+        chunk = self.bptt_chunk
+
+        def backward_fn(g):
+            gh = gc = None
+            for t in range(len(caches) - 1, -1, -1):
+                obs_t, x, cell_cache, h, mean = caches[t]
+                g_head = self.mean_head.backward(h, g[t] * (1.0 - mean**2), True)
+                gh = g_head if gh is None else gh + g_head
+                cut = t == 0 or (chunk > 0 and t % chunk == 0)
+                gx, gh, gc = self.cell.step_backward(cell_cache, gh, gc, not cut)
+                self.trunk.backward(obs_t, gx * (1.0 - x**2), False)
+
+        return T.record(means, backward_fn)
 
     def value(self, obs: Tensor) -> Tensor:
         """Critic value, shape (B,)."""
@@ -159,9 +193,8 @@ class ActorCritic:
 
         Returns (action, new_state); runs neither the critic nor a log-prob.
         """
-        with T.no_grad():
-            mean, new_state = self.actor_step(Tensor(obs.reshape(1, -1)), state)
-        mu = mean.value[0]
+        mean, new_state, _ = self.actor_step(obs.reshape(1, -1), state)
+        mu = mean[0]
         if greedy:
             return mu.copy(), new_state
         std = np.exp(np.clip(self.log_std.value, LOG_STD_MIN, LOG_STD_MAX))

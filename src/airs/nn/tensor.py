@@ -4,25 +4,18 @@ Ops append their results to a tape in creation order, which is already a
 topological order of the graph; backward() walks the tape once in reverse,
 routing each node's gradient to its inputs, and consumes the tape.  Gradients
 accumulate into .grad, so computing a fresh loss and calling backward() again
-adds to the accumulators.  A no_grad() context skips taping entirely, which
-keeps rollout-time forwards cheap.
+adds to the accumulators.  A no_grad() context skips taping entirely.
 
 Fused ops.  A layer may tape a whole block of arithmetic as one node with a
-hand-written backward (`record`), or as two adjacent nodes when the block has
-two outputs (`record_pair`, whose backward runs once with both gradients,
-either of which may be None).  Float sums depend on their order, so a fused
-op reproduces the tape of the primitive ops it replaces bit for bit:
+hand-written backward (`record`).  Float sums depend on their order, so a
+fused op reproduces the tape of the primitive ops it replaces bit for bit:
 - its forward evaluates the same numpy expressions as the primitives would;
-- it skips the part of its backward that hangs off an output, or an
-  intermediate, whose gradient is None, as the reverse walk would skip those
-  nodes;
 - it calls `add_grad` on each input and parameter once per use, in the order
   the reverse walk over the primitive nodes did, and sums gradients of its
   intermediates in that order too, consumers outside the block first;
-- under no_grad, or when no input needs a gradient, it returns plain Tensors
-  from the same forward, so rollouts and updates share one code path.
-The two nodes of a pair refer to each other through their shared backward, so
-`clear_tape` drops every node's `backward_fn`: the graph is then freed by
+- under no_grad, or when no input needs a gradient, it returns a plain
+  Tensor from the same forward.
+`clear_tape` drops every node's `backward_fn`, so each graph is freed by
 reference counting, after backward() and on an aborted update alike.
 """
 
@@ -133,26 +126,6 @@ def record(out_value, backward_fn) -> Tensor:
     out.backward_fn = backward_fn
     _tape.append(out)
     return out
-
-
-def record_pair(first_value, second_value, backward_fn):
-    """Tape a two-output op as two adjacent nodes sharing one backward.
-
-    `backward_fn(g_first, g_second)` runs once, when the reverse walk meets the
-    first output that has a gradient; by then every consumer of both outputs,
-    all taped later, has run.  Either gradient may be None.
-    """
-    first, second = Tensor(first_value), Tensor(second_value)
-
-    def run(_):
-        first.backward_fn = second.backward_fn = None
-        backward_fn(first.grad, second.grad)
-
-    for out in (first, second):
-        out.requires_grad = True
-        out.backward_fn = run
-        _tape.append(out)
-    return first, second
 
 
 def unbroadcast(grad, shape):
@@ -327,21 +300,6 @@ def reshape(a: Tensor, shape) -> Tensor:
     if not (_grad_enabled and a.requires_grad):
         return Tensor(a.value.reshape(shape))
     return record(a.value.reshape(shape), lambda g: a.add_grad(g.reshape(a.value.shape)))
-
-
-def stack(tensors) -> Tensor:
-    """Same-shape tensors stacked along a new leading axis."""
-    tensors = [_wrap(t) for t in tensors]
-    out_value = np.stack([t.value for t in tensors])
-    if not (_grad_enabled and any(t.requires_grad for t in tensors)):
-        return Tensor(out_value)
-
-    def backward_fn(g):
-        for t, g_t in zip(tensors, g):
-            if t.requires_grad:
-                t.add_grad(g_t)
-
-    return record(out_value, backward_fn)
 
 
 def take(a: Tensor, indices) -> Tensor:

@@ -56,7 +56,7 @@ class PpoAgent:
 
     def state_arrays(self):
         h, c = self.state
-        return h.value[0].copy(), c.value[0].copy()
+        return h[0].copy(), c[0].copy()
 
 
 class RandomAgent:

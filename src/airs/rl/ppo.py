@@ -52,14 +52,6 @@ class PpoConfig:
     adam_eps: float = 1e-8
     necsa: NecsaConfig = field(default_factory=NecsaConfig)
 
-    def __post_init__(self):
-        if not 0.0 < self.clip_epsilon < 1.0:
-            raise ValueError("clip_epsilon must be in (0, 1)")
-        if not 0.0 < self.discount <= 1.0:
-            raise ValueError("discount must be in (0, 1]")
-        if self.epochs < 1:
-            raise ValueError("epochs must be >= 1")
-
 
 @dataclass
 class Transition:
@@ -202,20 +194,12 @@ class PpoUpdater:
     def log_probs(self, batch: PaddedBatch) -> Tensor:
         """Log-probs of the stored actions under the current policy, shape (N,).
 
-        Replays every segment from its stored state, one recurrent step per
-        time index, cutting the gradient every `bptt_chunk` steps, then takes
-        the log-probs of all steps' means in one call.
+        Replays every segment from its stored state in one taped recurrence
+        (`actor_sequence`, cutting the gradient every `bptt_chunk` steps), then
+        takes the log-probs of all steps' means in one call.
         """
-        chunk = self.policy.bptt_chunk
-        state = (Tensor(batch.h0), Tensor(batch.c0))
-        means = []
-        for t in range(batch.t_max):
-            if chunk > 0 and t > 0 and t % chunk == 0:
-                state = (state[0].detach(), state[1].detach())
-            mean, state = self.policy.actor_step(Tensor(batch.obs[t]), state)
-            means.append(mean)
-        log_probs = self.policy.log_prob(T.stack(means), Tensor(batch.actions))
-        return T.take(log_probs, batch.order)
+        means = self.policy.actor_sequence(batch.obs, batch.h0, batch.c0)
+        return T.take(self.policy.log_prob(means, Tensor(batch.actions)), batch.order)
 
     def update(self, buffer: RolloutBuffer) -> dict:
         cfg = self.config

@@ -57,14 +57,10 @@ def ppo_config_from(config: dict) -> PpoConfig:
 
 
 def build_agent(config: dict, env, seed: int):
-    kind = config["rl"]["agent"]
-    spec = AGENT_SPECS.get(kind)
-    if spec is None:
-        raise ValueError(f"unknown agent kind {kind!r}")
     nn_cfg = config["nn"]
     init_rng = substream(seed, STREAM_POLICY_INIT)
     return baseline_agent(
-        kind,
+        config["rl"]["agent"],
         obs_dim=env.observation_dim,
         irs_elements=env.geometry.size,
         init_rng=init_rng,
@@ -83,7 +79,7 @@ def write_manifest(out_dir: Path, config: dict, seed: int):
         "package_version": __version__,
         "hyperparameter_ledger": {"rl": config["rl"], "nn": config["nn"]},
     }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    _write_json_atomic(out_dir / "manifest.json", manifest)
 
 
 METRICS_HEADER = (
@@ -239,10 +235,7 @@ def train(config: dict, out_dir, seed: int, env_factory=None) -> dict:
     validate_config(config)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    kind = config["rl"]["agent"]
-    spec = AGENT_SPECS.get(kind)
-    if spec is None:
-        raise ValueError(f"unknown agent kind {kind!r}; choose from {sorted(AGENT_SPECS)}")
+    spec = AGENT_SPECS[config["rl"]["agent"]]
     if env_factory is None:
         env = build_env(config, seed, phase_control=spec.phase_control)
     else:

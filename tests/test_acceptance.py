@@ -30,7 +30,7 @@ from airs.rl.ppo import PpoConfig, gae_advantages, ppo_loss
 from airs.rl.train import train
 from airs.cli import main as cli_main
 from conftest import toy_overrides
-from test_nn import finite_difference_check
+from test_nn import finite_difference_check, taped_step_loss
 from test_rl import gae_oracle, loss_oracle
 
 SEEDS = [0, 1, 2, 3, 4]
@@ -171,31 +171,28 @@ def test_criterion_03_gradient_integrity():
     worst = max(worst, finite_difference_check(dense_loss, policy.params(), rng))
 
     cell = MogrifierLstm(rng, 4, 5, rounds=5, name="m")
-    x = Tensor(rng.standard_normal((3, 4)))
-    h = Tensor(rng.standard_normal((3, 5)))
-    c = Tensor(rng.standard_normal((3, 5)))
+    x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
+    h = Tensor(rng.standard_normal((3, 5)), requires_grad=True)
+    c = Tensor(rng.standard_normal((3, 5)), requires_grad=True)
+    wh, wc = rng.standard_normal((2, 3, 5))
 
-    def mogrify_loss():
-        mx, mh = cell.mogrify(x, h)
-        return T.add(T.sum_all(T.square(mx)), T.sum_all(T.square(mh)))
-
-    def lstm_loss():
-        nh, nc = cell.lstm_step(x, (h, c))
-        return T.add(T.sum_all(T.square(nh)), T.sum_all(T.square(nc)))
+    # One mogrified step (gating rounds, then the cell), with its parameter,
+    # input and state gradients.
+    def step_loss():
+        return taped_step_loss(cell, x, h, c, wh, wc)[0]
 
     cell_params = [p for _, p in cell.params()]
-    worst = max(worst, finite_difference_check(mogrify_loss, cell_params, rng))
-    worst = max(worst, finite_difference_check(lstm_loss, cell_params, rng))
+    worst = max(worst, finite_difference_check(step_loss, cell_params + [x, h, c], rng))
 
     def logprob_loss():
-        mean, _ = policy.actor_step(Tensor(obs), policy.initial_state(4))
-        return T.sum_all(policy.log_prob(mean, Tensor(actions)))
+        means = policy.actor_sequence(obs[None], *policy.initial_state(4))
+        return T.sum_all(policy.log_prob(means, Tensor(actions[None])))
 
     worst = max(worst, finite_difference_check(logprob_loss, policy.params(), rng))
 
     def actor_critic_loss():
-        mean, _ = policy.actor_step(Tensor(obs), policy.initial_state(4))
-        logp = policy.log_prob(mean, Tensor(actions))
+        means = policy.actor_sequence(obs[None], *policy.initial_state(4))
+        logp = policy.log_prob(means, Tensor(actions[None]))
         value = policy.value(Tensor(obs))
         return T.add(T.sum_all(logp), T.sum_all(T.square(value)))
 
@@ -207,12 +204,8 @@ def test_criterion_03_gradient_integrity():
     act_seq = rng.standard_normal((8, 2, 2))
 
     def bptt_loss():
-        state = deep.initial_state(2)
-        total = Tensor(0.0)
-        for t in range(8):
-            mean, state = deep.actor_step(Tensor(obs_seq[t]), state)
-            total = T.add(total, T.sum_all(deep.log_prob(mean, Tensor(act_seq[t]))))
-        return total
+        means = deep.actor_sequence(obs_seq, *deep.initial_state(2))
+        return T.sum_all(deep.log_prob(means, Tensor(act_seq)))
 
     worst = max(worst, finite_difference_check(bptt_loss, deep.params(), rng, samples=3))
 
@@ -241,19 +234,17 @@ def test_criterion_04_mogrifier_degeneracy():
     xs = rng.standard_normal((6, 3, 6))
     state_a = gated.initial_state(3)
     state_b = plain.initial_state(3)
-    with T.no_grad():
-        for t in range(6):
-            state_a = gated(Tensor(xs[t]), state_a)
-            state_b = plain(Tensor(xs[t]), state_b)
-            assert np.array_equal(state_a[0].value, state_b[0].value)
-            assert np.array_equal(state_a[1].value, state_b[1].value)
+    for t in range(6):
+        state_a = gated.step(xs[t], *state_a)[:2]
+        state_b = plain.step(xs[t], *state_b)[:2]
+        assert np.array_equal(state_a[0], state_b[0])
+        assert np.array_equal(state_a[1], state_b[1])
 
     # Random gating weights against a hand-unrolled recurrence.
     active = MogrifierLstm(np.random.default_rng(8), 4, 5, rounds=5, name="c")
     x0 = np.random.default_rng(9).standard_normal((2, 4))
     h0 = np.random.default_rng(10).standard_normal((2, 5))
-    with T.no_grad():
-        mx, mh = active.mogrify(Tensor(x0), Tensor(h0))
+    mx, mh, _ = active.mogrify(x0, h0)
     x_ref, h_ref = x0.copy(), h0.copy()
     sig = lambda v: 1.0 / (1.0 + np.exp(-v))
     qi = ri = 0
@@ -264,8 +255,8 @@ def test_criterion_04_mogrifier_degeneracy():
         else:
             h_ref = 2.0 * sig(x_ref @ active.R[ri].value) * h_ref
             ri += 1
-    assert np.max(np.abs(mx.value - x_ref)) < 1e-12
-    assert np.max(np.abs(mh.value - h_ref)) < 1e-12
+    assert np.max(np.abs(mx - x_ref)) < 1e-12
+    assert np.max(np.abs(mh - h_ref)) < 1e-12
     report(4, "zero gating matrices reproduce the plain LSTM bit for bit; "
               "5-round gating matches the unrolled recurrence to 1e-12")
 

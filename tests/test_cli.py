@@ -35,6 +35,17 @@ def test_invalid_override_exits_2(tmp_path, capsys):
     assert "not_a_key" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["train", "eval"])
+@pytest.mark.parametrize("kind", ["bogus", "[1]"])
+def test_unknown_agent_kind_exits_2_and_names_key(tmp_path, capsys, command, kind):
+    cfg = tmp_path / "c.json"
+    write_tiny_config(cfg)
+    code = main([command, "--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "--override", f"rl.agent={kind}"])
+    assert code == 2
+    assert "rl.agent" in capsys.readouterr().err
+
+
 def test_episode_flag_recorded_in_manifest(tmp_path, capsys):
     cfg = tmp_path / "c.json"
     write_tiny_config(cfg)

@@ -85,13 +85,6 @@ def test_primitive_gradients(name, rng):
     assert finite_difference_check(build, [a, b, w], rng) < FD_TOL
 
 
-def test_stack_gradients(rng):
-    parts = [Tensor(rng.standard_normal(4), requires_grad=True) for _ in range(3)]
-    weights = Tensor(rng.standard_normal((3, 4)))
-    build = lambda: T.sum_all(T.mul(T.square(T.stack(parts)), weights))
-    assert finite_difference_check(build, parts, rng) < FD_TOL
-
-
 def test_take_gradients_skip_untaken_slots(rng):
     a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
     order = np.array([5, 0, 9, 4, 1, 8, 6])  # flat slots 2, 3, 7, 10, 11 are never taken
@@ -122,52 +115,72 @@ def test_dense_gradients(rng):
     assert finite_difference_check(build, [p for _, p in layer.params()], rng) < FD_TOL
 
 
+def taped_step_loss(cell, x, h, c, wh, wc=None):
+    """sum(h' * wh) + sum(c' * wc) for (h', c') = cell.step(x, h, c), taped as one node.
+
+    Returns (loss, h', c').  The backward hands `step_backward` the output
+    gradients, zeros for h' when `wh` is None and none for c' when `wc` is,
+    and adds the input gradients to x and to the state pair (h and c need a
+    gradient together).  Untaped under no_grad, like the program's ops.
+    """
+    h_new, c_new, cache = cell.step(x.value, h.value, c.value)
+    terms = [(out * w).sum() for out, w in ((h_new, wh), (c_new, wc)) if w is not None]
+    loss = sum(terms)
+    if not T.grad_enabled():
+        return Tensor(loss), h_new, c_new
+
+    def backward_fn(g):
+        gh = np.zeros_like(h_new) if wh is None else g * wh
+        gx, gh, gc = cell.step_backward(cache, gh, None if wc is None else g * wc,
+                                        h.requires_grad)
+        if x.requires_grad:
+            x.add_grad(gx)
+        if h.requires_grad:
+            h.add_grad(gh)
+            c.add_grad(gc)
+
+    return T.record(loss, backward_fn), h_new, c_new
+
+
 def test_mogrify_gradients(rng):
     cell = MogrifierLstm(rng, 4, 5, rounds=5, name="m")
-    x = Tensor(rng.standard_normal((3, 4)))
-    h = Tensor(rng.standard_normal((3, 5)))
-
-    def build():
-        mx, mh = cell.mogrify(x, h)
-        return T.add(T.sum_all(T.square(mx)), T.sum_all(T.square(mh)))
-
+    x, h, c = (Tensor(rng.standard_normal((3, n)), requires_grad=True) for n in (4, 5, 5))
+    wh, wc = rng.standard_normal((2, 3, 5))
+    build = lambda: taped_step_loss(cell, x, h, c, wh, wc)[0]
     params = [p for name, p in cell.params() if ".Q" in name or ".R" in name]
-    assert finite_difference_check(build, params, rng) < FD_TOL
+    assert finite_difference_check(build, params + [x, h, c], rng) < FD_TOL
 
 
 def test_lstm_step_gradients(rng):
     cell = MogrifierLstm(rng, 4, 5, rounds=0, name="l")
-    x = Tensor(rng.standard_normal((3, 4)))
-    state = (Tensor(rng.standard_normal((3, 5))), Tensor(rng.standard_normal((3, 5))))
-
-    def build():
-        h, c = cell.lstm_step(x, state)
-        return T.add(T.sum_all(T.square(h)), T.sum_all(T.square(c)))
-
-    assert finite_difference_check(build, [p for _, p in cell.params()], rng) < FD_TOL
+    x, h, c = (Tensor(rng.standard_normal((3, n)), requires_grad=True) for n in (4, 5, 5))
+    wh, wc = rng.standard_normal((2, 3, 5))
+    build = lambda: taped_step_loss(cell, x, h, c, wh, wc)[0]
+    params = [p for _, p in cell.params()]
+    assert finite_difference_check(build, params + [x, h, c], rng) < FD_TOL
 
 
 def test_gaussian_log_prob_gradients(rng):
     policy = ActorCritic(rng, obs_dim=4, action_dim=3, hidden=6, mogrifier_rounds=0)
-    obs = rng.standard_normal((5, 4))
-    actions = rng.standard_normal((5, 3))
+    obs = rng.standard_normal((1, 5, 4))
+    actions = rng.standard_normal((1, 5, 3))
 
     def build():
-        mean, _ = policy.actor_step(Tensor(obs), policy.initial_state(5))
-        return T.sum_all(policy.log_prob(mean, Tensor(actions)))
+        means = policy.actor_sequence(obs, *policy.initial_state(5))
+        return T.sum_all(policy.log_prob(means, Tensor(actions)))
 
     assert finite_difference_check(build, policy.params(), rng) < FD_TOL
 
 
 def test_full_actor_critic_gradients(rng):
     policy = ActorCritic(rng, obs_dim=5, action_dim=3, hidden=8, mogrifier_rounds=5)
-    obs = rng.standard_normal((4, 5))
-    actions = rng.standard_normal((4, 3))
+    obs = rng.standard_normal((1, 4, 5))
+    actions = rng.standard_normal((1, 4, 3))
 
     def build():
-        mean, _ = policy.actor_step(Tensor(obs), policy.initial_state(4))
-        logp = policy.log_prob(mean, Tensor(actions))
-        value = policy.value(Tensor(obs))
+        means = policy.actor_sequence(obs, *policy.initial_state(4))
+        logp = policy.log_prob(means, Tensor(actions))
+        value = policy.value(Tensor(obs[0]))
         return T.add(T.sum_all(logp), T.sum_all(T.square(value)))
 
     assert finite_difference_check(build, policy.params(), rng) < FD_TOL
@@ -180,25 +193,22 @@ def test_bptt_8_step_gradients(rng):
     act_seq = rng.standard_normal((8, 2, 2))
 
     def build():
-        state = policy.initial_state(2)
-        total = Tensor(0.0)
-        for t in range(8):
-            mean, state = policy.actor_step(Tensor(obs_seq[t]), state)
-            total = T.add(total, T.sum_all(policy.log_prob(mean, Tensor(act_seq[t]))))
-        return total
+        means = policy.actor_sequence(obs_seq, *policy.initial_state(2))
+        return T.sum_all(policy.log_prob(means, Tensor(act_seq)))
 
     assert finite_difference_check(build, policy.params(), rng, samples=3) < FD_TOL
 
 
 # -- fused ops against their primitive composition ---------------------------------------
 #
-# Dense, mogrify, lstm_step and log_prob each tape one fused node (two for the
-# pair outputs).  They must reproduce the tape of the primitive ops they replace
-# bit for bit: the same outputs and the same gradient in every input and
-# parameter, including the order in which gradients add up.  The primitive
-# compositions below are the references and live only here.  The reference
-# LSTM step runs each gate on its own leaf weights (`per_gate_leaves`), and
-# the stacked parameters' gradients are compared with the stacked per-gate ones.
+# Dense, log_prob and the actor's recurrence (`actor_sequence`, built from the
+# array kernels `MogrifierLstm.step` and `step_backward`) each tape one fused
+# node.  They must reproduce the tape of the primitive ops they replace bit for
+# bit: the same outputs and the same gradient in every input and parameter,
+# including the order in which gradients add up.  The primitive compositions
+# below are the references and live only here.  The reference LSTM step runs
+# each gate on its own leaf weights (`per_gate_leaves`), and the stacked
+# parameters' gradients are compared with the stacked per-gate ones.
 
 
 def unfused_dense(layer, x):
@@ -308,40 +318,59 @@ def test_fused_dense_matches_primitives(batch, input_grad, rng):
     assert_fused_matches_unfused(build, [x, layer.W, layer.b])
 
 
-@pytest.mark.parametrize("rounds", [0, 1, 2, 5])
-@pytest.mark.parametrize("batch", [1, 10])
-@pytest.mark.parametrize("uses", ["x", "h", "both"])
-@pytest.mark.parametrize("input_grad", [True, False])
-def test_fused_mogrify_matches_primitives(rounds, batch, uses, input_grad, rng):
-    cell = MogrifierLstm(rng, 4, 5, rounds=rounds, name="m")
-    x = Tensor(rng.standard_normal((batch, 4)), requires_grad=input_grad)
-    h = Tensor(rng.standard_normal((batch, 5)), requires_grad=input_grad)
+def unfused_step_loss(cell, x, h, c, wh, wc, leaves):
+    """The primitive reference of `taped_step_loss`; a None weight drops its term."""
+    mx, mh = unfused_mogrify(cell, x, h)
+    nh, nc = unfused_lstm_step(cell, mx, (mh, c), leaves)
+    terms = [T.sum_all(T.mul(out, Tensor(w))) for out, w in ((nh, wh), (nc, wc))
+             if w is not None]
+    return (terms[0] if len(terms) == 1 else T.add(*terms)), nh.value, nc.value
+
+
+def assert_step_matches_primitives(cell, x, h, c, wh, wc):
+    leaves = per_gate_leaves(cell)
 
     def build(fused):
-        mx, mh = cell.mogrify(x, h) if fused else unfused_mogrify(cell, x, h)
-        used = {"x": [mx], "h": [mh], "both": [mx, mh]}[uses]
-        return [mx, mh], weighted_loss(used, [x, h], np.random.default_rng(1))
+        if fused:
+            loss, nh, nc = taped_step_loss(cell, x, h, c, wh, wc)
+        else:
+            loss, nh, nc = unfused_step_loss(cell, x, h, c, wh, wc, leaves)
+        return [Tensor(nh), Tensor(nc)], loss
 
-    assert_fused_matches_unfused(build, [x, h] + [p for _, p in cell.params()])
+    assert_fused_matches_unfused(build, [x, h, c] + [p for _, p in cell.params()], leaves)
+
+
+@pytest.mark.parametrize("rounds", [0, 1, 2, 5])
+@pytest.mark.parametrize("batch", [1, 10])
+@pytest.mark.parametrize("grads", ["x", "h", "both"])
+@pytest.mark.parametrize("reads_c", [True, False])
+def test_fused_mogrify_matches_primitives(rounds, batch, grads, reads_c, rng):
+    """The gating rounds inside one `step`, against the primitive rounds and cell.
+
+    `grads` names the inputs that take a gradient ("h" is the state pair; "x"
+    alone is the state cut of a `bptt_chunk` boundary); `reads_c` whether the
+    loss reads c' besides h'.
+    """
+    cell = MogrifierLstm(rng, 4, 5, rounds=rounds, name="m")
+    x = Tensor(rng.standard_normal((batch, 4)), requires_grad=grads != "h")
+    h, c = (Tensor(rng.standard_normal((batch, 5)), requires_grad=grads != "x")
+            for _ in range(2))
+    wh, wc = np.random.default_rng(1).standard_normal((2, batch, 5))
+    assert_step_matches_primitives(cell, x, h, c, wh, wc if reads_c else None)
 
 
 @pytest.mark.parametrize("batch", [1, 10])
 @pytest.mark.parametrize("uses", ["h", "c", "both"])
 @pytest.mark.parametrize("input_grad", [True, False])
 def test_fused_lstm_step_matches_primitives(batch, uses, input_grad, rng):
+    """One `step` without gating rounds; `uses` names the outputs the loss reads."""
     cell = MogrifierLstm(rng, 4, 5, rounds=0, name="l")
     x = Tensor(rng.standard_normal((batch, 4)), requires_grad=input_grad)
     h = Tensor(rng.standard_normal((batch, 5)), requires_grad=input_grad)
     c = Tensor(rng.standard_normal((batch, 5)), requires_grad=input_grad)
-    leaves = per_gate_leaves(cell)
-
-    def build(fused):
-        step = cell.lstm_step if fused else lambda x_, s: unfused_lstm_step(cell, x_, s, leaves)
-        nh, nc = step(x, (h, c))
-        used = {"h": [nh], "c": [nc], "both": [nh, nc]}[uses]
-        return [nh, nc], weighted_loss(used, [x, h, c], np.random.default_rng(1))
-
-    assert_fused_matches_unfused(build, [x, h, c] + [p for _, p in cell.params()], leaves)
+    wh, wc = np.random.default_rng(1).standard_normal((2, batch, 5))
+    assert_step_matches_primitives(cell, x, h, c, None if uses == "c" else wh,
+                                   None if uses == "h" else wc)
 
 
 @pytest.mark.parametrize("batch", [1, 10])
@@ -359,31 +388,72 @@ def test_fused_log_prob_matches_primitives(batch, rng):
     assert_fused_matches_unfused(build, [mean, policy.log_std])
 
 
-@pytest.mark.parametrize("rounds", [0, 1, 2, 5])
-def test_fused_recurrent_sequence_matches_primitives(rounds, rng):
-    """20 steps at batch 10 with a bptt_chunk detach, as the update replays them."""
-    policy = ActorCritic(rng, obs_dim=4, action_dim=3, hidden=6, mogrifier_rounds=rounds,
-                         bptt_chunk=8)
-    obs = rng.standard_normal((20, 10, 4))
-    actions = rng.standard_normal((20, 10, 3))
-    h0, c0 = rng.standard_normal((2, 10, 6))
+def unfused_log_probs(policy, obs, h0, c0, actions, leaves):
+    """Per-step log-prob Tensors of the primitive per-step tape over a (T, B) grid,
+    with the state detached every `bptt_chunk` steps."""
+    chunk = policy.bptt_chunk
+    state = (Tensor(h0), Tensor(c0))
+    out = []
+    for t in range(len(obs)):
+        if chunk > 0 and t > 0 and t % chunk == 0:
+            state = (state[0].detach(), state[1].detach())
+        mean, state = unfused_actor_step(policy, Tensor(obs[t]), state, leaves)
+        out.append(unfused_log_prob(policy, mean, Tensor(actions[t])))
+    return out
+
+
+def assert_sequence_matches_per_step_tape(policy, lengths, steps, rng):
+    """`take(log_prob(actor_sequence(...)), order)`, as the update runs it, against
+    the per-step primitive tape, on a grid padded past each segment's length.
+
+    The loss weights the taken log-probs; the reference weights its per-step
+    log-probs with the same weights, zero on padded slots.  It also reuses
+    log_std after the log-probs, so log_std already holds a gradient when theirs
+    arrive, as in the update, where the entropy is taped after them.
+    """
+    batch = len(lengths)
+    live = np.arange(steps)[:, None] < np.array(lengths)[None, :]
+    obs = rng.standard_normal((steps, batch, policy.obs_dim)) * live[..., None]
+    actions = rng.standard_normal((steps, batch, policy.action_dim)) * live[..., None]
+    h0, c0 = rng.standard_normal((2, batch, policy.hidden))
+    order = np.concatenate([np.arange(n) * batch + b for b, n in enumerate(lengths)])
+    weights = rng.standard_normal((steps, batch)) * live
     leaves = per_gate_leaves(policy.cell)
 
     def build(fused):
-        step = (policy.actor_step if fused
-                else lambda o, s: unfused_actor_step(policy, o, s, leaves))
-        log_prob = policy.log_prob if fused else lambda m, a: unfused_log_prob(policy, m, a)
-        state = (Tensor(h0), Tensor(c0))
-        per_step = []
-        for t in range(20):
-            if t > 0 and t % policy.bptt_chunk == 0:
-                state = (state[0].detach(), state[1].detach())
-            mean, state = step(Tensor(obs[t]), state)
-            per_step.append(log_prob(mean, Tensor(actions[t])))
-        logp = T.stack(per_step)
-        return [logp, *state], weighted_loss([logp, state[1]], [], np.random.default_rng(1))
+        if fused:
+            means = policy.actor_sequence(obs, h0, c0)
+            logp = policy.log_prob(means, Tensor(actions))
+            loss = T.sum_all(T.mul(T.take(logp, order), Tensor(weights.ravel()[order])))
+            out = logp.value
+        else:
+            per_step = unfused_log_probs(policy, obs, h0, c0, actions, leaves)
+            loss = T.sum_all(T.mul(per_step[0], Tensor(weights[0])))
+            for logp_t, w_t in zip(per_step[1:], weights[1:]):
+                loss = T.add(loss, T.sum_all(T.mul(logp_t, Tensor(w_t))))
+            out = np.stack([logp_t.value for logp_t in per_step])
+        loss = T.add(loss, T.sum_all(T.square(policy.log_std)))
+        return [Tensor(out)], loss
 
     assert_fused_matches_unfused(build, policy.params(), leaves)
+
+
+@pytest.mark.parametrize("rounds", [0, 1, 2, 5])
+def test_fused_recurrent_sequence_matches_primitives(rounds, rng):
+    """20 steps at batch 10 with a bptt_chunk cut, no padding."""
+    policy = ActorCritic(rng, obs_dim=4, action_dim=3, hidden=6, mogrifier_rounds=rounds,
+                         bptt_chunk=8)
+    assert_sequence_matches_per_step_tape(policy, [20] * 10, 20, rng)
+
+
+@pytest.mark.parametrize("rounds", [0, 1, 2, 5])
+@pytest.mark.parametrize("chunk", [0, 3, 16])
+def test_actor_sequence_matches_per_step_tape(rounds, chunk, rng):
+    """Segments ending mid-grid (padded rows), cut never, often, or once at t = 16."""
+    policy = ActorCritic(rng, obs_dim=4, action_dim=3, hidden=6, mogrifier_rounds=rounds,
+                         bptt_chunk=chunk)
+    policy.log_std.value = np.array([-6.0, -0.7, 0.4])  # one dim clamped
+    assert_sequence_matches_per_step_tape(policy, [17, 9, 4, 17, 12], 17, rng)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -396,28 +466,39 @@ def test_batched_log_prob_matches_per_step_calls(seed):
     rng = np.random.default_rng(seed)
     policy = ActorCritic(rng, obs_dim=4, action_dim=3, hidden=6, mogrifier_rounds=0)
     policy.log_std.value = np.array([-6.0, -0.7, 1.5])  # two dims clamped
-    means = [Tensor(rng.standard_normal((10, 3)), requires_grad=True) for _ in range(20)]
+    means = Tensor(rng.standard_normal((20, 10, 3)), requires_grad=True)
+    per_step = [Tensor(m.copy(), requires_grad=True) for m in means.value]
     actions = rng.standard_normal((20, 10, 3))
+    weights = np.random.default_rng(1).standard_normal((20, 10))
 
     def build(batched):
         if batched:
-            logp = policy.log_prob(T.stack(means), Tensor(actions))
+            logp = policy.log_prob(means, Tensor(actions))
+            loss = T.sum_all(T.mul(logp, Tensor(weights)))
+            out = logp.value
         else:
-            logp = T.stack([policy.log_prob(m, Tensor(a)) for m, a in zip(means, actions)])
+            logps = [policy.log_prob(m, Tensor(a)) for m, a in zip(per_step, actions)]
+            loss = T.sum_all(T.mul(logps[0], Tensor(weights[0])))
+            for logp_t, w_t in zip(logps[1:], weights[1:]):
+                loss = T.add(loss, T.sum_all(T.mul(logp_t, Tensor(w_t))))
+            out = np.stack([logp_t.value for logp_t in logps])
         # Reusing log_std after the log-probs hands it a gradient before theirs.
-        return [logp], weighted_loss([logp], [policy.log_std], np.random.default_rng(1))
+        loss = T.add(loss, T.sum_all(T.square(policy.log_std)))
+        return [Tensor(out)], loss
 
-    assert_fused_matches_unfused(build, means + [policy.log_std])
+    assert_fused_matches_unfused(build, [means, policy.log_std], {id(means): per_step})
 
 
 def test_fused_ops_untaped_under_no_grad(rng):
     policy = ActorCritic(rng, obs_dim=4, action_dim=3, hidden=6, mogrifier_rounds=5)
-    obs = Tensor(rng.standard_normal((2, 4)))
+    obs = rng.standard_normal((3, 2, 4))
+    mean, (h, c), _ = policy.actor_step(obs[0], policy.initial_state(2))  # arrays, no tape
+    assert all(type(a) is np.ndarray for a in (mean, h, c))
     with T.no_grad():
-        mean, (h, c) = policy.actor_step(obs, policy.initial_state(2))
-        logp = policy.log_prob(mean, Tensor(rng.standard_normal((2, 3))))
+        means = policy.actor_sequence(obs, *policy.initial_state(2))
+        logp = policy.log_prob(means, Tensor(rng.standard_normal((3, 2, 3))))
     assert T.tape_size() == 0
-    assert all(t.backward_fn is None and not t.requires_grad for t in (mean, h, c, logp))
+    assert all(t.backward_fn is None and not t.requires_grad for t in (means, logp))
 
 
 # -- mogrifier behaviour ----------------------------------------------------------------
@@ -437,22 +518,21 @@ def test_zero_mogrifier_matches_plain_lstm_bitwise(rng):
         r.value = np.zeros_like(r.value)
     plain = MogrifierLstm(np.random.default_rng(0), 6, 7, rounds=0, name="b")
     copy_lstm_weights(plain, gated)
-    x = Tensor(rng.standard_normal((3, 6)))
+    x = rng.standard_normal((3, 6))
     state_a = gated.initial_state(3)
     state_b = plain.initial_state(3)
-    with T.no_grad():
-        for _ in range(4):
-            state_a = gated(x, state_a)
-            state_b = plain(x, state_b)
-    assert np.array_equal(state_a[0].value, state_b[0].value)
-    assert np.array_equal(state_a[1].value, state_b[1].value)
+    for _ in range(4):
+        state_a = gated.step(x, *state_a)[:2]
+        state_b = plain.step(x, *state_b)[:2]
+    assert np.array_equal(state_a[0], state_b[0])
+    assert np.array_equal(state_a[1], state_b[1])
 
 
 def test_zero_rounds_leaves_inputs_untouched(rng):
     cell = MogrifierLstm(rng, 4, 4, rounds=0)
-    x = Tensor(rng.standard_normal((2, 4)))
-    h = Tensor(rng.standard_normal((2, 4)))
-    mx, mh = cell.mogrify(x, h)
+    x = rng.standard_normal((2, 4))
+    h = rng.standard_normal((2, 4))
+    mx, mh, _ = cell.mogrify(x, h)
     assert mx is x and mh is h
 
 
@@ -464,8 +544,7 @@ def test_mogrify_matches_unrolled_oracle(rng):
     cell = MogrifierLstm(rng, 4, 5, rounds=5, name="m")
     x0 = rng.standard_normal((3, 4))
     h0 = rng.standard_normal((3, 5))
-    with T.no_grad():
-        mx, mh = cell.mogrify(Tensor(x0), Tensor(h0))
+    mx, mh, _ = cell.mogrify(x0, h0)
     x, h = x0.copy(), h0.copy()
     q_list = [q.value for q in cell.Q]
     r_list = [r.value for r in cell.R]
@@ -477,8 +556,8 @@ def test_mogrify_matches_unrolled_oracle(rng):
         else:
             h = 2.0 * sigmoid_ref(x @ r_list[ri]) * h
             ri += 1
-    assert np.max(np.abs(mx.value - x)) < 1e-12
-    assert np.max(np.abs(mh.value - h)) < 1e-12
+    assert np.max(np.abs(mx - x)) < 1e-12
+    assert np.max(np.abs(mh - h)) < 1e-12
 
 
 def test_lstm_zero_everything_gives_zero_hidden(rng):
@@ -486,9 +565,8 @@ def test_lstm_zero_everything_gives_zero_hidden(rng):
     cell.Wx.value = np.zeros_like(cell.Wx.value)
     cell.Wh.value = np.zeros_like(cell.Wh.value)
     cell.b.value = np.zeros_like(cell.b.value)
-    with T.no_grad():
-        h, c = cell.lstm_step(Tensor(np.zeros((2, 3))), cell.initial_state(2))
-    assert np.array_equal(h.value, np.zeros((2, 4)))
+    h, c, _ = cell.step(np.zeros((2, 3)), *cell.initial_state(2))
+    assert np.array_equal(h, np.zeros((2, 4)))
 
 
 def test_lstm_forced_gates_carry_memory(rng):
@@ -500,9 +578,8 @@ def test_lstm_forced_gates_carry_memory(rng):
     cell.b.value[gate("i")] = np.full(4, -40.0)  # input gate pinned to 0
     cell.b.value[gate("o")] = np.zeros(4)
     c0 = rng.standard_normal((2, 4))
-    with T.no_grad():
-        h, c = cell.lstm_step(Tensor(np.zeros((2, 3))), (Tensor(np.zeros((2, 4))), Tensor(c0)))
-    assert np.max(np.abs(c.value - c0)) < 1e-12
+    h, c, _ = cell.step(np.zeros((2, 3)), np.zeros((2, 4)), c0)
+    assert np.max(np.abs(c - c0)) < 1e-12
 
 
 def test_lstm_matches_scalar_loop_oracle(rng):
@@ -510,8 +587,7 @@ def test_lstm_matches_scalar_loop_oracle(rng):
     x = rng.standard_normal((2, 3))
     h0 = rng.standard_normal((2, 4))
     c0 = rng.standard_normal((2, 4))
-    with T.no_grad():
-        h, c = cell.lstm_step(Tensor(x), (Tensor(h0), Tensor(c0)))
+    h, c, _ = cell.step(x, h0, c0)
     for row in range(2):
         for j in range(4):
             pre = {}
@@ -528,8 +604,8 @@ def test_lstm_matches_scalar_loop_oracle(rng):
             g_g = math.tanh(pre["g"])
             c_ref = f_g * c0[row, j] + i_g * g_g
             h_ref = o_g * math.tanh(c_ref)
-            assert abs(c.value[row, j] - c_ref) < 1e-12
-            assert abs(h.value[row, j] - h_ref) < 1e-12
+            assert abs(c[row, j] - c_ref) < 1e-12
+            assert abs(h[row, j] - h_ref) < 1e-12
 
 
 # -- backward semantics --------------------------------------------------------------
@@ -616,10 +692,10 @@ def test_same_seed_identical_networks_and_outputs():
     for _ in range(2):
         policy = ActorCritic(np.random.default_rng(77), obs_dim=4, action_dim=2,
                              hidden=6, mogrifier_rounds=5)
+        mean, _, _ = policy.actor_step(obs, policy.initial_state(3))
         with T.no_grad():
-            mean, _ = policy.actor_step(Tensor(obs), policy.initial_state(3))
             value = policy.value(Tensor(obs))
-        outs.append((mean.value.copy(), value.value.copy()))
+        outs.append((mean.copy(), value.value.copy()))
     assert np.array_equal(outs[0][0], outs[1][0])
     assert np.array_equal(outs[0][1], outs[1][1])
 

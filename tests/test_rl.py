@@ -351,11 +351,11 @@ def replay_segments(policy, buffer):
     out = np.zeros(len(buffer))
     with T.no_grad():
         for seg in buffer.segments:
-            state = (Tensor(seg.h0[None]), Tensor(seg.c0[None]))
+            state = (seg.h0[None], seg.c0[None])
             for i in range(seg.start, seg.start + seg.length):
                 tr = buffer.transitions[i]
-                mean, state = policy.actor_step(Tensor(tr.state[None]), state)
-                out[i] = policy.log_prob(mean, Tensor(tr.action[None])).value[0]
+                mean, state, _ = policy.actor_step(tr.state[None], state)
+                out[i] = policy.log_prob(Tensor(mean), Tensor(tr.action[None])).value[0]
     return out
 
 
@@ -496,6 +496,26 @@ def test_rollout_values_equal_batch_one_critic_calls(monkeypatch):
     updater.update(buffer)
     assert len(seen) == 1
     assert seen[0].tolist() == expected
+
+
+def test_update_epoch_tapes_at_most_30_nodes(monkeypatch):
+    """The recurrence over the whole (T_max, B) grid is one tape node."""
+    rng = np.random.default_rng(0)
+    policy = ActorCritic(rng, obs_dim=4, action_dim=3, hidden=6, mogrifier_rounds=5,
+                         bptt_chunk=4)
+    updater = PpoUpdater(policy, small_ppo_config(epochs=2))
+    buffer = random_buffer(policy, rng, [40, 25, 3])  # a 40 x 3 grid
+    tape_sizes = []
+    real_backward = T.backward
+
+    def spy_backward(loss):
+        tape_sizes.append(T.tape_size())
+        real_backward(loss)
+
+    monkeypatch.setattr(T, "backward", spy_backward)
+    updater.update(buffer)
+    assert len(tape_sizes) == 2
+    assert max(tape_sizes) <= 30
 
 
 def tensors_tracked_by_gc():

@@ -6,8 +6,10 @@
 Each tree trains eppo, ppo_vanilla, ppo_mogrifier and ppo_necsa on the
 benchmark's learning city (`airsbench/workloads.py` LEARNING_CITY), once at
 `rl.batch_size=370` for 12 episodes (updates on segments that start
-mid-episode) and once at 1000 for 20 episodes, each run in its own `airs
-train` subprocess with BLAS pinned to one thread.  The tool compares the
+mid-episode) and once at 1000 for 20 episodes; eppo and ppo_vanilla also
+train at 370 with `nn.bptt_chunk` 0 (the gradient is never cut) and 7 (cut
+every 7 steps instead of the default 16).  That is 12 runs, each in its own
+`airs train` subprocess with BLAS pinned to one thread.  The tool compares the
 sha256 of metrics.csv, slots.csv, episodes.jsonl and summary.json, then loads
 both final checkpoints with the change's loader and compares every parameter
 array.  Checkpoint file bytes are not compared, so a change of checkpoint
@@ -29,17 +31,22 @@ sys.path.insert(0, str(ROOT))
 from airsbench.workloads import BLAS_THREAD_VARS, LEARNING_CITY  # noqa: E402
 
 AGENTS = ("eppo", "ppo_vanilla", "ppo_mogrifier", "ppo_necsa")
-SIZES = ((370, 12), (1000, 20))  # (rl.batch_size, episodes)
+# (agent, rl.batch_size, episodes, nn.bptt_chunk or None for the default)
+RUNS = ([(agent, batch_size, episodes, None) for agent in AGENTS
+         for batch_size, episodes in ((370, 12), (1000, 20))]
+        + [(agent, 370, 12, chunk) for agent in ("eppo", "ppo_vanilla") for chunk in (0, 7)])
 ARTIFACTS = ("metrics.csv", "slots.csv", "episodes.jsonl", "summary.json")
 SEED = 7
 
 
-def train(src: Path, out_dir: Path, agent: str, batch_size: int, episodes: int):
+def train(src: Path, out_dir: Path, agent: str, batch_size: int, episodes: int, chunk):
     env = {k: v for k, v in os.environ.items() if not k.startswith("AIRS_")}
     env.update({name: "1" for name in BLAS_THREAD_VARS})
     env["PYTHONPATH"] = str(src)
     overrides = LEARNING_CITY + (f"rl.agent={agent}", f"rl.batch_size={batch_size}",
                                  f"rl.episodes={episodes}")
+    if chunk is not None:
+        overrides += (f"nn.bptt_chunk={chunk}",)
     subprocess.run(
         [sys.executable, "-m", "airs.cli", "train", "--out", str(out_dir),
          "--seed", str(SEED), "--override", *overrides],
@@ -76,17 +83,17 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         failures = 0
-        for agent in AGENTS:
-            for batch_size, episodes in SIZES:
-                label = f"{agent}_b{batch_size}"
-                dirs = {}
-                for side in ("base", "change"):
-                    dirs[side] = out / side / label
-                    train(getattr(args, side).resolve(), dirs[side], agent, batch_size, episodes)
-                problems = compare_run(dirs["base"], dirs["change"], load_checkpoint)
-                failures += bool(problems)
-                print(f"{label}: {'; '.join(problems) if problems else 'identical'}")
-    print(f"{failures} of {len(AGENTS) * len(SIZES)} runs differ")
+        for agent, batch_size, episodes, chunk in RUNS:
+            label = f"{agent}_b{batch_size}" + ("" if chunk is None else f"_chunk{chunk}")
+            dirs = {}
+            for side in ("base", "change"):
+                dirs[side] = out / side / label
+                train(getattr(args, side).resolve(), dirs[side], agent, batch_size, episodes,
+                      chunk)
+            problems = compare_run(dirs["base"], dirs["change"], load_checkpoint)
+            failures += bool(problems)
+            print(f"{label}: {'; '.join(problems) if problems else 'identical'}")
+    print(f"{failures} of {len(RUNS)} runs differ")
     return 1 if failures else 0
 
 
