@@ -3,8 +3,9 @@
 Actor: dense trunk with tanh, a mogrifier LSTM, a tanh-squashed mean head,
 and one state-independent learnable log-std per action dimension (clamped to
 [-5, 1]).  Critic: two tanh layers to a scalar value.  All math is float64.
-Rollouts call `actor_step` on plain arrays; updates replay stored sequences
-through `actor_sequence`, one taped node built from the same step.
+Rollouts call `actor_step` on plain arrays; updates replay stored sequences,
+packed step-major, through `actor_sequence`: one taped node that runs the trunk
+and the mean head once over all rows and the cell's step kernel per time step.
 """
 
 import math
@@ -87,42 +88,55 @@ class ActorCritic:
         return self.cell.initial_state(batch)
 
     def actor_step(self, obs: np.ndarray, state):
-        """One recurrent step on arrays; returns (mean (B,A), new_state, cache)."""
+        """One recurrent step on arrays; returns (mean (B, A), new_state)."""
         x = np.tanh(self.trunk.forward(obs))
-        h, c, cell_cache = self.cell.step(x, *state)
-        mean = np.tanh(self.mean_head.forward(h))
-        return mean, (h, c), (obs, x, cell_cache, h, mean)
+        h, c, _ = self.cell.step(x, *state)
+        return np.tanh(self.mean_head.forward(h)), (h, c)
 
-    def actor_sequence(self, obs: np.ndarray, h0: np.ndarray, c0: np.ndarray) -> Tensor:
-        """Means (T, B, A) over observations (T, B, obs_dim) from state (h0, c0).
+    def actor_sequence(self, obs: np.ndarray, batch_sizes, h0: np.ndarray,
+                       c0: np.ndarray) -> Tensor:
+        """Means (N, A) over packed observation rows (N, obs_dim) from state (h0, c0).
 
-        One taped node (untaped under no_grad): the forward makes T
-        `actor_step` calls.  The backward
-        walks t = T-1 down to 0 and repeats the reverse walk over the per-step
-        primitive ops: the mean head, then the cell (h_t's gradient is step
-        t+1's contribution plus the mean head's), then the trunk.  The state
-        gradient is cut at t = 0 and at every multiple of `bptt_chunk`
-        (truncated backpropagation through time; 0 never cuts).
+        Rows are packed step-major: step t is the next `batch_sizes[t]` rows and
+        continues the first `batch_sizes[t]` sequences, so batch sizes never grow.
+        One taped node (untaped under no_grad): the trunk and the mean head each
+        run once over all N rows; only the cell steps in the time loop.  The
+        backward runs the head once, the cell steps in reverse, then the trunk
+        once.  The state gradient is cut at t = 0 and at every multiple of
+        `bptt_chunk` (truncated backpropagation through time; 0 never cuts).
         """
-        state = (h0, c0)
-        means = np.empty(obs.shape[:2] + (self.action_dim,))
+        x = np.tanh(self.trunk.forward(obs))
+        bounds = np.cumsum(batch_sizes) - batch_sizes
+        hs = np.empty((len(obs), self.hidden))
+        h, c = h0, c0
         caches = []
-        for t in range(len(obs)):
-            means[t], state, cache = self.actor_step(obs[t], state)
+        for lo, n in zip(bounds, batch_sizes):
+            hs[lo:lo + n], c, cache = self.cell.step(x[lo:lo + n], h[:n], c[:n])
+            h = hs[lo:lo + n]  # the next step caches this view, so no copy stays alive
             caches.append(cache)
+        means = np.tanh(self.mean_head.forward(hs))
         if not T.grad_enabled():
             return Tensor(means)
         chunk = self.bptt_chunk
 
         def backward_fn(g):
-            gh = gc = None
+            # To keep peak memory near the per-step tape's, each step's cache is
+            # dropped once walked, and row block t of `grad` holds step t's h
+            # gradient from the head until the step is walked, then the gradient
+            # of its trunk pre-activation.
+            grad = self.mean_head.backward(hs, g * (1.0 - means**2), True)
+            gh, gc = np.zeros_like(h0), np.zeros_like(c0)
             for t in range(len(caches) - 1, -1, -1):
-                obs_t, x, cell_cache, h, mean = caches[t]
-                g_head = self.mean_head.backward(h, g[t] * (1.0 - mean**2), True)
-                gh = g_head if gh is None else gh + g_head
+                lo, n = bounds[t], batch_sizes[t]
                 cut = t == 0 or (chunk > 0 and t % chunk == 0)
-                gx, gh, gc = self.cell.step_backward(cell_cache, gh, gc, not cut)
-                self.trunk.backward(obs_t, gx * (1.0 - x**2), False)
+                gx, gh_prev, gc_prev = self.cell.step_backward(
+                    caches.pop(), grad[lo:lo + n] + gh[:n], gc[:n], not cut)
+                grad[lo:lo + n] = gx * (1.0 - x[lo:lo + n]**2)
+                if cut:
+                    gh[:], gc[:] = 0.0, 0.0
+                else:
+                    gh[:n], gc[:n] = gh_prev, gc_prev
+            self.trunk.backward(obs, grad, False)
 
         return T.record(means, backward_fn)
 
@@ -132,25 +146,15 @@ class ActorCritic:
         z = T.tanh(self.v2(z))
         return T.reshape(self.v3(z), (-1,))
 
-    def value_of(self, obs: np.ndarray) -> float:
-        """Untaped critic value of one observation."""
-        with T.no_grad():
-            return float(self.value(Tensor(obs.reshape(1, -1))).value[0])
-
     def clamped_log_std(self) -> Tensor:
         return T.clip(self.log_std, LOG_STD_MIN, LOG_STD_MAX)
 
     def log_prob(self, mean: Tensor, actions: Tensor) -> Tensor:
-        """Diagonal Gaussian log density of `actions`, shape (..., B) for (..., B, A).
+        """Diagonal Gaussian log density of `actions`, shape (N,) for (N, A).
 
-        One taped op, bit-equal to the primitive form applied to each (B, A)
-        step: with log_std = clamped_log_std() and
-        z = (actions - mean) * exp(-log_std),
+        One taped op, equal to the primitive form: with
+        log_std = clamped_log_std() and z = (actions - mean) * exp(-log_std),
         -0.5 * sum_axis(square(z), 1) - (sum_all(log_std) + 0.5 * A * log(2 pi)).
-        The log-std is clamped and exponentiated once for all steps.  The
-        backward sums each step's log-std gradient over B and adds the steps
-        one at a time, last step first, as the reverse walk over per-step
-        calls would.
         """
         log_std = self.log_std
         clamped = np.clip(log_std.value, LOG_STD_MIN, LOG_STD_MAX)
@@ -164,20 +168,16 @@ class ActorCritic:
             return Tensor(out_value)
 
         def backward_fn(g):
-            g_z = np.expand_dims(g * -0.5, -1) * 2.0 * z
+            g_z = (g * -0.5)[:, None] * 2.0 * z
             g_diff = g_z * inv_std
             if actions.requires_grad:
-                actions.add_grad(T.unbroadcast(g_diff, actions.value.shape))
+                actions.add_grad(g_diff)
             if mean.requires_grad:
-                mean.add_grad(T.unbroadcast(-g_diff, mean.value.shape))
+                mean.add_grad(-g_diff)
             if log_std.requires_grad:
-                batch, dims = z.shape[-2:]
-                g_norm = (-g).reshape(-1, batch).sum(axis=1)
-                g_inv_std = (g_z * diff).reshape(-1, batch, dims).sum(axis=1)
                 inside = (log_std.value >= LOG_STD_MIN) & (log_std.value <= LOG_STD_MAX)
-                per_step = (g_norm[:, None] - g_inv_std * inv_std) * inside
-                for step_grad in per_step[::-1]:
-                    log_std.add_grad(step_grad)
+                g_inv_std = (g_z * diff).sum(axis=0)
+                log_std.add_grad(((-g).sum() - g_inv_std * inv_std) * inside)
 
         return T.record(out_value, backward_fn)
 
@@ -193,7 +193,7 @@ class ActorCritic:
 
         Returns (action, new_state); runs neither the critic nor a log-prob.
         """
-        mean, new_state, _ = self.actor_step(obs.reshape(1, -1), state)
+        mean, new_state = self.actor_step(obs.reshape(1, -1), state)
         mu = mean[0]
         if greedy:
             return mu.copy(), new_state

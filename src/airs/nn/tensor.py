@@ -7,14 +7,15 @@ accumulate into .grad, so computing a fresh loss and calling backward() again
 adds to the accumulators.  A no_grad() context skips taping entirely.
 
 Fused ops.  A layer may tape a whole block of arithmetic as one node with a
-hand-written backward (`record`).  Float sums depend on their order, so a
-fused op reproduces the tape of the primitive ops it replaces bit for bit:
-- its forward evaluates the same numpy expressions as the primitives would;
-- it calls `add_grad` on each input and parameter once per use, in the order
-  the reverse walk over the primitive nodes did, and sums gradients of its
-  intermediates in that order too, consumers outside the block first;
-- under no_grad, or when no input needs a gradient, it returns a plain
-  Tensor from the same forward.
+hand-written backward (`record`); under no_grad, or when no input needs a
+gradient, it returns a plain Tensor from the same forward.  The one-step
+kernels (a dense layer, a mogrified LSTM step, the Gaussian log-density)
+reproduce the tape of the primitive ops they replace bit for bit: the same
+numpy expressions, and gradients summed in the order of the primitive
+reverse walk.  The actor's recurrence over a packed batch runs the trunk and
+mean head as one gemm over all rows instead of one per step; gemm rounding
+depends on the row count, so it matches the per-step primitive tape to
+rounding (1e-12 relative), not bit for bit.
 `clear_tape` drops every node's `backward_fn`, so each graph is freed by
 reference counting, after backward() and on an aborted update alike.
 """

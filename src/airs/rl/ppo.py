@@ -4,11 +4,12 @@ The buffer stores transitions in collection order, split into segments that
 each start at an episode boundary or at a buffer boundary mid-episode; every
 segment carries the recurrent state it started from so updates can replay
 sequences exactly as collected.  When the buffer reaches the configured batch
-size the trainer computes advantages and runs K epochs of full-batch gradient
-steps.  Each epoch makes one taped recurrent forward over the batch and feeds
-its log-probs to `ppo_loss`.  Epoch 0 runs before any parameter moves, so its
-log-probs are the snapshot of the pre-update policy; there is no separate
-replay pass.
+size the trainer computes values and advantages (one untaped critic pass over
+the states and the bootstrap observation) and runs K epochs of full-batch
+gradient steps.  Each epoch replays the segments, packed longest first with
+no padding rows, through one taped recurrent forward and feeds its log-probs
+to `ppo_loss`.  Epoch 0 runs before any parameter moves, so its log-probs are
+the snapshot of the pre-update policy; there is no separate replay pass.
 """
 
 from dataclasses import dataclass, field
@@ -151,31 +152,34 @@ def ppo_loss(new_log_probs, old_log_probs, advantages, values, returns,
     )
 
 
-class PaddedBatch:
-    """Segments stacked into (T_max, B, ...) arrays, zero past each segment's end.
+class PackedBatch:
+    """Segments packed step-major, longest first, as `pack_padded_sequence` packs them.
 
-    `order[i]` is the position of buffer index i in the flattened T_max x B
-    grid, so `take(grid_values, order)` lists per-step values in buffer
-    order and skips the padded slots.
+    Segments are stably sorted by length; step t holds rows of the first
+    `batch_sizes[t]` (those still running), so `obs` and `actions` are (N, ...)
+    with no padding.  `h0` and `c0` are in sorted order.  `order[i]` is the
+    packed row of buffer index i, so `take(packed_values, order)` lists values
+    in buffer order, as `states` holds the observations.
     """
 
     def __init__(self, buffer: RolloutBuffer):
         segments = buffer.segments
         lengths = np.array([s.length for s in segments])
         starts = np.array([s.start for s in segments])
-        self.batch = len(segments)
-        self.t_max = int(lengths.max())
-        seg = np.repeat(np.arange(self.batch), lengths)
+        ranked = np.argsort(-lengths, kind="stable")
+        rank = np.argsort(ranked)
+        self.batch_sizes = (lengths[:, None] > np.arange(lengths.max())).sum(axis=0)
+        step_offsets = np.cumsum(self.batch_sizes) - self.batch_sizes
         t = np.arange(len(buffer)) - np.repeat(starts, lengths)
-        self.order = t * self.batch + seg
+        self.order = step_offsets[t] + np.repeat(rank, lengths)
         self.states = np.stack([tr.state for tr in buffer.transitions])
+        self.obs = np.empty_like(self.states)
+        self.obs[self.order] = self.states
         actions = np.stack([tr.action for tr in buffer.transitions])
-        self.obs = np.zeros((self.t_max, self.batch, self.states.shape[1]))
-        self.obs[t, seg] = self.states
-        self.actions = np.zeros((self.t_max, self.batch, actions.shape[1]))
-        self.actions[t, seg] = actions
-        self.h0 = np.stack([s.h0 for s in segments])
-        self.c0 = np.stack([s.c0 for s in segments])
+        self.actions = np.empty_like(actions)
+        self.actions[self.order] = actions
+        self.h0 = np.stack([segments[j].h0 for j in ranked])
+        self.c0 = np.stack([segments[j].c0 for j in ranked])
 
 
 class PpoUpdater:
@@ -191,29 +195,26 @@ class PpoUpdater:
             eps=config.adam_eps,
         )
 
-    def log_probs(self, batch: PaddedBatch) -> Tensor:
+    def log_probs(self, batch: PackedBatch) -> Tensor:
         """Log-probs of the stored actions under the current policy, shape (N,).
 
         Replays every segment from its stored state in one taped recurrence
         (`actor_sequence`, cutting the gradient every `bptt_chunk` steps), then
-        takes the log-probs of all steps' means in one call.
+        takes the log-probs of all rows' means in one call, in buffer order.
         """
-        means = self.policy.actor_sequence(batch.obs, batch.h0, batch.c0)
+        means = self.policy.actor_sequence(batch.obs, batch.batch_sizes, batch.h0, batch.c0)
         return T.take(self.policy.log_prob(means, Tensor(batch.actions)), batch.order)
 
     def update(self, buffer: RolloutBuffer) -> dict:
         cfg = self.config
-        batch = PaddedBatch(buffer)
+        batch = PackedBatch(buffer)
 
         rewards = np.array([tr.reward for tr in buffer.transitions])
-        # One (1, obs_dim) row per state, as `value_of` runs it: a flat (N, obs_dim)
-        # matmul would round differently.
-        with T.no_grad():
-            values = self.policy.value(Tensor(batch.states[:, None, :])).value
         dones = np.array([tr.done for tr in buffer.transitions])
-        bootstrap = 0.0 if dones[-1] else self.policy.value_of(buffer.next_obs)
+        with T.no_grad():
+            values = self.policy.value(Tensor(np.vstack((batch.states, buffer.next_obs))))
         advantages, returns = gae_advantages(
-            rewards, np.append(values, bootstrap), dones, cfg.discount, cfg.gae_lambda
+            rewards, values.value, dones, cfg.discount, cfg.gae_lambda
         )
         adv_flat = normalize_advantages(advantages)
 
@@ -224,8 +225,6 @@ class PpoUpdater:
             if epoch == 0:
                 # Epoch 0 runs the pre-update policy: its log-probs are the snapshot.
                 old_flat = new_log_probs.value.copy()
-            # Taped after the log-probs, so backward adds the entropy's log-std
-            # gradient before the per-step ones: float sums depend on the order.
             value_pred = self.policy.value(Tensor(batch.states))
             entropy = self.policy.entropy()
             loss = ppo_loss(new_log_probs, old_flat, adv_flat, value_pred, returns,

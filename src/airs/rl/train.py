@@ -283,10 +283,8 @@ def train(config: dict, out_dir, seed: int, env_factory=None) -> dict:
                 and (episode + 1) % checkpoint_every == 0
             ):
                 _save_agent(out_dir / "checkpoints" / f"ep_{episode + 1:06d}", agent, config)
-    except Exception:
+    finally:
         writer.close()
-        raise
-    writer.close()
     if spec.trainable:
         _save_agent(out_dir / "checkpoints" / "final", agent, config)
     summary = summarize(episode_stats)

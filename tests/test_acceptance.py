@@ -185,14 +185,14 @@ def test_criterion_03_gradient_integrity():
     worst = max(worst, finite_difference_check(step_loss, cell_params + [x, h, c], rng))
 
     def logprob_loss():
-        means = policy.actor_sequence(obs[None], *policy.initial_state(4))
-        return T.sum_all(policy.log_prob(means, Tensor(actions[None])))
+        means = policy.actor_sequence(obs, [4], *policy.initial_state(4))
+        return T.sum_all(policy.log_prob(means, Tensor(actions)))
 
     worst = max(worst, finite_difference_check(logprob_loss, policy.params(), rng))
 
     def actor_critic_loss():
-        means = policy.actor_sequence(obs[None], *policy.initial_state(4))
-        logp = policy.log_prob(means, Tensor(actions[None]))
+        means = policy.actor_sequence(obs, [4], *policy.initial_state(4))
+        logp = policy.log_prob(means, Tensor(actions))
         value = policy.value(Tensor(obs))
         return T.add(T.sum_all(logp), T.sum_all(T.square(value)))
 
@@ -200,11 +200,11 @@ def test_criterion_03_gradient_integrity():
 
     deep = ActorCritic(rng, obs_dim=3, action_dim=2, hidden=5, mogrifier_rounds=5,
                        bptt_chunk=0)
-    obs_seq = rng.standard_normal((8, 2, 3))
-    act_seq = rng.standard_normal((8, 2, 2))
+    obs_seq = rng.standard_normal((16, 3))  # 8 steps of 2 rows, packed step-major
+    act_seq = rng.standard_normal((16, 2))
 
     def bptt_loss():
-        means = deep.actor_sequence(obs_seq, *deep.initial_state(2))
+        means = deep.actor_sequence(obs_seq, [2] * 8, *deep.initial_state(2))
         return T.sum_all(deep.log_prob(means, Tensor(act_seq)))
 
     worst = max(worst, finite_difference_check(bptt_loss, deep.params(), rng, samples=3))

@@ -162,11 +162,11 @@ def test_lstm_step_gradients(rng):
 
 def test_gaussian_log_prob_gradients(rng):
     policy = ActorCritic(rng, obs_dim=4, action_dim=3, hidden=6, mogrifier_rounds=0)
-    obs = rng.standard_normal((1, 5, 4))
-    actions = rng.standard_normal((1, 5, 3))
+    obs = rng.standard_normal((5, 4))
+    actions = rng.standard_normal((5, 3))
 
     def build():
-        means = policy.actor_sequence(obs, *policy.initial_state(5))
+        means = policy.actor_sequence(obs, [5], *policy.initial_state(5))
         return T.sum_all(policy.log_prob(means, Tensor(actions)))
 
     assert finite_difference_check(build, policy.params(), rng) < FD_TOL
@@ -174,13 +174,13 @@ def test_gaussian_log_prob_gradients(rng):
 
 def test_full_actor_critic_gradients(rng):
     policy = ActorCritic(rng, obs_dim=5, action_dim=3, hidden=8, mogrifier_rounds=5)
-    obs = rng.standard_normal((1, 4, 5))
-    actions = rng.standard_normal((1, 4, 3))
+    obs = rng.standard_normal((4, 5))
+    actions = rng.standard_normal((4, 3))
 
     def build():
-        means = policy.actor_sequence(obs, *policy.initial_state(4))
+        means = policy.actor_sequence(obs, [4], *policy.initial_state(4))
         logp = policy.log_prob(means, Tensor(actions))
-        value = policy.value(Tensor(obs[0]))
+        value = policy.value(Tensor(obs))
         return T.add(T.sum_all(logp), T.sum_all(T.square(value)))
 
     assert finite_difference_check(build, policy.params(), rng) < FD_TOL
@@ -189,11 +189,11 @@ def test_full_actor_critic_gradients(rng):
 def test_bptt_8_step_gradients(rng):
     policy = ActorCritic(rng, obs_dim=3, action_dim=2, hidden=5, mogrifier_rounds=5,
                          bptt_chunk=0)
-    obs_seq = rng.standard_normal((8, 2, 3))
-    act_seq = rng.standard_normal((8, 2, 2))
+    obs_seq = rng.standard_normal((16, 3))  # 8 steps of 2 rows, packed step-major
+    act_seq = rng.standard_normal((16, 2))
 
     def build():
-        means = policy.actor_sequence(obs_seq, *policy.initial_state(2))
+        means = policy.actor_sequence(obs_seq, [2] * 8, *policy.initial_state(2))
         return T.sum_all(policy.log_prob(means, Tensor(act_seq)))
 
     assert finite_difference_check(build, policy.params(), rng, samples=3) < FD_TOL
@@ -201,14 +201,16 @@ def test_bptt_8_step_gradients(rng):
 
 # -- fused ops against their primitive composition ---------------------------------------
 #
-# Dense, log_prob and the actor's recurrence (`actor_sequence`, built from the
-# array kernels `MogrifierLstm.step` and `step_backward`) each tape one fused
-# node.  They must reproduce the tape of the primitive ops they replace bit for
-# bit: the same outputs and the same gradient in every input and parameter,
-# including the order in which gradients add up.  The primitive compositions
-# below are the references and live only here.  The reference LSTM step runs
-# each gate on its own leaf weights (`per_gate_leaves`), and the stacked
-# parameters' gradients are compared with the stacked per-gate ones.
+# Dense, log_prob and one mogrified LSTM step (`MogrifierLstm.step` and
+# `step_backward`) must reproduce the tape of the primitive ops they replace bit
+# for bit: the same outputs and the same gradient in every input and parameter,
+# including the order in which gradients add up.  The actor's recurrence over a
+# packed batch (`actor_sequence`) runs its trunk and head as one gemm over all
+# rows, so it matches the per-step primitive tape to 1e-12 relative.  The
+# primitive compositions below are the references and live only here.  The
+# reference LSTM step runs each gate on its own leaf weights
+# (`per_gate_leaves`), and the stacked parameters' gradients are compared with
+# the stacked per-gate ones.
 
 
 def unfused_dense(layer, x):
@@ -270,12 +272,13 @@ def weighted_loss(outputs, inputs, rng):
     return loss
 
 
-def assert_fused_matches_unfused(build, tensors, leaves=None):
-    """`build(fused)` returns (outputs, loss); compare both ways bit for bit.
+def fused_and_unfused(build, tensors, leaves=None):
+    """`build(fused)` returns (outputs, loss); run it both ways.
 
-    `leaves` maps id(stacked Tensor) to the per-gate leaves the unfused build
-    uses in its place; their gradients are compared stacked, a gate with no
-    gradient counting as zeros.
+    Returns, for fused and then unfused, the output values and the gradient
+    of each of `tensors`.  `leaves` maps id(stacked Tensor) to the per-gate
+    leaves the unfused build uses in its place; their gradients are returned
+    stacked, a gate with no gradient counting as zeros.
     """
     leaves = leaves or {}
     everything = tensors + [leaf for parts in leaves.values() for leaf in parts]
@@ -297,7 +300,12 @@ def assert_fused_matches_unfused(build, tensors, leaves=None):
         results.append(([o.value.copy() for o in outputs], [grad_of(t, fused) for t in tensors]))
     for t in everything:
         t.grad = None
-    (out_f, grads_f), (out_u, grads_u) = results
+    return results
+
+
+def assert_fused_matches_unfused(build, tensors, leaves=None):
+    """`build(fused)` returns (outputs, loss); compare both ways bit for bit."""
+    (out_f, grads_f), (out_u, grads_u) = fused_and_unfused(build, tensors, leaves)
     for a, b in zip(out_f, out_u):
         assert np.array_equal(a, b)
     for a, b in zip(grads_f, grads_u):
@@ -402,101 +410,75 @@ def unfused_log_probs(policy, obs, h0, c0, actions, leaves):
     return out
 
 
-def assert_sequence_matches_per_step_tape(policy, lengths, steps, rng):
-    """`take(log_prob(actor_sequence(...)), order)`, as the update runs it, against
-    the per-step primitive tape, on a grid padded past each segment's length.
+def assert_close(a, b):
+    """Max abs difference at most 1e-12 of the reference's max abs value."""
+    assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
-    The loss weights the taken log-probs; the reference weights its per-step
-    log-probs with the same weights, zero on padded slots.  It also reuses
-    log_std after the log-probs, so log_std already holds a gradient when theirs
-    arrive, as in the update, where the entropy is taped after them.
+
+def assert_sequence_matches_per_step_tape(policy, lengths, rng):
+    """`take(log_prob(actor_sequence(...)), order)` over packed rows, as the update
+    runs it, against the per-step primitive tape over the padded (T, B) grid.
+
+    Packed rows follow the segments longest first (stable), step-major; `order`
+    maps buffer order (segment by segment) to packed rows.  Both losses weight
+    each live step's log-prob the same; the grid's padded slots weigh zero.
     """
-    batch = len(lengths)
-    live = np.arange(steps)[:, None] < np.array(lengths)[None, :]
-    obs = rng.standard_normal((steps, batch, policy.obs_dim)) * live[..., None]
-    actions = rng.standard_normal((steps, batch, policy.action_dim)) * live[..., None]
+    lengths = np.array(lengths)
+    steps, batch = lengths.max(), len(lengths)
+    ranked = np.argsort(-lengths, kind="stable")
+    packed = [(t, b) for t in range(steps) for b in ranked if t < lengths[b]]
+    row = {cell: i for i, cell in enumerate(packed)}
+    order = np.array([row[t, b] for b in range(batch) for t in range(lengths[b])])
+    batch_sizes = [sum(n > t for n in lengths) for t in range(steps)]
+    obs = rng.standard_normal((steps, batch, policy.obs_dim))
+    actions = rng.standard_normal((steps, batch, policy.action_dim))
     h0, c0 = rng.standard_normal((2, batch, policy.hidden))
-    order = np.concatenate([np.arange(n) * batch + b for b, n in enumerate(lengths)])
+    live = np.arange(steps)[:, None] < lengths[None, :]
     weights = rng.standard_normal((steps, batch)) * live
+    t_idx, b_idx = np.array(packed).T
     leaves = per_gate_leaves(policy.cell)
 
     def build(fused):
         if fused:
-            means = policy.actor_sequence(obs, h0, c0)
-            logp = policy.log_prob(means, Tensor(actions))
-            loss = T.sum_all(T.mul(T.take(logp, order), Tensor(weights.ravel()[order])))
-            out = logp.value
-        else:
-            per_step = unfused_log_probs(policy, obs, h0, c0, actions, leaves)
-            loss = T.sum_all(T.mul(per_step[0], Tensor(weights[0])))
-            for logp_t, w_t in zip(per_step[1:], weights[1:]):
-                loss = T.add(loss, T.sum_all(T.mul(logp_t, Tensor(w_t))))
-            out = np.stack([logp_t.value for logp_t in per_step])
-        loss = T.add(loss, T.sum_all(T.square(policy.log_std)))
-        return [Tensor(out)], loss
+            means = policy.actor_sequence(obs[t_idx, b_idx], batch_sizes, h0[ranked], c0[ranked])
+            logp = T.take(policy.log_prob(means, Tensor(actions[t_idx, b_idx])), order)
+            w = weights[t_idx, b_idx][order]
+            return [logp], T.sum_all(T.mul(logp, Tensor(w)))
+        per_step = unfused_log_probs(policy, obs, h0, c0, actions, leaves)
+        loss = T.sum_all(T.mul(per_step[0], Tensor(weights[0])))
+        for logp_t, w_t in zip(per_step[1:], weights[1:]):
+            loss = T.add(loss, T.sum_all(T.mul(logp_t, Tensor(w_t))))
+        grid = np.stack([logp_t.value for logp_t in per_step])
+        return [Tensor(grid[t_idx, b_idx][order])], loss
 
-    assert_fused_matches_unfused(build, policy.params(), leaves)
-
-
-@pytest.mark.parametrize("rounds", [0, 1, 2, 5])
-def test_fused_recurrent_sequence_matches_primitives(rounds, rng):
-    """20 steps at batch 10 with a bptt_chunk cut, no padding."""
-    policy = ActorCritic(rng, obs_dim=4, action_dim=3, hidden=6, mogrifier_rounds=rounds,
-                         bptt_chunk=8)
-    assert_sequence_matches_per_step_tape(policy, [20] * 10, 20, rng)
+    (out_f, grads_f), (out_u, grads_u) = fused_and_unfused(build, policy.params(), leaves)
+    assert_close(out_f[0], out_u[0])
+    for a, b in zip(grads_f, grads_u):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert_close(a, b)
 
 
 @pytest.mark.parametrize("rounds", [0, 1, 2, 5])
 @pytest.mark.parametrize("chunk", [0, 3, 16])
 def test_actor_sequence_matches_per_step_tape(rounds, chunk, rng):
-    """Segments ending mid-grid (padded rows), cut never, often, or once at t = 16."""
+    """A full 20 x 10 grid, and segments of 17, 9, 4, 17 and 12 steps (the packed
+    batch shrinks as they end), cut never, often, or once at t = 16."""
     policy = ActorCritic(rng, obs_dim=4, action_dim=3, hidden=6, mogrifier_rounds=rounds,
                          bptt_chunk=chunk)
-    policy.log_std.value = np.array([-6.0, -0.7, 0.4])  # one dim clamped
-    assert_sequence_matches_per_step_tape(policy, [17, 9, 4, 17, 12], 17, rng)
-
-
-@pytest.mark.parametrize("seed", range(4))
-def test_batched_log_prob_matches_per_step_calls(seed):
-    """One (T, B, A) call against T per-step calls, as the update used to make them.
-
-    Several draws: adding the steps' log-std gradients in another order
-    changes the sum's last bit for most draws, not for every one.
-    """
-    rng = np.random.default_rng(seed)
-    policy = ActorCritic(rng, obs_dim=4, action_dim=3, hidden=6, mogrifier_rounds=0)
     policy.log_std.value = np.array([-6.0, -0.7, 1.5])  # two dims clamped
-    means = Tensor(rng.standard_normal((20, 10, 3)), requires_grad=True)
-    per_step = [Tensor(m.copy(), requires_grad=True) for m in means.value]
-    actions = rng.standard_normal((20, 10, 3))
-    weights = np.random.default_rng(1).standard_normal((20, 10))
-
-    def build(batched):
-        if batched:
-            logp = policy.log_prob(means, Tensor(actions))
-            loss = T.sum_all(T.mul(logp, Tensor(weights)))
-            out = logp.value
-        else:
-            logps = [policy.log_prob(m, Tensor(a)) for m, a in zip(per_step, actions)]
-            loss = T.sum_all(T.mul(logps[0], Tensor(weights[0])))
-            for logp_t, w_t in zip(logps[1:], weights[1:]):
-                loss = T.add(loss, T.sum_all(T.mul(logp_t, Tensor(w_t))))
-            out = np.stack([logp_t.value for logp_t in logps])
-        # Reusing log_std after the log-probs hands it a gradient before theirs.
-        loss = T.add(loss, T.sum_all(T.square(policy.log_std)))
-        return [Tensor(out)], loss
-
-    assert_fused_matches_unfused(build, [means, policy.log_std], {id(means): per_step})
+    assert_sequence_matches_per_step_tape(policy, [20] * 10, rng)
+    assert_sequence_matches_per_step_tape(policy, [17, 9, 4, 17, 12], rng)
 
 
 def test_fused_ops_untaped_under_no_grad(rng):
     policy = ActorCritic(rng, obs_dim=4, action_dim=3, hidden=6, mogrifier_rounds=5)
-    obs = rng.standard_normal((3, 2, 4))
-    mean, (h, c), _ = policy.actor_step(obs[0], policy.initial_state(2))  # arrays, no tape
+    obs = rng.standard_normal((6, 4))  # 3 steps of 2 rows, packed step-major
+    mean, (h, c) = policy.actor_step(obs[:2], policy.initial_state(2))  # arrays, no tape
     assert all(type(a) is np.ndarray for a in (mean, h, c))
     with T.no_grad():
-        means = policy.actor_sequence(obs, *policy.initial_state(2))
-        logp = policy.log_prob(means, Tensor(rng.standard_normal((3, 2, 3))))
+        means = policy.actor_sequence(obs, [2, 2, 2], *policy.initial_state(2))
+        logp = policy.log_prob(means, Tensor(rng.standard_normal((6, 3))))
     assert T.tape_size() == 0
     assert all(t.backward_fn is None and not t.requires_grad for t in (means, logp))
 
@@ -692,7 +674,7 @@ def test_same_seed_identical_networks_and_outputs():
     for _ in range(2):
         policy = ActorCritic(np.random.default_rng(77), obs_dim=4, action_dim=2,
                              hidden=6, mogrifier_rounds=5)
-        mean, _, _ = policy.actor_step(obs, policy.initial_state(3))
+        mean, _ = policy.actor_step(obs, policy.initial_state(3))
         with T.no_grad():
             value = policy.value(Tensor(obs))
         outs.append((mean.copy(), value.value.copy()))

@@ -10,6 +10,7 @@ from airs.nn import tensor as T
 from airs.rl.agents import AGENT_SPECS, AgentSpec, baseline_agent
 from airs.rl.necsa import EpisodicTable, NecsaShaper, abstract_state, necsa_revise
 import airs.rl.ppo as ppo_module
+from airs.nn.layers import MogrifierLstm
 from airs.nn.policy import ActorCritic
 from airs.rl.ppo import (
     NumericAbort,
@@ -354,7 +355,7 @@ def replay_segments(policy, buffer):
             state = (seg.h0[None], seg.c0[None])
             for i in range(seg.start, seg.start + seg.length):
                 tr = buffer.transitions[i]
-                mean, state, _ = policy.actor_step(tr.state[None], state)
+                mean, state = policy.actor_step(tr.state[None], state)
                 out[i] = policy.log_prob(Tensor(mean), Tensor(tr.action[None])).value[0]
     return out
 
@@ -436,7 +437,7 @@ def test_batch_advantages_are_normalized(monkeypatch):
 def test_batched_log_probs_match_per_segment_replay(monkeypatch):
     updates = collect_and_update(monkeypatch, batch_size=25, episodes=5, horizon=10)
     segments = [seg for u in updates for seg in u["segments"]]
-    assert len({length for _, length, _ in segments}) > 1  # some columns are padded
+    assert len({length for _, length, _ in segments}) > 1  # the packed batch shrinks
     assert any(np.any(h0 != 0.0) for _, _, h0 in segments)  # some start mid-episode
     for update in updates:
         batched = update["epochs"][0]["new"]
@@ -478,33 +479,93 @@ def random_buffer(policy, rng, lengths):
 
 
 def test_rollout_values_equal_batch_one_critic_calls(monkeypatch):
-    """The update's one batched critic pass gives each state's `value_of` bit for bit."""
-    rng = np.random.default_rng(0)
-    policy = ActorCritic(rng, obs_dim=4, action_dim=3, hidden=6, mogrifier_rounds=5)
-    updater = PpoUpdater(policy, small_ppo_config(epochs=1))
-    buffer = random_buffer(policy, rng, [7, 10, 3])
-    buffer.transitions[-1].done = False  # so the update bootstraps
-    expected = [policy.value_of(tr.state) for tr in buffer.transitions]
-    expected.append(policy.value_of(buffer.next_obs))
+    """The update's one critic pass over the states and the bootstrap observation
+    gives each row's batch-1 value; after a terminal last step the bootstrap is
+    gated off, so the advantages equal those with a zero bootstrap."""
     seen = []
 
     def spy_gae(rewards, values, *args):
-        seen.append(np.array(values))
-        return gae_advantages(rewards, values, *args)
+        seen.append((np.array(values), gae_advantages(rewards, values, *args),
+                     gae_advantages(rewards, np.append(values[:-1], 0.0), *args)))
+        return seen[-1][1]
 
     monkeypatch.setattr(ppo_module, "gae_advantages", spy_gae)
-    updater.update(buffer)
-    assert len(seen) == 1
-    assert seen[0].tolist() == expected
+    for last_done in (False, True):
+        rng = np.random.default_rng(0)
+        policy = ActorCritic(rng, obs_dim=4, action_dim=3, hidden=6, mogrifier_rounds=5)
+        buffer = random_buffer(policy, rng, [7, 10, 3])
+        buffer.transitions[-1].done = last_done
+        with T.no_grad():
+            expected = np.array([policy.value(Tensor(obs[None])).value[0] for obs in
+                                 [tr.state for tr in buffer.transitions] + [buffer.next_obs]])
+        seen.clear()
+        PpoUpdater(policy, small_ppo_config(epochs=1)).update(buffer)
+        assert len(seen) == 1
+        values, advantages, zero_bootstrap = seen[0]
+        assert np.max(np.abs(values - expected)) <= 1e-12 * np.max(np.abs(expected))
+        same = all(np.array_equal(a, b) for a, b in zip(advantages, zero_bootstrap))
+        assert same == last_done
+
+
+class UpdateRowCounter:
+    """Counts the rows `MogrifierLstm.step` runs inside each `PpoUpdater.update`.
+
+    `updates` gets, per update, (segment lengths, transitions, rows stepped).
+    """
+
+    def __init__(self, monkeypatch):
+        self.updates = []
+        self._rows = None
+        real_step, real_update = MogrifierLstm.step, PpoUpdater.update
+
+        def step(cell, x, h, c):
+            if self._rows is not None:
+                self._rows += len(x)
+            return real_step(cell, x, h, c)
+
+        def update(updater, buffer):
+            lengths = [seg.length for seg in buffer.segments]
+            self._rows = 0
+            try:
+                return real_update(updater, buffer)
+            finally:
+                self.updates.append((lengths, len(buffer), self._rows))
+                self._rows = None
+
+        monkeypatch.setattr(MogrifierLstm, "step", step)
+        monkeypatch.setattr(PpoUpdater, "update", update)
+
+
+def test_update_steps_one_cell_row_per_transition(monkeypatch, tmp_path):
+    """Every epoch steps the cell on exactly the batch's transitions, no padding.
+
+    Segments of 300, 300, 300 and 124 are a package-default batch of 1024 (a
+    300 x 4 grid would step 1200 rows).  At batch 370 with 100-slot episodes the
+    second update starts mid-episode.
+    """
+    counter = UpdateRowCounter(monkeypatch)
+    rng = np.random.default_rng(0)
+    policy = ActorCritic(rng, obs_dim=4, action_dim=3, hidden=6, mogrifier_rounds=1)
+    PpoUpdater(policy, small_ppo_config(epochs=2)).update(
+        random_buffer(policy, rng, [300, 300, 300, 124]))
+    assert counter.updates == [([300, 300, 300, 124], 1024, 2 * 1024)]
+
+    counter.updates.clear()
+    cfg = small_cfg(episodes=8, horizon=100, batch_size=370)
+    train(cfg, tmp_path / "run", seed=0)
+    assert [lengths for lengths, _, _ in counter.updates] == [[100, 100, 100, 70],
+                                                              [30, 100, 100, 100, 40]]
+    epochs = cfg["rl"]["epochs"]
+    assert all(n == 370 and rows == epochs * 370 for _, n, rows in counter.updates)
 
 
 def test_update_epoch_tapes_at_most_30_nodes(monkeypatch):
-    """The recurrence over the whole (T_max, B) grid is one tape node."""
+    """The recurrence over the whole packed batch is one tape node."""
     rng = np.random.default_rng(0)
     policy = ActorCritic(rng, obs_dim=4, action_dim=3, hidden=6, mogrifier_rounds=5,
                          bptt_chunk=4)
     updater = PpoUpdater(policy, small_ppo_config(epochs=2))
-    buffer = random_buffer(policy, rng, [40, 25, 3])  # a 40 x 3 grid
+    buffer = random_buffer(policy, rng, [40, 25, 3])  # 40 steps: 3 rows wide, then 2, then 1
     tape_sizes = []
     real_backward = T.backward
 

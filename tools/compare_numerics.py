@@ -13,11 +13,16 @@ every 7 steps instead of the default 16).  That is 12 runs, each in its own
 sha256 of metrics.csv, slots.csv, episodes.jsonl and summary.json, then loads
 both final checkpoints with the change's loader and compares every parameter
 array.  Checkpoint file bytes are not compared, so a change of checkpoint
-layout alone is not a difference.  Exits 1 on any difference, 0 otherwise.
+layout alone is not a difference.  For a run that differs it also prints each
+tree's `final_window_mean_reward` and the largest relative parameter
+difference (max |base - change| over max |base|, worst parameter), so a
+change that moves numerics on purpose shows how far.  Exits 1 on any
+difference, 0 otherwise.
 """
 
 import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -66,9 +71,19 @@ def compare_run(base_dir: Path, change_dir: Path, load_checkpoint) -> list:
     _, change = load_checkpoint(change_dir / "checkpoints" / "final")
     if base.keys() != change.keys():
         problems.append(f"checkpoint names differ: {sorted(base.keys() ^ change.keys())}")
-    for name in sorted(base.keys() & change.keys()):
-        if base[name].shape != change[name].shape or base[name].tobytes() != change[name].tobytes():
-            problems.append(f"checkpoint parameter {name} differs")
+    shared = sorted(base.keys() & change.keys())
+    differing = [name for name in shared if base[name].shape != change[name].shape
+                 or base[name].tobytes() != change[name].tobytes()]
+    if differing:
+        problems.append(f"{len(differing)} of {len(shared)} checkpoint parameters differ")
+    if problems:
+        rewards = [json.loads((d / "summary.json").read_text())["final_window_mean_reward"]
+                   for d in (base_dir, change_dir)]
+        problems.append(f"final_window_mean_reward {rewards[0]!r} -> {rewards[1]!r}")
+        relative = [np.max(np.abs(base[n] - change[n])) / np.max(np.abs(base[n]))
+                    for n in differing if base[n].shape == change[n].shape]
+        if relative:
+            problems.append(f"largest relative parameter difference {max(relative):.2e}")
     return problems
 
 
