@@ -460,14 +460,22 @@ def assert_sequence_matches_per_step_tape(policy, lengths, rng):
 
 
 @pytest.mark.parametrize("rounds", [0, 1, 2, 5])
+def test_fused_recurrent_sequence_matches_primitives(rounds, rng):
+    """20 steps at batch 10 with a bptt_chunk cut, no padding."""
+    policy = ActorCritic(rng, obs_dim=4, action_dim=3, hidden=6, mogrifier_rounds=rounds,
+                         bptt_chunk=8)
+    policy.log_std.value = np.array([-6.0, -0.7, 1.5])  # two dims clamped
+    assert_sequence_matches_per_step_tape(policy, [20] * 10, rng)
+
+
+@pytest.mark.parametrize("rounds", [0, 1, 2, 5])
 @pytest.mark.parametrize("chunk", [0, 3, 16])
 def test_actor_sequence_matches_per_step_tape(rounds, chunk, rng):
-    """A full 20 x 10 grid, and segments of 17, 9, 4, 17 and 12 steps (the packed
-    batch shrinks as they end), cut never, often, or once at t = 16."""
+    """Segments of 17, 9, 4, 17 and 12 steps (the packed batch shrinks as they
+    end), cut never, often, or once at t = 16."""
     policy = ActorCritic(rng, obs_dim=4, action_dim=3, hidden=6, mogrifier_rounds=rounds,
                          bptt_chunk=chunk)
     policy.log_std.value = np.array([-6.0, -0.7, 1.5])  # two dims clamped
-    assert_sequence_matches_per_step_tape(policy, [20] * 10, rng)
     assert_sequence_matches_per_step_tape(policy, [17, 9, 4, 17, 12], rng)
 
 
