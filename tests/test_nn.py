@@ -421,7 +421,9 @@ def assert_sequence_matches_per_step_tape(policy, lengths, rng):
 
     Packed rows follow the segments longest first (stable), step-major; `order`
     maps buffer order (segment by segment) to packed rows.  Both losses weight
-    each live step's log-prob the same; the grid's padded slots weigh zero.
+    each live step's log-prob the same; the grid's padded slots weigh zero.  Both
+    also reuse log_std after the log-probs, so it already holds a gradient when
+    `log_prob`'s backward adds its own, as in the update.
     """
     lengths = np.array(lengths)
     steps, batch = lengths.max(), len(lengths)
@@ -443,12 +445,14 @@ def assert_sequence_matches_per_step_tape(policy, lengths, rng):
             means = policy.actor_sequence(obs[t_idx, b_idx], batch_sizes, h0[ranked], c0[ranked])
             logp = T.take(policy.log_prob(means, Tensor(actions[t_idx, b_idx])), order)
             w = weights[t_idx, b_idx][order]
-            return [logp], T.sum_all(T.mul(logp, Tensor(w)))
+            loss = T.sum_all(T.mul(logp, Tensor(w)))
+            return [logp], T.add(loss, T.sum_all(T.square(policy.log_std)))
         per_step = unfused_log_probs(policy, obs, h0, c0, actions, leaves)
         loss = T.sum_all(T.mul(per_step[0], Tensor(weights[0])))
         for logp_t, w_t in zip(per_step[1:], weights[1:]):
             loss = T.add(loss, T.sum_all(T.mul(logp_t, Tensor(w_t))))
         grid = np.stack([logp_t.value for logp_t in per_step])
+        loss = T.add(loss, T.sum_all(T.square(policy.log_std)))
         return [Tensor(grid[t_idx, b_idx][order])], loss
 
     (out_f, grads_f), (out_u, grads_u) = fused_and_unfused(build, policy.params(), leaves)
@@ -471,12 +475,13 @@ def test_fused_recurrent_sequence_matches_primitives(rounds, rng):
 @pytest.mark.parametrize("rounds", [0, 1, 2, 5])
 @pytest.mark.parametrize("chunk", [0, 3, 16])
 def test_actor_sequence_matches_per_step_tape(rounds, chunk, rng):
-    """Segments of 17, 9, 4, 17 and 12 steps (the packed batch shrinks as they
-    end), cut never, often, or once at t = 16."""
+    """Cut never, often, or once at t = 16: the unpadded 20x10 grid, then segments
+    of 17, 9, 4, 17 and 12 steps (the packed batch shrinks as they end)."""
     policy = ActorCritic(rng, obs_dim=4, action_dim=3, hidden=6, mogrifier_rounds=rounds,
                          bptt_chunk=chunk)
     policy.log_std.value = np.array([-6.0, -0.7, 1.5])  # two dims clamped
-    assert_sequence_matches_per_step_tape(policy, [17, 9, 4, 17, 12], rng)
+    for lengths in ([20] * 10, [17, 9, 4, 17, 12]):
+        assert_sequence_matches_per_step_tape(policy, lengths, rng)
 
 
 def test_fused_ops_untaped_under_no_grad(rng):
