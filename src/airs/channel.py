@@ -93,7 +93,7 @@ class PhaseShifts:
         object.__setattr__(self, "omega", omega)
         if omega.ndim != 1:
             raise ChannelError("phase vector must be one-dimensional")
-        if np.any(omega < -math.pi) or np.any(omega >= math.pi):
+        if (omega < -math.pi).any() or (omega >= math.pi).any():
             raise ChannelError("phases must lie in [-pi, pi)")
 
     def reflection(self) -> np.ndarray:
@@ -123,21 +123,28 @@ def angles_between(origin, target):
     Azimuth is atan2(dy, dx); elevation is the angle above the horizontal
     plane.  Raises for coincident points.
     """
-    delta = np.asarray(target, dtype=float) - np.asarray(origin, dtype=float)
-    horizontal = math.hypot(delta[0], delta[1])
-    if horizontal == 0.0 and delta[2] == 0.0:
+    dx, dy, dz = (np.asarray(target, dtype=float) - np.asarray(origin, dtype=float)).tolist()
+    horizontal = math.hypot(dx, dy)
+    if horizontal == 0.0 and dz == 0.0:
         raise ChannelError("cannot compute angles between coincident points")
-    return math.atan2(delta[1], delta[0]), math.atan2(delta[2], horizontal)
+    return math.atan2(dy, dx), math.atan2(dz, horizontal)
 
 
-def los_steering(geom: IrsGeometry, azimuth: float, elevation: float) -> np.ndarray:
-    """Unit-modulus array response for a plane wave at (azimuth, elevation)."""
-    return np.exp(1j * geom.phase_profile(azimuth, elevation))
+def hop_profile(geom: IrsGeometry, surface, far_end) -> np.ndarray:
+    """Per-element plane-wave phase of the hop between the surface and
+    `far_end`, at the direction of `far_end` seen from the surface."""
+    return geom.phase_profile(*angles_between(surface, far_end))
 
 
-def sample_channel(geom, loss_db, k, azimuth, elevation, rng) -> np.ndarray:
-    """One Rician channel vector: amplitude * (LoS + scatter mix).
+def los_steering(profile: np.ndarray) -> np.ndarray:
+    """Unit-modulus array response of a plane wave with per-element phase `profile`."""
+    return np.exp(1j * profile)
 
+
+def sample_channel(profile, loss_db, k, rng) -> np.ndarray:
+    """One Rician channel vector of a hop: amplitude * (LoS + scatter mix).
+
+    `profile` is the hop's per-element plane-wave phase (`hop_profile`).
     `k` is the power ratio of the deterministic component to the scattered
     one; `k = inf` selects the deterministic component exactly.  Scatter
     entries are circularly-symmetric complex Gaussian with unit variance.
@@ -145,11 +152,11 @@ def sample_channel(geom, loss_db, k, azimuth, elevation, rng) -> np.ndarray:
     if not (k >= 0):
         raise ChannelError(f"Rician factor must be >= 0, got {k}")
     amp = amplitude_from_db(loss_db)
-    los = los_steering(geom, azimuth, elevation)
+    los = los_steering(profile)
     if math.isinf(k):
         return amp * los
     nlos = (
-        rng.standard_normal(geom.size) + 1j * rng.standard_normal(geom.size)
+        rng.standard_normal(profile.size) + 1j * rng.standard_normal(profile.size)
     ) / math.sqrt(2.0)
     return amp * (
         math.sqrt(k / (1.0 + k)) * los + math.sqrt(1.0 / (1.0 + k)) * nlos
@@ -164,7 +171,7 @@ def cascaded_gain(g: np.ndarray, phases: PhaseShifts, h: np.ndarray) -> complex:
         raise ChannelError(
             f"dimension mismatch: g {g.shape}, h {h.shape}, omega {phases.omega.shape}"
         )
-    return complex(np.sum(g * phases.reflection() * h))
+    return complex((g * phases.reflection() * h).sum())
 
 
 def achievable_rate(budget: LinkBudget, g, phases: PhaseShifts, h) -> float:
@@ -174,18 +181,17 @@ def achievable_rate(budget: LinkBudget, g, phases: PhaseShifts, h) -> float:
     return budget.bandwidth * math.log2(1.0 + snr)
 
 
-def optimal_phases(geom: IrsGeometry, su_pos, irs_pos, user_pos) -> PhaseShifts:
-    """Per-element phases that align both hops for the given geometry.
+def optimal_phases(profile_in, profile_out) -> PhaseShifts:
+    """Per-element phases that align both hops.
 
-    Each element's phase cancels the combined plane-wave phase it would
-    accumulate on arrival (head -> surface) and departure (surface -> user),
-    so all element contributions to the cascaded gain share one phase and
-    their magnitudes add.  Output is wrapped into [-pi, pi).
+    `profile_in` and `profile_out` are the `hop_profile`s towards the head
+    and towards the user.  Each element's phase cancels the combined
+    plane-wave phase it would accumulate on arrival (head -> surface) and
+    departure (surface -> user), so all element contributions to the
+    cascaded gain share one phase and their magnitudes add.  Output is
+    wrapped into [-pi, pi).
     """
-    az_in, el_in = angles_between(irs_pos, su_pos)
-    az_out, el_out = angles_between(irs_pos, user_pos)
-    total = geom.phase_profile(az_in, el_in) + geom.phase_profile(az_out, el_out)
-    return PhaseShifts(wrap_phase(-total))
+    return PhaseShifts(wrap_phase(-(profile_in + profile_out)))
 
 
 def dump_channel(vec: np.ndarray) -> list:

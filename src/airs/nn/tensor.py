@@ -16,8 +16,10 @@ reverse walk.  The actor's recurrence over a packed batch runs the trunk and
 mean head as one gemm over all rows instead of one per step; gemm rounding
 depends on the row count, so it matches the per-step primitive tape to
 rounding (1e-12 relative), not bit for bit.
-`clear_tape` drops every node's `backward_fn`, so each graph is freed by
-reference counting, after backward() and on an aborted update alike.
+backward() takes each taped node's `backward_fn` and gradient off it as it
+walks it, and `clear_tape` drops every `backward_fn` left, so each graph is
+freed by reference counting, during backward() and on an aborted update
+alike.  Gradients stay only on leaves (tensors made with requires_grad).
 """
 
 from contextlib import contextmanager
@@ -326,11 +328,17 @@ def backward(loss: Tensor):
 
     Consumes the tape: the graph must be rebuilt (loss recomputed) before
     calling backward again; leaf gradients then accumulate across calls.
+    Taped nodes, the loss among them, are left without a gradient.
     """
     if loss.value.ndim != 0:
         raise ValueError(f"backward() expects a scalar loss, got shape {loss.value.shape}")
     loss.add_grad(np.ones_like(loss.value))
     for node in reversed(_tape):
-        if node.backward_fn is not None and node.grad is not None:
-            node.backward_fn(node.grad)
+        # Take the closure and the gradient off the node before running it, so
+        # what only they hold (a layer's cached activations, the gradient of
+        # its output) is freed as the walk goes, not when the tape is cleared.
+        backward_fn, node.backward_fn = node.backward_fn, None
+        grad, node.grad = node.grad, None
+        if backward_fn is not None and grad is not None:
+            backward_fn(grad)
     clear_tape()

@@ -110,20 +110,23 @@ class RunWriter:
             self.trajectory.write(TRAJECTORY_HEADER)
 
     def slot(self, record):
+        # One f-string per row gives the bytes `_row` would: repr of each float
+        # (made a Python float, since numpy 2 scalars repr as np.float64(...)),
+        # 0/1 for each flag and str for the rest.
+        r = record
         if self.slots is not None:
             self.slots.write(
-                _row(
-                    record.episode, record.t, record.served_user, record.rate_bps,
-                    record.energy_j, record.jain, record.reward, record.f_t,
-                    record.los, record.violated,
-                )
+                f"{r.episode},{r.t},{r.served_user},{float(r.rate_bps)!r},"
+                f"{float(r.energy_j)!r},{float(r.jain)!r},{float(r.reward)!r},"
+                f"{float(r.f_t)!r},{int(r.los)},{int(r.violated)}\n"
             )
         if self.trajectory is not None:
-            x, y, z = record.uav_position
-            ax, ay, az = record.displacement
+            x, y, z = r.uav_position
+            ax, ay, az = r.displacement
             self.trajectory.write(
-                _row(record.episode, record.t, x, y, z, ax, ay, az,
-                     record.energy_j, record.violated)
+                f"{r.episode},{r.t},{float(x)!r},{float(y)!r},{float(z)!r},"
+                f"{float(ax)!r},{float(ay)!r},{float(az)!r},{float(r.energy_j)!r},"
+                f"{int(r.violated)}\n"
             )
 
     def episode(self, index: int, reward: float, rates: list, energy: float,

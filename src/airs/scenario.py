@@ -7,6 +7,7 @@ at constant speed and pick a random continuation at each intersection.
 """
 
 import json
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
 import numpy as np
@@ -155,6 +156,9 @@ class RoadNetwork:
         self.centers_y = [
             config.area_y_min + k * pitch - self.half_width for k in range(1, n)
         ]
+        # Graph node coordinates along each axis: borders and centerlines.
+        self.nodes_x = sorted({self.x_min, self.x_max, *self.centers_x})
+        self.nodes_y = sorted({self.y_min, self.y_max, *self.centers_y})
         self._graph = self._build_graph()
 
     def _build_graph(self):
@@ -165,12 +169,10 @@ class RoadNetwork:
             graph.setdefault(b, set()).add(a)
 
         for cy in self.centers_y:
-            xs = sorted({self.x_min, self.x_max, *self.centers_x})
-            for a, b in zip(xs, xs[1:]):
+            for a, b in zip(self.nodes_x, self.nodes_x[1:]):
                 add_edge(self._key(a, cy), self._key(b, cy))
         for cx in self.centers_x:
-            ys = sorted({self.y_min, self.y_max, *self.centers_y})
-            for a, b in zip(ys, ys[1:]):
+            for a, b in zip(self.nodes_y, self.nodes_y[1:]):
                 add_edge(self._key(cx, a), self._key(cx, b))
         return graph
 
@@ -223,22 +225,19 @@ class RoadNetwork:
     def next_node_along(self, x, y, heading):
         """First graph node strictly ahead of (x, y) in direction `heading`."""
         if abs(heading[0]) > 0.5:  # moving along x on a horizontal centerline
-            xs = sorted({self.x_min, self.x_max, *self.centers_x})
-            if heading[0] > 0:
-                ahead = [v for v in xs if v > x + 1e-9]
-                nx = min(ahead) if ahead else None
-            else:
-                ahead = [v for v in xs if v < x - 1e-9]
-                nx = max(ahead) if ahead else None
+            nx = _next_ahead(self.nodes_x, x, heading[0])
             return None if nx is None else (nx, y)
-        ys = sorted({self.y_min, self.y_max, *self.centers_y})
-        if heading[1] > 0:
-            ahead = [v for v in ys if v > y + 1e-9]
-            ny = min(ahead) if ahead else None
-        else:
-            ahead = [v for v in ys if v < y - 1e-9]
-            ny = max(ahead) if ahead else None
+        ny = _next_ahead(self.nodes_y, y, heading[1])
         return None if ny is None else (x, ny)
+
+
+def _next_ahead(nodes, v, direction):
+    """The nearest of the sorted `nodes` more than 1e-9 past v in `direction`."""
+    if direction > 0:
+        i = bisect_right(nodes, v + 1e-9)
+        return nodes[i] if i < len(nodes) else None
+    i = bisect_left(nodes, v - 1e-9)
+    return nodes[i - 1] if i > 0 else None
 
 
 @dataclass
@@ -263,35 +262,34 @@ def step_user(track: UserTrack, dt: float, rng, network: RoadNetwork) -> UserTra
     border).  The returned track is a new object; the input is untouched.
     """
     remaining = track.speed * dt
-    x, y = float(track.position[0]), float(track.position[1])
-    heading = track.heading.copy()
+    x, y = track.position.tolist()[:2]
+    hx, hy = track.heading.tolist()
     while remaining > 1e-12:
-        node = network.next_node_along(x, y, heading)
+        node = network.next_node_along(x, y, (hx, hy))
         if node is None:
             # Standing exactly on a border node: treat as dead end, turn back.
-            heading = -heading
+            hx, hy = -hx, -hy
             continue
         dist = abs(node[0] - x) + abs(node[1] - y)
         if remaining < dist - 1e-12:
-            x += heading[0] * remaining
-            y += heading[1] * remaining
+            x += hx * remaining
+            y += hy * remaining
             remaining = 0.0
             break
         x, y = node
         remaining -= dist
         options = sorted(
-            (float(np.sign(nb[0] - x)), float(np.sign(nb[1] - y)))
-            for nb in network.neighbors((x, y))
+            (float((nx > x) - (nx < x)), float((ny > y) - (ny < y)))
+            for nx, ny in network.neighbors((x, y))
         )
         # Exclude the reversal unless nothing else connects (dead end).
-        reverse = (-float(heading[0]), -float(heading[1]))
+        reverse = (-hx, -hy)
         forward = [d for d in options if d != reverse]
         if not forward:
-            heading = -heading
+            hx, hy = reverse
         else:
-            pick = forward[int(rng.integers(len(forward)))]
-            heading = np.array(pick)
-    return UserTrack(np.array([x, y, 0.0]), heading, track.speed)
+            hx, hy = forward[int(rng.integers(len(forward)))]
+    return UserTrack(np.array([x, y, 0.0]), np.array([hx, hy]), track.speed)
 
 
 def generate_city(config: ScenarioConfig) -> list:
@@ -343,23 +341,72 @@ def _place_one(rng, ox, oy, cell, side_lo, side_hi, placed):
 
 
 class BuildingIndex:
-    """Packed column arrays of building boxes for vectorized occlusion tests."""
+    """Building boxes packed as arrays for vectorized occlusion tests.
+
+    `lo` and `hi` are the (n, 3) lower and upper box corners and the source of
+    truth; assigning either one rebuilds `slabs` on its next use, and the
+    stored arrays are read-only, so an in-place edit cannot leave it stale.
+    """
 
     def __init__(self, buildings):
-        if buildings:
-            self.lo = np.array([[b.x0, b.y0, 0.0] for b in buildings])
-            self.hi = np.array([[b.x1, b.y1, b.height] for b in buildings])
-        else:
-            self.lo = np.zeros((0, 3))
-            self.hi = np.zeros((0, 3))
         self.buildings = list(buildings)
+        self.lo = [[b.x0, b.y0, 0.0] for b in self.buildings]
+        self.hi = [[b.x1, b.y1, b.height] for b in self.buildings]
+
+    @property
+    def lo(self):
+        return self._lo
+
+    @lo.setter
+    def lo(self, value):
+        self._lo = _corners(value)
+        self._slabs = None
+
+    @property
+    def hi(self):
+        return self._hi
+
+    @hi.setter
+    def hi(self, value):
+        self._hi = _corners(value)
+        self._slabs = None
+
+    @property
+    def slabs(self):
+        """(8, 6, n) entry then exit faces of every box, per direction octant.
+
+        Rows 0-2 of octant k are the faces through which a segment enters the
+        x, y and z slabs, rows 3-5 those through which it leaves them.  Octant
+        k holds the segments whose direction component j is negative exactly
+        when bit j of k is set; such a segment enters the slab of axis j
+        through `hi` and leaves it through `lo`.
+        """
+        if self._slabs is None:
+            negative = (np.arange(8)[:, None, None] >> np.arange(3)[:, None]) & 1 == 1
+            lo, hi = self._lo.T, self._hi.T
+            # C order keeps each face row contiguous for the reductions in `_clear`.
+            self._slabs = np.ascontiguousarray(np.concatenate(
+                (np.where(negative, hi, lo), np.where(negative, lo, hi)), axis=1
+            ))
+        return self._slabs
 
     def __len__(self):
         return len(self.buildings)
 
 
-def is_los(a, b, buildings) -> bool:
+def _corners(value) -> np.ndarray:
+    corners = np.array(value, dtype=float).reshape(-1, 3)
+    corners.flags.writeable = False
+    return corners
+
+
+def is_los(a, b, buildings, then=None) -> bool:
     """True when the open segment (a, b) misses every building box.
+
+    With `then`, the path a -> b -> then is tested, and the call equals
+    `is_los(a, b, buildings) and is_los(b, then, buildings)`, including
+    which coincident endpoints raise: those of the second segment only when
+    the first is clear.
 
     Slab test per axis; a box counts as hit only when the segment spends a
     positive-length parameter interval inside it, so surface grazes do not
@@ -367,31 +414,42 @@ def is_los(a, b, buildings) -> bool:
     symmetric in its arguments.
     """
     index = buildings if isinstance(buildings, BuildingIndex) else BuildingIndex(buildings)
-    a = np.asarray(a, dtype=float)
-    b = np.asarray(b, dtype=float)
-    if np.array_equal(a, b):
-        raise ScenarioError("is_los requires distinct endpoints")
-    if len(index) == 0:
-        return True
-    if tuple(b.tolist()) < tuple(a.tolist()):
-        a, b = b, a
-    d = b - a
-    with np.errstate(divide="ignore", invalid="ignore"):
-        t1 = (index.lo - a) / d
-        t2 = (index.hi - a) / d
-    axis_lo = np.minimum(t1, t2)
-    axis_hi = np.maximum(t1, t2)
-    flat = d == 0.0
-    if flat.any():
-        # A zero direction component either satisfies the slab for all t or
-        # misses the box entirely; the division above is meaningless there.
-        inside = (a >= index.lo) & (a <= index.hi)
-        axis_lo = np.where(flat & inside, -np.inf, axis_lo)
-        axis_hi = np.where(flat & inside, np.inf, axis_hi)
-        axis_lo = np.where(flat & ~inside, np.inf, axis_lo)
-        axis_hi = np.where(flat & ~inside, -np.inf, axis_hi)
-    t_enter = axis_lo.max(axis=1)
-    t_exit = axis_hi.min(axis=1)
-    start = np.maximum(t_enter, 0.0)
-    end = np.minimum(t_exit, 1.0)
-    return not bool((end > start).any())
+    points = (a, b) if then is None else (a, b, then)
+    path = [np.asarray(p, dtype=float).tolist() for p in points]
+    segments = []
+    for p, q in zip(path, path[1:]):
+        if p == q:
+            if segments and not _clear(index, segments):
+                return False
+            raise ScenarioError("is_los requires distinct endpoints")
+        segments.append((q, p) if q < p else (p, q))
+    return _clear(index, segments)
+
+
+def _clear(index: BuildingIndex, segments) -> bool:
+    """True when no segment (start, end) spends a positive-length parameter
+    interval inside a box."""
+    octants, starts, steps = [], [], []
+    flat = False
+    for (x0, y0, z0), (x1, y1, z1) in segments:
+        # Adding 0.0 turns a -0.0 difference into 0.0: a flat axis takes the
+        # lo-face octant and divides by +0.0, where -0.0 would flip the signs
+        # of its infinities.
+        d = [x1 - x0 + 0.0, y1 - y0 + 0.0, z1 - z0 + 0.0]
+        flat = flat or 0.0 in d
+        octants.append((d[0] < 0.0) + 2 * (d[1] < 0.0) + 4 * (d[2] < 0.0))
+        starts += [x0, y0, z0] * 2
+        steps += d * 2
+    start, step = np.array(starts + steps).reshape(2, len(segments), 6, 1)
+    offsets = index.slabs.take(octants, axis=0) - start
+    if flat:
+        # On a flat axis the slab parameter is +-inf, or nan when the start
+        # lies on that face; fmax/fmin below skip nan, so a face counts as
+        # inside the slab, as it does for a grazing segment.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t = offsets / step
+    else:
+        t = offsets / step
+    enter = np.fmax.reduce(t[:, :3], axis=1, initial=0.0)
+    leave = np.fmin.reduce(t[:, 3:], axis=1, initial=1.0)
+    return not (leave > enter).any()

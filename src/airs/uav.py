@@ -74,7 +74,7 @@ def scale_action(raw: np.ndarray, d_max: float) -> np.ndarray:
     Components are clipped then scaled by d_max/sqrt(3), which caps the
     infinity norm and therefore the Euclidean norm at d_max.
     """
-    raw = np.clip(np.asarray(raw, dtype=float), -1.0, 1.0)
+    raw = np.minimum(np.maximum(np.asarray(raw, dtype=float), -1.0), 1.0)
     return raw * (d_max / math.sqrt(3.0))
 
 
@@ -84,27 +84,27 @@ def apply_action(state: UavState, action, bounds: FlightBounds):
     Returns (new_state, violated).  Leaving the envelope clamps the position
     to the boundary and flags the slot instead of ending the episode.
     """
-    action = np.asarray(action, dtype=float)
-    target = state.position + action
-    clamped = np.array(
-        [
-            min(max(target[0], bounds.x_min), bounds.x_max),
-            min(max(target[1], bounds.y_min), bounds.y_max),
-            min(max(target[2], bounds.z_min), bounds.z_max),
-        ]
+    x, y, z = state.position.tolist()
+    dx, dy, dz = np.asarray(action, dtype=float).tolist()
+    target = (x + dx, y + dy, z + dz)
+    clamped = (
+        min(max(target[0], bounds.x_min), bounds.x_max),
+        min(max(target[1], bounds.y_min), bounds.y_max),
+        min(max(target[2], bounds.z_min), bounds.z_max),
     )
-    violated = bool(np.any(clamped != target))
-    new_state = UavState(clamped, state.slot_duration)
-    return new_state, violated
+    # Elementwise, so a nan target counts as violated; tuple != would take
+    # the identical nan objects for equal.
+    violated = any(c != t for c, t in zip(clamped, target))
+    return UavState(np.array(clamped), state.slot_duration), violated
 
 
 def propulsion_energy(model: EnergyModel, action, dt: float) -> float:
     """Slot energy in joules for a displacement flown over dt seconds."""
     if dt <= 0:
         raise UavError(f"slot duration must be positive, got {dt}")
-    action = np.asarray(action, dtype=float)
-    v_h = math.hypot(action[0], action[1]) / dt
-    v_v = abs(action[2]) / dt
+    dx, dy, dz = np.asarray(action, dtype=float).tolist()
+    v_h = math.hypot(dx, dy) / dt
+    v_v = abs(dz) / dt
     return power_at(model, v_h, v_v) * dt
 
 
@@ -130,4 +130,6 @@ def power_at(model: EnergyModel, v_h: float, v_v: float = 0.0) -> float:
 
 def distance(a, b) -> float:
     """Euclidean distance between two 3-D points."""
-    return float(np.linalg.norm(np.asarray(a, dtype=float) - np.asarray(b, dtype=float)))
+    delta = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
+    # What np.linalg.norm computes for a vector, without its dispatch.
+    return math.sqrt(delta.dot(delta))

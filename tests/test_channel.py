@@ -16,20 +16,22 @@ def pure_los_pair(rng, geom=GEOM):
     user = rng.uniform([0, 0, 0], [600, 600, 2])
     model = ch.PathLossModel()
     g = ch.sample_channel(
-        geom,
+        ch.hop_profile(geom, irs, su),
         ch.path_loss_db(model, float(np.linalg.norm(su - irs))),
         float("inf"),
-        *ch.angles_between(irs, su),
         None,
     )
     h = ch.sample_channel(
-        geom,
+        ch.hop_profile(geom, irs, user),
         ch.path_loss_db(model, float(np.linalg.norm(user - irs))),
         float("inf"),
-        *ch.angles_between(irs, user),
         None,
     )
     return su, irs, user, g, h
+
+
+def aligned_phases(su, irs, user, geom=GEOM):
+    return ch.optimal_phases(ch.hop_profile(geom, irs, su), ch.hop_profile(geom, irs, user))
 
 
 # -- path loss -----------------------------------------------------------------
@@ -64,19 +66,19 @@ def test_path_loss_rejects_nonpositive_distance():
 
 
 def test_steering_reference_element_is_unity():
-    vec = ch.los_steering(GEOM, 0.7, -0.3)
+    vec = ch.los_steering(GEOM.phase_profile(0.7, -0.3))
     assert vec[0] == pytest.approx(1.0 + 0.0j)
 
 
 def test_steering_unit_modulus():
-    vec = ch.los_steering(GEOM, 1.1, 0.4)
+    vec = ch.los_steering(GEOM.phase_profile(1.1, 0.4))
     assert np.max(np.abs(np.abs(vec) - 1.0)) < 1e-12
 
 
 def test_steering_matches_per_element_formula():
     geom = ch.IrsGeometry(rows=2, cols=2, element_spacing=0.005, wavelength=0.01)
     az = el = math.pi / 6
-    vec = ch.los_steering(geom, az, el)
+    vec = ch.los_steering(geom.phase_profile(az, el))
     scale = 2.0 * math.pi * geom.element_spacing / geom.wavelength
     for m_r in range(2):
         for m_c in range(2):
@@ -89,8 +91,8 @@ def test_steering_matches_per_element_formula():
 def test_steering_conjugate_under_angle_negation(rng):
     for _ in range(25):
         az, el = rng.uniform(-math.pi, math.pi, size=2)
-        a = ch.los_steering(GEOM, az, el)
-        b = ch.los_steering(GEOM, -az, -el)
+        a = ch.los_steering(GEOM.phase_profile(az, el))
+        b = ch.los_steering(GEOM.phase_profile(-az, -el))
         assert np.allclose(b, np.conj(a), atol=1e-12)
 
 
@@ -98,37 +100,36 @@ def test_steering_conjugate_under_angle_negation(rng):
 
 
 def test_sample_pure_los_is_exact():
-    vec = ch.sample_channel(GEOM, 60.0, float("inf"), 0.3, 0.2, None)
-    expected = ch.amplitude_from_db(60.0) * ch.los_steering(GEOM, 0.3, 0.2)
+    profile = GEOM.phase_profile(0.3, 0.2)
+    vec = ch.sample_channel(profile, 60.0, float("inf"), None)
+    expected = ch.amplitude_from_db(60.0) * ch.los_steering(profile)
     assert np.array_equal(vec, expected)
 
 
 def test_sample_k0_variance_matches_amplitude(rng):
     amp = ch.amplitude_from_db(20.0)
-    draws = np.stack(
-        [ch.sample_channel(GEOM, 20.0, 0.0, 0.5, 0.1, rng) for _ in range(100_000)]
-    )
+    profile = GEOM.phase_profile(0.5, 0.1)
+    draws = np.stack([ch.sample_channel(profile, 20.0, 0.0, rng) for _ in range(100_000)])
     variance = np.var(draws, axis=0).mean()
     assert abs(variance - amp**2) / amp**2 < 0.03
 
 
 def test_sample_deterministic_for_fixed_seed():
-    a = ch.sample_channel(GEOM, 30.0, 5.0, 0.1, 0.2, np.random.default_rng(11))
-    b = ch.sample_channel(GEOM, 30.0, 5.0, 0.1, 0.2, np.random.default_rng(11))
+    a = ch.sample_channel(GEOM.phase_profile(0.1, 0.2), 30.0, 5.0, np.random.default_rng(11))
+    b = ch.sample_channel(GEOM.phase_profile(0.1, 0.2), 30.0, 5.0, np.random.default_rng(11))
     assert np.array_equal(a, b)
 
 
 def test_sample_negative_k_rejected():
     with pytest.raises(ch.ChannelError):
-        ch.sample_channel(GEOM, 30.0, -1.0, 0.0, 0.0, np.random.default_rng(0))
+        ch.sample_channel(GEOM.phase_profile(0.0, 0.0), 30.0, -1.0, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize("k", [1.0, 5.0, 10.0])
 def test_rician_factor_recovered_from_samples(k):
     rng = np.random.default_rng(99)
-    draws = np.stack(
-        [ch.sample_channel(GEOM, 0.0, k, 0.4, -0.2, rng) for _ in range(100_000)]
-    )
+    profile = GEOM.phase_profile(0.4, -0.2)
+    draws = np.stack([ch.sample_channel(profile, 0.0, k, rng) for _ in range(100_000)])
     mean = draws.mean(axis=0)
     scatter = draws - mean
     estimate = (np.abs(mean) ** 2 / scatter.var(axis=0)).mean()
@@ -213,14 +214,14 @@ def test_optimal_phase_zero_for_reference_element(rng):
     su = np.array([-100.0, 30.0, 25.0])
     irs = np.array([200.0, 300.0, 95.0])
     user = np.array([310.0, 190.0, 0.0])
-    phases = ch.optimal_phases(GEOM, su, irs, user)
+    phases = aligned_phases(su, irs, user)
     assert phases.omega[0] == pytest.approx(0.0, abs=1e-12)
 
 
 def test_optimal_phases_reach_alignment_bound(rng):
     for _ in range(50):
         su, irs, user, g, h = pure_los_pair(rng)
-        phases = ch.optimal_phases(GEOM, su, irs, user)
+        phases = aligned_phases(su, irs, user)
         gain = abs(ch.cascaded_gain(g, phases, h))
         bound = float(np.sum(np.abs(g) * np.abs(h)))
         assert abs(gain - bound) / bound < 1e-9
@@ -228,7 +229,7 @@ def test_optimal_phases_reach_alignment_bound(rng):
 
 def test_optimal_phases_beat_random_settings(rng):
     su, irs, user, g, h = pure_los_pair(rng)
-    phases = ch.optimal_phases(GEOM, su, irs, user)
+    phases = aligned_phases(su, irs, user)
     best = abs(ch.cascaded_gain(g, phases, h))
     for _ in range(200):
         random_phases = ch.PhaseShifts(rng.uniform(-math.pi, math.pi, GEOM.size))
@@ -238,7 +239,7 @@ def test_optimal_phases_beat_random_settings(rng):
 def test_optimal_phases_in_range(rng):
     for _ in range(50):
         su, irs, user, _, _ = pure_los_pair(rng)
-        omega = ch.optimal_phases(GEOM, su, irs, user).omega
+        omega = aligned_phases(su, irs, user).omega
         assert np.all(omega >= -math.pi) and np.all(omega < math.pi)
 
 
@@ -246,7 +247,7 @@ def test_per_element_phase_identity(rng):
     """Each aligned element contributes the same phase modulo 2*pi."""
     for _ in range(20):
         su, irs, user, g, h = pure_los_pair(rng)
-        phases = ch.optimal_phases(GEOM, su, irs, user)
+        phases = aligned_phases(su, irs, user)
         terms = g * phases.reflection() * h
         angles = np.angle(terms)
         spread = np.angle(np.exp(1j * (angles - angles[0])))
@@ -256,7 +257,7 @@ def test_per_element_phase_identity(rng):
 def test_coincident_positions_rejected():
     p = np.array([1.0, 2.0, 3.0])
     with pytest.raises(ch.ChannelError):
-        ch.optimal_phases(GEOM, p, p, np.array([4.0, 5.0, 6.0]))
+        ch.hop_profile(GEOM, p, p)
 
 
 def test_dump_channel_re_im_pairs():

@@ -65,6 +65,18 @@ def test_jain_bounds(rng):
         assert 1.0 / n - 1e-12 <= value <= 1.0 + 1e-12
 
 
+@pytest.mark.parametrize("n", [3, 9])
+def test_jain_index_keeps_numpy_pairwise_sums(n):
+    """Bit-equal to numpy's reductions; at 9 rates Python's sum() would
+    differ, because numpy's pairwise sum unrolls by 8."""
+    rng = np.random.default_rng(n)
+    for _ in range(300):
+        r = rng.uniform(0.0, 1e7, n) * rng.uniform(0.0, 1.0, n) ** 4
+        expected = float(r.sum() ** 2 / (n * np.square(r).sum()))
+        assert jain_index(r) == expected
+        assert jain_index(r.tolist()) == expected
+
+
 def test_objective_ratio_values():
     assert objective_ratio([0.0, 0.0], 5.0) == 0.0
     assert objective_ratio([4.0], 2.0) == pytest.approx(2.0)
@@ -249,23 +261,21 @@ def test_computed_phases_never_beaten_by_random(rng):
     env.step(np.array([0.2, 0.1, 0.0]))
     irs = env.state.position
     user = env.tracks[0].position
+    profile_in = ch.hop_profile(env.geometry, irs, env.su)
+    profile_out = ch.hop_profile(env.geometry, irs, user)
     g = ch.sample_channel(
-        env.geometry,
+        profile_in,
         ch.path_loss_db(env.loss_model, float(np.linalg.norm(env.su - irs))),
         float("inf"),
-        *ch.angles_between(irs, env.su),
         None,
     )
     h = ch.sample_channel(
-        env.geometry,
+        profile_out,
         ch.path_loss_db(env.loss_model, float(np.linalg.norm(user - irs))),
         float("inf"),
-        *ch.angles_between(irs, user),
         None,
     )
-    best = ch.achievable_rate(
-        env.budget, g, ch.optimal_phases(env.geometry, env.su, irs, user), h
-    )
+    best = ch.achievable_rate(env.budget, g, ch.optimal_phases(profile_in, profile_out), h)
     for _ in range(100):
         random_phases = ch.PhaseShifts(rng.uniform(-math.pi, math.pi, env.geometry.size))
         assert ch.achievable_rate(env.budget, g, random_phases, h) <= best

@@ -627,6 +627,24 @@ def test_backward_accumulates_across_calls(rng):
     assert np.allclose(p.grad, 4.0 * p.value)
 
 
+def test_backward_drops_each_closure_once_walked():
+    """A node's backward_fn and gradient are gone before the nodes taped
+    ahead of it run; the leaf keeps its gradient."""
+    p = Tensor(np.ones(2), requires_grad=True)
+    seen = []
+
+    def first_backward(g):
+        seen.append((second.backward_fn, second.grad))
+        p.add_grad(2.0 * g)
+
+    first = T.record(2.0 * p.value, first_backward)
+    second = T.record(first.value.sum(), lambda g: first.add_grad(g * np.ones(2)))
+    T.backward(second)
+    assert seen == [(None, None)]
+    assert first.grad is None
+    assert np.array_equal(p.grad, [2.0, 2.0])
+
+
 def test_backward_rejects_nonscalar(rng):
     p = Tensor(rng.standard_normal(4), requires_grad=True)
     with pytest.raises(ValueError):

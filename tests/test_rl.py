@@ -22,7 +22,9 @@ from airs.rl.ppo import (
     normalize_advantages,
     ppo_loss,
 )
-from airs.rl.train import _TrainerHooks, build_agent, ppo_config_from, train
+from airs.env import SlotRecord
+from airs.rl.train import (SLOTS_HEADER, TRAJECTORY_HEADER, RunWriter, _row, _TrainerHooks,
+                            build_agent, ppo_config_from, train)
 from airs.rng import STREAM_EXPLORATION, substream
 from airs.nn.tensor import Tensor
 from conftest import toy_overrides
@@ -282,6 +284,31 @@ def test_hover_agent_holds_position_and_hover_energy(tmp_path):
     assert len(positions) == 1
     energies = [float(r.split(",")[8]) for r in rows]
     assert all(abs(e - 288.06) < 1e-9 for e in energies)
+
+
+def test_slot_rows_are_the_bytes_row_formats(tmp_path):
+    """`RunWriter.slot` writes what `_row` makes of the same values, for
+    numpy scalars as well as Python ones."""
+    records = [
+        SlotRecord(np.int64(3), 7, 2, np.float64(1234.5678), 1.0 / 3.0, np.float64(0.1),
+                   -0.04, np.float64(1e-300), np.bool_(True), False,
+                   (np.float64(1.5), 2.25, np.float64(-0.0)), (0.1, np.float64(0.2), 1e20)),
+        SlotRecord(0, 0, 0, 0.0, 288.06, 1.0, 0.0, 0.0, False, np.bool_(True),
+                   (620.0, 0.0, 80.0), (-17.320508075688775, 0.0, -0.0)),
+    ]
+    writer = RunWriter(tmp_path, users=3, log_slots=True, log_trajectory=True)
+    for record in records:
+        writer.slot(record)
+    writer.close()
+    slots, trajectory = SLOTS_HEADER, TRAJECTORY_HEADER
+    for r in records:
+        slots += _row(r.episode, r.t, r.served_user, r.rate_bps, r.energy_j, r.jain,
+                      r.reward, r.f_t, r.los, r.violated)
+        trajectory += _row(r.episode, r.t, *r.uav_position, *r.displacement, r.energy_j,
+                           r.violated)
+    assert (tmp_path / "slots.csv").read_bytes() == slots.encode()
+    assert (tmp_path / "trajectory.csv").read_bytes() == trajectory.encode()
+    assert "np." not in slots + trajectory
 
 
 def test_random_agent_observations_stay_normalized():

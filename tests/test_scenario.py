@@ -171,6 +171,124 @@ def test_los_monotone_altitude_clearance(rng):
         assert sc.is_los(lifted_a, lifted_b, index)
 
 
+def reference_is_los(a, b, index):
+    """The slab test as first written: per-axis min/max of both face
+    parameters, with a flat axis patched to all or nothing.  Kept as the
+    exact oracle of `sc.is_los`."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
+    if np.array_equal(a, b):
+        raise sc.ScenarioError("is_los requires distinct endpoints")
+    if len(index) == 0:
+        return True
+    if tuple(b.tolist()) < tuple(a.tolist()):
+        a, b = b, a
+    d = b - a
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t1 = (index.lo - a) / d
+        t2 = (index.hi - a) / d
+    axis_lo = np.minimum(t1, t2)
+    axis_hi = np.maximum(t1, t2)
+    flat = d == 0.0
+    if flat.any():
+        inside = (a >= index.lo) & (a <= index.hi)
+        axis_lo = np.where(flat & inside, -np.inf, axis_lo)
+        axis_hi = np.where(flat & inside, np.inf, axis_hi)
+        axis_lo = np.where(flat & ~inside, np.inf, axis_lo)
+        axis_hi = np.where(flat & ~inside, -np.inf, axis_hi)
+    t_enter = axis_lo.max(axis=1)
+    t_exit = axis_hi.min(axis=1)
+    return not bool((np.minimum(t_exit, 1.0) > np.maximum(t_enter, 0.0)).any())
+
+
+def hard_segments(index, rng, count):
+    """Segments through the city: a fifth each random, axis-parallel (one or
+    two coordinates shared), lying in a box face, starting on a box face,
+    and ending on a box edge line (two of its face coordinates)."""
+    lo, hi = index.lo, index.hi
+    top = [620.0, 620.0, 150.0]
+    for i in range(count):
+        a = rng.uniform([0, 0, 0], top)
+        b = rng.uniform([0, 0, 0], top)
+        box = int(rng.integers(len(lo)))
+        axis = int(rng.integers(3))
+        face = (lo if rng.random() < 0.5 else hi)[box, axis]
+        kind = i % 5
+        if kind == 1:
+            shared = rng.choice(3, size=int(rng.integers(1, 3)), replace=False)
+            b[shared] = a[shared]
+        elif kind == 2:
+            a = rng.uniform(lo[box] - 5.0, hi[box] + 5.0)
+            b = rng.uniform(lo[box] - 5.0, hi[box] + 5.0)
+            a[axis] = b[axis] = face
+        elif kind == 3:
+            a = rng.uniform(lo[box], hi[box])
+            a[axis] = face
+        elif kind == 4:
+            b[axis] = face
+            b[(axis + 1) % 3] = (lo if rng.random() < 0.5 else hi)[box, (axis + 1) % 3]
+        if not np.array_equal(a, b):
+            yield a, b
+
+
+def test_los_equals_reference_slab_test(rng):
+    index = sc.BuildingIndex(sc.generate_city(default_scenario()))
+    verdicts = []
+    for a, b in hard_segments(index, rng, 6000):
+        expected = reference_is_los(a, b, index)
+        assert sc.is_los(a, b, index) == expected, (a, b)
+        verdicts.append(expected)
+    assert len(verdicts) >= 5000
+    assert 0.2 < np.mean(verdicts) < 0.8
+    # A flat axis whose direction component is -0.0 (-0.0 minus 0.0): a
+    # segment on the ground across a footprint lies in the box's bottom face.
+    (x0, y0, _), (x1, y1, _) = index.lo[0], index.hi[0]
+    y = (y0 + y1) / 2
+    for a, b in (((x0 - 10.0, y, 0.0), (x1 + 10.0, y, -0.0)),
+                 ((x1 + 10.0, y, -0.0), (x0 - 10.0, y, 0.0))):
+        assert sc.is_los(a, b, index) == reference_is_los(a, b, index) is False
+
+
+def test_two_hop_los_equals_both_reference_hops(rng):
+    index = sc.BuildingIndex(sc.generate_city(default_scenario()))
+
+    def outcome(test):
+        try:
+            return test()
+        except sc.ScenarioError:
+            return "raised"
+
+    segments = list(hard_segments(index, rng, 1500))
+    outcomes = []
+    for (a, b), (c, _) in zip(segments, segments[1:]):
+        # Second hop coincident, first hop coincident, and all distinct.
+        for su, irs, user in ((a, b, b.copy()), (a, a.copy(), b), (a, b, c), (c, a, b)):
+            expected = outcome(lambda: reference_is_los(su, irs, index)
+                               and reference_is_los(irs, user, index))
+            assert outcome(lambda: sc.is_los(su, irs, index, then=user)) == expected
+            outcomes.append(expected)
+    assert {True, False, "raised"} <= set(outcomes)
+    assert outcome(lambda: sc.is_los((0, 0, 0), (1, 1, 1), [], then=(1, 1, 1))) == "raised"
+
+
+def test_index_with_assigned_bounds_matches_built_index(rng):
+    """An index built empty, then given `lo`, `hi` and `buildings`, tests
+    exactly like one built from the city."""
+    built = sc.BuildingIndex(sc.generate_city(default_scenario()))
+    assigned = sc.BuildingIndex([])
+    assert sc.is_los((0, 0, 0), (620, 620, 0), assigned)
+    assigned.lo, assigned.hi = built.lo.copy(), built.hi.copy()
+    assigned.buildings = built.buildings
+    blocked = 0
+    for a, b in hard_segments(built, rng, 2000):
+        verdict = sc.is_los(a, b, built)
+        assert sc.is_los(a, b, assigned) == verdict
+        blocked += not verdict
+    assert blocked > 100
+    with pytest.raises(ValueError):
+        assigned.lo[0, 0] = 1.0
+
+
 # -- user mobility ---------------------------------------------------------------
 
 

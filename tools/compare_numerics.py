@@ -1,23 +1,35 @@
-"""Check that two source trees train byte-identical runs.
+"""Check that two source trees train and evaluate byte-identical runs.
 
     python3 tools/compare_numerics.py --base <src> --change <src>
 
 `<src>` is a directory holding the `airs` package (a checkout's `src/`).
-Each tree trains eppo, ppo_vanilla, ppo_mogrifier and ppo_necsa on the
-benchmark's learning city (`airsbench/workloads.py` LEARNING_CITY), once at
-`rl.batch_size=370` for 12 episodes (updates on segments that start
-mid-episode) and once at 1000 for 20 episodes; eppo and ppo_vanilla also
-train at 370 with `nn.bptt_chunk` 0 (the gradient is never cut) and 7 (cut
-every 7 steps instead of the default 16).  That is 12 runs, each in its own
-`airs train` subprocess with BLAS pinned to one thread.  The tool compares the
-sha256 of metrics.csv, slots.csv, episodes.jsonl and summary.json, then loads
-both final checkpoints with the change's loader and compares every parameter
-array.  Checkpoint file bytes are not compared, so a change of checkpoint
-layout alone is not a difference.  For a run that differs it also prints each
-tree's `final_window_mean_reward` and the largest relative parameter
-difference (max |base - change| over max |base|, worst parameter), so a
-change that moves numerics on purpose shows how far.  Exits 1 on any
-difference, 0 otherwise.
+Each tree makes 14 runs, each `airs` call in its own subprocess with BLAS
+pinned to one thread:
+- 12 trainings on the benchmark's learning city (`airsbench/workloads.py`
+  LEARNING_CITY: one user, pure line of sight): eppo, ppo_vanilla,
+  ppo_mogrifier and ppo_necsa, once at `rl.batch_size=370` for 12 episodes
+  (updates on segments that start mid-episode) and once at 1000 for 20
+  episodes; eppo and ppo_vanilla also at 370 with `nn.bptt_chunk` 0 (the
+  gradient is never cut) and 7 (cut every 7 steps instead of the default 16);
+- one eppo training on the `eval-city` city (EVAL_CITY: three users, Rician
+  k = 10) with 100-slot episodes, `env.rate_window=20` and
+  `env.observe_all_users=true`, at `rl.batch_size=250` (updates
+  mid-episode), so windowed three-user fairness and the Rician draws reach
+  the artifacts and the update;
+- one `airs eval` of the `eval-city` workload (EVAL_CITY, EVAL_EPISODES
+  episodes of 1500 slots, slot and trajectory logs on) from an eppo
+  checkpoint that the tree itself trains on that city (CHECKPOINT_OVERRIDES).
+
+The tool compares the sha256 of each run's artifacts (metrics.csv,
+slots.csv, trajectory.csv, episodes.jsonl and summary.json of a training;
+the eval files too for the eval run), then loads both final checkpoints with
+the change's loader and compares every parameter array.  Checkpoint file
+bytes are not compared, so a change of checkpoint layout alone is not a
+difference.  For a run that differs it also prints each tree's
+`final_window_mean_reward` and the largest relative parameter difference
+(max |base - change| over max |base|, worst parameter), so a change that
+moves numerics on purpose shows how far.  Exits 1 on any difference, 0
+otherwise.
 """
 
 import argparse
@@ -27,45 +39,80 @@ import os
 import subprocess
 import sys
 import tempfile
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT))
-from airsbench.workloads import BLAS_THREAD_VARS, LEARNING_CITY  # noqa: E402
+from airsbench.workloads import (  # noqa: E402
+    BLAS_THREAD_VARS, CHECKPOINT_OVERRIDES, EVAL_CITY, EVAL_EPISODES, LEARNING_CITY,
+)
 
-AGENTS = ("eppo", "ppo_vanilla", "ppo_mogrifier", "ppo_necsa")
-# (agent, rl.batch_size, episodes, nn.bptt_chunk or None for the default)
-RUNS = ([(agent, batch_size, episodes, None) for agent in AGENTS
-         for batch_size, episodes in ((370, 12), (1000, 20))]
-        + [(agent, 370, 12, chunk) for agent in ("eppo", "ppo_vanilla") for chunk in (0, 7)])
-ARTIFACTS = ("metrics.csv", "slots.csv", "episodes.jsonl", "summary.json")
+TRAIN_ARTIFACTS = ("metrics.csv", "slots.csv", "trajectory.csv", "episodes.jsonl",
+                   "summary.json")
+# The checkpoint training of the eval run writes no slot or trajectory log.
+EVAL_ARTIFACTS = ("metrics.csv", "episodes.jsonl", "summary.json", "eval/eval_metrics.csv",
+                  "eval/slots.csv", "eval/trajectory.csv", "eval/episodes.jsonl",
+                  "eval/eval_summary.json")
 SEED = 7
 
 
-def train(src: Path, out_dir: Path, agent: str, batch_size: int, episodes: int, chunk):
-    env = {k: v for k, v in os.environ.items() if not k.startswith("AIRS_")}
-    env.update({name: "1" for name in BLAS_THREAD_VARS})
-    env["PYTHONPATH"] = str(src)
+@dataclass(frozen=True)
+class Run:
+    label: str
+    train: tuple  # overrides of the `airs train` run
+    artifacts: tuple = TRAIN_ARTIFACTS
+    evaluate: tuple = None  # overrides of an `airs eval` of its final checkpoint
+
+
+def learning_run(agent, batch_size, episodes, chunk=None) -> Run:
+    label = f"{agent}_b{batch_size}" + ("" if chunk is None else f"_chunk{chunk}")
     overrides = LEARNING_CITY + (f"rl.agent={agent}", f"rl.batch_size={batch_size}",
                                  f"rl.episodes={episodes}")
     if chunk is not None:
         overrides += (f"nn.bptt_chunk={chunk}",)
-    subprocess.run(
-        [sys.executable, "-m", "airs.cli", "train", "--out", str(out_dir),
-         "--seed", str(SEED), "--override", *overrides],
-        env=env, check=True, stdout=subprocess.DEVNULL,
-    )
+    return Run(label, overrides)
+
+
+AGENTS = ("eppo", "ppo_vanilla", "ppo_mogrifier", "ppo_necsa")
+RUNS = (
+    [learning_run(agent, batch_size, episodes) for agent in AGENTS
+     for batch_size, episodes in ((370, 12), (1000, 20))]
+    + [learning_run(agent, 370, 12, chunk) for agent in ("eppo", "ppo_vanilla")
+       for chunk in (0, 7)]
+    + [Run("eppo_city_window20_all_users",
+           EVAL_CITY + ("env.horizon=100", "env.rate_window=20", "env.observe_all_users=true",
+                        "rl.agent=eppo", "rl.episodes=6", "rl.batch_size=250",
+                        "rl.checkpoint_every=0")),
+       Run("eval_city", CHECKPOINT_OVERRIDES, EVAL_ARTIFACTS, evaluate=EVAL_CITY)]
+)
+
+
+def airs(src: Path, *args):
+    env = {k: v for k, v in os.environ.items() if not k.startswith("AIRS_")}
+    env.update({name: "1" for name in BLAS_THREAD_VARS})
+    env["PYTHONPATH"] = str(src)
+    subprocess.run([sys.executable, "-m", "airs.cli", *args], env=env, check=True,
+                   stdout=subprocess.DEVNULL)
+
+
+def make_run(src: Path, out_dir: Path, run: Run):
+    airs(src, "train", "--out", str(out_dir), "--seed", str(SEED), "--override", *run.train)
+    if run.evaluate is not None:
+        airs(src, "eval", "--checkpoint", str(out_dir / "checkpoints" / "final"),
+             "--episodes", str(EVAL_EPISODES), "--out", str(out_dir / "eval"),
+             "--seed", str(SEED), "--override", *run.evaluate)
 
 
 def digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def compare_run(base_dir: Path, change_dir: Path, load_checkpoint) -> list:
+def compare_run(base_dir: Path, change_dir: Path, artifacts, load_checkpoint) -> list:
     """Differences between two run directories, as messages."""
-    problems = [f"{name} differs" for name in ARTIFACTS
+    problems = [f"{name} differs" for name in artifacts
                 if digest(base_dir / name) != digest(change_dir / name)]
     _, base = load_checkpoint(base_dir / "checkpoints" / "final")
     _, change = load_checkpoint(change_dir / "checkpoints" / "final")
@@ -98,16 +145,14 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
         failures = 0
-        for agent, batch_size, episodes, chunk in RUNS:
-            label = f"{agent}_b{batch_size}" + ("" if chunk is None else f"_chunk{chunk}")
+        for run in RUNS:
             dirs = {}
             for side in ("base", "change"):
-                dirs[side] = out / side / label
-                train(getattr(args, side).resolve(), dirs[side], agent, batch_size, episodes,
-                      chunk)
-            problems = compare_run(dirs["base"], dirs["change"], load_checkpoint)
+                dirs[side] = out / side / run.label
+                make_run(getattr(args, side).resolve(), dirs[side], run)
+            problems = compare_run(dirs["base"], dirs["change"], run.artifacts, load_checkpoint)
             failures += bool(problems)
-            print(f"{label}: {'; '.join(problems) if problems else 'identical'}")
+            print(f"{run.label}: {'; '.join(problems) if problems else 'identical'}")
     print(f"{failures} of {len(RUNS)} runs differ")
     return 1 if failures else 0
 
