@@ -14,7 +14,7 @@ import numpy as np
 from .config import ConfigError, apply_env_overrides, apply_overrides, load_config
 from .env import jain_index
 from .rl.ppo import NumericAbort
-from .rl.train import evaluate, train
+from .rl.train import evaluate, train, write_json_atomic
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -52,7 +52,7 @@ def cmd_train(args) -> int:
     except NumericAbort as exc:
         dump_path = Path(args.out) / "nan_dump.json"
         dump_path.parent.mkdir(parents=True, exist_ok=True)
-        dump_path.write_text(json.dumps(exc.dump, indent=2))
+        write_json_atomic(dump_path, exc.dump)
         print(f"error: {exc} (diagnostics in {dump_path})", file=sys.stderr)
         return EXIT_NUMERIC
     print(json.dumps(summary, indent=2, sort_keys=True))

@@ -1,7 +1,6 @@
 from .agents import AGENT_SPECS, baseline_agent
 from .necsa import EpisodicTable, NecsaShaper, abstract_state, necsa_revise
 from .ppo import (
-    NecsaConfig,
     NumericAbort,
     PpoConfig,
     PpoUpdater,
@@ -20,7 +19,6 @@ __all__ = [
     "NecsaShaper",
     "abstract_state",
     "necsa_revise",
-    "NecsaConfig",
     "NumericAbort",
     "PpoConfig",
     "PpoUpdater",

@@ -12,7 +12,7 @@ to `ppo_loss`.  Epoch 0 runs before any parameter moves, so its log-probs are
 the snapshot of the pre-update policy; there is no separate replay pass.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,27 +31,17 @@ class NumericAbort(RuntimeError):
 
 
 @dataclass(frozen=True)
-class NecsaConfig:
-    bins: int = 5
-    order: int = 1
-    weight: float = 0.2
-
-
-@dataclass(frozen=True)
 class PpoConfig:
     clip_epsilon: float = 0.02
     discount: float = 0.99
     gae_lambda: float = 0.95
     epochs: int = 10
-    batch_size: int = 1024
     critic_weight: float = 0.5
     entropy_weight: float = 0.01
     learning_rate: float = 3e-4
-    episodes: int = 3000
     adam_beta1: float = 0.9
     adam_beta2: float = 0.999
     adam_eps: float = 1e-8
-    necsa: NecsaConfig = field(default_factory=NecsaConfig)
 
 
 @dataclass

@@ -19,7 +19,7 @@ from ..nn.policy import ActorCritic
 from ..rng import STREAM_EXPLORATION, STREAM_POLICY_INIT, substream
 from .agents import AGENT_SPECS, PpoAgent, baseline_agent
 from .necsa import NecsaShaper
-from .ppo import NecsaConfig, PpoConfig, PpoUpdater, RolloutBuffer, Transition
+from .ppo import PpoConfig, PpoUpdater, RolloutBuffer, Transition
 
 FINAL_WINDOW = 50
 
@@ -43,16 +43,9 @@ def ppo_config_from(config: dict) -> PpoConfig:
         discount=rl["discount"],
         gae_lambda=rl["gae_lambda"],
         epochs=rl["epochs"],
-        batch_size=rl["batch_size"],
         critic_weight=rl["critic_weight"],
         entropy_weight=rl["entropy_weight"],
         learning_rate=rl["learning_rate"],
-        episodes=rl["episodes"],
-        necsa=NecsaConfig(
-            bins=rl["necsa"]["bins"],
-            order=rl["necsa"]["order"],
-            weight=rl["necsa"]["weight"],
-        ),
     )
 
 
@@ -79,7 +72,7 @@ def write_manifest(out_dir: Path, config: dict, seed: int):
         "package_version": __version__,
         "hyperparameter_ledger": {"rl": config["rl"], "nn": config["nn"]},
     }
-    _write_json_atomic(out_dir / "manifest.json", manifest)
+    write_json_atomic(out_dir / "manifest.json", manifest)
 
 
 METRICS_HEADER = (
@@ -129,19 +122,19 @@ class RunWriter:
                 f"{int(r.violated)}\n"
             )
 
-    def episode(self, index: int, reward: float, rates: list, energy: float,
-                sum_f: float, mean_penalty: float):
+    def episode(self, index: int, stats: dict):
         self.metrics.write(
-            _row(index, reward, *rates, energy, sum_f, mean_penalty)
+            _row(index, stats["reward"], *stats["rates"], stats["energy"], stats["sum_f"],
+                 stats["mean_penalty"])
         )
         self.episodes.write(
             json.dumps(
                 {
                     "episode": index,
-                    "cumulative_reward": reward,
-                    "avg_rate_per_user": rates,
-                    "cumulative_energy": energy,
-                    "sum_f_t": sum_f,
+                    "cumulative_reward": stats["reward"],
+                    "avg_rate_per_user": stats["rates"],
+                    "cumulative_energy": stats["energy"],
+                    "sum_f_t": stats["sum_f"],
                 },
                 sort_keys=True,
             )
@@ -154,111 +147,108 @@ class RunWriter:
                 handle.close()
 
 
-def _run_episode(env, agent, explore_rng, writer, episode_stats, greedy,
-                 trainer_hooks=None):
-    """One episode; trainer_hooks, when given, handles buffering and updates."""
-    obs = env.reset()
-    agent.reset()
-    total_reward = 0.0
-    total_energy = 0.0
-    sum_f = 0.0
-    penalties = []
-    done = False
-    while not done:
-        if trainer_hooks is not None:
-            trainer_hooks.before_step(agent)
-        action = agent.act(obs, explore_rng, greedy=greedy)
-        next_obs, breakdown, done = env.step(action)
-        record = env.last_slot
-        writer.slot(record)
-        total_reward += breakdown.reward
-        total_energy += breakdown.energy
-        sum_f += record.f_t
-        penalties.append(breakdown.penalty)
-        if trainer_hooks is not None:
-            trainer_hooks.after_step(obs, action, breakdown, next_obs, done)
-        obs = next_obs
-    rates = [float(r) for r in env.per_user_average_rates()]
-    mean_penalty = float(np.mean(penalties)) if penalties else 0.0
-    stats = {
-        "reward": float(total_reward),
-        "rates": rates,
-        "energy": float(total_energy),
-        "sum_f": float(sum_f),
-        "mean_penalty": mean_penalty,
-    }
-    episode_stats.append(stats)
-    return stats["reward"], rates, stats["energy"], stats["sum_f"], mean_penalty
+def run_episodes(env, agent, writer: RunWriter, episodes: int, seed: int, greedy: bool,
+                 learner=None) -> list:
+    """Flies `episodes` episodes, writing every slot and episode row, then closes
+    the writer; returns each episode's stats.  With a learner, every transition
+    goes to `learner.step` and every finished episode to `learner.end_episode`."""
+    explore_rng = substream(seed, STREAM_EXPLORATION)
+    episode_stats = []
+    try:
+        for episode in range(episodes):
+            obs = env.reset()
+            agent.reset()
+            if learner is not None:
+                learner.begin_segment()
+            total_reward = 0.0
+            total_energy = 0.0
+            sum_f = 0.0
+            penalties = []
+            done = False
+            while not done:
+                action = agent.act(obs, explore_rng, greedy=greedy)
+                next_obs, breakdown, done = env.step(action)
+                record = env.last_slot
+                writer.slot(record)
+                total_reward += breakdown.reward
+                total_energy += breakdown.energy
+                sum_f += record.f_t
+                penalties.append(breakdown.penalty)
+                if learner is not None:
+                    learner.step(obs, action, breakdown.reward, next_obs, done)
+                obs = next_obs
+            stats = {
+                "reward": float(total_reward),
+                "rates": [float(r) for r in env.per_user_average_rates()],
+                "energy": float(total_energy),
+                "sum_f": float(sum_f),
+                "mean_penalty": float(np.mean(penalties)),
+            }
+            writer.episode(episode, stats)
+            episode_stats.append(stats)
+            if learner is not None:
+                learner.end_episode(episode)
+    finally:
+        writer.close()
+    return episode_stats
 
 
-class _TrainerHooks:
-    def __init__(self, buffer, updater, shaper, batch_size):
-        self.buffer = buffer
-        self.updater = updater
-        self.shaper = shaper
-        self.batch_size = batch_size
-        self.need_segment = True
-        self.update_stats = []
+class Learner:
+    """Buffers the transitions of a training run, revises their rewards when the
+    agent uses NECSA, runs a PPO update whenever the batch fills, and saves the
+    periodic checkpoints."""
 
-    def begin_episode(self):
-        self.need_segment = True
-        if self.shaper is not None:
-            self.shaper.begin_episode()
+    def __init__(self, agent: PpoAgent, config: dict, out_dir: Path):
+        rl = config["rl"]
+        self.agent = agent
+        self.config = config
+        self.out_dir = out_dir
+        self.batch_size = rl["batch_size"]
+        self.checkpoint_every = rl["checkpoint_every"]
+        self.shaper = None
+        if agent.spec.use_necsa:
+            necsa = rl["necsa"]
+            self.shaper = NecsaShaper(bins=necsa["bins"], order=necsa["order"],
+                                      weight=necsa["weight"], discount=rl["discount"])
+        self.updater = PpoUpdater(agent.policy, ppo_config_from(config))
+        self.buffer = RolloutBuffer()
+        self.updates_run = 0
 
-    def before_step(self, agent):
-        if self.need_segment:
-            self.buffer.begin_segment(agent.state_arrays())
-            self.need_segment = False
+    def begin_segment(self):
+        """Starts a buffer segment from the agent's current recurrent state."""
+        self.buffer.begin_segment(self.agent.state_arrays())
 
-    def after_step(self, obs, action, breakdown, next_obs, done):
-        reward = breakdown.reward
+    def step(self, obs, action, reward: float, next_obs, done: bool):
         if self.shaper is not None:
             reward = self.shaper.revise(next_obs, reward)
         self.buffer.add(
-            Transition(
-                state=np.array(obs),
-                action=np.array(action),
-                reward=reward,
-                done=done,
-            ),
+            Transition(state=np.array(obs), action=np.array(action), reward=reward, done=done),
             np.array(next_obs),
         )
         if len(self.buffer) >= self.batch_size:
-            self.update_stats.append(self.updater.update(self.buffer))
+            self.updater.update(self.buffer)
+            self.updates_run += 1
             self.buffer.clear()
-            self.need_segment = True
+            if not done:
+                self.begin_segment()
 
-    def end_episode(self):
+    def end_episode(self, episode: int):
         if self.shaper is not None:
             self.shaper.end_episode()
+        if self.checkpoint_every and (episode + 1) % self.checkpoint_every == 0:
+            _save_agent(self.out_dir / "checkpoints" / f"ep_{episode + 1:06d}", self.agent,
+                        self.config)
 
 
-def train(config: dict, out_dir, seed: int, env_factory=None) -> dict:
+def train(config: dict, out_dir, seed: int) -> dict:
     """Full training run per the declared agent kind; returns a summary dict."""
     validate_config(config)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     spec = AGENT_SPECS[config["rl"]["agent"]]
-    if env_factory is None:
-        env = build_env(config, seed, phase_control=spec.phase_control)
-    else:
-        env = env_factory(config, seed, spec.phase_control)
+    env = build_env(config, seed, phase_control=spec.phase_control)
     agent = build_agent(config, env, seed)
-    explore_rng = substream(seed, STREAM_EXPLORATION)
-    ppo_cfg = ppo_config_from(config)
-
-    hooks = None
-    if spec.trainable:
-        shaper = None
-        if spec.use_necsa:
-            shaper = NecsaShaper(
-                bins=ppo_cfg.necsa.bins,
-                order=ppo_cfg.necsa.order,
-                weight=ppo_cfg.necsa.weight,
-                discount=ppo_cfg.discount,
-            )
-        updater = PpoUpdater(agent.policy, ppo_cfg)
-        hooks = _TrainerHooks(RolloutBuffer(), updater, shaper, ppo_cfg.batch_size)
+    learner = Learner(agent, config, out_dir) if spec.trainable else None
 
     write_manifest(out_dir, config, seed)
     writer = RunWriter(
@@ -267,38 +257,18 @@ def train(config: dict, out_dir, seed: int, env_factory=None) -> dict:
         log_slots=config["env"]["log_slots"],
         log_trajectory=config["env"]["log_trajectory"],
     )
-    episode_stats = []
-    checkpoint_every = config["rl"]["checkpoint_every"]
-    try:
-        for episode in range(ppo_cfg.episodes):
-            if hooks is not None:
-                hooks.begin_episode()
-            reward, rates, energy, sum_f, mean_penalty = _run_episode(
-                env, agent, explore_rng, writer, episode_stats,
-                greedy=False, trainer_hooks=hooks,
-            )
-            if hooks is not None:
-                hooks.end_episode()
-            writer.episode(episode, reward, rates, energy, sum_f, mean_penalty)
-            if (
-                spec.trainable
-                and checkpoint_every
-                and (episode + 1) % checkpoint_every == 0
-            ):
-                _save_agent(out_dir / "checkpoints" / f"ep_{episode + 1:06d}", agent, config)
-    finally:
-        writer.close()
-    if spec.trainable:
-        _save_agent(out_dir / "checkpoints" / "final", agent, config)
+    episode_stats = run_episodes(env, agent, writer, config["rl"]["episodes"], seed,
+                                 greedy=False, learner=learner)
     summary = summarize(episode_stats)
-    if hooks is not None:
-        summary["updates_run"] = len(hooks.update_stats)
-        summary["buffer_leftover"] = len(hooks.buffer)
-    _write_json_atomic(out_dir / "summary.json", summary)
+    if learner is not None:
+        _save_agent(out_dir / "checkpoints" / "final", agent, config)
+        summary["updates_run"] = learner.updates_run
+        summary["buffer_leftover"] = len(learner.buffer)
+    write_json_atomic(out_dir / "summary.json", summary)
     return summary
 
 
-def _write_json_atomic(path: Path, document: dict):
+def write_json_atomic(path: Path, document: dict):
     """Write `document` to a temporary sibling, then move it onto `path`."""
     staging = path.with_name(f".{path.name}.tmp")
     staging.write_text(json.dumps(document, indent=2, sort_keys=True))
@@ -383,9 +353,6 @@ def evaluate(config: dict, out_dir, seed: int, episodes: int,
                 f"checkpoint expects {agent.policy.action_dim}-dim actions but the "
                 f"configured environment takes {env.action_dim}"
             )
-    else:
-        agent.action_dim = env.action_dim
-    explore_rng = substream(seed, STREAM_EXPLORATION)
     writer = RunWriter(
         out_dir,
         users=config["env"]["users"],
@@ -393,16 +360,7 @@ def evaluate(config: dict, out_dir, seed: int, episodes: int,
         log_trajectory=True,
         metrics_name="eval_metrics.csv",
     )
-    episode_stats = []
-    try:
-        for episode in range(episodes):
-            reward, rates, energy, sum_f, mean_penalty = _run_episode(
-                env, agent, explore_rng, writer, episode_stats, greedy=True
-            )
-            writer.episode(episode, reward, rates, energy, sum_f, mean_penalty)
-    finally:
-        writer.close()
+    episode_stats = run_episodes(env, agent, writer, episodes, seed, greedy=True)
     summary = summarize(episode_stats, window=max(episodes, 1))
-    summary["episodes"] = len(episode_stats)
-    _write_json_atomic(out_dir / "eval_summary.json", summary)
+    write_json_atomic(out_dir / "eval_summary.json", summary)
     return summary

@@ -268,7 +268,7 @@ def test_criterion_04_mogrifier_degeneracy():
 
 def test_criterion_05_ppo_mechanics(tmp_path):
     rng = np.random.default_rng(11)
-    cfg = PpoConfig(clip_epsilon=0.2, epochs=1, batch_size=8, episodes=1)
+    cfg = PpoConfig(clip_epsilon=0.2, epochs=1)
     n = 256
     new_lp = rng.standard_normal(n) * 0.4
     old_lp = new_lp + rng.standard_normal(n) * 0.3

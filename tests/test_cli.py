@@ -183,7 +183,10 @@ def test_numeric_abort_exits_3(tmp_path, capsys):
     code = main(["train", "--config", str(cfg_path), "--out", str(out),
                  "--override", "env.rate_scale=1e300"])
     assert code == 3
-    assert (out / "nan_dump.json").exists()
+    dump = json.loads((out / "nan_dump.json").read_text())
+    assert dump["epoch"] == 0
+    assert not np.isfinite(dump["loss"])
+    assert not (out / ".nan_dump.json.tmp").exists()
     capsys.readouterr()
 
 

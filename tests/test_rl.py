@@ -22,17 +22,16 @@ from airs.rl.ppo import (
     normalize_advantages,
     ppo_loss,
 )
-from airs.env import SlotRecord
-from airs.rl.train import (SLOTS_HEADER, TRAJECTORY_HEADER, RunWriter, _row, _TrainerHooks,
-                            build_agent, ppo_config_from, train)
-from airs.rng import STREAM_EXPLORATION, substream
+from airs.env import AirsEnv, SlotRecord
+from airs.nn.checkpoint import load_checkpoint
+from airs.rl.train import SLOTS_HEADER, TRAJECTORY_HEADER, RunWriter, _row, train
 from airs.nn.tensor import Tensor
 from conftest import toy_overrides
 
 
 def small_ppo_config(**kw):
     base = dict(clip_epsilon=0.2, discount=0.99, gae_lambda=0.95, epochs=3,
-                batch_size=40, learning_rate=3e-4, episodes=3)
+                learning_rate=3e-4)
     base.update(kw)
     return PpoConfig(**base)
 
@@ -387,18 +386,14 @@ def replay_segments(policy, buffer):
     return out
 
 
-def collect_and_update(monkeypatch, batch_size=30, episodes=4, horizon=10):
-    """Trains through the hooks with a spy on `ppo_loss`.
+def collect_and_update(monkeypatch, tmp_path, batch_size=30, episodes=4, horizon=10):
+    """Trains with spies on `PpoUpdater.update` and `ppo_loss`.
 
     Returns one record per update: the buffer's segment layout and its
     batch-1 replay under the pre-update policy, then the inputs and value of
     every epoch's loss.
     """
     cfg = small_cfg(episodes=episodes, horizon=horizon, batch_size=batch_size)
-    env = build_env(cfg, seed=0)
-    agent = build_agent(cfg, env, seed=0)
-    ppo_cfg = ppo_config_from(cfg)
-    updater = PpoUpdater(agent.policy, ppo_cfg)
     updates = []
 
     def spy_loss(new_lp, old_lp, adv, values, returns, entropy, config):
@@ -410,59 +405,47 @@ def collect_and_update(monkeypatch, batch_size=30, episodes=4, horizon=10):
         })
         return loss
 
-    real_update = updater.update
+    real_update = PpoUpdater.update
 
-    def spy_update(buffer):
+    def spy_update(updater, buffer):
         updates.append({
             "segments": [(seg.start, seg.length, seg.h0.copy()) for seg in buffer.segments],
-            "replay": replay_segments(agent.policy, buffer),
+            "replay": replay_segments(updater.policy, buffer),
             "epochs": [],
         })
-        return real_update(buffer)
+        return real_update(updater, buffer)
 
     monkeypatch.setattr(ppo_module, "ppo_loss", spy_loss)
-    updater.update = spy_update
-    hooks = _TrainerHooks(RolloutBuffer(), updater, None, batch_size)
-    explore = substream(0, STREAM_EXPLORATION)
-    for _ in range(episodes):
-        hooks.begin_episode()
-        obs = env.reset()
-        agent.reset()
-        done = False
-        while not done:
-            hooks.before_step(agent)
-            action = agent.act(obs, explore)
-            next_obs, breakdown, done = env.step(action)
-            hooks.after_step(obs, action, breakdown, next_obs, done)
-            obs = next_obs
-    assert updates and all(len(u["epochs"]) == ppo_cfg.epochs for u in updates)
+    monkeypatch.setattr(PpoUpdater, "update", spy_update)
+    train(cfg, tmp_path / "run", seed=0)
+    assert updates and all(len(u["epochs"]) == cfg["rl"]["epochs"] for u in updates)
     return updates
 
 
-def test_first_epoch_ratios_are_exactly_one(monkeypatch):
-    for update in collect_and_update(monkeypatch):
+def test_first_epoch_ratios_are_exactly_one(monkeypatch, tmp_path):
+    for update in collect_and_update(monkeypatch, tmp_path):
         first = update["epochs"][0]
         assert np.array_equal(first["new"], first["old"])
         assert np.array_equal(np.exp(first["new"] - first["old"]), np.ones(first["new"].size))
 
 
-def test_every_epoch_loss_matches_oracle(monkeypatch):
-    for update in collect_and_update(monkeypatch):
+def test_every_epoch_loss_matches_oracle(monkeypatch, tmp_path):
+    for update in collect_and_update(monkeypatch, tmp_path):
         for e in update["epochs"]:
             expected = loss_oracle(e["new"], e["old"], e["adv"], e["values"], e["returns"],
                                    e["entropy"], e["config"])
             assert abs(e["loss"] - expected) < 1e-12
 
 
-def test_batch_advantages_are_normalized(monkeypatch):
-    for update in collect_and_update(monkeypatch):
+def test_batch_advantages_are_normalized(monkeypatch, tmp_path):
+    for update in collect_and_update(monkeypatch, tmp_path):
         adv = update["epochs"][0]["adv"]
         assert abs(adv.mean()) < 1e-10
         assert abs(adv.var() - 1.0) < 1e-10
 
 
-def test_batched_log_probs_match_per_segment_replay(monkeypatch):
-    updates = collect_and_update(monkeypatch, batch_size=25, episodes=5, horizon=10)
+def test_batched_log_probs_match_per_segment_replay(monkeypatch, tmp_path):
+    updates = collect_and_update(monkeypatch, tmp_path, batch_size=25, episodes=5, horizon=10)
     segments = [seg for u in updates for seg in u["segments"]]
     assert len({length for _, length, _ in segments}) > 1  # the packed batch shrinks
     assert any(np.any(h0 != 0.0) for _, _, h0 in segments)  # some start mid-episode
@@ -471,25 +454,44 @@ def test_batched_log_probs_match_per_segment_replay(monkeypatch):
         assert np.max(np.abs(batched - update["replay"])) < 1e-12
 
 
-def test_buffered_reward_is_raw_without_shaper():
-    cfg = small_cfg(episodes=1, horizon=10, batch_size=100)
-    env = build_env(cfg, seed=0)
-    agent = build_agent(cfg, env, seed=0)
-    buffer = RolloutBuffer()
-    hooks = _TrainerHooks(buffer, PpoUpdater(agent.policy, ppo_config_from(cfg)), None, 100)
-    rng = np.random.default_rng(0)
-    hooks.begin_episode()
-    obs = env.reset()
-    raw = []
-    done = False
-    while not done:
-        hooks.before_step(agent)
-        action = agent.act(obs, rng)
-        next_obs, breakdown, done = env.step(action)
-        hooks.after_step(obs, action, breakdown, next_obs, done)
-        raw.append(breakdown.reward)
-        obs = next_obs
-    assert [tr.reward for tr in buffer.transitions] == raw
+def test_buffered_reward_is_raw_without_shaper(monkeypatch, tmp_path):
+    cfg = small_cfg(agent="ppo_phasectl", episodes=1, horizon=10, batch_size=10)
+    raw, buffered = [], []
+    real_step, real_update = AirsEnv.step, PpoUpdater.update
+
+    def spy_step(env, action):
+        result = real_step(env, action)
+        raw.append(result[1].reward)
+        return result
+
+    def spy_update(updater, buffer):
+        buffered.extend(tr.reward for tr in buffer.transitions)
+        return real_update(updater, buffer)
+
+    monkeypatch.setattr(AirsEnv, "step", spy_step)
+    monkeypatch.setattr(PpoUpdater, "update", spy_update)
+    train(cfg, tmp_path / "run", seed=0)
+    assert len(raw) == 10
+    assert buffered == raw
+
+
+def test_periodic_checkpoints_hold_the_parameters_of_their_episode(tmp_path):
+    """Updates fire after episodes 2 and 4, so ep_000002 is one update behind."""
+    cfg = small_cfg(episodes=4, horizon=5, batch_size=10, checkpoint_every=2)
+    train(cfg, tmp_path / "run", seed=0)
+    checkpoints = tmp_path / "run" / "checkpoints"
+    assert sorted(p.name for p in checkpoints.iterdir()) == ["ep_000002", "ep_000004", "final"]
+    params = {name: load_checkpoint(checkpoints / name)[1]
+              for name in ("ep_000002", "ep_000004", "final")}
+    assert params["ep_000004"].keys() == params["final"].keys()
+    assert all(np.array_equal(params["ep_000004"][k], params["final"][k])
+               for k in params["final"])
+    assert not all(np.array_equal(params["ep_000002"][k], params["final"][k])
+                   for k in params["final"])
+
+    hover = small_cfg(agent="hover", episodes=4, horizon=5, checkpoint_every=2)
+    train(hover, tmp_path / "hover", seed=0)
+    assert not (tmp_path / "hover" / "checkpoints").exists()
 
 
 def random_buffer(policy, rng, lengths):

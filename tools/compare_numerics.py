@@ -3,7 +3,7 @@
     python3 tools/compare_numerics.py --base <src> --change <src>
 
 `<src>` is a directory holding the `airs` package (a checkout's `src/`).
-Each tree makes 14 runs, each `airs` call in its own subprocess with BLAS
+Each tree makes 15 runs, each `airs` call in its own subprocess with BLAS
 pinned to one thread:
 - 12 trainings on the benchmark's learning city (`airsbench/workloads.py`
   LEARNING_CITY: one user, pure line of sight): eppo, ppo_vanilla,
@@ -14,22 +14,25 @@ pinned to one thread:
 - one eppo training on the `eval-city` city (EVAL_CITY: three users, Rician
   k = 10) with 100-slot episodes, `env.rate_window=20` and
   `env.observe_all_users=true`, at `rl.batch_size=250` (updates
-  mid-episode), so windowed three-user fairness and the Rician draws reach
-  the artifacts and the update;
+  mid-episode) with `rl.checkpoint_every=2`, so windowed three-user
+  fairness, the Rician draws and the periodic checkpoints reach the
+  artifacts and the update;
 - one `airs eval` of the `eval-city` workload (EVAL_CITY, EVAL_EPISODES
   episodes of 1500 slots, slot and trajectory logs on) from an eppo
-  checkpoint that the tree itself trains on that city (CHECKPOINT_OVERRIDES).
+  checkpoint that the tree itself trains on that city (CHECKPOINT_OVERRIDES);
+- one `airs eval --agent random` of the same workload with no training,
+  which draws the exploration generator on the evaluation path.
 
 The tool compares the sha256 of each run's artifacts (metrics.csv,
 slots.csv, trajectory.csv, episodes.jsonl and summary.json of a training;
-the eval files too for the eval run), then loads both final checkpoints with
-the change's loader and compares every parameter array.  Checkpoint file
-bytes are not compared, so a change of checkpoint layout alone is not a
-difference.  For a run that differs it also prints each tree's
-`final_window_mean_reward` and the largest relative parameter difference
-(max |base - change| over max |base|, worst parameter), so a change that
-moves numerics on purpose shows how far.  Exits 1 on any difference, 0
-otherwise.
+the eval files too for an eval run), then loads every checkpoint directory
+(`checkpoints/*/`) of both trees with the change's loader and compares every
+parameter array.  Checkpoint file bytes are not compared, so a change of
+checkpoint layout alone is not a difference.  For a run that differs it also
+prints each tree's `final_window_mean_reward` and the largest relative
+parameter difference (max |base - change| over max |base|, worst parameter
+of any checkpoint), so a change that moves numerics on purpose shows how
+far.  Exits 1 on any difference, 0 otherwise.
 """
 
 import argparse
@@ -52,19 +55,20 @@ from airsbench.workloads import (  # noqa: E402
 
 TRAIN_ARTIFACTS = ("metrics.csv", "slots.csv", "trajectory.csv", "episodes.jsonl",
                    "summary.json")
+EVAL_ARTIFACTS = ("eval/eval_metrics.csv", "eval/slots.csv", "eval/trajectory.csv",
+                  "eval/episodes.jsonl", "eval/eval_summary.json")
 # The checkpoint training of the eval run writes no slot or trajectory log.
-EVAL_ARTIFACTS = ("metrics.csv", "episodes.jsonl", "summary.json", "eval/eval_metrics.csv",
-                  "eval/slots.csv", "eval/trajectory.csv", "eval/episodes.jsonl",
-                  "eval/eval_summary.json")
+CHECKPOINT_EVAL_ARTIFACTS = ("metrics.csv", "episodes.jsonl", "summary.json") + EVAL_ARTIFACTS
 SEED = 7
 
 
 @dataclass(frozen=True)
 class Run:
     label: str
-    train: tuple  # overrides of the `airs train` run
+    train: tuple  # overrides of the `airs train` run; None for an eval alone
     artifacts: tuple = TRAIN_ARTIFACTS
-    evaluate: tuple = None  # overrides of an `airs eval` of its final checkpoint
+    evaluate: tuple = None  # overrides of an `airs eval` run
+    eval_agent: str = None  # the eval's `--agent`; None evaluates the final checkpoint
 
 
 def learning_run(agent, batch_size, episodes, chunk=None) -> Run:
@@ -85,8 +89,9 @@ RUNS = (
     + [Run("eppo_city_window20_all_users",
            EVAL_CITY + ("env.horizon=100", "env.rate_window=20", "env.observe_all_users=true",
                         "rl.agent=eppo", "rl.episodes=6", "rl.batch_size=250",
-                        "rl.checkpoint_every=0")),
-       Run("eval_city", CHECKPOINT_OVERRIDES, EVAL_ARTIFACTS, evaluate=EVAL_CITY)]
+                        "rl.checkpoint_every=2")),
+       Run("eval_city", CHECKPOINT_OVERRIDES, CHECKPOINT_EVAL_ARTIFACTS, evaluate=EVAL_CITY),
+       Run("eval_city_random", None, EVAL_ARTIFACTS, evaluate=EVAL_CITY, eval_agent="random")]
 )
 
 
@@ -99,36 +104,53 @@ def airs(src: Path, *args):
 
 
 def make_run(src: Path, out_dir: Path, run: Run):
-    airs(src, "train", "--out", str(out_dir), "--seed", str(SEED), "--override", *run.train)
+    if run.train is not None:
+        airs(src, "train", "--out", str(out_dir), "--seed", str(SEED), "--override", *run.train)
     if run.evaluate is not None:
-        airs(src, "eval", "--checkpoint", str(out_dir / "checkpoints" / "final"),
-             "--episodes", str(EVAL_EPISODES), "--out", str(out_dir / "eval"),
-             "--seed", str(SEED), "--override", *run.evaluate)
+        if run.eval_agent is None:
+            agent = ("--checkpoint", str(out_dir / "checkpoints" / "final"))
+        else:
+            agent = ("--agent", run.eval_agent)
+        airs(src, "eval", *agent, "--episodes", str(EVAL_EPISODES), "--out",
+             str(out_dir / "eval"), "--seed", str(SEED), "--override", *run.evaluate)
 
 
 def digest(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def compare_run(base_dir: Path, change_dir: Path, artifacts, load_checkpoint) -> list:
+def checkpoint_names(run_dir: Path) -> list:
+    root = run_dir / "checkpoints"
+    return sorted(p.name for p in root.iterdir() if p.is_dir()) if root.is_dir() else []
+
+
+def compare_run(base_dir: Path, change_dir: Path, run: Run, load_checkpoint) -> list:
     """Differences between two run directories, as messages."""
-    problems = [f"{name} differs" for name in artifacts
+    problems = [f"{name} differs" for name in run.artifacts
                 if digest(base_dir / name) != digest(change_dir / name)]
-    _, base = load_checkpoint(base_dir / "checkpoints" / "final")
-    _, change = load_checkpoint(change_dir / "checkpoints" / "final")
-    if base.keys() != change.keys():
-        problems.append(f"checkpoint names differ: {sorted(base.keys() ^ change.keys())}")
-    shared = sorted(base.keys() & change.keys())
-    differing = [name for name in shared if base[name].shape != change[name].shape
-                 or base[name].tobytes() != change[name].tobytes()]
-    if differing:
-        problems.append(f"{len(differing)} of {len(shared)} checkpoint parameters differ")
+    names = checkpoint_names(base_dir)
+    if names != checkpoint_names(change_dir):
+        problems.append(f"checkpoint directories differ: {names} -> "
+                        f"{checkpoint_names(change_dir)}")
+    relative = []
+    for checkpoint in sorted(set(names) & set(checkpoint_names(change_dir))):
+        _, base = load_checkpoint(base_dir / "checkpoints" / checkpoint)
+        _, change = load_checkpoint(change_dir / "checkpoints" / checkpoint)
+        if base.keys() != change.keys():
+            problems.append(f"{checkpoint} parameter names differ: "
+                            f"{sorted(base.keys() ^ change.keys())}")
+        shared = sorted(base.keys() & change.keys())
+        differing = [name for name in shared if base[name].shape != change[name].shape
+                     or base[name].tobytes() != change[name].tobytes()]
+        if differing:
+            problems.append(f"{checkpoint}: {len(differing)} of {len(shared)} parameters differ")
+        relative += [np.max(np.abs(base[n] - change[n])) / np.max(np.abs(base[n]))
+                     for n in differing if base[n].shape == change[n].shape]
     if problems:
-        rewards = [json.loads((d / "summary.json").read_text())["final_window_mean_reward"]
+        summary = "summary.json" if run.train is not None else "eval/eval_summary.json"
+        rewards = [json.loads((d / summary).read_text())["final_window_mean_reward"]
                    for d in (base_dir, change_dir)]
         problems.append(f"final_window_mean_reward {rewards[0]!r} -> {rewards[1]!r}")
-        relative = [np.max(np.abs(base[n] - change[n])) / np.max(np.abs(base[n]))
-                    for n in differing if base[n].shape == change[n].shape]
         if relative:
             problems.append(f"largest relative parameter difference {max(relative):.2e}")
     return problems
@@ -150,7 +172,7 @@ def main(argv=None) -> int:
             for side in ("base", "change"):
                 dirs[side] = out / side / run.label
                 make_run(getattr(args, side).resolve(), dirs[side], run)
-            problems = compare_run(dirs["base"], dirs["change"], run.artifacts, load_checkpoint)
+            problems = compare_run(dirs["base"], dirs["change"], run, load_checkpoint)
             failures += bool(problems)
             print(f"{run.label}: {'; '.join(problems) if problems else 'identical'}")
     print(f"{failures} of {len(RUNS)} runs differ")
