@@ -1,6 +1,7 @@
 """Command line entry points: train, eval, plotdata, ablate.
 
-Exit codes: 0 success, 2 configuration error, 3 numeric abort during training.
+Exit codes: 0 success, 2 a config error naming its key or path or a bad checkpoint,
+3 a numeric abort in training; any other error exits 1 with a traceback.
 """
 
 import argparse
@@ -11,10 +12,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .config import ConfigError, apply_env_overrides, apply_overrides, load_config
+from .config import (ConfigError, apply_env_overrides, apply_overrides, load_config,
+                     validate_config)
 from .env import jain_index
+from .nn.checkpoint import CheckpointError
 from .rl.ppo import NumericAbort
-from .rl.train import evaluate, train, write_json_atomic
+from .rl.train import evaluate, train
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -40,39 +43,31 @@ def _resolve_config(path, overrides):
     return config
 
 
+def count(text: str) -> int:
+    """An integer >= 0; argparse turns the ValueError of a bad one into exit 2."""
+    value = int(text)
+    if value < 0:
+        raise ValueError(text)
+    return value
+
+
+def count_list(text: str) -> list:
+    return [count(item) for item in text.split(",")]
+
+
 def cmd_train(args) -> int:
-    try:
-        config = _resolve_config(args.config, args.override)
-        if args.episodes is not None:
-            config["rl"]["episodes"] = args.episodes
-        summary = train(config, args.out, seed=args.seed)
-    except (ConfigError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NumericAbort as exc:
-        dump_path = Path(args.out) / "nan_dump.json"
-        dump_path.parent.mkdir(parents=True, exist_ok=True)
-        write_json_atomic(dump_path, exc.dump)
-        print(f"error: {exc} (diagnostics in {dump_path})", file=sys.stderr)
-        return EXIT_NUMERIC
+    config = _resolve_config(args.config, args.override)
+    if args.episodes is not None:
+        config["rl"]["episodes"] = args.episodes
+    summary = train(config, args.out, seed=args.seed)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
-    try:
-        config = _resolve_config(args.config, args.override)
-        summary = evaluate(
-            config,
-            args.out,
-            seed=args.seed,
-            episodes=args.episodes,
-            checkpoint=args.checkpoint,
-            agent_kind=args.agent,
-        )
-    except (ConfigError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    config = _resolve_config(args.config, args.override)
+    summary = evaluate(config, args.out, seed=args.seed, episodes=args.episodes,
+                       checkpoint=args.checkpoint, agent_kind=args.agent)
     print(json.dumps(summary, indent=2, sort_keys=True))
     return EXIT_OK
 
@@ -124,27 +119,23 @@ def moving_average(values: np.ndarray, window: int) -> np.ndarray:
 
 
 def cmd_plotdata(args) -> int:
-    try:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        runs = [Path(r) for r in args.runs]
-        tables = {run.name or str(run): _load_metrics(run) for run in runs}
-        for series in args.series:
-            per_run = {}
-            for name, columns in tables.items():
-                values = _series_values(columns, series, name)
-                per_run[name] = moving_average(values, args.window)
-            length = min(len(v) for v in per_run.values())
-            names = list(per_run)
-            lines = ["episode," + ",".join(names) + "\n"]
-            for i in range(length):
-                lines.append(
-                    str(i) + "," + ",".join(repr(float(per_run[n][i])) for n in names) + "\n"
-                )
-            (out_dir / f"series_{series}.csv").write_text("".join(lines))
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    runs = [Path(r) for r in args.runs]
+    tables = {run.name or str(run): _load_metrics(run) for run in runs}
+    for series in args.series:
+        per_run = {}
+        for name, columns in tables.items():
+            values = _series_values(columns, series, name)
+            per_run[name] = moving_average(values, args.window)
+        length = min(len(v) for v in per_run.values())
+        names = list(per_run)
+        lines = ["episode," + ",".join(names) + "\n"]
+        for i in range(length):
+            lines.append(
+                str(i) + "," + ",".join(repr(float(per_run[n][i])) for n in names) + "\n"
+            )
+        (out_dir / f"series_{series}.csv").write_text("".join(lines))
     return EXIT_OK
 
 
@@ -158,23 +149,18 @@ def _ablate_one(payload):
 
 
 def cmd_ablate(args) -> int:
-    try:
-        config = _resolve_config(args.config, args.override)
-        if args.episodes is not None:
-            config["rl"]["episodes"] = args.episodes
-        seeds = [int(s) for s in args.seeds.split(",")]
-        jobs = [(config, args.out, seed, kind) for kind in ABLATION_ROSTER for seed in seeds]
-        if args.parallel > 1:
-            with ProcessPoolExecutor(max_workers=args.parallel) as pool:
-                results = list(pool.map(_ablate_one, jobs))
-        else:
-            results = [_ablate_one(job) for job in jobs]
-    except (ConfigError, ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NumericAbort as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_NUMERIC
+    config = _resolve_config(args.config, args.override)
+    if args.episodes is not None:
+        config["rl"]["episodes"] = args.episodes
+    validate_config(config)
+    if config["rl"]["episodes"] < 1:
+        raise ConfigError("rl.episodes", "ablate needs at least one episode to compare")
+    jobs = [(config, args.out, seed, kind) for kind in ABLATION_ROSTER for seed in args.seeds]
+    if args.parallel > 1:
+        with ProcessPoolExecutor(max_workers=args.parallel) as pool:
+            results = list(pool.map(_ablate_one, jobs))
+    else:
+        results = [_ablate_one(job) for job in jobs]
 
     by_kind = {kind: [] for kind in ABLATION_ROSTER}
     for kind, _seed, summary in results:
@@ -209,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_train = sub.add_parser("train", help="run a training session")
     p_train.add_argument("--config", default=None, help="JSON config path")
     p_train.add_argument("--out", required=True, help="output run directory")
-    p_train.add_argument("--seed", type=int, default=0)
+    p_train.add_argument("--seed", type=count, default=0)
     p_train.add_argument("--episodes", type=int, default=None, help="episode count override")
     p_train.add_argument("--override", nargs="*", default=[], metavar="K=V",
                          help="dotted config overrides, e.g. rl.learning_rate=1e-4")
@@ -220,9 +206,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--agent", default=None, choices=["random", "hover"],
                         help="evaluate a baseline instead of a checkpoint")
     p_eval.add_argument("--config", default=None)
-    p_eval.add_argument("--episodes", type=int, default=10)
+    p_eval.add_argument("--episodes", type=count, default=10)
     p_eval.add_argument("--out", required=True)
-    p_eval.add_argument("--seed", type=int, default=0)
+    p_eval.add_argument("--seed", type=count, default=0)
     p_eval.add_argument("--override", nargs="*", default=[], metavar="K=V")
     p_eval.set_defaults(func=cmd_eval)
 
@@ -236,7 +222,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_ablate = sub.add_parser("ablate", help="train the agent roster with shared seeds")
     p_ablate.add_argument("--config", default=None)
     p_ablate.add_argument("--out", required=True)
-    p_ablate.add_argument("--seeds", default="0", help="comma-separated seed list")
+    p_ablate.add_argument("--seeds", type=count_list, default="0",
+                          help="comma-separated seed list")
     p_ablate.add_argument("--episodes", type=int, default=None)
     p_ablate.add_argument("--parallel", type=int, default=1,
                           help="run this many agent/seed jobs as separate processes")
@@ -247,7 +234,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (ConfigError, CheckpointError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except NumericAbort as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
 
 
 if __name__ == "__main__":

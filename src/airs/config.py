@@ -1,4 +1,4 @@
-"""Run configuration: defaults, JSON ingestion, overrides, and object builders.
+"""Run configuration: defaults, JSON ingestion, overrides, validation and builders.
 
 One JSON document with sections scenario / channel / uav / env / nn / rl.
 Precedence, lowest to highest: package defaults, config file, environment
@@ -11,7 +11,10 @@ depends on hidden defaults.
 import copy
 import hashlib
 import json
+import math
 import os
+from dataclasses import fields
+from functools import reduce
 from pathlib import Path
 
 from . import env as env_mod
@@ -102,36 +105,35 @@ DEFAULT_CONFIG = {
 
 class ConfigError(ValueError):
     def __init__(self, path: str, message: str):
-        super().__init__(f"{path}: {message}")
+        super().__init__(path, message)  # both, so the error survives pickling
         self.path = path
+
+    def __str__(self):
+        return f"{self.path}: {self.args[1]}"
 
 
 def default_config() -> dict:
     return copy.deepcopy(DEFAULT_CONFIG)
 
 
-def _merge(base: dict, update: dict, path: str = ""):
+def _merge(base: dict, update: dict):
+    """Merges objects key by key; anything else replaces what it lands on.  Keys
+    and types are checked afterwards, by validate_config."""
     for key, value in update.items():
-        here = f"{path}.{key}" if path else key
-        if key not in base:
-            raise ConfigError(here, "unknown configuration key")
-        if isinstance(base[key], dict) and not isinstance(value, dict):
-            raise ConfigError(here, f"expected an object, got {type(value).__name__}")
-        if isinstance(base[key], dict):
-            _merge(base[key], value, here)
+        if isinstance(base.get(key), dict) and isinstance(value, dict):
+            _merge(base[key], value)
         else:
             base[key] = value
 
 
 def load_config(path=None) -> dict:
-    """Defaults merged with an optional JSON file; unknown keys are errors."""
+    """Defaults merged with an optional JSON file."""
     config = default_config()
     if path is not None:
-        path = Path(path)
-        if not path.exists():
-            raise ConfigError(str(path), "config file not found")
         try:
-            doc = json.loads(path.read_text())
+            doc = json.loads(Path(path).read_text())
+        except OSError as exc:
+            raise ConfigError(str(path), f"cannot read config file: {exc.strerror}") from exc
         except json.JSONDecodeError as exc:
             raise ConfigError(str(path), f"invalid JSON: {exc}") from exc
         if not isinstance(doc, dict):
@@ -148,19 +150,9 @@ def _parse_value(text: str):
 
 
 def _set_path(config: dict, dotted: str, value):
-    parts = dotted.split(".")
-    node = config
-    for i, part in enumerate(parts[:-1]):
-        here = ".".join(parts[: i + 1])
-        if part not in node or not isinstance(node[part], dict):
-            raise ConfigError(here, "unknown configuration section")
-        node = node[part]
-    leaf = parts[-1]
-    if leaf not in node:
-        raise ConfigError(dotted, "unknown configuration key")
-    if isinstance(node[leaf], dict):
-        raise ConfigError(dotted, "cannot override an object with a scalar")
-    node[leaf] = value
+    for part in reversed(dotted.split(".")):
+        value = {part: value}
+    _merge(config, value)
 
 
 def apply_env_overrides(config: dict, environ=None):
@@ -181,56 +173,114 @@ def apply_overrides(config: dict, overrides):
         _set_path(config, dotted.strip(), _parse_value(raw.strip()))
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _fits(value, default) -> bool:
+    """Whether `value` has the type, and a list the shape, of its default: a float
+    takes any finite number, unconverted; a None default is left to its range rule."""
+    if isinstance(default, bool):
+        return isinstance(value, bool)
+    if isinstance(default, int):
+        return _is_int(value)
+    if isinstance(default, float):
+        return _is_int(value) or isinstance(value, float) and math.isfinite(value)
+    if isinstance(default, list):
+        if not isinstance(value, list):
+            return False
+        if isinstance(default[0], list):  # rows of any number, each shaped like the first
+            return all(_fits(row, default[0]) for row in value)
+        return len(value) == len(default) and all(map(_fits, value, default))
+    return default is None or isinstance(value, type(default))
+
+
+def _describe(default) -> str:
+    if isinstance(default, list):
+        if isinstance(default[0], list):
+            return f"a list of lists of {len(default[0])} numbers"
+        return f"a list of {len(default)} numbers"
+    names = {bool: "true or false", int: "an integer", float: "a finite number"}
+    return names.get(type(default), "a string")
+
+
+def _check_types(doc: dict, defaults: dict, prefix: str = ""):
+    for name in doc:
+        if name not in defaults:
+            raise ConfigError(prefix + name, "unknown configuration key")
+    for name, default in defaults.items():
+        key, value = prefix + name, doc.get(name)
+        if isinstance(default, dict):
+            if not isinstance(value, dict):
+                raise ConfigError(key, f"expected an object, got {value!r}")
+            _check_types(value, default, key + ".")
+        elif not _fits(value, default):
+            raise ConfigError(key, f"expected {_describe(default)}, got {value!r}")
+
+
+# Range of each key by rule, checked once the types hold.  The area, altitude
+# and height bounds are tied to each other and checked by ScenarioConfig.
+RANGE_RULES = (
+    (">= 1", lambda v: v >= 1, (
+        "scenario.grid_cells_per_side", "channel.irs_rows", "channel.irs_cols",
+        "env.horizon", "env.users", "nn.hidden", "rl.epochs", "rl.batch_size",
+        "rl.necsa.bins", "rl.necsa.order")),
+    (">= 0", lambda v: v >= 0, (
+        "scenario.buildings_per_cell", "scenario.user_speed", "scenario.seed",
+        "channel.rician_k", "env.penalty", "nn.bptt_chunk", "rl.critic_weight",
+        "rl.entropy_weight", "rl.episodes", "rl.checkpoint_every", "rl.necsa.weight")),
+    ("> 0", lambda v: v > 0, (
+        "scenario.cell_side", "scenario.road_width", "channel.wavelength",
+        "channel.element_spacing", "channel.ref_distance", "channel.path_loss_exponent",
+        "channel.tx_power_w", "channel.noise_psd_w_per_hz", "channel.bandwidth_hz",
+        *(f"uav.{key}" for key in DEFAULT_CONFIG["uav"]),
+        "env.d_max", "env.rate_scale", "rl.learning_rate")),
+    ("in (0, 1)", lambda v: 0 < v < 1, ("rl.clip_epsilon",)),
+    ("in (0, 1]", lambda v: 0 < v <= 1, ("rl.discount",)),
+    ("in [0, 1]", lambda v: 0 <= v <= 1, ("rl.gae_lambda",)),
+    ("1, the only version", lambda v: v == 1, ("scenario.scenario_version",)),
+    ("null or an integer >= 1", lambda v: v is None or _is_int(v) and v >= 1,
+     ("env.rate_window",)),
+)
+
+
 def validate_config(config: dict):
+    """Checks every leaf of a resolved document before anything is built: its
+    type against DEFAULT_CONFIG, its range by RANGE_RULES, then the rules that
+    span keys.  Every failure is a ConfigError naming its dotted key."""
     from .rl.agents import AGENT_SPECS  # airs.rl imports this module
 
-    rl = config["rl"]
-    if not isinstance(rl["agent"], str) or rl["agent"] not in AGENT_SPECS:
-        raise ConfigError("rl.agent", f"unknown agent kind {rl['agent']!r}; "
+    _check_types(config, DEFAULT_CONFIG)
+    for text, holds, keys in RANGE_RULES:
+        for key in keys:
+            value = reduce(dict.__getitem__, key.split("."), config)
+            if not holds(value):
+                raise ConfigError(key, f"must be {text}, got {value!r}")
+    if config["rl"]["agent"] not in AGENT_SPECS:
+        raise ConfigError("rl.agent", f"unknown agent kind {config['rl']['agent']!r}; "
                                       f"choose from {sorted(AGENT_SPECS)}")
-    for key, low in (("episodes", 0), ("epochs", 1), ("batch_size", 1)):
-        if not isinstance(rl[key], int) or rl[key] < low:
-            raise ConfigError(f"rl.{key}", f"expected an integer >= {low}, got {rl[key]!r}")
-    if not 0.0 < rl["clip_epsilon"] < 1.0:
-        raise ConfigError("rl.clip_epsilon", f"must be in (0, 1), got {rl['clip_epsilon']}")
-    if not 0.0 < rl["discount"] <= 1.0:
-        raise ConfigError("rl.discount", f"must be in (0, 1], got {rl['discount']}")
-    env = config["env"]
-    if not isinstance(env["horizon"], int) or env["horizon"] < 1:
-        raise ConfigError("env.horizon", f"expected an integer >= 1, got {env['horizon']!r}")
-    if env["penalty"] < 0:
-        raise ConfigError("env.penalty", "must be >= 0")
-    if env["users"] != len(config["scenario"]["user_initial_positions"]):
-        raise ConfigError(
-            "env.users",
-            f"{env['users']} users declared but the scenario places "
-            f"{len(config['scenario']['user_initial_positions'])}",
-        )
+    users, placed = config["env"]["users"], len(config["scenario"]["user_initial_positions"])
+    if users != placed:
+        raise ConfigError("env.users", f"{users} users declared but the scenario places {placed}")
+    build_scenario(config)
 
 
 # -- builders -----------------------------------------------------------------
 
 
+def _tuples(value):
+    return tuple(map(_tuples, value)) if isinstance(value, list) else value
+
+
+def from_section(cls, section: dict):
+    """A `cls` whose fields take the section's keys of the same name, lists as
+    tuples; fields the section lacks keep their defaults."""
+    return cls(**{f.name: _tuples(section[f.name]) for f in fields(cls) if f.name in section})
+
+
 def build_scenario(config: dict) -> sc.ScenarioConfig:
-    s = config["scenario"]
     try:
-        return sc.ScenarioConfig(
-            area_x_min=s["area_x_min"],
-            area_x_max=s["area_x_max"],
-            area_y_min=s["area_y_min"],
-            area_y_max=s["area_y_max"],
-            alt_min=s["alt_min"],
-            alt_max=s["alt_max"],
-            grid_cells_per_side=s["grid_cells_per_side"],
-            cell_side=s["cell_side"],
-            road_width=s["road_width"],
-            buildings_per_cell=s["buildings_per_cell"],
-            building_height_range=tuple(s["building_height_range"]),
-            su_position=tuple(s["su_position"]),
-            user_initial_positions=tuple(tuple(p) for p in s["user_initial_positions"]),
-            user_speed=s["user_speed"],
-            seed=s["seed"],
-        )
+        return from_section(sc.ScenarioConfig, config["scenario"])
     except sc.ScenarioError as exc:
         raise ConfigError("scenario", str(exc)) from exc
 
@@ -238,7 +288,6 @@ def build_scenario(config: dict) -> sc.ScenarioConfig:
 def build_env(config: dict, seed: int, phase_control: bool = True) -> env_mod.AirsEnv:
     c = config["channel"]
     u = config["uav"]
-    e = config["env"]
     geometry = IrsGeometry(c["irs_rows"], c["irs_cols"], c["element_spacing"], c["wavelength"])
     loss = PathLossModel(c["ref_distance"], c["ref_loss_db"], c["path_loss_exponent"])
     budget = LinkBudget(c["tx_power_w"], c["noise_psd_w_per_hz"], c["bandwidth_hz"])
@@ -254,28 +303,14 @@ def build_env(config: dict, seed: int, phase_control: bool = True) -> env_mod.Ai
         mass=u["mass_kg"],
         gravity=u["gravity_ms2"],
     )
-    episode = env_mod.EpisodeConfig(
-        horizon=e["horizon"],
-        d_max=e["d_max"],
-        penalty=e["penalty"],
-        users=e["users"],
-        rate_window=e["rate_window"],
-        observe_all_users=e["observe_all_users"],
-        rate_scale=e["rate_scale"],
-    )
+    episode = from_section(env_mod.EpisodeConfig, config["env"])
     rician = float("inf") if c["pure_los"] else c["rician_k"]
-    return env_mod.AirsEnv(
-        scenario_config=build_scenario(config),
-        episode_config=episode,
-        geometry=geometry,
-        loss_model=loss,
-        budget=budget,
-        energy_model=energy,
-        rician_k=rician,
-        slot_duration=u["slot_duration_s"],
-        phase_control=phase_control,
-        seed=seed,
-    )
+    try:
+        return env_mod.AirsEnv(build_scenario(config), episode, geometry, loss, budget, energy,
+                               rician_k=rician, slot_duration=u["slot_duration_s"],
+                               phase_control=phase_control, seed=seed)
+    except sc.ScenarioError as exc:  # a cell cannot fit its buildings
+        raise ConfigError("scenario.buildings_per_cell", str(exc)) from exc
 
 
 def code_version() -> str:

@@ -23,6 +23,11 @@ from .layers import MogrifierLstm
 FORMAT_VERSION = 2
 
 
+class CheckpointError(ValueError):
+    """Raised for a checkpoint that is missing, unreadable or malformed, or that
+    does not fit the policy or environment it is loaded into."""
+
+
 def save_checkpoint(directory, named_arrays, step: int, hyperparams: dict):
     directory = Path(directory)
     directory.parent.mkdir(parents=True, exist_ok=True)
@@ -66,7 +71,7 @@ def _stack_v1_gates(arrays: dict) -> dict:
             for gate in MogrifierLstm.GATES:
                 key = f"{cell}.{kind}_{gate}"
                 if key not in arrays:
-                    raise ValueError(f"checkpoint is missing parameter {key}")
+                    raise CheckpointError(f"checkpoint is missing parameter {key}")
                 parts.append(arrays.pop(key))
             arrays[f"{cell}.{kind}"] = np.stack(parts)
     return arrays
@@ -75,19 +80,26 @@ def _stack_v1_gates(arrays: dict) -> dict:
 def load_checkpoint(directory):
     """Returns (manifest, dict name -> float64 array); reads formats 1 and 2."""
     directory = Path(directory)
-    manifest = json.loads((directory / "manifest.json").read_text())
-    version = manifest.get("format_version")
+    try:
+        manifest = json.loads((directory / "manifest.json").read_text())
+        raw = (directory / "params.bin").read_bytes()
+    except OSError as exc:
+        raise CheckpointError(f"cannot read checkpoint {directory}: {exc}") from exc
+    except json.JSONDecodeError as exc:
+        raise CheckpointError(f"checkpoint {directory} manifest is not JSON: {exc}") from exc
+    version = manifest.get("format_version") if isinstance(manifest, dict) else None
     if version not in (1, FORMAT_VERSION):
-        raise ValueError(f"unsupported checkpoint format {version}")
-    raw = (directory / "params.bin").read_bytes()
+        raise CheckpointError(f"unsupported checkpoint format {version}")
     arrays = {}
     try:
         for entry in manifest["params"]:
             start = entry["offset"]
             blob = raw[start : start + entry["nbytes"]]
+            if len(blob) != entry["nbytes"]:
+                raise CheckpointError(f"checkpoint {directory} params.bin is cut short")
             arrays[entry["name"]] = np.frombuffer(blob, dtype="<f8").reshape(entry["shape"]).copy()
     except KeyError as exc:
-        raise ValueError(f"checkpoint {directory} manifest is missing {exc}") from None
+        raise CheckpointError(f"checkpoint {directory} manifest is missing {exc}") from None
     if version == 1:
         arrays = _stack_v1_gates(arrays)
     return manifest, arrays

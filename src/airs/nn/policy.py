@@ -13,6 +13,7 @@ import math
 import numpy as np
 
 from . import tensor as T
+from .checkpoint import CheckpointError
 from .layers import Dense, MogrifierLstm
 from .tensor import Tensor
 
@@ -65,10 +66,10 @@ class ActorCritic:
     def load_state(self, state: dict):
         for name, param in self.named_params():
             if name not in state:
-                raise ValueError(f"checkpoint is missing parameter {name}")
+                raise CheckpointError(f"checkpoint is missing parameter {name}")
             arr = state[name]
             if arr.shape != param.value.shape:
-                raise ValueError(
+                raise CheckpointError(
                     f"parameter {name} has shape {arr.shape}, expected {param.value.shape}"
                 )
             param.value = arr.astype(np.float64)

@@ -83,10 +83,6 @@ class NecsaShaper:
     with the episode's discounted return at episode end."""
 
     def __init__(self, bins: int, order: int, weight: float, discount: float):
-        if bins < 1:
-            raise ValueError("bins must be >= 1")
-        if order < 1:
-            raise ValueError("order must be >= 1")
         self.bins = bins
         self.order = order
         self.weight = weight

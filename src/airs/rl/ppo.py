@@ -26,8 +26,11 @@ class NumericAbort(RuntimeError):
     """Raised when a loss goes non-finite; carries a batch diagnostic dump."""
 
     def __init__(self, message, dump):
-        super().__init__(message)
+        super().__init__(message, dump)  # both, so the error survives pickling
         self.dump = dump
+
+    def __str__(self):
+        return self.args[0]
 
 
 @dataclass(frozen=True)

@@ -13,13 +13,13 @@ from pathlib import Path
 import numpy as np
 
 from .. import __version__
-from ..config import build_env, code_version, validate_config
-from ..nn.checkpoint import load_checkpoint, save_checkpoint
+from ..config import ConfigError, build_env, code_version, from_section, validate_config
+from ..nn.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from ..nn.policy import ActorCritic
 from ..rng import STREAM_EXPLORATION, STREAM_POLICY_INIT, substream
 from .agents import AGENT_SPECS, PpoAgent, baseline_agent
 from .necsa import NecsaShaper
-from .ppo import PpoConfig, PpoUpdater, RolloutBuffer, Transition
+from .ppo import NumericAbort, PpoConfig, PpoUpdater, RolloutBuffer, Transition
 
 FINAL_WINDOW = 50
 
@@ -34,19 +34,6 @@ def _fmt(value) -> str:
 
 def _row(*values) -> str:
     return ",".join(_fmt(v) for v in values) + "\n"
-
-
-def ppo_config_from(config: dict) -> PpoConfig:
-    rl = config["rl"]
-    return PpoConfig(
-        clip_epsilon=rl["clip_epsilon"],
-        discount=rl["discount"],
-        gae_lambda=rl["gae_lambda"],
-        epochs=rl["epochs"],
-        critic_weight=rl["critic_weight"],
-        entropy_weight=rl["entropy_weight"],
-        learning_rate=rl["learning_rate"],
-    )
 
 
 def build_agent(config: dict, env, seed: int):
@@ -210,7 +197,7 @@ class Learner:
             necsa = rl["necsa"]
             self.shaper = NecsaShaper(bins=necsa["bins"], order=necsa["order"],
                                       weight=necsa["weight"], discount=rl["discount"])
-        self.updater = PpoUpdater(agent.policy, ppo_config_from(config))
+        self.updater = PpoUpdater(agent.policy, from_section(PpoConfig, rl))
         self.buffer = RolloutBuffer()
         self.updates_run = 0
 
@@ -257,8 +244,13 @@ def train(config: dict, out_dir, seed: int) -> dict:
         log_slots=config["env"]["log_slots"],
         log_trajectory=config["env"]["log_trajectory"],
     )
-    episode_stats = run_episodes(env, agent, writer, config["rl"]["episodes"], seed,
-                                 greedy=False, learner=learner)
+    try:
+        episode_stats = run_episodes(env, agent, writer, config["rl"]["episodes"], seed,
+                                     greedy=False, learner=learner)
+    except NumericAbort as exc:
+        dump_path = out_dir / "nan_dump.json"
+        write_json_atomic(dump_path, exc.dump)
+        raise NumericAbort(f"{exc} (diagnostics in {dump_path})", exc.dump) from exc
     summary = summarize(episode_stats)
     if learner is not None:
         _save_agent(out_dir / "checkpoints" / "final", agent, config)
@@ -317,10 +309,10 @@ def agent_from_checkpoint(path) -> PpoAgent:
         sizes = {key: arch[key] for key in
                  ("obs_dim", "action_dim", "hidden", "mogrifier_rounds", "bptt_chunk")}
     except KeyError as exc:
-        raise ValueError(f"checkpoint {path} manifest is missing {exc}") from None
+        raise CheckpointError(f"checkpoint {path} manifest is missing {exc}") from None
     spec = AGENT_SPECS.get(kind)
     if spec is None:
-        raise ValueError(f"checkpoint {path} names unknown agent kind {kind!r}")
+        raise CheckpointError(f"checkpoint {path} names unknown agent kind {kind!r}")
     policy = ActorCritic(np.random.default_rng(0), **sizes)
     policy.load_state(arrays)
     return PpoAgent(policy, spec)
@@ -339,17 +331,17 @@ def evaluate(config: dict, out_dir, seed: int, episodes: int,
         kind = agent_kind or config["rl"]["agent"]
         spec = AGENT_SPECS[kind]
         if spec.trainable:
-            raise ValueError(f"agent kind {kind!r} needs --checkpoint for evaluation")
+            raise ConfigError("rl.agent", f"agent kind {kind!r} needs --checkpoint for evaluation")
         agent = baseline_agent(kind)
     env = build_env(config, seed, phase_control=spec.phase_control)
     if spec.trainable:
         if agent.policy.obs_dim != env.observation_dim:
-            raise ValueError(
+            raise CheckpointError(
                 f"checkpoint expects {agent.policy.obs_dim}-dim observations but the "
                 f"configured environment produces {env.observation_dim}"
             )
         if agent.policy.action_dim != env.action_dim:
-            raise ValueError(
+            raise CheckpointError(
                 f"checkpoint expects {agent.policy.action_dim}-dim actions but the "
                 f"configured environment takes {env.action_dim}"
             )

@@ -6,7 +6,6 @@ cell, so they never overlap a road.  Ground users walk along road centerlines
 at constant speed and pick a random continuation at each intersection.
 """
 
-import json
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
@@ -104,40 +103,6 @@ class ScenarioConfig:
                 raise ScenarioError(f"user position {pos} must be a ground point (z=0)")
             if not network.on_road(pos[0], pos[1]):
                 raise ScenarioError(f"user position {pos} is not on a road")
-
-    def to_json(self) -> str:
-        doc = {
-            "scenario_version": 1,
-            "area_x_min": self.area_x_min,
-            "area_x_max": self.area_x_max,
-            "area_y_min": self.area_y_min,
-            "area_y_max": self.area_y_max,
-            "alt_min": self.alt_min,
-            "alt_max": self.alt_max,
-            "grid_cells_per_side": self.grid_cells_per_side,
-            "cell_side": self.cell_side,
-            "road_width": self.road_width,
-            "buildings_per_cell": self.buildings_per_cell,
-            "building_height_range": list(self.building_height_range),
-            "su_position": list(self.su_position),
-            "user_initial_positions": [list(p) for p in self.user_initial_positions],
-            "user_speed": self.user_speed,
-            "seed": self.seed,
-        }
-        return json.dumps(doc, indent=2)
-
-    @staticmethod
-    def from_json(text: str) -> "ScenarioConfig":
-        doc = json.loads(text)
-        version = doc.pop("scenario_version", 1)
-        if version != 1:
-            raise ScenarioError(f"unsupported scenario_version {version}")
-        doc["building_height_range"] = tuple(doc["building_height_range"])
-        doc["su_position"] = tuple(doc["su_position"])
-        doc["user_initial_positions"] = tuple(
-            tuple(p) for p in doc["user_initial_positions"]
-        )
-        return ScenarioConfig(**doc)
 
 
 class RoadNetwork:

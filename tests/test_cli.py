@@ -1,12 +1,16 @@
 import json
 import os
+import pickle
+import shutil
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from airs.cli import main
-from airs.config import apply_env_overrides, default_config
+from airs.cli import ABLATION_ROSTER, main
+from airs.config import ConfigError, apply_env_overrides, default_config
+from airs.rl.agents import AGENT_SPECS
+from airs.rl.ppo import NumericAbort, PpoUpdater
 from conftest import toy_overrides
 
 
@@ -44,6 +48,66 @@ def test_unknown_agent_kind_exits_2_and_names_key(tmp_path, capsys, command, kin
                  "--override", f"rl.agent={kind}"])
     assert code == 2
     assert "rl.agent" in capsys.readouterr().err
+
+
+def test_unknown_key_in_config_file_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    doc = write_tiny_config(cfg)
+    doc["rl"]["necsa"]["typo"] = 1
+    cfg.write_text(json.dumps(doc))
+    code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")])
+    assert code == 2
+    assert "rl.necsa.typo" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+# Before every leaf was checked up front, each of these ran silently, crashed
+# with a TypeError or exited 2 without naming its key.
+@pytest.mark.parametrize("override", [
+    "nn.hidden=0", "nn.bptt_chunk=-3", "rl.gae_lambda=5", "rl.learning_rate=-1",
+    "rl.checkpoint_every=-1", "env.d_max=-5", "scenario.user_speed=-1",
+    "scenario.scenario_version=7", "env.log_slots=0", "rl.episodes=true", "nn.hidden=abc",
+    "rl.entropy_weight=abc", "env.rate_scale=abc", "env.rate_scale=1e999",
+    "scenario.user_initial_positions=[5]", "scenario.su_position=[1,2]", "rl.necsa.bins=0",
+    "channel.irs_rows=0", "uav.mass_kg=0", "env.rate_window=0",
+    "scenario.buildings_per_cell=200",
+])
+def test_bad_value_exits_2_and_names_key(tmp_path, capsys, override):
+    cfg = tmp_path / "c.json"
+    write_tiny_config(cfg)
+    code = main(["train", "--config", str(cfg), "--out", str(tmp_path / "o"),
+                 "--override", override])
+    assert code == 2
+    assert override.partition("=")[0] in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [["ablate", "--seeds", "a,b"],
+                                  ["eval", "--agent", "hover", "--episodes", "-1"],
+                                  ["train", "--seed", "-1"]])
+def test_bad_argument_exits_2(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv + ["--out", str(tmp_path / "o")])
+    assert exit_info.value.code == 2
+    assert "invalid" in capsys.readouterr().err
+
+
+def test_internal_error_propagates(tmp_path, monkeypatch):
+    cfg = tmp_path / "c.json"
+    write_tiny_config(cfg)
+
+    def broken_update(self, buffer):
+        raise ValueError("operands could not be broadcast together")
+
+    monkeypatch.setattr(PpoUpdater, "update", broken_update)
+    with pytest.raises(ValueError, match="broadcast"):
+        main(["train", "--config", str(cfg), "--out", str(tmp_path / "o")])
+
+
+def test_run_errors_survive_pickling():
+    error = pickle.loads(pickle.dumps(ConfigError("env.horizon", "must be >= 1")))
+    assert (error.path, str(error)) == ("env.horizon", "env.horizon: must be >= 1")
+    abort = pickle.loads(pickle.dumps(NumericAbort("non-finite loss", {"epoch": 0})))
+    assert (str(abort), abort.dump) == ("non-finite loss", {"epoch": 0})
 
 
 def test_episode_flag_recorded_in_manifest(tmp_path, capsys):
@@ -175,6 +239,31 @@ def test_eval_bad_checkpoint_exits_2(tmp_path, capsys, corrupt, named):
     assert named in capsys.readouterr().err
 
 
+def _cut_params_short(checkpoint):
+    params = checkpoint / "params.bin"
+    params.write_bytes(params.read_bytes()[:-8])
+
+
+@pytest.mark.parametrize("damage", [
+    lambda checkpoint: shutil.rmtree(checkpoint),
+    lambda checkpoint: (checkpoint / "manifest.json").write_text("{not json"),
+    lambda checkpoint: (checkpoint / "manifest.json").write_text("[]"),
+    _cut_params_short,
+], ids=["missing", "not_json", "not_an_object", "cut_short"])
+def test_eval_unreadable_checkpoint_exits_2(tmp_path, capsys, damage):
+    cfg_path = tmp_path / "c.json"
+    write_tiny_config(cfg_path)
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_path), "--out", str(run)]) == 0
+    checkpoint = run / "checkpoints" / "final"
+    damage(checkpoint)
+    capsys.readouterr()
+    code = main(["eval", "--checkpoint", str(checkpoint), "--config", str(cfg_path),
+                 "--episodes", "1", "--out", str(tmp_path / "ev")])
+    assert code == 2
+    assert "checkpoint" in capsys.readouterr().err
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_numeric_abort_exits_3(tmp_path, capsys):
     cfg_path = tmp_path / "c.json"
@@ -187,7 +276,7 @@ def test_numeric_abort_exits_3(tmp_path, capsys):
     assert dump["epoch"] == 0
     assert not np.isfinite(dump["loss"])
     assert not (out / ".nan_dump.json.tmp").exists()
-    capsys.readouterr()
+    assert str(out / "nan_dump.json") in capsys.readouterr().err
 
 
 # -- plotdata ------------------------------------------------------------------------
@@ -281,3 +370,33 @@ def test_ablate_emits_full_roster(tmp_path, capsys):
     assert "hover" in printed
     for kind in kinds:
         assert (out / f"{kind}_seed0" / "metrics.csv").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("parallel", [1, 2])
+def test_ablate_numeric_abort_exits_3_and_leaves_dumps(tmp_path, capsys, parallel):
+    cfg_path = tmp_path / "c.json"
+    write_tiny_config(cfg_path)
+    out = tmp_path / "ablation"
+    code = main(["ablate", "--config", str(cfg_path), "--out", str(out),
+                 "--parallel", str(parallel), "--override", "env.rate_scale=1e300"])
+    assert code == 3
+    assert "nan_dump.json" in capsys.readouterr().err
+    trainable = [kind for kind in ABLATION_ROSTER if AGENT_SPECS[kind].trainable]
+    # A serial roster stops at its first abort; the pool runs every job it was given.
+    aborted = trainable if parallel > 1 else trainable[:1]
+    dumps = sorted(path.parent.name for path in out.glob("*/nan_dump.json"))
+    assert dumps == sorted(f"{kind}_seed0" for kind in aborted)
+    for kind in aborted:
+        dump = json.loads((out / f"{kind}_seed0" / "nan_dump.json").read_text())
+        assert not np.isfinite(dump["loss"])
+
+
+def test_ablate_zero_episodes_exits_2(tmp_path, capsys):
+    cfg_path = tmp_path / "c.json"
+    write_tiny_config(cfg_path)
+    out = tmp_path / "ablation"
+    code = main(["ablate", "--config", str(cfg_path), "--out", str(out), "--episodes", "0"])
+    assert code == 2
+    assert "rl.episodes" in capsys.readouterr().err
+    assert not out.exists()

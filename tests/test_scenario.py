@@ -1,7 +1,10 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
 from airs import scenario as sc
+from airs.config import build_scenario, default_config
 
 
 def default_scenario(**kw):
@@ -44,11 +47,16 @@ def test_user_above_ground_rejected():
         small_scenario(user_initial_positions=((75.0, 50.0, 1.0),))
 
 
-def test_json_round_trip():
-    cfg = small_scenario()
-    text = cfg.to_json()
-    assert '"scenario_version": 1' in text
-    assert sc.ScenarioConfig.from_json(text) == cfg
+def test_build_scenario_maps_every_field(toy_config):
+    assert build_scenario(default_config()) == sc.ScenarioConfig()
+    names = [field.name for field in fields(sc.ScenarioConfig)]
+    assert set(names) == set(toy_config["scenario"]) - {"scenario_version"}
+    built = build_scenario(toy_config)
+    for name in names:
+        value = toy_config["scenario"][name]
+        if isinstance(value, list):
+            value = tuple(tuple(v) if isinstance(v, list) else v for v in value)
+        assert getattr(built, name) == value, name
 
 
 # -- city generation ----------------------------------------------------------
