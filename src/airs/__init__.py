@@ -6,7 +6,7 @@ Subpackages:
     channel   -- path loss, steering vectors, Rician synthesis, phase control
     uav       -- flight kinematics and rotary-wing propulsion energy
     env       -- the decision process: scheduling, reward, fairness, metrics
-    nn        -- minimal float64 reverse-mode autodiff, MLP/LSTM/mogrifier
+    nn        -- float64 MLP/LSTM/mogrifier kernels with explicit gradients
     rl        -- clipped-surrogate policy optimization, episodic reward
                  revision, training loop, baseline agents
     cli       -- train / eval / plotdata / ablate commands

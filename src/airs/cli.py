@@ -7,7 +7,7 @@ Exit codes: 0 success, 2 a config error naming its key or path or a bad checkpoi
 import argparse
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from pathlib import Path
 
 import numpy as np
@@ -52,7 +52,11 @@ def count(text: str) -> int:
 
 
 def count_list(text: str) -> list:
-    return [count(item) for item in text.split(",")]
+    """Distinct counts, comma-separated; a repeated one is a ValueError too."""
+    values = [count(item) for item in text.split(",")]
+    if len(set(values)) < len(values):
+        raise ValueError(text)
+    return values
 
 
 def cmd_train(args) -> int:
@@ -148,6 +152,27 @@ def _ablate_one(payload):
     return kind, seed, summary
 
 
+def _ablate_parallel(jobs, workers: int) -> list:
+    """`_ablate_one` over the jobs in `workers` processes; results in job order.
+
+    A job goes to the pool only when a worker is free (the pool queues one
+    ahead, past cancelling), so after the first failure no job starts: the
+    running ones end, then the failure is raised, as a serial roster stops.
+    """
+    results = [None] * len(jobs)
+    waiting = list(enumerate(jobs))
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        running = {}
+        while waiting or running:
+            while waiting and len(running) < workers:
+                index, job = waiting.pop(0)
+                running[pool.submit(_ablate_one, job)] = index
+            done, _ = wait(running, return_when=FIRST_COMPLETED)
+            for future in done:
+                results[running.pop(future)] = future.result()
+    return results
+
+
 def cmd_ablate(args) -> int:
     config = _resolve_config(args.config, args.override)
     if args.episodes is not None:
@@ -157,8 +182,7 @@ def cmd_ablate(args) -> int:
         raise ConfigError("rl.episodes", "ablate needs at least one episode to compare")
     jobs = [(config, args.out, seed, kind) for kind in ABLATION_ROSTER for seed in args.seeds]
     if args.parallel > 1:
-        with ProcessPoolExecutor(max_workers=args.parallel) as pool:
-            results = list(pool.map(_ablate_one, jobs))
+        results = _ablate_parallel(jobs, args.parallel)
     else:
         results = [_ablate_one(job) for job in jobs]
 

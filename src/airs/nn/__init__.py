@@ -1,13 +1,11 @@
-from .tensor import Tensor, backward, no_grad
+from .tensor import Param
 from .layers import Dense, MogrifierLstm
 from .policy import ActorCritic
 from .optim import Adam, adam_update
 from .checkpoint import load_checkpoint, save_checkpoint
 
 __all__ = [
-    "Tensor",
-    "backward",
-    "no_grad",
+    "Param",
     "Dense",
     "MogrifierLstm",
     "ActorCritic",

@@ -1,11 +1,10 @@
-"""Dense, LSTM, and mogrifier building blocks on top of the autodiff kernel."""
+"""Dense, LSTM, and mogrifier building blocks as array kernels with explicit backwards."""
 
 import math
 
 import numpy as np
 
-from . import tensor as T
-from .tensor import Tensor
+from .tensor import Param, logistic
 
 
 def uniform_init(rng, fan_in: int, shape) -> np.ndarray:
@@ -18,35 +17,22 @@ class Dense:
 
     def __init__(self, rng, in_dim: int, out_dim: int, name: str):
         self.name = name
-        self.W = Tensor(uniform_init(rng, in_dim, (in_dim, out_dim)), requires_grad=True)
-        self.b = Tensor(np.zeros(out_dim), requires_grad=True)
+        self.W = Param(uniform_init(rng, in_dim, (in_dim, out_dim)))
+        self.b = Param(np.zeros(out_dim))
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         return x @ self.W.value + self.b.value
 
     def backward(self, x: np.ndarray, g: np.ndarray, want_x: bool):
-        """Add the b and W gradients for output gradient g; return x's gradient.
+        """Add the b and W gradients for the output gradient g of `forward(x)`;
+        return x's gradient, or None unless `want_x`.
 
         The same arithmetic as the primitive form `add(matmul(x, W), b)`.
-        Returns None unless `want_x`.
         """
-        self.b.add_grad(T.unbroadcast(g, self.b.value.shape))
+        self.b.add_grad(g.sum(axis=0))
         gx = g @ self.W.value.T if want_x else None
         self.W.add_grad(x.T @ g)
         return gx
-
-    def __call__(self, x: Tensor) -> Tensor:
-        """One taped node over `forward` and `backward`."""
-        out_value = self.forward(x.value)
-        if not T.needs_grad(x, self.W, self.b):
-            return Tensor(out_value)
-
-        def backward_fn(g):
-            gx = self.backward(x.value, g, x.requires_grad)
-            if gx is not None:
-                x.add_grad(gx)
-
-        return T.record(out_value, backward_fn)
 
     def params(self):
         return [(f"{self.name}.W", self.W), (f"{self.name}.b", self.b)]
@@ -68,9 +54,9 @@ class MogrifierLstm:
     four separate gate matmuls.
 
     `step` and `step_backward` are plain-array kernels: the caller keeps the
-    cache and tapes the sequence (`ActorCritic.actor_sequence`).  Float sums
-    depend on their order, so `step_backward` adds every gradient in the order
-    of the reverse walk over the primitive per-gate, per-round ops.
+    cache (`ActorCritic.actor_sequence`).  Float sums depend on their order, so
+    `step_backward` adds every gradient in the order of the reverse walk over
+    the primitive per-gate, per-round ops.
     """
 
     GATES = ("i", "f", "o", "g")
@@ -86,22 +72,18 @@ class MogrifierLstm:
         for _ in self.GATES:  # per gate Wx, then Wh: this draw order fixes what a seed gives
             wx.append(uniform_init(rng, in_dim, (in_dim, hidden)))
             wh.append(uniform_init(rng, hidden, (hidden, hidden)))
-        self.Wx = Tensor(np.stack(wx), requires_grad=True)
-        self.Wh = Tensor(np.stack(wh), requires_grad=True)
+        self.Wx = Param(np.stack(wx))
+        self.Wh = Param(np.stack(wh))
         bias = np.zeros((len(self.GATES), hidden))
         bias[self.GATES.index("f")] = 1.0  # start with a remembering forget gate
-        self.b = Tensor(bias, requires_grad=True)
+        self.b = Param(bias)
         self.Q = []  # odd rounds, gate x from h: (hidden, in_dim)
         self.R = []  # even rounds, gate h from x: (in_dim, hidden)
         for i in range(1, rounds + 1):
             if i % 2 == 1:
-                self.Q.append(
-                    Tensor(uniform_init(rng, hidden, (hidden, in_dim)), requires_grad=True)
-                )
+                self.Q.append(Param(uniform_init(rng, hidden, (hidden, in_dim))))
             else:
-                self.R.append(
-                    Tensor(uniform_init(rng, in_dim, (in_dim, hidden)), requires_grad=True)
-                )
+                self.R.append(Param(uniform_init(rng, in_dim, (in_dim, hidden))))
         # Round i (from 1) uses round_weights[i - 1].
         self.round_weights = [self.Q[i // 2] if i % 2 == 0 else self.R[i // 2]
                               for i in range(rounds)]
@@ -120,7 +102,7 @@ class MogrifierLstm:
         # making version (i + 1) // 2 of that kind from version i // 2 of the other.
         versions = ([x], [h])
         gates = []
-        # T.logistic's expression, under one errstate for all rounds.
+        # logistic's expression, under one errstate for all rounds.
         with np.errstate(over="ignore"):
             for i, weight in enumerate(self.round_weights, start=1):
                 kind = 0 if i % 2 else 1
@@ -138,7 +120,7 @@ class MogrifierLstm:
         """
         x, h, trace = self.mogrify(x, h)
         pre = np.matmul(x, self.Wx.value) + np.matmul(h, self.Wh.value) + self.b.value[:, None]
-        sig = T.logistic(pre[:3])
+        sig = logistic(pre[:3])
         g_act = np.tanh(pre[3])
         i_act, f_act, o_act = sig
         c_new = f_act * c + i_act * g_act

@@ -1,4 +1,4 @@
-"""Adam with bias correction, operating on the kernel's parameter tensors."""
+"""Adam with bias correction, operating on `Param` arrays and their gradients."""
 
 import numpy as np
 

@@ -4,22 +4,36 @@ Actor: dense trunk with tanh, a mogrifier LSTM, a tanh-squashed mean head,
 and one state-independent learnable log-std per action dimension (clamped to
 [-5, 1]).  Critic: two tanh layers to a scalar value.  All math is float64.
 Rollouts call `actor_step` on plain arrays; updates replay stored sequences,
-packed step-major, through `actor_sequence`: one taped node that runs the trunk
-and the mean head once over all rows and the cell's step kernel per time step.
+packed step-major, through `actor_sequence`, which runs the trunk and the mean
+head once over all rows and the cell's step kernel per time step.  Each
+forward the update differentiates returns its output and a cache, which its
+`*_backward` reads to add the parameter gradients.
 """
 
 import math
 
 import numpy as np
 
-from . import tensor as T
 from .checkpoint import CheckpointError
 from .layers import Dense, MogrifierLstm
-from .tensor import Tensor
+from .tensor import Param
 
 LOG_STD_MIN = -5.0
 LOG_STD_MAX = 1.0
 _LOG_2PI = math.log(2.0 * math.pi)
+
+
+def clamp_log_std(log_std: np.ndarray):
+    """The log-std clamped to [LOG_STD_MIN, LOG_STD_MAX], and where the clamp
+    lets the gradient through."""
+    inside = (log_std >= LOG_STD_MIN) & (log_std <= LOG_STD_MAX)
+    return np.clip(log_std, LOG_STD_MIN, LOG_STD_MAX), inside
+
+
+def gaussian_entropy(log_std: np.ndarray):
+    """Entropy of the Gaussian with the clamped `log_std`, and `clamp_log_std`'s mask."""
+    clamped, inside = clamp_log_std(log_std)
+    return clamped.sum() + 0.5 * log_std.size * (1.0 + _LOG_2PI), inside
 
 
 class ActorCritic:
@@ -41,7 +55,7 @@ class ActorCritic:
         self.trunk = Dense(rng, obs_dim, hidden, "actor.trunk")
         self.cell = MogrifierLstm(rng, hidden, hidden, mogrifier_rounds, "actor.lstm")
         self.mean_head = Dense(rng, hidden, action_dim, "actor.mean")
-        self.log_std = Tensor(np.full(action_dim, log_std_init), requires_grad=True)
+        self.log_std = Param(np.full(action_dim, log_std_init))
         self.v1 = Dense(rng, obs_dim, hidden, "critic.l1")
         self.v2 = Dense(rng, hidden, hidden, "critic.l2")
         self.v3 = Dense(rng, hidden, 1, "critic.out")
@@ -95,97 +109,87 @@ class ActorCritic:
         return np.tanh(self.mean_head.forward(h)), (h, c)
 
     def actor_sequence(self, obs: np.ndarray, batch_sizes, h0: np.ndarray,
-                       c0: np.ndarray) -> Tensor:
+                       c0: np.ndarray):
         """Means (N, A) over packed observation rows (N, obs_dim) from state (h0, c0).
 
         Rows are packed step-major: step t is the next `batch_sizes[t]` rows and
         continues the first `batch_sizes[t]` sequences, so batch sizes never grow.
-        One taped node (untaped under no_grad): the trunk and the mean head each
-        run once over all N rows; only the cell steps in the time loop.  The
-        backward runs the head once, the cell steps in reverse, then the trunk
-        once.  The state gradient is cut at t = 0 and at every multiple of
-        `bptt_chunk` (truncated backpropagation through time; 0 never cuts).
+        The trunk and the mean head each run once over all N rows; only the cell
+        steps in the time loop.  Returns (means, cache for `actor_sequence_backward`).
         """
         x = np.tanh(self.trunk.forward(obs))
         bounds = np.cumsum(batch_sizes) - batch_sizes
         hs = np.empty((len(obs), self.hidden))
         h, c = h0, c0
-        caches = []
+        steps = []
         for lo, n in zip(bounds, batch_sizes):
             hs[lo:lo + n], c, cache = self.cell.step(x[lo:lo + n], h[:n], c[:n])
             h = hs[lo:lo + n]  # the next step caches this view, so no copy stays alive
-            caches.append(cache)
+            steps.append(cache)
         means = np.tanh(self.mean_head.forward(hs))
-        if not T.grad_enabled():
-            return Tensor(means)
+        return means, (obs, batch_sizes, bounds, x, hs, means, steps)
+
+    def actor_sequence_backward(self, cache, g: np.ndarray):
+        """Add the actor's trunk, cell and head gradients for the means' gradient g.
+
+        Runs the head once, the cell steps in reverse, then the trunk once.  The
+        state gradient is cut at t = 0 and at every multiple of `bptt_chunk`
+        (truncated backpropagation through time; 0 never cuts).
+        """
+        obs, batch_sizes, bounds, x, hs, means, steps = cache
         chunk = self.bptt_chunk
+        # To keep peak memory down, each step's cache is dropped once walked, and
+        # row block t of `grad` holds step t's h gradient from the head until the
+        # step is walked, then the gradient of its trunk pre-activation.
+        grad = self.mean_head.backward(hs, g * (1.0 - means**2), True)
+        gh, gc = np.zeros((2, batch_sizes[0], self.hidden))
+        for t in range(len(steps) - 1, -1, -1):
+            lo, n = bounds[t], batch_sizes[t]
+            cut = t == 0 or (chunk > 0 and t % chunk == 0)
+            gx, gh_prev, gc_prev = self.cell.step_backward(
+                steps.pop(), grad[lo:lo + n] + gh[:n], gc[:n], not cut)
+            grad[lo:lo + n] = gx * (1.0 - x[lo:lo + n]**2)
+            if cut:
+                gh[:], gc[:] = 0.0, 0.0
+            else:
+                gh[:n], gc[:n] = gh_prev, gc_prev
+        self.trunk.backward(obs, grad, False)
 
-        def backward_fn(g):
-            # To keep peak memory near the per-step tape's, each step's cache is
-            # dropped once walked, and row block t of `grad` holds step t's h
-            # gradient from the head until the step is walked, then the gradient
-            # of its trunk pre-activation.
-            grad = self.mean_head.backward(hs, g * (1.0 - means**2), True)
-            gh, gc = np.zeros_like(h0), np.zeros_like(c0)
-            for t in range(len(caches) - 1, -1, -1):
-                lo, n = bounds[t], batch_sizes[t]
-                cut = t == 0 or (chunk > 0 and t % chunk == 0)
-                gx, gh_prev, gc_prev = self.cell.step_backward(
-                    caches.pop(), grad[lo:lo + n] + gh[:n], gc[:n], not cut)
-                grad[lo:lo + n] = gx * (1.0 - x[lo:lo + n]**2)
-                if cut:
-                    gh[:], gc[:] = 0.0, 0.0
-                else:
-                    gh[:n], gc[:n] = gh_prev, gc_prev
-            self.trunk.backward(obs, grad, False)
+    def value(self, obs: np.ndarray):
+        """Critic values (B,) of observations (B, obs_dim), and the cache
+        `value_backward` reads."""
+        z1 = np.tanh(self.v1.forward(obs))
+        z2 = np.tanh(self.v2.forward(z1))
+        return self.v3.forward(z2).reshape(-1), (obs, z1, z2)
 
-        return T.record(means, backward_fn)
+    def value_backward(self, cache, g: np.ndarray):
+        """Add the critic's gradients for the values' gradient g."""
+        obs, z1, z2 = cache
+        g = self.v3.backward(z2, g.reshape(-1, 1), True)
+        g = self.v2.backward(z1, g * (1.0 - z2**2), True)
+        self.v1.backward(obs, g * (1.0 - z1**2), False)
 
-    def value(self, obs: Tensor) -> Tensor:
-        """Critic value, shape (B,)."""
-        z = T.tanh(self.v1(obs))
-        z = T.tanh(self.v2(z))
-        return T.reshape(self.v3(z), (-1,))
-
-    def clamped_log_std(self) -> Tensor:
-        return T.clip(self.log_std, LOG_STD_MIN, LOG_STD_MAX)
-
-    def log_prob(self, mean: Tensor, actions: Tensor) -> Tensor:
-        """Diagonal Gaussian log density of `actions`, shape (N,) for (N, A).
-
-        One taped op, equal to the primitive form: with
-        log_std = clamped_log_std() and z = (actions - mean) * exp(-log_std),
+    def log_prob(self, mean: np.ndarray, actions: np.ndarray):
+        """Diagonal Gaussian log density of `actions`, shape (N,) for (N, A), and
+        the cache `log_prob_backward` reads.  With log_std clamped and
+        z = (actions - mean) * exp(-log_std), it is
         -0.5 * sum_axis(square(z), 1) - (sum_all(log_std) + 0.5 * A * log(2 pi)).
         """
-        log_std = self.log_std
-        clamped = np.clip(log_std.value, LOG_STD_MIN, LOG_STD_MAX)
+        clamped, inside = clamp_log_std(self.log_std.value)
         inv_std = np.exp(-clamped)
-        diff = actions.value - mean.value
+        diff = actions - mean
         z = diff * inv_std
         quad = (z**2).sum(axis=-1)
         const = 0.5 * self.action_dim * _LOG_2PI
-        out_value = -0.5 * quad - (clamped.sum() + const)
-        if not T.needs_grad(mean, actions, log_std):
-            return Tensor(out_value)
+        return -0.5 * quad - (clamped.sum() + const), (diff, z, inv_std, inside)
 
-        def backward_fn(g):
-            g_z = (g * -0.5)[:, None] * 2.0 * z
-            g_diff = g_z * inv_std
-            if actions.requires_grad:
-                actions.add_grad(g_diff)
-            if mean.requires_grad:
-                mean.add_grad(-g_diff)
-            if log_std.requires_grad:
-                inside = (log_std.value >= LOG_STD_MIN) & (log_std.value <= LOG_STD_MAX)
-                g_inv_std = (g_z * diff).sum(axis=0)
-                log_std.add_grad(((-g).sum() - g_inv_std * inv_std) * inside)
-
-        return T.record(out_value, backward_fn)
-
-    def entropy(self) -> Tensor:
-        """Entropy of the (state-independent) Gaussian, a scalar tensor."""
-        return T.add(T.sum_all(self.clamped_log_std()),
-                     Tensor(0.5 * self.action_dim * (1.0 + _LOG_2PI)))
+    def log_prob_backward(self, cache, g: np.ndarray) -> np.ndarray:
+        """Add log_std's gradient for the log-probs' gradient g; return the means'."""
+        diff, z, inv_std, inside = cache
+        g_z = (g * -0.5)[:, None] * 2.0 * z
+        g_inv_std = (g_z * diff).sum(axis=0)
+        self.log_std.add_grad(((-g).sum() - g_inv_std * inv_std) * inside)
+        return -(g_z * inv_std)
 
     # -- rollout-time API -------------------------------------------------------
 

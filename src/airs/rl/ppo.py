@@ -4,12 +4,15 @@ The buffer stores transitions in collection order, split into segments that
 each start at an episode boundary or at a buffer boundary mid-episode; every
 segment carries the recurrent state it started from so updates can replay
 sequences exactly as collected.  When the buffer reaches the configured batch
-size the trainer computes values and advantages (one untaped critic pass over
-the states and the bootstrap observation) and runs K epochs of full-batch
+size the trainer computes values and advantages (one critic pass over the
+states and the bootstrap observation) and runs K epochs of full-batch
 gradient steps.  Each epoch replays the segments, packed longest first with
-no padding rows, through one taped recurrent forward and feeds its log-probs
-to `ppo_loss`.  Epoch 0 runs before any parameter moves, so its log-probs are
-the snapshot of the pre-update policy; there is no separate replay pass.
+no padding rows, through one recurrent forward and feeds its log-probs to
+`ppo_loss`, which returns the loss's gradients in closed form; one reverse
+pass chains them through the critic, the Gaussian log-density and the
+recurrence.  The actor side works in packed row order throughout, the critic
+in buffer order.  Epoch 0 runs before any parameter moves, so its log-probs
+are the snapshot of the pre-update policy; there is no separate replay pass.
 """
 
 from dataclasses import dataclass
@@ -18,8 +21,7 @@ import numpy as np
 
 from ..nn import tensor as T
 from ..nn.optim import Adam
-from ..nn.policy import ActorCritic
-from ..nn.tensor import Tensor
+from ..nn.policy import ActorCritic, gaussian_entropy
 
 
 class NumericAbort(RuntimeError):
@@ -122,27 +124,34 @@ def normalize_advantages(advantages):
     return centered / std
 
 
-def ppo_loss(new_log_probs, old_log_probs, advantages, values, returns,
-             entropy, config: PpoConfig):
-    """Scalar loss: clipped actor surrogate + weighted critic MSE - entropy bonus.
+def ppo_loss(new_log_probs, old_log_probs, advantages, values, returns, log_std,
+             config: PpoConfig):
+    """Clipped actor surrogate + weighted critic MSE - entropy bonus, and its gradients.
 
-    Tensor inputs stay in the graph; array inputs are treated as constants.
+    Returns (loss, gradient with respect to `new_log_probs`, to `values`, to
+    `log_std`).  The log-probs pair with `advantages` row by row and the values
+    with `returns`; the two pairs may list their rows in different orders.
+    Each gradient is written in the expression forms of the primitive ops'
+    reverse walk, so it is bit-equal to theirs: where the unclipped term is the
+    minimum (ties included) the surrogate's gradient is -adv * ratio / N, else
+    the clipped term's (Schulman et al. 2017, arXiv:1707.06347).
     """
-    new_log_probs = new_log_probs if isinstance(new_log_probs, Tensor) else Tensor(new_log_probs)
-    values = values if isinstance(values, Tensor) else Tensor(values)
-    entropy = entropy if isinstance(entropy, Tensor) else Tensor(entropy)
-    old = Tensor(np.asarray(old_log_probs, dtype=float))
-    adv = Tensor(np.asarray(advantages, dtype=float))
-    ret = Tensor(np.asarray(returns, dtype=float))
-    ratio = T.exp(T.sub(new_log_probs, old))
-    clipped = T.clip(ratio, 1.0 - config.clip_epsilon, 1.0 + config.clip_epsilon)
-    surrogate = T.minimum(T.mul(ratio, adv), T.mul(clipped, adv))
-    actor = T.neg(T.mean_all(surrogate))
-    critic = T.mean_all(T.mul(0.5, T.square(T.sub(ret, values))))
-    return T.add(
-        T.add(actor, T.mul(config.critic_weight, critic)),
-        T.mul(-config.entropy_weight, entropy),
-    )
+    eps, cw, ew = config.clip_epsilon, config.critic_weight, config.entropy_weight
+    ratio = np.exp(new_log_probs - old_log_probs)
+    clipped = np.clip(ratio, 1.0 - eps, 1.0 + eps)
+    unclipped_term, clipped_term = ratio * advantages, clipped * advantages
+    diff = returns - values
+    entropy, entropy_inside = gaussian_entropy(log_std)
+    actor = -np.minimum(unclipped_term, clipped_term).mean()
+    critic = (0.5 * diff**2).mean()
+    loss = (actor + cw * critic) + -ew * entropy
+
+    g = -1.0 / len(ratio)  # the surrogate's mean, negated
+    take_a = unclipped_term <= clipped_term
+    inside = (ratio >= 1.0 - eps) & (ratio <= 1.0 + eps)
+    g_ratio = (g * take_a) * advantages + ((g * ~take_a) * advantages) * inside
+    g_values = -(cw / len(diff) * 0.5 * 2.0 * diff)
+    return loss, g_ratio * ratio, g_values, -ew * entropy_inside
 
 
 class PackedBatch:
@@ -151,8 +160,8 @@ class PackedBatch:
     Segments are stably sorted by length; step t holds rows of the first
     `batch_sizes[t]` (those still running), so `obs` and `actions` are (N, ...)
     with no padding.  `h0` and `c0` are in sorted order.  `order[i]` is the
-    packed row of buffer index i, so `take(packed_values, order)` lists values
-    in buffer order, as `states` holds the observations.
+    packed row of buffer index i, so `packed[order]` lists packed rows in
+    buffer order, as `states` holds the observations.
     """
 
     def __init__(self, buffer: RolloutBuffer):
@@ -166,13 +175,16 @@ class PackedBatch:
         t = np.arange(len(buffer)) - np.repeat(starts, lengths)
         self.order = step_offsets[t] + np.repeat(rank, lengths)
         self.states = np.stack([tr.state for tr in buffer.transitions])
-        self.obs = np.empty_like(self.states)
-        self.obs[self.order] = self.states
-        actions = np.stack([tr.action for tr in buffer.transitions])
-        self.actions = np.empty_like(actions)
-        self.actions[self.order] = actions
+        self.obs = self.pack(self.states)
+        self.actions = self.pack(np.stack([tr.action for tr in buffer.transitions]))
         self.h0 = np.stack([segments[j].h0 for j in ranked])
         self.c0 = np.stack([segments[j].c0 for j in ranked])
+
+    def pack(self, rows: np.ndarray) -> np.ndarray:
+        """Rows listed in buffer order, in packed order."""
+        packed = np.empty_like(rows)
+        packed[self.order] = rows
+        return packed
 
 
 class PpoUpdater:
@@ -188,58 +200,58 @@ class PpoUpdater:
             eps=config.adam_eps,
         )
 
-    def log_probs(self, batch: PackedBatch) -> Tensor:
-        """Log-probs of the stored actions under the current policy, shape (N,).
-
-        Replays every segment from its stored state in one taped recurrence
-        (`actor_sequence`, cutting the gradient every `bptt_chunk` steps), then
-        takes the log-probs of all rows' means in one call, in buffer order.
-        """
-        means = self.policy.actor_sequence(batch.obs, batch.batch_sizes, batch.h0, batch.c0)
-        return T.take(self.policy.log_prob(means, Tensor(batch.actions)), batch.order)
-
-    def update(self, buffer: RolloutBuffer) -> dict:
+    def update(self, buffer: RolloutBuffer):
         cfg = self.config
+        policy = self.policy
         batch = PackedBatch(buffer)
 
         rewards = np.array([tr.reward for tr in buffer.transitions])
         dones = np.array([tr.done for tr in buffer.transitions])
-        with T.no_grad():
-            values = self.policy.value(Tensor(np.vstack((batch.states, buffer.next_obs))))
+        values, _ = policy.value(np.vstack((batch.states, buffer.next_obs)))
         advantages, returns = gae_advantages(
-            rewards, values.value, dones, cfg.discount, cfg.gae_lambda
+            rewards, values, dones, cfg.discount, cfg.gae_lambda
         )
-        adv_flat = normalize_advantages(advantages)
+        advantages = normalize_advantages(advantages)
+        packed_advantages = batch.pack(advantages)
 
-        stats = {}
         for epoch in range(cfg.epochs):
             self.optimizer.zero_grad()
-            new_log_probs = self.log_probs(batch)
+            means, actor = policy.actor_sequence(batch.obs, batch.batch_sizes, batch.h0,
+                                                 batch.c0)
+            log_probs, gaussian = policy.log_prob(means, batch.actions)
             if epoch == 0:
                 # Epoch 0 runs the pre-update policy: its log-probs are the snapshot.
-                old_flat = new_log_probs.value.copy()
-            value_pred = self.policy.value(Tensor(batch.states))
-            entropy = self.policy.entropy()
-            loss = ppo_loss(new_log_probs, old_flat, adv_flat, value_pred, returns,
-                            entropy, cfg)
-            if not np.isfinite(loss.value):
-                T.clear_tape()
+                old_log_probs = log_probs.copy()
+            value_pred, critic = policy.value(batch.states)
+            loss, *grads = ppo_loss(log_probs, old_log_probs, packed_advantages, value_pred,
+                                    returns, policy.log_std.value, cfg)
+            if not np.isfinite(loss):
                 raise NumericAbort(
                     f"non-finite loss at epoch {epoch}",
                     dump={
                         "epoch": epoch,
-                        "loss": float(loss.value),
-                        "new_log_probs": new_log_probs.value.tolist(),
-                        "values": value_pred.value.tolist(),
+                        "loss": float(loss),
+                        "new_log_probs": log_probs[batch.order].tolist(),
+                        "values": value_pred.tolist(),
                         "rewards": rewards.tolist(),
-                        "advantages": adv_flat.tolist(),
+                        "advantages": advantages.tolist(),
                         "returns": returns.tolist(),
-                        "old_log_probs": old_flat.tolist(),
+                        "old_log_probs": old_log_probs[batch.order].tolist(),
                     },
                 )
-            T.backward(loss)
+            caches = [actor, gaussian, critic]
+            del means, actor, gaussian, critic  # `reverse` frees each cache once walked
+            T.backward(self.reverse, caches, *grads)
             self.optimizer.step()
-            if epoch == 0:
-                stats["loss"] = float(loss.value)
-                stats["entropy"] = float(entropy.value)
-        return stats
+
+    def reverse(self, caches, g_log_probs, g_values, g_log_std):
+        """Chain the loss's closed-form gradients into every parameter's gradient.
+
+        Each cache is popped as it is walked, so it is freed before the next piece
+        runs.
+        """
+        policy = self.policy
+        policy.log_std.add_grad(g_log_std)
+        policy.value_backward(caches.pop(), g_values)
+        g_means = policy.log_prob_backward(caches.pop(), g_log_probs)
+        policy.actor_sequence_backward(caches.pop(), g_means)

@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
+import tape
 from airs.config import default_config
-from airs.nn import tensor as T
 
 
 @pytest.fixture(autouse=True)
 def clean_tape():
-    T.clear_tape()
+    tape.clear_tape()
     yield
-    T.clear_tape()
+    tape.clear_tape()
 
 
 def toy_overrides(cfg, users=1, pure_los=True, buildings_per_cell=5):

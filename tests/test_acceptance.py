@@ -21,17 +21,16 @@ from airs import scenario as sc
 from airs import uav
 from airs.config import default_config
 from airs.env import jain_index
-from airs.nn import tensor as T
 from airs.nn.layers import MogrifierLstm
 from airs.nn.policy import ActorCritic
-from airs.nn.tensor import Tensor
+from airs.nn.tensor import Param
 from airs.rl.agents import AGENT_SPECS, AgentSpec
 from airs.rl.ppo import PpoConfig, gae_advantages, ppo_loss
 from airs.rl.train import train
 from airs.cli import main as cli_main
 from conftest import toy_overrides
-from test_nn import finite_difference_check, taped_step_loss
-from test_rl import gae_oracle, loss_oracle
+from test_nn import actor_critic_loss, dense_loss, finite_difference_check, step_loss
+from test_rl import entropy_oracle, gae_oracle, loss_oracle
 
 SEEDS = [0, 1, 2, 3, 4]
 
@@ -167,49 +166,29 @@ def test_criterion_03_gradient_integrity():
     obs = rng.standard_normal((4, 5))
     actions = rng.standard_normal((4, 3))
 
-    def dense_loss():
-        return T.sum_all(T.square(T.tanh(policy.trunk(Tensor(obs)))))
-
-    worst = max(worst, finite_difference_check(dense_loss, policy.params(), rng))
+    # Each loss takes its gradient from the program's backward functions.
+    loss = dense_loss(policy.trunk, obs)
+    worst = max(worst, finite_difference_check(loss, policy.params(), rng))
 
     cell = MogrifierLstm(rng, 4, 5, rounds=5, name="m")
-    x = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-    h = Tensor(rng.standard_normal((3, 5)), requires_grad=True)
-    c = Tensor(rng.standard_normal((3, 5)), requires_grad=True)
+    x, h, c = (Param(rng.standard_normal((3, n))) for n in (4, 5, 5))
     wh, wc = rng.standard_normal((2, 3, 5))
 
     # One mogrified step (gating rounds, then the cell), with its parameter,
     # input and state gradients.
-    def step_loss():
-        return taped_step_loss(cell, x, h, c, wh, wc)[0]
-
     cell_params = [p for _, p in cell.params()]
-    worst = max(worst, finite_difference_check(step_loss, cell_params + [x, h, c], rng))
+    worst = max(worst, finite_difference_check(step_loss(cell, x, h, c, wh, wc),
+                                               cell_params + [x, h, c], rng))
 
-    def logprob_loss():
-        means = policy.actor_sequence(obs, [4], *policy.initial_state(4))
-        return T.sum_all(policy.log_prob(means, Tensor(actions)))
-
-    worst = max(worst, finite_difference_check(logprob_loss, policy.params(), rng))
-
-    def actor_critic_loss():
-        means = policy.actor_sequence(obs, [4], *policy.initial_state(4))
-        logp = policy.log_prob(means, Tensor(actions))
-        value = policy.value(Tensor(obs))
-        return T.add(T.sum_all(logp), T.sum_all(T.square(value)))
-
-    worst = max(worst, finite_difference_check(actor_critic_loss, policy.params(), rng))
+    loss = actor_critic_loss(policy, obs, actions, [4])
+    worst = max(worst, finite_difference_check(loss, policy.params(), rng))
 
     deep = ActorCritic(rng, obs_dim=3, action_dim=2, hidden=5, mogrifier_rounds=5,
                        bptt_chunk=0)
     obs_seq = rng.standard_normal((16, 3))  # 8 steps of 2 rows, packed step-major
     act_seq = rng.standard_normal((16, 2))
-
-    def bptt_loss():
-        means = deep.actor_sequence(obs_seq, [2] * 8, *deep.initial_state(2))
-        return T.sum_all(deep.log_prob(means, Tensor(act_seq)))
-
-    worst = max(worst, finite_difference_check(bptt_loss, deep.params(), rng, samples=3))
+    loss = actor_critic_loss(deep, obs_seq, act_seq, [2] * 8)
+    worst = max(worst, finite_difference_check(loss, deep.params(), rng, samples=3))
 
     elapsed = time.monotonic() - start
     assert worst < 1e-4
@@ -275,10 +254,10 @@ def test_criterion_05_ppo_mechanics(tmp_path):
     adv = rng.standard_normal(n)
     values = rng.standard_normal(n)
     returns = rng.standard_normal(n)
-    loss = ppo_loss(Tensor(new_lp), old_lp, adv, Tensor(values), returns, Tensor(0.9), cfg)
-    expected = loss_oracle(new_lp, old_lp, adv, values, returns, 0.9, cfg)
-    T.clear_tape()
-    assert abs(float(loss.value) - expected) < 1e-12
+    log_std = np.array([-0.9, 0.2, -5.5])
+    loss, *_ = ppo_loss(new_lp, old_lp, adv, values, returns, log_std, cfg)
+    expected = loss_oracle(new_lp, old_lp, adv, values, returns, entropy_oracle(log_std), cfg)
+    assert abs(loss - expected) < 1e-12
 
     for _ in range(50):
         rewards = rng.standard_normal(10)

@@ -5,21 +5,22 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from airs.nn import tensor as T
+import tape as T
 from airs.nn.checkpoint import load_checkpoint, save_checkpoint
 from airs.nn.layers import Dense, MogrifierLstm, uniform_init
 from airs.nn.optim import Adam, adam_update
-from airs.nn.policy import ActorCritic
-from airs.nn.tensor import Tensor
+from airs.nn.policy import LOG_STD_MAX, LOG_STD_MIN, ActorCritic
+from airs.nn.tensor import Param
+from tape import Tensor
 
 FD_STEP = 1e-5
 FD_TOL = 1e-4
 
 
-def finite_difference_check(build_loss, params, rng, samples=5):
-    """Compare reverse-mode gradients against central differences."""
-    loss = build_loss()
-    T.backward(loss)
+def finite_difference_check(loss, params, rng, samples=5):
+    """Worst relative error of the gradients `loss(True)` adds into each param's
+    .grad, against central differences of `loss(False)` (each returns the loss)."""
+    loss(True)
     worst = 0.0
     for param in params:
         flat = param.value.ravel()
@@ -28,11 +29,9 @@ def finite_difference_check(build_loss, params, rng, samples=5):
         for i in rng.choice(flat.size, size=count, replace=False):
             keep = flat[i]
             flat[i] = keep + FD_STEP
-            with T.no_grad():
-                up = float(build_loss().value)
+            up = loss(False)
             flat[i] = keep - FD_STEP
-            with T.no_grad():
-                down = float(build_loss().value)
+            down = loss(False)
             flat[i] = keep
             fd = (up - down) / (2 * FD_STEP)
             denom = max(abs(fd), abs(grad[i]), 1e-8)
@@ -42,7 +41,60 @@ def finite_difference_check(build_loss, params, rng, samples=5):
     return worst
 
 
-# -- primitive ops ------------------------------------------------------------------
+def taped(build):
+    """`finite_difference_check`'s loss for a scalar that `build()` tapes."""
+    def loss(grad):
+        out = build()
+        if grad:
+            T.backward(out)
+        T.clear_tape()
+        return float(out.value)
+
+    return loss
+
+
+def dense_loss(layer, x):
+    """sum(tanh(layer.forward(x))**2), its gradient by `Dense.backward`."""
+    def loss(grad):
+        t = np.tanh(layer.forward(x))
+        if grad:
+            layer.backward(x, 2.0 * t * (1.0 - t**2), False)
+        return float((t**2).sum())
+
+    return loss
+
+
+def step_loss(cell, x, h, c, wh, wc):
+    """sum(h' * wh) + sum(c' * wc) for (h', c') = cell.step(x, h, c), its gradient by
+    `step_backward`; x, h and c are Params that take their gradients too."""
+    def loss(grad):
+        h_new, c_new, cache = cell.step(x.value, h.value, c.value)
+        if grad:
+            for param, g in zip((x, h, c), cell.step_backward(cache, wh, wc, True)):
+                param.add_grad(g)
+        return float((h_new * wh).sum() + (c_new * wc).sum())
+
+    return loss
+
+
+def actor_critic_loss(policy, obs, actions, batch_sizes):
+    """sum(log_prob(actor_sequence(obs), actions)) + sum(value(obs)**2), its
+    gradient by the program's backward functions, chained as an update chains them."""
+    def loss(grad):
+        state = policy.initial_state(batch_sizes[0])
+        means, actor = policy.actor_sequence(obs, batch_sizes, *state)
+        log_probs, gaussian = policy.log_prob(means, actions)
+        values, critic = policy.value(obs)
+        if grad:
+            policy.value_backward(critic, 2.0 * values)
+            g_means = policy.log_prob_backward(gaussian, np.ones_like(log_probs))
+            policy.actor_sequence_backward(actor, g_means)
+        return float(log_probs.sum() + (values**2).sum())
+
+    return loss
+
+
+# -- the reference tape's primitive ops ------------------------------------------------
 
 
 @pytest.mark.parametrize(
@@ -82,37 +134,91 @@ def test_primitive_gradients(name, rng):
             out = T.square(T.reshape(a, (4, 3)))
         return T.sum_all(out)
 
-    assert finite_difference_check(build, [a, b, w], rng) < FD_TOL
-
-
-def test_take_gradients_skip_untaken_slots(rng):
-    a = Tensor(rng.standard_normal((3, 4)), requires_grad=True)
-    order = np.array([5, 0, 9, 4, 1, 8, 6])  # flat slots 2, 3, 7, 10, 11 are never taken
-    weights = Tensor(rng.standard_normal(order.size))
-    build = lambda: T.sum_all(T.mul(T.square(T.take(a, order)), weights))
-    T.backward(build())
-    untaken = np.setdiff1d(np.arange(a.value.size), order)
-    assert np.all(a.grad.ravel()[untaken] == 0.0)
-    assert np.all(a.grad.ravel()[order] != 0.0)
-    a.grad = None
-    assert finite_difference_check(build, [a], rng, samples=a.value.size) < FD_TOL
+    assert finite_difference_check(taped(build), [a, b, w], rng) < FD_TOL
 
 
 def test_bias_broadcast_gradient(rng):
     x = Tensor(rng.standard_normal((5, 3)))
     bias = Tensor(rng.standard_normal(3), requires_grad=True)
     build = lambda: T.sum_all(T.square(T.add(x, bias)))
-    assert finite_difference_check(build, [bias], rng) < FD_TOL
+    assert finite_difference_check(taped(build), [bias], rng) < FD_TOL
 
 
-# -- layer gradients ------------------------------------------------------------------
+# -- layer gradients against central differences ----------------------------------------
 
 
 def test_dense_gradients(rng):
     layer = Dense(rng, 4, 3, "d")
-    x = Tensor(rng.standard_normal((6, 4)))
-    build = lambda: T.sum_all(T.square(T.tanh(layer(x))))
-    assert finite_difference_check(build, [p for _, p in layer.params()], rng) < FD_TOL
+    x = rng.standard_normal((6, 4))
+    assert finite_difference_check(dense_loss(layer, x), [p for _, p in layer.params()],
+                                   rng) < FD_TOL
+
+
+def test_mogrify_gradients(rng):
+    cell = MogrifierLstm(rng, 4, 5, rounds=5, name="m")
+    x, h, c = (Param(rng.standard_normal((3, n))) for n in (4, 5, 5))
+    wh, wc = rng.standard_normal((2, 3, 5))
+    params = [p for name, p in cell.params() if ".Q" in name or ".R" in name]
+    assert finite_difference_check(step_loss(cell, x, h, c, wh, wc), params + [x, h, c],
+                                   rng) < FD_TOL
+
+
+def test_lstm_step_gradients(rng):
+    cell = MogrifierLstm(rng, 4, 5, rounds=0, name="l")
+    x, h, c = (Param(rng.standard_normal((3, n))) for n in (4, 5, 5))
+    wh, wc = rng.standard_normal((2, 3, 5))
+    params = [p for _, p in cell.params()]
+    assert finite_difference_check(step_loss(cell, x, h, c, wh, wc), params + [x, h, c],
+                                   rng) < FD_TOL
+
+
+def test_gaussian_log_prob_gradients(rng):
+    policy = ActorCritic(rng, obs_dim=4, action_dim=3, hidden=6, mogrifier_rounds=0)
+    obs = rng.standard_normal((5, 4))
+    actions = rng.standard_normal((5, 3))
+    loss = actor_critic_loss(policy, obs, actions, [5])
+    assert finite_difference_check(loss, policy.params(), rng) < FD_TOL
+
+
+def test_full_actor_critic_gradients(rng):
+    policy = ActorCritic(rng, obs_dim=5, action_dim=3, hidden=8, mogrifier_rounds=5)
+    obs = rng.standard_normal((4, 5))
+    actions = rng.standard_normal((4, 3))
+    loss = actor_critic_loss(policy, obs, actions, [4])
+    assert finite_difference_check(loss, policy.params(), rng) < FD_TOL
+
+
+def test_bptt_8_step_gradients(rng):
+    policy = ActorCritic(rng, obs_dim=3, action_dim=2, hidden=5, mogrifier_rounds=5,
+                         bptt_chunk=0)
+    obs_seq = rng.standard_normal((16, 3))  # 8 steps of 2 rows, packed step-major
+    act_seq = rng.standard_normal((16, 2))
+    loss = actor_critic_loss(policy, obs_seq, act_seq, [2] * 8)
+    assert finite_difference_check(loss, policy.params(), rng, samples=3) < FD_TOL
+
+
+# -- kernels against their primitive composition -----------------------------------------
+#
+# Dense, log_prob and one mogrified LSTM step must reproduce the reference tape
+# of the primitive ops they replace bit for bit: the same outputs and the same
+# gradient in every input and parameter, including the order in which gradients
+# add up.  `actor_sequence` runs its trunk and head as one gemm over all rows,
+# so it matches the per-step primitive tape to 1e-12 relative.  Each kernel
+# enters the reference loss as one taped node over its forward and backward.
+# The reference LSTM step runs each gate on its own leaf weights
+# (`per_gate_leaves`); the stacked gradients are compared with the per-gate ones.
+
+
+def dense_node(layer, x):
+    """`layer` on the Tensor x as one taped node."""
+    out = layer.forward(x.value)
+
+    def backward_fn(g):
+        gx = layer.backward(x.value, g, x.requires_grad)
+        if gx is not None:
+            x.add_grad(gx)
+
+    return T.record(out, backward_fn)
 
 
 def taped_step_loss(cell, x, h, c, wh, wc=None):
@@ -121,13 +227,10 @@ def taped_step_loss(cell, x, h, c, wh, wc=None):
     Returns (loss, h', c').  The backward hands `step_backward` the output
     gradients, zeros for h' when `wh` is None and none for c' when `wc` is,
     and adds the input gradients to x and to the state pair (h and c need a
-    gradient together).  Untaped under no_grad, like the program's ops.
+    gradient together).
     """
     h_new, c_new, cache = cell.step(x.value, h.value, c.value)
     terms = [(out * w).sum() for out, w in ((h_new, wh), (c_new, wc)) if w is not None]
-    loss = sum(terms)
-    if not T.grad_enabled():
-        return Tensor(loss), h_new, c_new
 
     def backward_fn(g):
         gh = np.zeros_like(h_new) if wh is None else g * wh
@@ -139,78 +242,19 @@ def taped_step_loss(cell, x, h, c, wh, wc=None):
             h.add_grad(gh)
             c.add_grad(gc)
 
-    return T.record(loss, backward_fn), h_new, c_new
+    return T.record(sum(terms), backward_fn), h_new, c_new
 
 
-def test_mogrify_gradients(rng):
-    cell = MogrifierLstm(rng, 4, 5, rounds=5, name="m")
-    x, h, c = (Tensor(rng.standard_normal((3, n)), requires_grad=True) for n in (4, 5, 5))
-    wh, wc = rng.standard_normal((2, 3, 5))
-    build = lambda: taped_step_loss(cell, x, h, c, wh, wc)[0]
-    params = [p for name, p in cell.params() if ".Q" in name or ".R" in name]
-    assert finite_difference_check(build, params + [x, h, c], rng) < FD_TOL
+def log_prob_node(policy, mean, actions):
+    """`policy.log_prob` of the Tensor mean (which takes a gradient) as one taped node."""
+    out, cache = policy.log_prob(mean.value, actions)
+    return T.record(out, lambda g: mean.add_grad(policy.log_prob_backward(cache, g)))
 
 
-def test_lstm_step_gradients(rng):
-    cell = MogrifierLstm(rng, 4, 5, rounds=0, name="l")
-    x, h, c = (Tensor(rng.standard_normal((3, n)), requires_grad=True) for n in (4, 5, 5))
-    wh, wc = rng.standard_normal((2, 3, 5))
-    build = lambda: taped_step_loss(cell, x, h, c, wh, wc)[0]
-    params = [p for _, p in cell.params()]
-    assert finite_difference_check(build, params + [x, h, c], rng) < FD_TOL
-
-
-def test_gaussian_log_prob_gradients(rng):
-    policy = ActorCritic(rng, obs_dim=4, action_dim=3, hidden=6, mogrifier_rounds=0)
-    obs = rng.standard_normal((5, 4))
-    actions = rng.standard_normal((5, 3))
-
-    def build():
-        means = policy.actor_sequence(obs, [5], *policy.initial_state(5))
-        return T.sum_all(policy.log_prob(means, Tensor(actions)))
-
-    assert finite_difference_check(build, policy.params(), rng) < FD_TOL
-
-
-def test_full_actor_critic_gradients(rng):
-    policy = ActorCritic(rng, obs_dim=5, action_dim=3, hidden=8, mogrifier_rounds=5)
-    obs = rng.standard_normal((4, 5))
-    actions = rng.standard_normal((4, 3))
-
-    def build():
-        means = policy.actor_sequence(obs, [4], *policy.initial_state(4))
-        logp = policy.log_prob(means, Tensor(actions))
-        value = policy.value(Tensor(obs))
-        return T.add(T.sum_all(logp), T.sum_all(T.square(value)))
-
-    assert finite_difference_check(build, policy.params(), rng) < FD_TOL
-
-
-def test_bptt_8_step_gradients(rng):
-    policy = ActorCritic(rng, obs_dim=3, action_dim=2, hidden=5, mogrifier_rounds=5,
-                         bptt_chunk=0)
-    obs_seq = rng.standard_normal((16, 3))  # 8 steps of 2 rows, packed step-major
-    act_seq = rng.standard_normal((16, 2))
-
-    def build():
-        means = policy.actor_sequence(obs_seq, [2] * 8, *policy.initial_state(2))
-        return T.sum_all(policy.log_prob(means, Tensor(act_seq)))
-
-    assert finite_difference_check(build, policy.params(), rng, samples=3) < FD_TOL
-
-
-# -- fused ops against their primitive composition ---------------------------------------
-#
-# Dense, log_prob and one mogrified LSTM step (`MogrifierLstm.step` and
-# `step_backward`) must reproduce the tape of the primitive ops they replace bit
-# for bit: the same outputs and the same gradient in every input and parameter,
-# including the order in which gradients add up.  The actor's recurrence over a
-# packed batch (`actor_sequence`) runs its trunk and head as one gemm over all
-# rows, so it matches the per-step primitive tape to 1e-12 relative.  The
-# primitive compositions below are the references and live only here.  The
-# reference LSTM step runs each gate on its own leaf weights
-# (`per_gate_leaves`), and the stacked parameters' gradients are compared with
-# the stacked per-gate ones.
+def sequence_node(policy, obs, batch_sizes, h0, c0):
+    """`policy.actor_sequence` as one taped node."""
+    means, cache = policy.actor_sequence(obs, batch_sizes, h0, c0)
+    return T.record(means, lambda g: policy.actor_sequence_backward(cache, g))
 
 
 def unfused_dense(layer, x):
@@ -221,14 +265,14 @@ def unfused_mogrify(cell, x, h):
     q_iter, r_iter = iter(cell.Q), iter(cell.R)
     for i in range(1, cell.rounds + 1):
         if i % 2 == 1:
-            x = T.mul(2.0 * T.sigmoid(T.matmul(h, next(q_iter))), x)
+            x = T.mul(T.mul(2.0, T.sigmoid(T.matmul(h, next(q_iter)))), x)
         else:
-            h = T.mul(2.0 * T.sigmoid(T.matmul(x, next(r_iter))), h)
+            h = T.mul(T.mul(2.0, T.sigmoid(T.matmul(x, next(r_iter)))), h)
     return x, h
 
 
 def per_gate_leaves(cell):
-    """Leaf copies of each gate's slice of Wx, Wh and b, keyed by id of the stacked Tensor."""
+    """Leaf copies of each gate's slice of Wx, Wh and b, keyed by id of the stacked Param."""
     return {id(p): [Tensor(p.value[k].copy(), requires_grad=True) for k in range(len(cell.GATES))]
             for p in (cell.Wx, cell.Wh, cell.b)}
 
@@ -245,7 +289,7 @@ def unfused_lstm_step(cell, x, state, leaves):
 
 
 def unfused_log_prob(policy, mean, actions):
-    log_std = policy.clamped_log_std()
+    log_std = T.clip(policy.log_std, LOG_STD_MIN, LOG_STD_MAX)
     inv_std = T.exp(T.neg(log_std))
     z = T.mul(T.sub(actions, mean), inv_std)
     quad = T.sum_axis(T.square(z), axis=1)
@@ -264,7 +308,7 @@ def unfused_actor_step(policy, obs, state, leaves):
 def weighted_loss(outputs, inputs, rng):
     """Random-weighted sum of `outputs`, plus terms reusing each input that needs a
     gradient, so those inputs already hold one when the op's backward runs."""
-    terms = [T.sum_all(T.mul(out, Tensor(rng.standard_normal(out.shape)))) for out in outputs]
+    terms = [T.sum_all(T.mul(out, Tensor(rng.standard_normal(out.value.shape)))) for out in outputs]
     terms += [T.sum_all(T.square(t)) for t in inputs if t.requires_grad]
     loss = terms[0]
     for term in terms[1:]:
@@ -276,7 +320,7 @@ def fused_and_unfused(build, tensors, leaves=None):
     """`build(fused)` returns (outputs, loss); run it both ways.
 
     Returns, for fused and then unfused, the output values and the gradient
-    of each of `tensors`.  `leaves` maps id(stacked Tensor) to the per-gate
+    of each of `tensors`.  `leaves` maps id(stacked Param) to the per-gate
     leaves the unfused build uses in its place; their gradients are returned
     stacked, a gate with no gradient counting as zeros.
     """
@@ -320,7 +364,7 @@ def test_fused_dense_matches_primitives(batch, input_grad, rng):
     x = Tensor(rng.standard_normal((batch, 6)), requires_grad=input_grad)
 
     def build(fused):
-        out = layer(x) if fused else unfused_dense(layer, x)
+        out = dense_node(layer, x) if fused else unfused_dense(layer, x)
         return [out], weighted_loss([out], [x], np.random.default_rng(1))
 
     assert_fused_matches_unfused(build, [x, layer.W, layer.b])
@@ -386,11 +430,11 @@ def test_fused_log_prob_matches_primitives(batch, rng):
     policy = ActorCritic(rng, obs_dim=4, action_dim=4, hidden=6, mogrifier_rounds=0)
     policy.log_std.value = np.array([-6.0, -0.7, 0.4, 1.5])  # two dims clamped
     mean = Tensor(rng.standard_normal((batch, 4)), requires_grad=True)
-    actions = Tensor(rng.standard_normal((batch, 4)))
+    actions = rng.standard_normal((batch, 4))
 
     def build(fused):
-        logp = (policy.log_prob(mean, actions) if fused
-                else unfused_log_prob(policy, mean, actions))
+        logp = (log_prob_node(policy, mean, actions) if fused
+                else unfused_log_prob(policy, mean, Tensor(actions)))
         return [logp], weighted_loss([logp], [mean], np.random.default_rng(1))
 
     assert_fused_matches_unfused(build, [mean, policy.log_std])
@@ -404,7 +448,7 @@ def unfused_log_probs(policy, obs, h0, c0, actions, leaves):
     out = []
     for t in range(len(obs)):
         if chunk > 0 and t > 0 and t % chunk == 0:
-            state = (state[0].detach(), state[1].detach())
+            state = (Tensor(state[0].value), Tensor(state[1].value))
         mean, state = unfused_actor_step(policy, Tensor(obs[t]), state, leaves)
         out.append(unfused_log_prob(policy, mean, Tensor(actions[t])))
     return out
@@ -416,21 +460,18 @@ def assert_close(a, b):
 
 
 def assert_sequence_matches_per_step_tape(policy, lengths, rng):
-    """`take(log_prob(actor_sequence(...)), order)` over packed rows, as the update
-    runs it, against the per-step primitive tape over the padded (T, B) grid.
+    """`log_prob(actor_sequence(...))` over packed rows, as the update runs it,
+    against the per-step primitive tape over the padded (T, B) grid.
 
-    Packed rows follow the segments longest first (stable), step-major; `order`
-    maps buffer order (segment by segment) to packed rows.  Both losses weight
-    each live step's log-prob the same; the grid's padded slots weigh zero.  Both
-    also reuse log_std after the log-probs, so it already holds a gradient when
-    `log_prob`'s backward adds its own, as in the update.
+    Packed rows follow the segments longest first (stable), step-major.  Both
+    losses weight each live step's log-prob the same; the grid's padded slots
+    weigh zero.  Both also reuse log_std after the log-probs, so it already holds
+    a gradient when `log_prob`'s backward adds its own, as in the update.
     """
     lengths = np.array(lengths)
     steps, batch = lengths.max(), len(lengths)
     ranked = np.argsort(-lengths, kind="stable")
     packed = [(t, b) for t in range(steps) for b in ranked if t < lengths[b]]
-    row = {cell: i for i, cell in enumerate(packed)}
-    order = np.array([row[t, b] for b in range(batch) for t in range(lengths[b])])
     batch_sizes = [sum(n > t for n in lengths) for t in range(steps)]
     obs = rng.standard_normal((steps, batch, policy.obs_dim))
     actions = rng.standard_normal((steps, batch, policy.action_dim))
@@ -442,10 +483,10 @@ def assert_sequence_matches_per_step_tape(policy, lengths, rng):
 
     def build(fused):
         if fused:
-            means = policy.actor_sequence(obs[t_idx, b_idx], batch_sizes, h0[ranked], c0[ranked])
-            logp = T.take(policy.log_prob(means, Tensor(actions[t_idx, b_idx])), order)
-            w = weights[t_idx, b_idx][order]
-            loss = T.sum_all(T.mul(logp, Tensor(w)))
+            means = sequence_node(policy, obs[t_idx, b_idx], batch_sizes, h0[ranked],
+                                  c0[ranked])
+            logp = log_prob_node(policy, means, actions[t_idx, b_idx])
+            loss = T.sum_all(T.mul(logp, Tensor(weights[t_idx, b_idx])))
             return [logp], T.add(loss, T.sum_all(T.square(policy.log_std)))
         per_step = unfused_log_probs(policy, obs, h0, c0, actions, leaves)
         loss = T.sum_all(T.mul(per_step[0], Tensor(weights[0])))
@@ -453,7 +494,7 @@ def assert_sequence_matches_per_step_tape(policy, lengths, rng):
             loss = T.add(loss, T.sum_all(T.mul(logp_t, Tensor(w_t))))
         grid = np.stack([logp_t.value for logp_t in per_step])
         loss = T.add(loss, T.sum_all(T.square(policy.log_std)))
-        return [Tensor(grid[t_idx, b_idx][order])], loss
+        return [Tensor(grid[t_idx, b_idx])], loss
 
     (out_f, grads_f), (out_u, grads_u) = fused_and_unfused(build, policy.params(), leaves)
     assert_close(out_f[0], out_u[0])
@@ -484,16 +525,23 @@ def test_actor_sequence_matches_per_step_tape(rounds, chunk, rng):
         assert_sequence_matches_per_step_tape(policy, lengths, rng)
 
 
-def test_fused_ops_untaped_under_no_grad(rng):
+def test_actor_sequence_backward_drops_each_step_cache(rng, monkeypatch):
+    """The reverse pass pops each step's cache before it walks the step before,
+    so a walked step's arrays are freed while the rest are walked."""
     policy = ActorCritic(rng, obs_dim=4, action_dim=3, hidden=6, mogrifier_rounds=5)
     obs = rng.standard_normal((6, 4))  # 3 steps of 2 rows, packed step-major
-    mean, (h, c) = policy.actor_step(obs[:2], policy.initial_state(2))  # arrays, no tape
-    assert all(type(a) is np.ndarray for a in (mean, h, c))
-    with T.no_grad():
-        means = policy.actor_sequence(obs, [2, 2, 2], *policy.initial_state(2))
-        logp = policy.log_prob(means, Tensor(rng.standard_normal((6, 3))))
-    assert T.tape_size() == 0
-    assert all(t.backward_fn is None and not t.requires_grad for t in (means, logp))
+    means, cache = policy.actor_sequence(obs, [2, 2, 2], *policy.initial_state(2))
+    steps = cache[-1]  # the per-step caches
+    left = []
+    real_step_backward = MogrifierLstm.step_backward
+
+    def spy(cell, step_cache, *args):
+        left.append(len(steps))
+        return real_step_backward(cell, step_cache, *args)
+
+    monkeypatch.setattr(MogrifierLstm, "step_backward", spy)
+    policy.actor_sequence_backward(cache, np.ones_like(means))
+    assert left == [2, 1, 0]
 
 
 # -- mogrifier behaviour ----------------------------------------------------------------
@@ -615,7 +663,7 @@ def test_backward_quadratic_exact(rng):
 
 def test_backward_constant_loss_leaves_grads_zero():
     p = Tensor(np.ones(3), requires_grad=True)
-    p.zero_grad()
+    p.grad = np.zeros(3)
     T.backward(Tensor(5.0))
     assert np.array_equal(p.grad, np.zeros(3))
 
@@ -679,7 +727,7 @@ def test_adam_first_step_closed_form():
 
 
 def test_adam_descends_against_constant_gradient():
-    t = Tensor(np.array([2.0]), requires_grad=True)
+    t = Param(np.array([2.0]))
     opt = Adam([t], lr=0.05)
     for _ in range(50):
         opt.zero_grad()
@@ -689,7 +737,7 @@ def test_adam_descends_against_constant_gradient():
 
 
 def test_adam_skips_missing_grads():
-    t = Tensor(np.array([1.0]), requires_grad=True)
+    t = Param(np.array([1.0]))
     opt = Adam([t], lr=0.1)
     opt.zero_grad()
     opt.step()
@@ -706,9 +754,8 @@ def test_same_seed_identical_networks_and_outputs():
         policy = ActorCritic(np.random.default_rng(77), obs_dim=4, action_dim=2,
                              hidden=6, mogrifier_rounds=5)
         mean, _ = policy.actor_step(obs, policy.initial_state(3))
-        with T.no_grad():
-            value = policy.value(Tensor(obs))
-        outs.append((mean.copy(), value.value.copy()))
+        value, _ = policy.value(obs)
+        outs.append((mean.copy(), value.copy()))
     assert np.array_equal(outs[0][0], outs[1][0])
     assert np.array_equal(outs[0][1], outs[1][1])
 

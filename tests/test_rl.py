@@ -1,19 +1,22 @@
 import gc
+import importlib
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import tape as T
 from airs.config import build_env, default_config
-from airs.nn import tensor as T
 from airs.rl.agents import AGENT_SPECS, AgentSpec, baseline_agent
 from airs.rl.necsa import EpisodicTable, NecsaShaper, abstract_state, necsa_revise
 import airs.rl.ppo as ppo_module
 from airs.nn.layers import MogrifierLstm
-from airs.nn.policy import ActorCritic
+from airs.nn.policy import LOG_STD_MAX, LOG_STD_MIN, ActorCritic
 from airs.rl.ppo import (
     NumericAbort,
+    PackedBatch,
     PpoConfig,
     PpoUpdater,
     RolloutBuffer,
@@ -25,8 +28,8 @@ from airs.rl.ppo import (
 from airs.env import AirsEnv, SlotRecord
 from airs.nn.checkpoint import load_checkpoint
 from airs.rl.train import SLOTS_HEADER, TRAJECTORY_HEADER, RunWriter, _row, train
-from airs.nn.tensor import Tensor
 from conftest import toy_overrides
+from tape import Tensor
 
 
 def small_ppo_config(**kw):
@@ -204,22 +207,27 @@ def loss_oracle(new_lp, old_lp, adv, values, returns, entropy, cfg):
     return -(actor / n) + cfg.critic_weight * (critic / n) - cfg.entropy_weight * entropy
 
 
+def entropy_oracle(log_std):
+    """Entropy of a diagonal Gaussian with each log-std clamped to [-5, 1]."""
+    return sum(min(max(s, -5.0), 1.0) + 0.5 * (1.0 + math.log(2.0 * math.pi))
+               for s in log_std)
+
+
 def test_ppo_loss_unit_ratio_reduces_to_mean_advantage(rng):
     cfg = small_ppo_config(critic_weight=0.0, entropy_weight=0.0)
     lp = rng.standard_normal(32)
     adv = rng.standard_normal(32)
-    loss = ppo_loss(Tensor(lp), lp, adv, np.zeros(32), np.zeros(32), 0.0, cfg)
-    assert float(loss.value) == pytest.approx(-adv.mean(), abs=1e-12)
-    T.clear_tape()
+    loss, *_ = ppo_loss(lp, lp, adv, np.zeros(32), np.zeros(32), np.zeros(3), cfg)
+    assert loss == pytest.approx(-adv.mean(), abs=1e-12)
 
 
 def test_ppo_loss_clip_ceiling():
     cfg = small_ppo_config(critic_weight=0.0, entropy_weight=0.0)
     eps = cfg.clip_epsilon
     new_lp = np.array([math.log(1.0 + 2.0 * eps)])
-    loss = ppo_loss(Tensor(new_lp), np.zeros(1), np.ones(1), np.zeros(1), np.zeros(1), 0.0, cfg)
-    assert float(loss.value) == pytest.approx(-(1.0 + eps), abs=1e-12)
-    T.clear_tape()
+    loss, *_ = ppo_loss(new_lp, np.zeros(1), np.ones(1), np.zeros(1), np.zeros(1),
+                        np.zeros(3), cfg)
+    assert loss == pytest.approx(-(1.0 + eps), abs=1e-12)
 
 
 def test_ppo_loss_matches_scalar_oracle(rng):
@@ -230,11 +238,46 @@ def test_ppo_loss_matches_scalar_oracle(rng):
     adv = rng.standard_normal(n)
     values = rng.standard_normal(n)
     returns = rng.standard_normal(n)
-    entropy = 1.37
-    loss = ppo_loss(Tensor(new_lp), old_lp, adv, Tensor(values), returns, Tensor(entropy), cfg)
-    expected = loss_oracle(new_lp, old_lp, adv, values, returns, entropy, cfg)
-    assert float(loss.value) == pytest.approx(expected, abs=1e-12)
-    T.clear_tape()
+    log_std = np.array([-6.0, -0.5, 0.3, 1.5])
+    loss, *_ = ppo_loss(new_lp, old_lp, adv, values, returns, log_std, cfg)
+    expected = loss_oracle(new_lp, old_lp, adv, values, returns, entropy_oracle(log_std), cfg)
+    assert loss == pytest.approx(expected, abs=1e-12)
+
+
+def taped_ppo_loss(new_lp, old_lp, adv, values, returns, log_std, cfg):
+    """The primitive composition `ppo_loss` differentiates, on the reference tape;
+    new_lp, values and log_std are its leaves."""
+    ratio = T.exp(T.sub(new_lp, Tensor(old_lp)))
+    clipped = T.clip(ratio, 1.0 - cfg.clip_epsilon, 1.0 + cfg.clip_epsilon)
+    surrogate = T.minimum(T.mul(ratio, Tensor(adv)), T.mul(clipped, Tensor(adv)))
+    actor = T.neg(T.mean_all(surrogate))
+    critic = T.mean_all(T.mul(0.5, T.square(T.sub(Tensor(returns), values))))
+    entropy = T.add(T.sum_all(T.clip(log_std, LOG_STD_MIN, LOG_STD_MAX)),
+                    Tensor(0.5 * log_std.value.size * (1.0 + math.log(2.0 * math.pi))))
+    return T.add(T.add(actor, T.mul(cfg.critic_weight, critic)),
+                 T.mul(-cfg.entropy_weight, entropy))
+
+
+@pytest.mark.parametrize("log_std", [[-0.5, 0.3, -4.9], [-5.0, 1.0, -5.0], [-6.0, 1.5, 7.0]],
+                         ids=["inside", "on", "outside"])
+@pytest.mark.parametrize("ratios", ["tie", "spread"])
+def test_ppo_loss_gradients_match_tape(ratios, log_std, rng):
+    """The closed-form gradients equal the reference tape's bit for bit.  "tie" is
+    epoch 0 (ratio 1: both terms equal); "spread" puts ratios on both sides of the
+    clip range with advantages of both signs, so each term is the minimum somewhere."""
+    cfg = small_ppo_config(clip_epsilon=0.1, critic_weight=0.7, entropy_weight=0.03)
+    for n in (1, 7, 1000):
+        old_lp = rng.standard_normal(n)
+        new_lp = old_lp.copy() if ratios == "tie" else old_lp + rng.standard_normal(n) * 0.3
+        adv, values, returns = rng.standard_normal((3, n))
+        loss, g_new, g_values, g_log_std = ppo_loss(new_lp, old_lp, adv, values, returns,
+                                                    np.array(log_std), cfg)
+        leaves = [Tensor(a, requires_grad=True) for a in (new_lp, values, log_std)]
+        reference = taped_ppo_loss(leaves[0], old_lp, adv, leaves[1], returns, leaves[2], cfg)
+        T.backward(reference)
+        assert np.array_equal(loss, reference.value)
+        for mine, leaf in zip((g_new, g_values, g_log_std), leaves):
+            assert np.array_equal(mine, leaf.grad)
 
 
 # -- trainer behaviour ------------------------------------------------------------------
@@ -376,34 +419,34 @@ def test_necsa_zero_weight_trace_matches_disabled(tmp_path):
 def replay_segments(policy, buffer):
     """Log-probs of the buffer's actions, each segment replayed alone at batch 1."""
     out = np.zeros(len(buffer))
-    with T.no_grad():
-        for seg in buffer.segments:
-            state = (seg.h0[None], seg.c0[None])
-            for i in range(seg.start, seg.start + seg.length):
-                tr = buffer.transitions[i]
-                mean, state = policy.actor_step(tr.state[None], state)
-                out[i] = policy.log_prob(Tensor(mean), Tensor(tr.action[None])).value[0]
+    for seg in buffer.segments:
+        state = (seg.h0[None], seg.c0[None])
+        for i in range(seg.start, seg.start + seg.length):
+            tr = buffer.transitions[i]
+            mean, state = policy.actor_step(tr.state[None], state)
+            out[i] = policy.log_prob(mean, tr.action[None])[0][0]
     return out
 
 
 def collect_and_update(monkeypatch, tmp_path, batch_size=30, episodes=4, horizon=10):
     """Trains with spies on `PpoUpdater.update` and `ppo_loss`.
 
-    Returns one record per update: the buffer's segment layout and its
-    batch-1 replay under the pre-update policy, then the inputs and value of
-    every epoch's loss.
+    Returns one record per update: the buffer's segment layout, its batch-1
+    replay under the pre-update policy and its packed row order, then the
+    inputs and value of every epoch's loss (log-probs and advantages in packed
+    order, values and returns in buffer order).
     """
     cfg = small_cfg(episodes=episodes, horizon=horizon, batch_size=batch_size)
     updates = []
 
-    def spy_loss(new_lp, old_lp, adv, values, returns, entropy, config):
-        loss = ppo_loss(new_lp, old_lp, adv, values, returns, entropy, config)
+    def spy_loss(new_lp, old_lp, adv, values, returns, log_std, config):
+        result = ppo_loss(new_lp, old_lp, adv, values, returns, log_std, config)
         updates[-1]["epochs"].append({
-            "new": new_lp.value.copy(), "old": np.array(old_lp), "adv": np.array(adv),
-            "values": values.value.copy(), "returns": np.array(returns),
-            "entropy": float(entropy.value), "config": config, "loss": float(loss.value),
+            "new": new_lp.copy(), "old": old_lp.copy(), "adv": adv.copy(),
+            "values": values.copy(), "returns": returns.copy(),
+            "entropy": entropy_oracle(log_std), "config": config, "loss": result[0],
         })
-        return loss
+        return result
 
     real_update = PpoUpdater.update
 
@@ -411,6 +454,7 @@ def collect_and_update(monkeypatch, tmp_path, batch_size=30, episodes=4, horizon
         updates.append({
             "segments": [(seg.start, seg.length, seg.h0.copy()) for seg in buffer.segments],
             "replay": replay_segments(updater.policy, buffer),
+            "order": PackedBatch(buffer).order,
             "epochs": [],
         })
         return real_update(updater, buffer)
@@ -450,7 +494,7 @@ def test_batched_log_probs_match_per_segment_replay(monkeypatch, tmp_path):
     assert len({length for _, length, _ in segments}) > 1  # the packed batch shrinks
     assert any(np.any(h0 != 0.0) for _, _, h0 in segments)  # some start mid-episode
     for update in updates:
-        batched = update["epochs"][0]["new"]
+        batched = update["epochs"][0]["new"][update["order"]]  # in buffer order
         assert np.max(np.abs(batched - update["replay"])) < 1e-12
 
 
@@ -524,9 +568,8 @@ def test_rollout_values_equal_batch_one_critic_calls(monkeypatch):
         policy = ActorCritic(rng, obs_dim=4, action_dim=3, hidden=6, mogrifier_rounds=5)
         buffer = random_buffer(policy, rng, [7, 10, 3])
         buffer.transitions[-1].done = last_done
-        with T.no_grad():
-            expected = np.array([policy.value(Tensor(obs[None])).value[0] for obs in
-                                 [tr.state for tr in buffer.transitions] + [buffer.next_obs]])
+        expected = np.array([policy.value(obs[None])[0][0] for obs in
+                             [tr.state for tr in buffer.transitions] + [buffer.next_obs]])
         seen.clear()
         PpoUpdater(policy, small_ppo_config(epochs=1)).update(buffer)
         assert len(seen) == 1
@@ -588,55 +631,53 @@ def test_update_steps_one_cell_row_per_transition(monkeypatch, tmp_path):
     assert all(n == 370 and rows == epochs * 370 for _, n, rows in counter.updates)
 
 
-def test_update_epoch_tapes_at_most_30_nodes(monkeypatch):
-    """The recurrence over the whole packed batch is one tape node."""
-    rng = np.random.default_rng(0)
-    policy = ActorCritic(rng, obs_dim=4, action_dim=3, hidden=6, mogrifier_rounds=5,
-                         bptt_chunk=4)
-    updater = PpoUpdater(policy, small_ppo_config(epochs=2))
-    buffer = random_buffer(policy, rng, [40, 25, 3])  # 40 steps: 3 rows wide, then 2, then 1
-    tape_sizes = []
-    real_backward = T.backward
-
-    def spy_backward(loss):
-        tape_sizes.append(T.tape_size())
-        real_backward(loss)
-
-    monkeypatch.setattr(T, "backward", spy_backward)
-    updater.update(buffer)
-    assert len(tape_sizes) == 2
-    assert max(tape_sizes) <= 30
-
-
-def tensors_tracked_by_gc():
-    return sum(type(obj) is Tensor for obj in gc.get_objects())
+def test_bench_tracer_sees_one_backward_per_epoch(monkeypatch, tmp_path):
+    """The benchmark's tracer (airsbench/tracing.py) finds what it wraps: one
+    update makes one `ppo.update` span, one `nn.backward` per epoch, no tape nodes."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "airsbench"))
+    tracing = importlib.import_module("tracing")
+    cfg = small_cfg(episodes=2, horizon=10, batch_size=20)
+    tracer = tracing.Tracer()
+    with tracer.installed():
+        summary = train(cfg, tmp_path / "run", seed=0)
+    assert summary["updates_run"] == 1
+    metrics = tracer.layer_metrics()
+    assert metrics["ppo.update.calls"] == 1
+    assert len(tracer.durations["nn.backward"]) == cfg["rl"]["epochs"]
+    assert metrics["nn.tape_nodes_per_backward"] == 0
 
 
 @pytest.mark.parametrize("abort", [False, True])
 def test_update_graph_is_freed_without_the_cycle_collector(monkeypatch, abort):
-    """After an update, finished or aborted, no tape Tensor waits for gc.collect()."""
+    """After an update, finished or aborted, nothing waits for gc.collect(): the
+    caches of the reverse pass are freed by reference counting.  An abort's dump
+    lists the log-probs in buffer order."""
     rng = np.random.default_rng(0)
     policy = ActorCritic(rng, obs_dim=4, action_dim=3, hidden=6, mogrifier_rounds=5,
                          bptt_chunk=4)
     updater = PpoUpdater(policy, small_ppo_config(epochs=2))
     buffer = random_buffer(policy, rng, [7, 10, 3])
+    replay = replay_segments(policy, buffer)
     if abort:
         real_loss = ppo_module.ppo_loss
         monkeypatch.setattr(ppo_module, "ppo_loss",
-                            lambda *args: T.mul(real_loss(*args), float("nan")))
+                            lambda *args: (np.nan,) + real_loss(*args)[1:])
     was_enabled = gc.isenabled()
     gc.collect()
     gc.disable()
     try:
         try:
             updater.update(buffer)
-        except NumericAbort:
+        except NumericAbort as error:
             assert abort
+            dump = error.dump
         else:
             assert not abort
-        before = tensors_tracked_by_gc()
-        gc.collect()
-        assert tensors_tracked_by_gc() == before
+        assert gc.collect() == 0
     finally:
         if was_enabled:
             gc.enable()
+    if abort:
+        assert dump["epoch"] == 0
+        assert np.max(np.abs(np.array(dump["new_log_probs"]) - replay)) < 1e-12
+        assert dump["old_log_probs"] == dump["new_log_probs"]
