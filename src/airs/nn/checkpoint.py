@@ -6,9 +6,12 @@ Round-trips are byte exact.  A save writes both files into a temporary
 sibling directory and then moves it onto the target, so a save that fails
 leaves the previous checkpoint whole.
 
-Format 2 stores each LSTM's gate weights stacked, as `<cell>.Wx`, `<cell>.Wh`
-and `<cell>.b`.  Format 1 stored one array per gate (`<cell>.Wx_i`, ...);
-`load_checkpoint` still reads it and stacks the gates.
+Format 3 stores each LSTM's gates fused, as `<cell>.W` of shape
+(in + hidden, 4 * hidden) and `<cell>.b` of shape (4 * hidden,)
+(`MogrifierLstm`'s layout).  Format 2 stored them stacked gate-major
+(`<cell>.Wx` (4, in, hidden), `<cell>.Wh` (4, hidden, hidden), `<cell>.b`
+(4, hidden)) and format 1 one array per gate (`<cell>.Wx_i`, ...);
+`load_checkpoint` still reads both and fuses their gates.
 """
 
 import json
@@ -20,7 +23,7 @@ import numpy as np
 
 from .layers import MogrifierLstm
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 class CheckpointError(ValueError):
@@ -62,23 +65,34 @@ def save_checkpoint(directory, named_arrays, step: int, hyperparams: dict):
         raise
 
 
-def _stack_v1_gates(arrays: dict) -> dict:
-    """Format 1's per-gate LSTM arrays stacked into format 2's entries."""
-    for name in [n for n in arrays if n.endswith(".Wx_i")]:
-        cell = name[: -len(".Wx_i")]
+def _fuse_gates(arrays: dict, version: int) -> dict:
+    """Format 1's per-gate or format 2's stacked LSTM arrays as format 3's fused ones.
+
+    A gate count or shape that does not fit the policy is left for
+    `ActorCritic.load_state` to reject.
+    """
+    first = ".Wx_i" if version == 1 else ".Wx"
+    for name in [n for n in arrays if n.endswith(first)]:
+        cell = name[: -len(first)]
+        gates = {}
         for kind in ("Wx", "Wh", "b"):
-            parts = []
-            for gate in MogrifierLstm.GATES:
-                key = f"{cell}.{kind}_{gate}"
+            keys = ([f"{cell}.{kind}_{gate}" for gate in MogrifierLstm.GATES] if version == 1
+                    else [f"{cell}.{kind}"])
+            for key in keys:
                 if key not in arrays:
                     raise CheckpointError(f"checkpoint is missing parameter {key}")
-                parts.append(arrays.pop(key))
-            arrays[f"{cell}.{kind}"] = np.stack(parts)
+            stacks = [arrays.pop(key) for key in keys]
+            gates[kind] = stacks if version == 1 else list(stacks[0])
+        try:
+            arrays[f"{cell}.W"] = np.block([gates["Wx"], gates["Wh"]])
+            arrays[f"{cell}.b"] = np.concatenate(gates["b"])
+        except ValueError as exc:
+            raise CheckpointError(f"checkpoint gates of {cell} do not fit together: {exc}") from None
     return arrays
 
 
 def load_checkpoint(directory):
-    """Returns (manifest, dict name -> float64 array); reads formats 1 and 2."""
+    """Returns (manifest, dict name -> float64 array); reads formats 1 to 3."""
     directory = Path(directory)
     try:
         manifest = json.loads((directory / "manifest.json").read_text())
@@ -88,7 +102,7 @@ def load_checkpoint(directory):
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"checkpoint {directory} manifest is not JSON: {exc}") from exc
     version = manifest.get("format_version") if isinstance(manifest, dict) else None
-    if version not in (1, FORMAT_VERSION):
+    if version not in (1, 2, FORMAT_VERSION):
         raise CheckpointError(f"unsupported checkpoint format {version}")
     arrays = {}
     try:
@@ -100,6 +114,6 @@ def load_checkpoint(directory):
             arrays[entry["name"]] = np.frombuffer(blob, dtype="<f8").reshape(entry["shape"]).copy()
     except KeyError as exc:
         raise CheckpointError(f"checkpoint {directory} manifest is missing {exc}") from None
-    if version == 1:
-        arrays = _stack_v1_gates(arrays)
+    if version != FORMAT_VERSION:
+        arrays = _fuse_gates(arrays, version)
     return manifest, arrays

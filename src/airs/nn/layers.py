@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 
-from .tensor import Param, logistic
+from .tensor import Param
 
 
 def uniform_init(rng, fan_in: int, shape) -> np.ndarray:
@@ -38,25 +38,35 @@ class Dense:
         return [(f"{self.name}.W", self.W), (f"{self.name}.b", self.b)]
 
 
+def _gate(t: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out = (1 + tanh(t)) * v: with t = 0.5 * (u @ weight) the gating round's
+    2 * sigmoid(u @ weight) * v.  t is overwritten with the factor 1 + tanh(t)."""
+    np.tanh(t, out=t)
+    np.add(t, 1.0, out=t)
+    return np.multiply(t, v, out=out)
+
+
 class MogrifierLstm:
     """LSTM cell preceded by alternating input/state gating rounds, on arrays.
 
     Before the cell update, input x and hidden state h modulate each other r
-    times: odd rounds scale x by 2*sigmoid(h @ Q_i), even rounds scale h by
-    2*sigmoid(x @ R_i).  With r = 0 (or all-zero Q/R) this is a plain LSTM,
-    since 2*sigmoid(0) is exactly 1.
+    times: odd rounds scale x by 1 + tanh(0.5 * (h @ Q_i)), which is
+    2 * sigmoid(h @ Q_i), and even rounds scale h by 1 + tanh(0.5 * (x @ R_i)).
+    With r = 0 (or all-zero Q/R) this is a plain LSTM, since tanh(0) is
+    exactly 0.
 
-    The four gates are stacked gate-major in GATES order (i, f, o, g), the
-    usual fused-LSTM layout: Wx is (4, in_dim, hidden), Wh is
-    (4, hidden, hidden) and b is (4, hidden), and slice k belongs to gate
-    GATES[k].  A step makes one batched matmul per weight, which numpy runs as
-    one gemm per gate of the per-gate shape, so the results are bit-equal to
-    four separate gate matmuls.
+    The gates share one weight W of shape (in_dim + hidden, 4 * hidden), rows
+    [x; h] and column blocks in GATES order (i, f, o, g), and one bias b of
+    shape (4 * hidden,), so the cell makes one gemm `[x, h] @ W + b`.  The
+    sigmoid gates are 0.5 + 0.5 * tanh(0.5 * z), so all four gates take one
+    tanh.
 
-    `step` and `step_backward` are plain-array kernels: the caller keeps the
-    cache (`ActorCritic.actor_sequence`).  Float sums depend on their order, so
-    `step_backward` adds every gradient in the order of the reverse walk over
-    the primitive per-gate, per-round ops.
+    `step` advances rollout rows and keeps nothing.  `sequence` runs the
+    recurrence over packed rows, writing every intermediate into (N, .)
+    arrays that `sequence_backward` reads.  Each step of the reverse walk does
+    only the work that carries the state; the weight gradients are one gemm
+    each over all N rows after the loop, as cuDNN's RNN backward forms them
+    (Appleyard, Kocisky and Blunsom 2016, arXiv:1604.01946).
     """
 
     GATES = ("i", "f", "o", "g")
@@ -72,10 +82,9 @@ class MogrifierLstm:
         for _ in self.GATES:  # per gate Wx, then Wh: this draw order fixes what a seed gives
             wx.append(uniform_init(rng, in_dim, (in_dim, hidden)))
             wh.append(uniform_init(rng, hidden, (hidden, hidden)))
-        self.Wx = Param(np.stack(wx))
-        self.Wh = Param(np.stack(wh))
-        bias = np.zeros((len(self.GATES), hidden))
-        bias[self.GATES.index("f")] = 1.0  # start with a remembering forget gate
+        self.W = Param(np.block([wx, wh]))
+        bias = np.zeros(4 * hidden)
+        bias[hidden:2 * hidden] = 1.0  # start with a remembering forget gate
         self.b = Param(bias)
         self.Q = []  # odd rounds, gate x from h: (hidden, in_dim)
         self.R = []  # even rounds, gate h from x: (in_dim, hidden)
@@ -87,100 +96,157 @@ class MogrifierLstm:
         # Round i (from 1) uses round_weights[i - 1].
         self.round_weights = [self.Q[i // 2] if i % 2 == 0 else self.R[i // 2]
                               for i in range(rounds)]
+        # Per gate column: act = scale * tanh(scale * z) + shift is sigmoid(z) for
+        # i, f and o and tanh(z) for g, and its derivative is (k1 - act) * act + k0:
+        # (1 - act) * act for a sigmoid gate and 1 - act**2 for g.
+        self._shift = np.repeat([0.5, 0.5, 0.5, 0.0], hidden)
+        self._scale = 1.0 - self._shift
+        self._k1 = 2.0 * self._shift
+        self._k0 = 1.0 - self._k1
 
     def initial_state(self, batch: int = 1):
         return np.zeros((batch, self.hidden)), np.zeros((batch, self.hidden))
 
     def mogrify(self, x: np.ndarray, h: np.ndarray):
-        """Gating rounds; returns (x, h, trace), x and h as given when r = 0.
+        """The gating rounds; returns the gated (x, h), x and h themselves when r = 0."""
+        v = [x, h]
+        for i, weight in enumerate(self.round_weights, start=1):
+            k = 1 - i % 2
+            t = np.dot(v[1 - k], weight.value)
+            np.multiply(t, 0.5, out=t)
+            v[k] = _gate(t, v[k], t)
+        return v[0], v[1]
 
-        Odd round i sets x = 2.0 * sigmoid(h @ Q) * x, even rounds gate h
-        from x through R.  `trace` holds what `step_backward` reads.
-        """
-        # versions[0] lists the successive versions of x, versions[1] those of h.
-        # Round i (from 1) rescales x when odd and h when even ("kind" 0 or 1),
-        # making version (i + 1) // 2 of that kind from version i // 2 of the other.
-        versions = ([x], [h])
-        gates = []
-        # logistic's expression, under one errstate for all rounds.
-        with np.errstate(over="ignore"):
-            for i, weight in enumerate(self.round_weights, start=1):
-                kind = 0 if i % 2 else 1
-                s = 1.0 / (1.0 + np.exp(-(versions[1 - kind][-1] @ weight.value)))
-                s2 = 2.0 * s
-                versions[kind].append(s2 * versions[kind][-1])
-                gates.append((s, s2))
-        return versions[0][-1], versions[1][-1], (versions, gates)
+    def _activate(self, z: np.ndarray) -> np.ndarray:
+        """The gate activations, in place over z = ([x, h] @ W + b) * scale."""
+        np.tanh(z, out=z)
+        np.multiply(z, self._scale, out=z)
+        return np.add(z, self._shift, out=z)
+
+    def _cell(self, a: np.ndarray, c: np.ndarray, c_new: np.ndarray, h_new: np.ndarray):
+        """c_new = f * c + i * g and h_new = o * tanh(c_new), into the given arrays,
+        from the gate activations a."""
+        H = self.hidden
+        np.multiply(a[:, H:2 * H], c, out=c_new)
+        c_new += a[:, :H] * a[:, 3 * H:]
+        np.tanh(c_new, out=h_new)
+        np.multiply(a[:, 2 * H:3 * H], h_new, out=h_new)
 
     def step(self, x: np.ndarray, h: np.ndarray, c: np.ndarray):
-        """One mogrified recurrence step; returns (h_new, c_new, cache).
+        """One mogrified recurrence step; returns (h_new, c_new).
 
-        The gating rounds, then for gate k pre = x @ Wx[k] + h @ Wh[k] + b[k],
+        The gating rounds, then with gates (i, f, o, g) from one gemm,
         c_new = f * c + i * g and h_new = o * tanh(c_new).
         """
-        x, h, trace = self.mogrify(x, h)
-        pre = np.matmul(x, self.Wx.value) + np.matmul(h, self.Wh.value) + self.b.value[:, None]
-        sig = logistic(pre[:3])
-        g_act = np.tanh(pre[3])
-        i_act, f_act, o_act = sig
-        c_new = f_act * c + i_act * g_act
-        tanh_c = np.tanh(c_new)
-        h_new = o_act * tanh_c
-        return h_new, c_new, (trace, x, h, c, sig, g_act, tanh_c)
+        x, h = self.mogrify(x, h)
+        z = np.dot(np.concatenate((x, h), axis=1), self.W.value)
+        np.add(z, self.b.value, out=z)
+        a = self._activate(np.multiply(z, self._scale, out=z))
+        c_new, h_new = np.empty_like(c), np.empty_like(h)
+        self._cell(a, c, c_new, h_new)
+        return h_new, c_new
 
-    def step_backward(self, cache, gh: np.ndarray, gc, want_state: bool):
-        """Add the parameter gradients of one `step`; return (gx, gh_prev, gc_prev).
+    def sequence(self, x: np.ndarray, batch_sizes, h0: np.ndarray, c0: np.ndarray):
+        """Hidden states (N, hidden) over packed input rows x (N, in_dim) from (h0, c0).
 
-        `gh` is h_new's gradient and `gc` c_new's (None when nothing reads
-        c_new).  The state gradients are None unless `want_state`.  Each
-        input's gradient is summed as the primitive reverse walk added it up:
-        the cell's input slices first, gates g, o, f, i, then the feeds of the
-        gating rounds, last round first.
+        Rows are packed step-major: step t is the next `batch_sizes[t]` rows and
+        continues the first `batch_sizes[t]` sequences, so batch sizes never
+        grow.  Each step computes what `step` computes, bit for bit, into
+        preallocated (N, .) arrays; the powers of two that `step` applies
+        after its gemms are folded into the weights once.  Returns (hs, cache
+        for `sequence_backward`).
         """
-        (versions, gates), x, h, c, sig, g_act, tanh_c = cache
-        i_act, f_act, o_act = sig
-        Wx, Wh = self.Wx.value, self.Wh.value
-        d_pre = np.empty((len(self.GATES),) + gh.shape)
-        d_pre[2] = gh * tanh_c
-        g_tanh = (gh * o_act) * (1.0 - tanh_c**2)
-        gc = g_tanh if gc is None else gc + g_tanh
-        d_pre[0] = gc * g_act
-        d_pre[1] = gc * c
-        gc_prev = gc * f_act if want_state else None
-        d_pre[:3] *= sig  # (d * act) * (1 - act), the sigmoid backward's rounding
-        d_pre[:3] *= 1.0 - sig
-        d_pre[3] = (gc * i_act) * (1.0 - g_act**2)
-        self.b.add_grad(d_pre.sum(axis=1))
-        self.Wh.add_grad(np.matmul(h.T, d_pre))
-        self.Wx.add_grad(np.matmul(x.T, d_pre))
+        n_rows, H = len(x), self.hidden
+        dims = (self.in_dim, H)
+        bounds = np.cumsum(batch_sizes) - batch_sizes
+        xh = np.empty((n_rows, self.in_dim + H))  # the [x, h] rows the cell reads
+        acts, cs, hs = np.empty((n_rows, 4 * H)), np.empty((n_rows, H)), np.empty((n_rows, H))
+        xh_parts = (xh[:, :self.in_dim], xh[:, self.in_dim:])
+        # versions[k] holds the successive versions of x (k = 0) and h (k = 1), the
+        # last in xh.  Version 0 of h is each row's incoming state.
+        versions = ([x], [xh_parts[1] if self.rounds < 2 else np.empty((n_rows, H))])
+        if self.rounds == 0:
+            xh_parts[0][...] = x
+        # Round i gates kind k from the other kind's latest version u: it reads
+        # version v of kind k, writes the next one, and keeps its factors 1 + tanh.
+        rounds = []
+        for i, weight in enumerate(self.round_weights, start=1):
+            k = 1 - i % 2
+            new = xh_parts[k] if i + 2 > self.rounds else np.empty((n_rows, dims[k]))
+            rounds.append((weight, 0.5 * weight.value, k, versions[1 - k][-1], versions[k][-1],
+                           new, np.empty((n_rows, dims[k]))))
+            versions[k].append(new)
+        W, b, h_in = self.W.value * self._scale, self.b.value * self._scale, versions[1][0]
+        h, c = h0, c0
+        for lo, n in zip(bounds, batch_sizes):
+            rows = slice(lo, lo + n)
+            h_in[rows] = h[:n]
+            for _, half, _, u, v, new, factors in rounds:
+                _gate(np.dot(u[rows], half, out=factors[rows]), v[rows], new[rows])
+            a = np.dot(xh[rows], W, out=acts[rows])
+            self._activate(np.add(a, b, out=a))
+            self._cell(a, c[:n], cs[rows], hs[rows])
+            h, c = hs[rows], cs[rows]
+        return hs, (batch_sizes, bounds, c0, xh, acts, cs, h_in, rounds)
 
-        # grads[k]: gradient of the latest version of kind k not yet walked.
-        # With fewer than two rounds the cell reads the state h itself.
-        g_in = np.matmul(d_pre, Wx.transpose(0, 2, 1))
-        grads = [g_in[3] + g_in[2] + g_in[1] + g_in[0], None]
-        if want_state or self.rounds > 1:
-            g_in = np.matmul(d_pre, Wh.transpose(0, 2, 1))
-            grads[1] = g_in[3] + g_in[2] + g_in[1] + g_in[0]
+    def sequence_backward(self, cache, g_hs: np.ndarray, chunk: int) -> np.ndarray:
+        """Add the W, b, Q and R gradients for the hidden states' gradient g_hs
+        (N, hidden); return the input rows' gradient (N, in_dim).
 
-        def feed(kind, g):
-            grads[kind] = g if grads[kind] is None else grads[kind] + g
-
-        for i in range(self.rounds, 0, -1):
-            kind = 0 if i % 2 else 1
-            g = grads[kind]
-            grads[kind] = None
-            s, s2 = gates[i - 1]
-            weight = self.round_weights[i - 1]
-            g_s2 = g * versions[kind][(i + 1) // 2 - 1]
-            feed(kind, g * s2)
-            g_m = g_s2 * 2.0 * s * (1.0 - s)
-            feed(1 - kind, g_m @ weight.value.T)
-            weight.add_grad(versions[1 - kind][i // 2].T @ g_m)
-        return grads[0], (grads[1] if want_state else None), gc_prev
+        The state gradient is cut at t = 0 and at every multiple of `chunk`
+        (truncated backpropagation through time; 0 never cuts).  Each step
+        writes its gates' pre-activation gradient over their activations and
+        each round's over its factors, which the weight gradients read after
+        the loop.
+        """
+        batch_sizes, bounds, c0, xh, acts, cs, h_in, rounds = cache
+        H, in_dim = self.hidden, self.in_dim
+        # Contiguous transposes: a gemm on a transposed view runs about half as fast.
+        W_T = self.W.value.T.copy()
+        halves_T = [half.T.copy() for _, half, *_ in rounds]
+        gx = np.empty((len(xh), in_dim))
+        gh, gc = np.zeros((2, batch_sizes[0], H))
+        for t in range(len(batch_sizes) - 1, -1, -1):
+            lo, n = bounds[t], batch_sizes[t]
+            rows = slice(lo, lo + n)
+            a, tanh_c = acts[rows], np.tanh(cs[rows])  # as the forward computed it
+            c_prev = c0[:n] if t == 0 else cs[bounds[t - 1]:bounds[t - 1] + n]
+            g_h = g_hs[rows] + gh[:n]
+            g_c = gc[:n] + (g_h * a[:, 2 * H:3 * H]) * (1.0 - tanh_c**2)
+            slope = (self._k1 - a) * a + self._k0
+            gc_prev = g_c * a[:, H:2 * H]
+            g_g = g_c * a[:, :H]
+            np.multiply(g_c, a[:, 3 * H:], out=a[:, :H])
+            np.multiply(g_c, c_prev, out=a[:, H:2 * H])
+            np.multiply(g_h, tanh_c, out=a[:, 2 * H:3 * H])
+            a[:, 3 * H:] = g_g
+            np.multiply(a, slope, out=a)
+            g_xh = np.dot(a, W_T)
+            grads = [g_xh[:, :in_dim], g_xh[:, in_dim:]]
+            for (_, _, k, u, v, _, factors), half_T in zip(reversed(rounds), reversed(halves_T)):
+                g, m = grads[k], factors[rows]
+                g_v = g * v[rows]
+                grads[k] = g * m
+                # d(1 + tanh(s))/ds = 1 - tanh(s)**2 = m * (2 - m) for m = 1 + tanh(s).
+                d = np.subtract(2.0, m)
+                np.multiply(d, m, out=d)
+                np.multiply(g_v, d, out=m)
+                grads[1 - k] += np.dot(m, half_T)
+            gx[rows] = grads[0]
+            if t == 0 or (chunk > 0 and t % chunk == 0):
+                gh[:], gc[:] = 0.0, 0.0
+            else:
+                gh[:n], gc[:n] = grads[1], gc_prev
+        del W_T, halves_T  # freed before the weight gradients are allocated
+        self.W.add_grad(np.dot(xh.T, acts))
+        self.b.add_grad(acts.sum(axis=0))
+        for weight, _, _, u, _, _, factors in rounds:
+            # s = u @ (0.5 * weight), so the weight takes half of u.T @ (ds gradient).
+            weight.add_grad(np.dot(u.T, factors) * 0.5)
+        return gx
 
     def params(self):
-        out = [(f"{self.name}.Wx", self.Wx), (f"{self.name}.Wh", self.Wh),
-               (f"{self.name}.b", self.b)]
+        out = [(f"{self.name}.W", self.W), (f"{self.name}.b", self.b)]
         for i, q in enumerate(self.Q):
             out.append((f"{self.name}.Q{2 * i + 1}", q))
         for i, r in enumerate(self.R):

@@ -5,7 +5,7 @@ and one state-independent learnable log-std per action dimension (clamped to
 [-5, 1]).  Critic: two tanh layers to a scalar value.  All math is float64.
 Rollouts call `actor_step` on plain arrays; updates replay stored sequences,
 packed step-major, through `actor_sequence`, which runs the trunk and the mean
-head once over all rows and the cell's step kernel per time step.  Each
+head once over all rows and hands the time loop to the cell.  Each
 forward the update differentiates returns its output and a cache, which its
 `*_backward` reads to add the parameter gradients.
 """
@@ -105,7 +105,7 @@ class ActorCritic:
     def actor_step(self, obs: np.ndarray, state):
         """One recurrent step on arrays; returns (mean (B, A), new_state)."""
         x = np.tanh(self.trunk.forward(obs))
-        h, c, _ = self.cell.step(x, *state)
+        h, c = self.cell.step(x, *state)
         return np.tanh(self.mean_head.forward(h)), (h, c)
 
     def actor_sequence(self, obs: np.ndarray, batch_sizes, h0: np.ndarray,
@@ -114,46 +114,30 @@ class ActorCritic:
 
         Rows are packed step-major: step t is the next `batch_sizes[t]` rows and
         continues the first `batch_sizes[t]` sequences, so batch sizes never grow.
-        The trunk and the mean head each run once over all N rows; only the cell
-        steps in the time loop.  Returns (means, cache for `actor_sequence_backward`).
+        The trunk and the mean head each run once over all N rows, and the cell
+        runs the time loop (`MogrifierLstm.sequence`).  Returns (means, cache for
+        `actor_sequence_backward`).
         """
-        x = np.tanh(self.trunk.forward(obs))
-        bounds = np.cumsum(batch_sizes) - batch_sizes
-        hs = np.empty((len(obs), self.hidden))
-        h, c = h0, c0
-        steps = []
-        for lo, n in zip(bounds, batch_sizes):
-            hs[lo:lo + n], c, cache = self.cell.step(x[lo:lo + n], h[:n], c[:n])
-            h = hs[lo:lo + n]  # the next step caches this view, so no copy stays alive
-            steps.append(cache)
+        hs, cell = self.cell.sequence(np.tanh(self.trunk.forward(obs)), batch_sizes, h0, c0)
         means = np.tanh(self.mean_head.forward(hs))
-        return means, (obs, batch_sizes, bounds, x, hs, means, steps)
+        return means, (obs, hs, means, cell)
 
     def actor_sequence_backward(self, cache, g: np.ndarray):
         """Add the actor's trunk, cell and head gradients for the means' gradient g.
 
-        Runs the head once, the cell steps in reverse, then the trunk once.  The
-        state gradient is cut at t = 0 and at every multiple of `bptt_chunk`
-        (truncated backpropagation through time; 0 never cuts).
+        Runs the head once, the cell's reverse time loop, then the trunk once.
+        The state gradient is cut at t = 0 and at every multiple of `bptt_chunk`
+        (truncated backpropagation through time; 0 never cuts).  The trunk's
+        output is recomputed, not cached, which keeps one (N, hidden) array
+        fewer alive.
         """
-        obs, batch_sizes, bounds, x, hs, means, steps = cache
-        chunk = self.bptt_chunk
-        # To keep peak memory down, each step's cache is dropped once walked, and
-        # row block t of `grad` holds step t's h gradient from the head until the
-        # step is walked, then the gradient of its trunk pre-activation.
-        grad = self.mean_head.backward(hs, g * (1.0 - means**2), True)
-        gh, gc = np.zeros((2, batch_sizes[0], self.hidden))
-        for t in range(len(steps) - 1, -1, -1):
-            lo, n = bounds[t], batch_sizes[t]
-            cut = t == 0 or (chunk > 0 and t % chunk == 0)
-            gx, gh_prev, gc_prev = self.cell.step_backward(
-                steps.pop(), grad[lo:lo + n] + gh[:n], gc[:n], not cut)
-            grad[lo:lo + n] = gx * (1.0 - x[lo:lo + n]**2)
-            if cut:
-                gh[:], gc[:] = 0.0, 0.0
-            else:
-                gh[:n], gc[:n] = gh_prev, gc_prev
-        self.trunk.backward(obs, grad, False)
+        obs, hs, means, cell = cache
+        g_hs = self.mean_head.backward(hs, g * (1.0 - means**2), True)
+        del cache, hs, means  # the cell's arrays go once its backward returns
+        gx = self.cell.sequence_backward(cell, g_hs, self.bptt_chunk)
+        del cell, g_hs
+        gx *= 1.0 - np.tanh(self.trunk.forward(obs))**2
+        self.trunk.backward(obs, gx, False)
 
     def value(self, obs: np.ndarray):
         """Critic values (B,) of observations (B, obs_dim), and the cache

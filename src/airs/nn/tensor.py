@@ -1,10 +1,12 @@
-"""Parameters, the logistic function, and the entry of the update's reverse pass.
+"""Parameters and the entry of the update's reverse pass.
 
 Gradients are explicit array code: each differentiable piece returns its
 output and a cache, and its backward adds the parameter gradients into each
-`Param.grad`.  Each gradient is written in the expression forms and summation
-order of the primitive reverse-mode ops it stands for (the tests keep that
-tape as the reference), so it is bit-equal to theirs.
+`Param.grad`.  The dense layers, the log-density and the loss write each
+gradient in the expression forms and summation order of the primitive
+reverse-mode ops it stands for (the tests keep that tape as the reference),
+so they are bit-equal to it; the mogrifier cell's fused kernels match it to
+1e-12 relative.
 """
 
 import numpy as np
@@ -24,13 +26,6 @@ class Param:
             self.grad = np.array(g, dtype=np.float64)
         else:
             self.grad += g
-
-
-def logistic(x):
-    """Elementwise sigmoid of an array."""
-    # exp overflow for very negative x just saturates to 0, which is correct.
-    with np.errstate(over="ignore"):
-        return 1.0 / (1.0 + np.exp(-x))
 
 
 # `backward` and `tape_size` are there for the benchmark's tracer (airsbench/

@@ -1,9 +1,11 @@
 """Run orchestration: the training loop, greedy evaluation, and run artifacts.
 
 A run directory holds manifest.json (the fully resolved configuration, seed,
-and code hash), per-episode metrics.csv, episode summaries as JSON lines,
-optional per-slot and trajectory CSVs, and checkpoints.  Identical
-(config, seed, code) triples produce byte-identical metrics files.
+code hash and numeric environment), per-episode metrics.csv, episode
+summaries as JSON lines, optional per-slot and trajectory CSVs, and
+checkpoints.  Identical (config, seed, code) triples produce byte-identical
+metrics files on one numeric environment: the same numpy build, BLAS kernel
+and BLAS thread count, which the manifest names.
 """
 
 import json
@@ -12,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .. import __version__
+from .. import BLAS_THREAD_VARS, __version__
 from ..config import ConfigError, build_env, code_version, from_section, validate_config
 from ..nn.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from ..nn.policy import ActorCritic
@@ -50,6 +52,22 @@ def build_agent(config: dict, env, seed: int):
     )
 
 
+def numeric_environment() -> dict:
+    """What a run's bytes depend on besides (config, seed, code): the numpy
+    version, its BLAS as numpy was built with it (name, version and
+    configuration string) and the BLAS thread variables."""
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:  # numpy < 1.25 prints its configuration only
+        blas = {}
+    return {
+        "numpy": np.__version__,
+        "blas": {"name": blas.get("name"), "version": blas.get("version"),
+                 "configuration": blas.get("openblas configuration")},
+        "threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARS},
+    }
+
+
 def write_manifest(out_dir: Path, config: dict, seed: int):
     manifest = {
         "config": config,
@@ -57,6 +75,7 @@ def write_manifest(out_dir: Path, config: dict, seed: int):
         "agent": config["rl"]["agent"],
         "code_version": code_version(),
         "package_version": __version__,
+        "numeric_environment": numeric_environment(),
         "hyperparameter_ledger": {"rl": config["rl"], "nn": config["nn"]},
     }
     write_json_atomic(out_dir / "manifest.json", manifest)

@@ -1,3 +1,4 @@
+import airs  # noqa: F401  (first: it pins BLAS to one thread before numpy loads)
 import numpy as np
 import pytest
 

@@ -13,7 +13,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from airs.nn.tensor import Param, logistic
+from airs.nn.tensor import Param
 
 _grad_enabled = True
 _tape = []
@@ -132,7 +132,9 @@ def tanh(a) -> Tensor:
 
 
 def sigmoid(a) -> Tensor:
-    out_value = logistic(a.value)
+    # exp overflow for very negative inputs just saturates to 0, which is correct.
+    with np.errstate(over="ignore"):
+        out_value = 1.0 / (1.0 + np.exp(-a.value))
     return _op(out_value, (a, lambda g: g * out_value * (1.0 - out_value)))
 
 

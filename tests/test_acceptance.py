@@ -29,7 +29,7 @@ from airs.rl.ppo import PpoConfig, gae_advantages, ppo_loss
 from airs.rl.train import train
 from airs.cli import main as cli_main
 from conftest import toy_overrides
-from test_nn import actor_critic_loss, dense_loss, finite_difference_check, step_loss
+from test_nn import actor_critic_loss, dense_loss, finite_difference_check, sequence_loss
 from test_rl import entropy_oracle, gae_oracle, loss_oracle
 
 SEEDS = [0, 1, 2, 3, 4]
@@ -171,14 +171,15 @@ def test_criterion_03_gradient_integrity():
     worst = max(worst, finite_difference_check(loss, policy.params(), rng))
 
     cell = MogrifierLstm(rng, 4, 5, rounds=5, name="m")
-    x, h, c = (Param(rng.standard_normal((3, n))) for n in (4, 5, 5))
-    wh, wc = rng.standard_normal((2, 3, 5))
+    x = Param(rng.standard_normal((6, 4)))  # steps of 3 and 2 rows, then 1
+    h0, c0 = rng.standard_normal((2, 3, 5))
+    w = rng.standard_normal((6, 5))
 
-    # One mogrified step (gating rounds, then the cell), with its parameter,
-    # input and state gradients.
+    # Three mogrified steps (gating rounds, then the cell), with their parameter
+    # and input gradients; the later steps' reach the earlier ones through the state.
     cell_params = [p for _, p in cell.params()]
-    worst = max(worst, finite_difference_check(step_loss(cell, x, h, c, wh, wc),
-                                               cell_params + [x, h, c], rng))
+    worst = max(worst, finite_difference_check(sequence_loss(cell, x, [3, 2, 1], h0, c0, w),
+                                               cell_params + [x], rng))
 
     loss = actor_critic_loss(policy, obs, actions, [4])
     worst = max(worst, finite_difference_check(loss, policy.params(), rng))
@@ -209,15 +210,14 @@ def test_criterion_04_mogrifier_degeneracy():
     for r in gated.R:
         r.value = np.zeros_like(r.value)
     plain = MogrifierLstm(np.random.default_rng(0), 6, 7, rounds=0, name="b")
-    plain.Wx.value = gated.Wx.value.copy()
-    plain.Wh.value = gated.Wh.value.copy()
+    plain.W.value = gated.W.value.copy()
     plain.b.value = gated.b.value.copy()
     xs = rng.standard_normal((6, 3, 6))
     state_a = gated.initial_state(3)
     state_b = plain.initial_state(3)
     for t in range(6):
-        state_a = gated.step(xs[t], *state_a)[:2]
-        state_b = plain.step(xs[t], *state_b)[:2]
+        state_a = gated.step(xs[t], *state_a)
+        state_b = plain.step(xs[t], *state_b)
         assert np.array_equal(state_a[0], state_b[0])
         assert np.array_equal(state_a[1], state_b[1])
 
@@ -225,7 +225,7 @@ def test_criterion_04_mogrifier_degeneracy():
     active = MogrifierLstm(np.random.default_rng(8), 4, 5, rounds=5, name="c")
     x0 = np.random.default_rng(9).standard_normal((2, 4))
     h0 = np.random.default_rng(10).standard_normal((2, 5))
-    mx, mh, _ = active.mogrify(x0, h0)
+    mx, mh = active.mogrify(x0, h0)
     x_ref, h_ref = x0.copy(), h0.copy()
     sig = lambda v: 1.0 / (1.0 + np.exp(-v))
     qi = ri = 0

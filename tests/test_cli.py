@@ -2,11 +2,14 @@ import json
 import os
 import pickle
 import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from airs import BLAS_THREAD_VARS
 from airs.cli import ABLATION_ROSTER, main
 from airs.config import ConfigError, apply_env_overrides, default_config
 from airs.rl.agents import AGENT_SPECS
@@ -120,6 +123,47 @@ def test_episode_flag_recorded_in_manifest(tmp_path, capsys):
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["config"]["rl"]["episodes"] == 10
     capsys.readouterr()
+
+
+def test_manifest_names_the_numeric_environment(tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    write_tiny_config(cfg, episodes=1)
+    assert main(["train", "--config", str(cfg), "--out", str(tmp_path / "run")]) == 0
+    capsys.readouterr()
+    numeric = json.loads((tmp_path / "run" / "manifest.json").read_text())["numeric_environment"]
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    assert numeric == {
+        "numpy": np.__version__,
+        "blas": {"name": blas["name"], "version": blas["version"],
+                 "configuration": blas.get("openblas configuration")},
+        "threads": {name: "1" for name in BLAS_THREAD_VARS},
+    }
+
+
+def test_train_bytes_do_not_depend_on_blas_threads(tmp_path):
+    """`airs train` pins BLAS to one thread, so a caller's OPENBLAS_NUM_THREADS
+    (unset, 1 or 2) leaves every artifact byte the same.  400 slots make one
+    update, whose weight gradients are gemms over 400 rows; the last 100 slots
+    fly the updated policy."""
+    cfg = toy_overrides(default_config())
+    cfg["rl"].update({"episodes": 5, "batch_size": 400, "epochs": 2, "checkpoint_every": 0})
+    cfg["env"]["log_slots"] = True
+    cfg_path = tmp_path / "c.json"
+    cfg_path.write_text(json.dumps(cfg))
+    env = {k: v for k, v in os.environ.items()
+           if k not in BLAS_THREAD_VARS and not k.startswith("AIRS_")}
+    env["PYTHONPATH"] = str(Path(__file__).resolve().parent.parent / "src")
+    artifacts = ("metrics.csv", "slots.csv", "checkpoints/final/params.bin")
+    runs = {}
+    for threads in (None, "1", "2"):
+        run_env = dict(env) if threads is None else {**env, "OPENBLAS_NUM_THREADS": threads}
+        out = tmp_path / f"threads_{threads}"
+        subprocess.run([sys.executable, "-m", "airs.cli", "train", "--config", str(cfg_path),
+                        "--out", str(out), "--seed", "0"],
+                       env=run_env, check=True, capture_output=True, timeout=300)
+        runs[threads] = [(out / name).read_bytes() for name in artifacts]
+    assert runs["1"] == runs[None]
+    assert runs["2"] == runs[None]
 
 
 def test_same_seed_runs_are_byte_identical(tmp_path, capsys):

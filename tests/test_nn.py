@@ -64,15 +64,14 @@ def dense_loss(layer, x):
     return loss
 
 
-def step_loss(cell, x, h, c, wh, wc):
-    """sum(h' * wh) + sum(c' * wc) for (h', c') = cell.step(x, h, c), its gradient by
-    `step_backward`; x, h and c are Params that take their gradients too."""
+def sequence_loss(cell, x, batch_sizes, h0, c0, w):
+    """sum(hs * w) for hs = cell.sequence(x, batch_sizes, h0, c0), its gradient by
+    `sequence_backward` (never cut); x is a Param that takes its gradient too."""
     def loss(grad):
-        h_new, c_new, cache = cell.step(x.value, h.value, c.value)
+        hs, cache = cell.sequence(x.value, batch_sizes, h0, c0)
         if grad:
-            for param, g in zip((x, h, c), cell.step_backward(cache, wh, wc, True)):
-                param.add_grad(g)
-        return float((h_new * wh).sum() + (c_new * wc).sum())
+            x.add_grad(cell.sequence_backward(cache, w, 0))
+        return float((hs * w).sum())
 
     return loss
 
@@ -156,20 +155,22 @@ def test_dense_gradients(rng):
 
 def test_mogrify_gradients(rng):
     cell = MogrifierLstm(rng, 4, 5, rounds=5, name="m")
-    x, h, c = (Param(rng.standard_normal((3, n))) for n in (4, 5, 5))
-    wh, wc = rng.standard_normal((2, 3, 5))
+    x = Param(rng.standard_normal((6, 4)))  # steps of 3 and 2 rows, then 1
+    h0, c0 = rng.standard_normal((2, 3, 5))
+    w = rng.standard_normal((6, 5))
     params = [p for name, p in cell.params() if ".Q" in name or ".R" in name]
-    assert finite_difference_check(step_loss(cell, x, h, c, wh, wc), params + [x, h, c],
-                                   rng) < FD_TOL
+    assert finite_difference_check(sequence_loss(cell, x, [3, 2, 1], h0, c0, w),
+                                   params + [x], rng) < FD_TOL
 
 
 def test_lstm_step_gradients(rng):
     cell = MogrifierLstm(rng, 4, 5, rounds=0, name="l")
-    x, h, c = (Param(rng.standard_normal((3, n))) for n in (4, 5, 5))
-    wh, wc = rng.standard_normal((2, 3, 5))
+    x = Param(rng.standard_normal((6, 4)))  # steps of 3 and 2 rows, then 1
+    h0, c0 = rng.standard_normal((2, 3, 5))
+    w = rng.standard_normal((6, 5))
     params = [p for _, p in cell.params()]
-    assert finite_difference_check(step_loss(cell, x, h, c, wh, wc), params + [x, h, c],
-                                   rng) < FD_TOL
+    assert finite_difference_check(sequence_loss(cell, x, [3, 2, 1], h0, c0, w),
+                                   params + [x], rng) < FD_TOL
 
 
 def test_gaussian_log_prob_gradients(rng):
@@ -199,14 +200,15 @@ def test_bptt_8_step_gradients(rng):
 
 # -- kernels against their primitive composition -----------------------------------------
 #
-# Dense, log_prob and one mogrified LSTM step must reproduce the reference tape
-# of the primitive ops they replace bit for bit: the same outputs and the same
-# gradient in every input and parameter, including the order in which gradients
-# add up.  `actor_sequence` runs its trunk and head as one gemm over all rows,
-# so it matches the per-step primitive tape to 1e-12 relative.  Each kernel
-# enters the reference loss as one taped node over its forward and backward.
-# The reference LSTM step runs each gate on its own leaf weights
-# (`per_gate_leaves`); the stacked gradients are compared with the per-gate ones.
+# Dense and log_prob must reproduce the reference tape of the primitive ops
+# they replace bit for bit: the same outputs and the same gradient in every
+# input and parameter, including the order in which gradients add up.  The
+# mogrifier cell computes its gates through tanh and its weight gradients as
+# one gemm over all rows, and `actor_sequence` runs its trunk and head as one
+# gemm over all rows, so both match the per-step primitive tape to 1e-12
+# relative.  Each kernel enters the reference loss as one taped node over its
+# forward and backward.  The reference cell runs each gate on its own leaf
+# weights (`per_gate_leaves`), whose gradients are compared fused.
 
 
 def dense_node(layer, x):
@@ -221,28 +223,10 @@ def dense_node(layer, x):
     return T.record(out, backward_fn)
 
 
-def taped_step_loss(cell, x, h, c, wh, wc=None):
-    """sum(h' * wh) + sum(c' * wc) for (h', c') = cell.step(x, h, c), taped as one node.
-
-    Returns (loss, h', c').  The backward hands `step_backward` the output
-    gradients, zeros for h' when `wh` is None and none for c' when `wc` is,
-    and adds the input gradients to x and to the state pair (h and c need a
-    gradient together).
-    """
-    h_new, c_new, cache = cell.step(x.value, h.value, c.value)
-    terms = [(out * w).sum() for out, w in ((h_new, wh), (c_new, wc)) if w is not None]
-
-    def backward_fn(g):
-        gh = np.zeros_like(h_new) if wh is None else g * wh
-        gx, gh, gc = cell.step_backward(cache, gh, None if wc is None else g * wc,
-                                        h.requires_grad)
-        if x.requires_grad:
-            x.add_grad(gx)
-        if h.requires_grad:
-            h.add_grad(gh)
-            c.add_grad(gc)
-
-    return T.record(sum(terms), backward_fn), h_new, c_new
+def cell_sequence_node(cell, x, batch_sizes, h0, c0, chunk):
+    """`cell.sequence` over the packed Tensor x as one taped node."""
+    hs, cache = cell.sequence(x.value, batch_sizes, h0, c0)
+    return T.record(hs, lambda g: x.add_grad(cell.sequence_backward(cache, g, chunk)))
 
 
 def log_prob_node(policy, mean, actions):
@@ -272,17 +256,26 @@ def unfused_mogrify(cell, x, h):
 
 
 def per_gate_leaves(cell):
-    """Leaf copies of each gate's slice of Wx, Wh and b, keyed by id of the stacked Param."""
-    return {id(p): [Tensor(p.value[k].copy(), requires_grad=True) for k in range(len(cell.GATES))]
-            for p in (cell.Wx, cell.Wh, cell.b)}
+    """Leaf copies of each gate's blocks of the fused W and b, and how their
+    gradients fuse back: {id(fused Param): (leaves, fuse)}.  W's leaves are the
+    four gates' x blocks, then their h blocks."""
+    H, n_in = cell.hidden, cell.in_dim
+    cols = [slice(k * H, (k + 1) * H) for k in range(len(cell.GATES))]
+    blocks = ([cell.W.value[:n_in, s] for s in cols] + [cell.W.value[n_in:, s] for s in cols])
+    return {
+        id(cell.W): ([Tensor(w.copy(), requires_grad=True) for w in blocks],
+                     lambda g: np.block([g[:4], g[4:]])),
+        id(cell.b): ([Tensor(cell.b.value[s].copy(), requires_grad=True) for s in cols],
+                     np.concatenate),
+    }
 
 
 def unfused_lstm_step(cell, x, state, leaves):
     h, c = state
-    wx, wh, b = (leaves[id(p)] for p in (cell.Wx, cell.Wh, cell.b))
+    w, b = leaves[id(cell.W)][0], leaves[id(cell.b)][0]
     gates = {}
     for k, gate in enumerate(cell.GATES):
-        pre = T.add(T.add(T.matmul(x, wx[k]), T.matmul(h, wh[k])), b[k])
+        pre = T.add(T.add(T.matmul(x, w[k]), T.matmul(h, w[4 + k])), b[k])
         gates[gate] = T.tanh(pre) if gate == "g" else T.sigmoid(pre)
     c_new = T.add(T.mul(gates["f"], c), T.mul(gates["i"], gates["g"]))
     return T.mul(gates["o"], T.tanh(c_new)), c_new
@@ -320,20 +313,20 @@ def fused_and_unfused(build, tensors, leaves=None):
     """`build(fused)` returns (outputs, loss); run it both ways.
 
     Returns, for fused and then unfused, the output values and the gradient
-    of each of `tensors`.  `leaves` maps id(stacked Param) to the per-gate
-    leaves the unfused build uses in its place; their gradients are returned
-    stacked, a gate with no gradient counting as zeros.
+    of each of `tensors`.  `leaves` maps id(tensor) to (leaf Tensors the
+    unfused build uses in its place, fuse): their gradients are returned as
+    fuse(list of gradients), a leaf with no gradient counting as zeros.
     """
     leaves = leaves or {}
-    everything = tensors + [leaf for parts in leaves.values() for leaf in parts]
+    everything = tensors + [leaf for parts, _ in leaves.values() for leaf in parts]
 
     def grad_of(t, fused):
-        parts = None if fused else leaves.get(id(t))
+        parts, fuse = (None, None) if fused else leaves.get(id(t), (None, None))
         if parts is None:
             return None if t.grad is None else t.grad.copy()
         if all(p.grad is None for p in parts):
             return None
-        return np.stack([np.zeros_like(p.value) if p.grad is None else p.grad for p in parts])
+        return fuse([np.zeros_like(p.value) if p.grad is None else p.grad for p in parts])
 
     results = []
     for fused in (True, False):
@@ -357,6 +350,22 @@ def assert_fused_matches_unfused(build, tensors, leaves=None):
         assert a is None or np.array_equal(a, b)
 
 
+def assert_close(a, b):
+    """Max abs difference at most 1e-12 of the reference's max abs value."""
+    assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+
+
+def assert_fused_close_to_unfused(build, tensors, leaves=None):
+    """`build(fused)` returns (outputs, loss); compare both ways to 1e-12 relative."""
+    (out_f, grads_f), (out_u, grads_u) = fused_and_unfused(build, tensors, leaves)
+    for a, b in zip(out_f, out_u):
+        assert_close(a, b)
+    for a, b in zip(grads_f, grads_u):
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert_close(a, b)
+
+
 @pytest.mark.parametrize("batch", [1, 10])
 @pytest.mark.parametrize("input_grad", [True, False])
 def test_fused_dense_matches_primitives(batch, input_grad, rng):
@@ -370,65 +379,123 @@ def test_fused_dense_matches_primitives(batch, input_grad, rng):
     assert_fused_matches_unfused(build, [x, layer.W, layer.b])
 
 
-def unfused_step_loss(cell, x, h, c, wh, wc, leaves):
-    """The primitive reference of `taped_step_loss`; a None weight drops its term."""
-    mx, mh = unfused_mogrify(cell, x, h)
-    nh, nc = unfused_lstm_step(cell, mx, (mh, c), leaves)
-    terms = [T.sum_all(T.mul(out, Tensor(w))) for out, w in ((nh, wh), (nc, wc))
-             if w is not None]
-    return (terms[0] if len(terms) == 1 else T.add(*terms)), nh.value, nc.value
+def packed_grid(lengths):
+    """(batch_sizes, t_idx, b_idx) of segments `lengths`, longest first: packed
+    row i is step t_idx[i] of segment b_idx[i]."""
+    lengths = np.asarray(lengths)
+    live = np.arange(lengths.max())[:, None] < lengths[None, :]
+    t_idx, b_idx = np.nonzero(live)
+    return live.sum(axis=1), t_idx, b_idx
 
 
-def assert_step_matches_primitives(cell, x, h, c, wh, wc):
+def rollout_hidden(cell, x, batch_sizes, h0, c0):
+    """`cell.step` run over packed rows as rollout runs it, one step at a time."""
+    h, c, out = h0, c0, []
+    lo = 0
+    for n in batch_sizes:
+        h, c = cell.step(x[lo:lo + n], h[:n], c[:n])
+        out.append(h)
+        lo += n
+    return np.concatenate(out)
+
+
+def assert_cell_sequence_matches_primitives(cell, lengths, chunk, read, rng):
+    """`sequence` and its backward over packed rows of segments `lengths`
+    (longest first), against the primitive rounds and cell stepped over the
+    padded (T, B) grid, with the state detached every `chunk` steps.
+
+    The loss weighs the hidden states of the steps `read` names ("all" or
+    "last"); the grid's padded slots weigh zero.  Rolling `step` over the
+    packed rows gives the sequence's hidden states bit for bit.
+    """
+    batch_sizes, t_idx, b_idx = packed_grid(lengths)
+    steps, batch = len(batch_sizes), len(lengths)
+    xs = rng.standard_normal((steps, batch, cell.in_dim))
+    h0, c0 = rng.standard_normal((2, batch, cell.hidden))
+    weights = rng.standard_normal((steps, batch, cell.hidden))
+    live = np.zeros((steps, batch, 1), dtype=bool)
+    live[t_idx, b_idx] = True
+    weights *= live
+    if read == "last":
+        weights[:-1] = 0.0
+    x = Tensor(xs[t_idx, b_idx], requires_grad=True)
+    grid = [Tensor(xs[t], requires_grad=True) for t in range(steps)]
     leaves = per_gate_leaves(cell)
+    leaves[id(x)] = (grid, lambda g: np.stack(g)[t_idx, b_idx])
 
     def build(fused):
         if fused:
-            loss, nh, nc = taped_step_loss(cell, x, h, c, wh, wc)
-        else:
-            loss, nh, nc = unfused_step_loss(cell, x, h, c, wh, wc, leaves)
-        return [Tensor(nh), Tensor(nc)], loss
+            hs = cell_sequence_node(cell, x, batch_sizes, h0, c0, chunk)
+            return [hs], T.sum_all(T.mul(hs, Tensor(weights[t_idx, b_idx])))
+        state, hidden, loss = (Tensor(h0), Tensor(c0)), [], None
+        for t in range(steps):
+            if chunk > 0 and t > 0 and t % chunk == 0:
+                state = (Tensor(state[0].value), Tensor(state[1].value))
+            mx, mh = unfused_mogrify(cell, grid[t], state[0])
+            state = unfused_lstm_step(cell, mx, (mh, state[1]), leaves)
+            term = T.sum_all(T.mul(state[0], Tensor(weights[t])))
+            loss = term if loss is None else T.add(loss, term)
+            hidden.append(state[0].value)
+        return [Tensor(np.stack(hidden)[t_idx, b_idx])], loss
 
-    assert_fused_matches_unfused(build, [x, h, c] + [p for _, p in cell.params()], leaves)
+    assert_fused_close_to_unfused(build, [x] + [p for _, p in cell.params()], leaves)
+    hs, _ = cell.sequence(x.value, batch_sizes, h0, c0)
+    assert np.array_equal(rollout_hidden(cell, x.value, batch_sizes, h0, c0), hs)
 
 
 @pytest.mark.parametrize("rounds", [0, 1, 2, 5])
 @pytest.mark.parametrize("batch", [1, 10])
 @pytest.mark.parametrize("grads", ["x", "h", "both"])
-@pytest.mark.parametrize("reads_c", [True, False])
-def test_fused_mogrify_matches_primitives(rounds, batch, grads, reads_c, rng):
-    """The gating rounds inside one `step`, against the primitive rounds and cell.
+@pytest.mark.parametrize("shrinks", [True, False])
+def test_fused_mogrify_matches_primitives(rounds, batch, grads, shrinks, rng):
+    """`sequence` over three packed steps with gating rounds, against the
+    primitive rounds and cell.
 
-    `grads` names the inputs that take a gradient ("h" is the state pair; "x"
-    alone is the state cut of a `bptt_chunk` boundary); `reads_c` whether the
-    loss reads c' besides h'.
+    `grads` names the paths the gradient takes into each step's inputs: "x"
+    alone is a state cut at every step (`bptt_chunk` 1); with "h" the loss
+    reads the last step only, so the earlier steps take their gradient
+    through the carried state pair alone; "both" reads every step, uncut.
+    With `shrinks` two more segments end after one and two steps, so the
+    later steps carry a prefix of the earlier steps' rows.
     """
     cell = MogrifierLstm(rng, 4, 5, rounds=rounds, name="m")
-    x = Tensor(rng.standard_normal((batch, 4)), requires_grad=grads != "h")
-    h, c = (Tensor(rng.standard_normal((batch, 5)), requires_grad=grads != "x")
-            for _ in range(2))
-    wh, wc = np.random.default_rng(1).standard_normal((2, batch, 5))
-    assert_step_matches_primitives(cell, x, h, c, wh, wc if reads_c else None)
+    lengths = [3] * batch + ([2, 1] if shrinks else [])
+    assert_cell_sequence_matches_primitives(cell, lengths, 1 if grads == "x" else 0,
+                                            "last" if grads == "h" else "all", rng)
 
 
 @pytest.mark.parametrize("batch", [1, 10])
 @pytest.mark.parametrize("uses", ["h", "c", "both"])
 @pytest.mark.parametrize("input_grad", [True, False])
 def test_fused_lstm_step_matches_primitives(batch, uses, input_grad, rng):
-    """One `step` without gating rounds; `uses` names the outputs the loss reads."""
+    """One rollout `step` without gating rounds against the primitive step, on
+    the outputs `uses` names.  With `input_grad` the step also runs as a
+    one-step `sequence`, whose x and weight gradients match the primitive's."""
     cell = MogrifierLstm(rng, 4, 5, rounds=0, name="l")
-    x = Tensor(rng.standard_normal((batch, 4)), requires_grad=input_grad)
-    h = Tensor(rng.standard_normal((batch, 5)), requires_grad=input_grad)
-    c = Tensor(rng.standard_normal((batch, 5)), requires_grad=input_grad)
-    wh, wc = np.random.default_rng(1).standard_normal((2, batch, 5))
-    assert_step_matches_primitives(cell, x, h, c, None if uses == "c" else wh,
-                                   None if uses == "h" else wc)
+    x = rng.standard_normal((batch, 4))
+    h, c = rng.standard_normal((2, batch, 5))
+    nh, nc = cell.step(x, h, c)
+    ref_h, ref_c = unfused_lstm_step(cell, Tensor(x), (Tensor(h), Tensor(c)),
+                                     per_gate_leaves(cell))
+    T.clear_tape()
+    if uses != "c":
+        assert_close(nh, ref_h.value)
+    if uses != "h":
+        assert_close(nc, ref_c.value)
+    if input_grad:
+        assert_cell_sequence_matches_primitives(cell, [1] * batch, 0, "all", rng)
 
 
-@pytest.mark.parametrize("batch", [1, 10])
-def test_fused_log_prob_matches_primitives(batch, rng):
+@pytest.mark.parametrize("batch, log_std", [
+    pytest.param(1, [-6.0, -0.7, 0.4, 1.5], id="1"),  # two dims clamped
+    pytest.param(10, [-6.0, -0.7, 0.4, 1.5], id="10"),
+    # Every dim inside the clamp, over as many rows as an update reduces, so the
+    # summation order of each column of the log-std gradient shows.
+    pytest.param(1000, [-4.2, -0.7, 0.4, 0.9], id="1000"),
+])
+def test_fused_log_prob_matches_primitives(batch, log_std, rng):
     policy = ActorCritic(rng, obs_dim=4, action_dim=4, hidden=6, mogrifier_rounds=0)
-    policy.log_std.value = np.array([-6.0, -0.7, 0.4, 1.5])  # two dims clamped
+    policy.log_std.value = np.array(log_std)
     mean = Tensor(rng.standard_normal((batch, 4)), requires_grad=True)
     actions = rng.standard_normal((batch, 4))
 
@@ -452,11 +519,6 @@ def unfused_log_probs(policy, obs, h0, c0, actions, leaves):
         mean, state = unfused_actor_step(policy, Tensor(obs[t]), state, leaves)
         out.append(unfused_log_prob(policy, mean, Tensor(actions[t])))
     return out
-
-
-def assert_close(a, b):
-    """Max abs difference at most 1e-12 of the reference's max abs value."""
-    assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
 
 
 def assert_sequence_matches_per_step_tape(policy, lengths, rng):
@@ -496,12 +558,7 @@ def assert_sequence_matches_per_step_tape(policy, lengths, rng):
         loss = T.add(loss, T.sum_all(T.square(policy.log_std)))
         return [Tensor(grid[t_idx, b_idx])], loss
 
-    (out_f, grads_f), (out_u, grads_u) = fused_and_unfused(build, policy.params(), leaves)
-    assert_close(out_f[0], out_u[0])
-    for a, b in zip(grads_f, grads_u):
-        assert (a is None) == (b is None)
-        if a is not None:
-            assert_close(a, b)
+    assert_fused_close_to_unfused(build, policy.params(), leaves)
 
 
 @pytest.mark.parametrize("rounds", [0, 1, 2, 5])
@@ -525,31 +582,36 @@ def test_actor_sequence_matches_per_step_tape(rounds, chunk, rng):
         assert_sequence_matches_per_step_tape(policy, lengths, rng)
 
 
-def test_actor_sequence_backward_drops_each_step_cache(rng, monkeypatch):
-    """The reverse pass pops each step's cache before it walks the step before,
-    so a walked step's arrays are freed while the rest are walked."""
-    policy = ActorCritic(rng, obs_dim=4, action_dim=3, hidden=6, mogrifier_rounds=5)
-    obs = rng.standard_normal((6, 4))  # 3 steps of 2 rows, packed step-major
-    means, cache = policy.actor_sequence(obs, [2, 2, 2], *policy.initial_state(2))
-    steps = cache[-1]  # the per-step caches
-    left = []
-    real_step_backward = MogrifierLstm.step_backward
+def cache_arrays(cache) -> int:
+    """The number of arrays a cache holds, through nested tuples and lists."""
+    if isinstance(cache, (tuple, list)):
+        return sum(cache_arrays(item) for item in cache)
+    return int(isinstance(cache, np.ndarray))
 
-    def spy(cell, step_cache, *args):
-        left.append(len(steps))
-        return real_step_backward(cell, step_cache, *args)
 
-    monkeypatch.setattr(MogrifierLstm, "step_backward", spy)
-    policy.actor_sequence_backward(cache, np.ones_like(means))
-    assert left == [2, 1, 0]
+def test_sequence_cache_does_not_grow_with_steps(rng):
+    """`sequence` writes every step into the same (N, .) arrays: a 40-step
+    sequence caches as many arrays as a 2-step one, and the backward writes the
+    gates' pre-activation gradient over their activations."""
+    cell = MogrifierLstm(rng, 4, 5, rounds=5)
+    counts = []
+    for steps in (2, 40):
+        x = rng.standard_normal((3 * steps, 4))
+        hs, cache = cell.sequence(x, [3] * steps, *cell.initial_state(3))
+        counts.append(cache_arrays(cache))
+    acts = cache[4]
+    before = acts.copy()
+    cell.sequence_backward(cache, np.ones_like(hs), 0)
+    assert counts[0] == counts[1]
+    assert not np.array_equal(acts, before)
+    assert np.array_equal(cell.b.grad, acts.sum(axis=0))
 
 
 # -- mogrifier behaviour ----------------------------------------------------------------
 
 
 def copy_lstm_weights(dst: MogrifierLstm, src: MogrifierLstm):
-    dst.Wx.value = src.Wx.value.copy()
-    dst.Wh.value = src.Wh.value.copy()
+    dst.W.value = src.W.value.copy()
     dst.b.value = src.b.value.copy()
 
 
@@ -565,8 +627,8 @@ def test_zero_mogrifier_matches_plain_lstm_bitwise(rng):
     state_a = gated.initial_state(3)
     state_b = plain.initial_state(3)
     for _ in range(4):
-        state_a = gated.step(x, *state_a)[:2]
-        state_b = plain.step(x, *state_b)[:2]
+        state_a = gated.step(x, *state_a)
+        state_b = plain.step(x, *state_b)
     assert np.array_equal(state_a[0], state_b[0])
     assert np.array_equal(state_a[1], state_b[1])
 
@@ -575,7 +637,7 @@ def test_zero_rounds_leaves_inputs_untouched(rng):
     cell = MogrifierLstm(rng, 4, 4, rounds=0)
     x = rng.standard_normal((2, 4))
     h = rng.standard_normal((2, 4))
-    mx, mh, _ = cell.mogrify(x, h)
+    mx, mh = cell.mogrify(x, h)
     assert mx is x and mh is h
 
 
@@ -587,7 +649,7 @@ def test_mogrify_matches_unrolled_oracle(rng):
     cell = MogrifierLstm(rng, 4, 5, rounds=5, name="m")
     x0 = rng.standard_normal((3, 4))
     h0 = rng.standard_normal((3, 5))
-    mx, mh, _ = cell.mogrify(x0, h0)
+    mx, mh = cell.mogrify(x0, h0)
     x, h = x0.copy(), h0.copy()
     q_list = [q.value for q in cell.Q]
     r_list = [r.value for r in cell.R]
@@ -605,23 +667,22 @@ def test_mogrify_matches_unrolled_oracle(rng):
 
 def test_lstm_zero_everything_gives_zero_hidden(rng):
     cell = MogrifierLstm(rng, 3, 4, rounds=0)
-    cell.Wx.value = np.zeros_like(cell.Wx.value)
-    cell.Wh.value = np.zeros_like(cell.Wh.value)
+    cell.W.value = np.zeros_like(cell.W.value)
     cell.b.value = np.zeros_like(cell.b.value)
-    h, c, _ = cell.step(np.zeros((2, 3)), *cell.initial_state(2))
+    h, c = cell.step(np.zeros((2, 3)), *cell.initial_state(2))
     assert np.array_equal(h, np.zeros((2, 4)))
 
 
 def test_lstm_forced_gates_carry_memory(rng):
     cell = MogrifierLstm(rng, 3, 4, rounds=0)
-    cell.Wx.value = np.zeros_like(cell.Wx.value)
-    cell.Wh.value = np.zeros_like(cell.Wh.value)
+    cell.W.value = np.zeros_like(cell.W.value)
+    gates = cell.b.value.reshape(len(MogrifierLstm.GATES), 4)  # a view of b, per gate
     gate = MogrifierLstm.GATES.index
-    cell.b.value[gate("f")] = np.full(4, 40.0)   # forget gate pinned to 1
-    cell.b.value[gate("i")] = np.full(4, -40.0)  # input gate pinned to 0
-    cell.b.value[gate("o")] = np.zeros(4)
+    gates[gate("f")] = 40.0   # forget gate pinned to 1
+    gates[gate("i")] = -40.0  # input gate pinned to 0
+    gates[gate("o")] = 0.0
     c0 = rng.standard_normal((2, 4))
-    h, c, _ = cell.step(np.zeros((2, 3)), np.zeros((2, 4)), c0)
+    h, c = cell.step(np.zeros((2, 3)), np.zeros((2, 4)), c0)
     assert np.max(np.abs(c - c0)) < 1e-12
 
 
@@ -630,16 +691,15 @@ def test_lstm_matches_scalar_loop_oracle(rng):
     x = rng.standard_normal((2, 3))
     h0 = rng.standard_normal((2, 4))
     c0 = rng.standard_normal((2, 4))
-    h, c, _ = cell.step(x, h0, c0)
+    h, c = cell.step(x, h0, c0)
+    xh = np.concatenate((x, h0), axis=1)
     for row in range(2):
         for j in range(4):
             pre = {}
             for k, gate in enumerate(MogrifierLstm.GATES):
-                s = cell.b.value[k, j]
-                for i in range(3):
-                    s += x[row, i] * cell.Wx.value[k, i, j]
-                for i in range(4):
-                    s += h0[row, i] * cell.Wh.value[k, i, j]
+                s = cell.b.value[4 * k + j]
+                for i in range(7):
+                    s += xh[row, i] * cell.W.value[i, 4 * k + j]
                 pre[gate] = s
             i_g = sigmoid_ref(pre["i"])
             f_g = sigmoid_ref(pre["f"])
@@ -789,24 +849,39 @@ def test_checkpoint_shape_mismatch_rejected(tmp_path, rng):
         other.load_state(arrays)
 
 
-def test_v1_checkpoint_loads_bit_equal(tmp_path, rng):
-    """A format-1 checkpoint (one array per gate) loads as the stacked parameters."""
-    policy = ActorCritic(rng, obs_dim=4, action_dim=3, hidden=6, mogrifier_rounds=5)
-    stacked = {name for name, _ in policy.cell.params()[:3]}
+def gate_blocks(cell):
+    """The fused W and b split per gate: (Wx (4, in, H), Wh (4, H, H), b (4, H))."""
+    H, n_in, gates = cell.hidden, cell.in_dim, len(cell.GATES)
+    w = cell.W.value.reshape(n_in + H, gates, H).transpose(1, 0, 2)
+    return w[:, :n_in], w[:, n_in:], cell.b.value.reshape(gates, H)
+
+
+def save_old_format(directory, policy, version):
+    """Save `policy` as a format-1 (one array per gate) or format-2 (stacked
+    gates) checkpoint."""
+    cell_names = {f"{policy.cell.name}.W", f"{policy.cell.name}.b"}
     named = []
     for name, param in policy.named_params():
-        if name in stacked:
-            named += [(f"{name}_{gate}", param.value[k])
-                      for k, gate in enumerate(MogrifierLstm.GATES)]
-        else:
+        if name == f"{policy.cell.name}.W":
+            for kind, stack in zip(("Wx", "Wh", "b"), gate_blocks(policy.cell)):
+                if version == 1:
+                    named += [(f"{policy.cell.name}.{kind}_{gate}", stack[k])
+                              for k, gate in enumerate(MogrifierLstm.GATES)]
+                else:
+                    named.append((f"{policy.cell.name}.{kind}", stack))
+        elif name not in cell_names:
             named.append((name, param.value))
-    save_checkpoint(tmp_path / "v1", named, step=0, hyperparams={})
-    manifest_path = tmp_path / "v1" / "manifest.json"
+    save_checkpoint(directory, named, step=0, hyperparams={})
+    manifest_path = directory / "manifest.json"
     manifest = json.loads(manifest_path.read_text())
-    manifest["format_version"] = 1
+    manifest["format_version"] = version
     manifest_path.write_text(json.dumps(manifest))
 
-    _, arrays = load_checkpoint(tmp_path / "v1")
+
+def assert_old_format_loads_bit_equal(directory, version, rng):
+    policy = ActorCritic(rng, obs_dim=4, action_dim=3, hidden=6, mogrifier_rounds=5)
+    save_old_format(directory, policy, version)
+    _, arrays = load_checkpoint(directory)
     assert sorted(arrays) == sorted(name for name, _ in policy.named_params())
     for name, param in policy.named_params():
         assert arrays[name].tobytes() == param.value.tobytes()
@@ -815,6 +890,34 @@ def test_v1_checkpoint_loads_bit_equal(tmp_path, rng):
     other.load_state(arrays)
     for mine, theirs in zip(policy.params(), other.params()):
         assert np.array_equal(mine.value, theirs.value)
+
+
+def test_v1_checkpoint_loads_bit_equal(tmp_path, rng):
+    """A format-1 checkpoint (one array per gate) loads as the fused parameters."""
+    assert_old_format_loads_bit_equal(tmp_path / "v1", 1, rng)
+
+
+def test_v2_checkpoint_loads_bit_equal(tmp_path, rng):
+    """A format-2 checkpoint (gates stacked gate-major) loads as the fused parameters."""
+    assert_old_format_loads_bit_equal(tmp_path / "v2", 2, rng)
+
+
+def test_seed_gives_the_per_gate_draw_order_weights():
+    """A seed still gives the weights drawn per gate, Wx then Wh, then the
+    gating rounds: W holds the per-gate blocks side by side."""
+    cell = MogrifierLstm(np.random.default_rng(5), 4, 6, rounds=3)
+    ref = np.random.default_rng(5)
+    wx, wh = [], []
+    for _ in MogrifierLstm.GATES:
+        wx.append(uniform_init(ref, 4, (4, 6)))
+        wh.append(uniform_init(ref, 6, (6, 6)))
+    rounds = [uniform_init(ref, 6, (6, 4)), uniform_init(ref, 4, (4, 6)),
+              uniform_init(ref, 6, (6, 4))]
+    got_wx, got_wh, got_b = gate_blocks(cell)
+    assert np.array_equal(got_wx, np.stack(wx)) and np.array_equal(got_wh, np.stack(wh))
+    assert np.array_equal(got_b, [np.zeros(6), np.ones(6), np.zeros(6), np.zeros(6)])
+    for got, want in zip((cell.Q[0], cell.R[0], cell.Q[1]), rounds):
+        assert np.array_equal(got.value, want)
 
 
 def test_failed_save_leaves_previous_checkpoint(tmp_path, rng, monkeypatch):

@@ -580,7 +580,7 @@ def test_rollout_values_equal_batch_one_critic_calls(monkeypatch):
 
 
 class UpdateRowCounter:
-    """Counts the rows `MogrifierLstm.step` runs inside each `PpoUpdater.update`.
+    """Counts the rows `MogrifierLstm.sequence` steps inside each `PpoUpdater.update`.
 
     `updates` gets, per update, (segment lengths, transitions, rows stepped).
     """
@@ -588,12 +588,12 @@ class UpdateRowCounter:
     def __init__(self, monkeypatch):
         self.updates = []
         self._rows = None
-        real_step, real_update = MogrifierLstm.step, PpoUpdater.update
+        real_sequence, real_update = MogrifierLstm.sequence, PpoUpdater.update
 
-        def step(cell, x, h, c):
+        def sequence(cell, x, batch_sizes, h0, c0):
             if self._rows is not None:
-                self._rows += len(x)
-            return real_step(cell, x, h, c)
+                self._rows += int(np.sum(batch_sizes))
+            return real_sequence(cell, x, batch_sizes, h0, c0)
 
         def update(updater, buffer):
             lengths = [seg.length for seg in buffer.segments]
@@ -604,7 +604,7 @@ class UpdateRowCounter:
                 self.updates.append((lengths, len(buffer), self._rows))
                 self._rows = None
 
-        monkeypatch.setattr(MogrifierLstm, "step", step)
+        monkeypatch.setattr(MogrifierLstm, "sequence", sequence)
         monkeypatch.setattr(PpoUpdater, "update", update)
 
 
