@@ -192,8 +192,3 @@ def optimal_phases(profile_in, profile_out) -> PhaseShifts:
     wrapped into [-pi, pi).
     """
     return PhaseShifts(wrap_phase(-(profile_in + profile_out)))
-
-
-def dump_channel(vec: np.ndarray) -> list:
-    """JSON-friendly [re, im] pairs, used for debugging dumps."""
-    return [[float(z.real), float(z.imag)] for z in np.asarray(vec).ravel()]

@@ -76,28 +76,20 @@ class EpisodeConfig:
             raise ValueError("rate_window must be >= 1 when set")
 
 
-# The two per-slot records are named tuples: immutable like a frozen
-# dataclass, at a third of its construction cost.
-class RewardBreakdown(NamedTuple):
-    rate: float       # served-user rate this slot, bit/s
-    energy: float     # slot propulsion energy, joules
-    fairness: float   # running Jain index after this slot
-    penalty: float    # penalty applied this slot (0 or the configured value)
-    los: bool
-    reward: float
-
-
+# The per-slot record is a named tuple: immutable like a frozen dataclass, at
+# a third of its construction cost.
 class SlotRecord(NamedTuple):
     episode: int
     t: int
     served_user: int
-    rate_bps: float
-    energy_j: float
-    jain: float
+    rate_bps: float      # served-user rate this slot
+    energy_j: float      # slot propulsion energy
+    jain: float          # running Jain index after this slot
     reward: float
     f_t: float
     los: bool
     violated: bool
+    penalty: float       # penalty applied this slot (0 or the configured value)
     uav_position: tuple
     displacement: tuple
 
@@ -201,7 +193,7 @@ class AirsEnv:
         return self._observation()
 
     def step(self, action):
-        """Advance one slot; returns (observation, RewardBreakdown, done)."""
+        """Advance one slot; returns (observation, SlotRecord, done)."""
         if self._done:
             raise EnvError("step() called on a finished episode; call reset()")
         action = np.asarray(action, dtype=float)
@@ -255,7 +247,6 @@ class AirsEnv:
         self._t += 1
         self._done = self._t >= self.cfg.horizon
         obs = self._observation()
-        breakdown = RewardBreakdown(rate, energy, fairness, penalty, los, reward)
         self.last_slot = SlotRecord(
             episode=self._episode,
             t=t,
@@ -267,10 +258,11 @@ class AirsEnv:
             f_t=f_t,
             los=los,
             violated=violated,
+            penalty=penalty,
             uav_position=tuple(irs.tolist()),
             displacement=tuple(realized.tolist()),
         )
-        return obs, breakdown, self._done
+        return obs, self.last_slot, self._done
 
     # -- internals ------------------------------------------------------------
 

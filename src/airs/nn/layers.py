@@ -38,14 +38,6 @@ class Dense:
         return [(f"{self.name}.W", self.W), (f"{self.name}.b", self.b)]
 
 
-def _gate(t: np.ndarray, v: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """out = (1 + tanh(t)) * v: with t = 0.5 * (u @ weight) the gating round's
-    2 * sigmoid(u @ weight) * v.  t is overwritten with the factor 1 + tanh(t)."""
-    np.tanh(t, out=t)
-    np.add(t, 1.0, out=t)
-    return np.multiply(t, v, out=out)
-
-
 class MogrifierLstm:
     """LSTM cell preceded by alternating input/state gating rounds, on arrays.
 
@@ -61,12 +53,12 @@ class MogrifierLstm:
     sigmoid gates are 0.5 + 0.5 * tanh(0.5 * z), so all four gates take one
     tanh.
 
-    `step` advances rollout rows and keeps nothing.  `sequence` runs the
-    recurrence over packed rows, writing every intermediate into (N, .)
-    arrays that `sequence_backward` reads.  Each step of the reverse walk does
-    only the work that carries the state; the weight gradients are one gemm
-    each over all N rows after the loop, as cuDNN's RNN backward forms them
-    (Appleyard, Kocisky and Blunsom 2016, arXiv:1604.01946).
+    `step` is the cell's only forward: rollout calls it on fresh arrays, and
+    `sequence` runs it over packed rows, writing every intermediate into
+    (N, .) arrays that `sequence_backward` reads.  Each step of the reverse
+    walk does only the work that carries the state; the weight gradients are
+    one gemm each over all N rows after the loop, as cuDNN's RNN backward
+    forms them (Appleyard, Kocisky and Blunsom 2016, arXiv:1604.01946).
     """
 
     GATES = ("i", "f", "o", "g")
@@ -107,43 +99,44 @@ class MogrifierLstm:
     def initial_state(self, batch: int = 1):
         return np.zeros((batch, self.hidden)), np.zeros((batch, self.hidden))
 
-    def mogrify(self, x: np.ndarray, h: np.ndarray):
-        """The gating rounds; returns the gated (x, h), x and h themselves when r = 0."""
+    def mogrify(self, x: np.ndarray, h: np.ndarray, out=None):
+        """The gating rounds; returns the gated (x, h), x and h themselves when r = 0.
+
+        Round i writes its factors 1 + tanh(0.5 * (u @ weight)) and its output
+        into `out[2i - 2]` and `out[2i - 1]` when given, else into a new array.
+        """
         v = [x, h]
-        for i, weight in enumerate(self.round_weights, start=1):
-            k = 1 - i % 2
-            t = np.dot(v[1 - k], weight.value)
+        for i, weight in enumerate(self.round_weights):
+            k = i % 2
+            t, new = (None, None) if out is None else out[2 * i:2 * i + 2]
+            t = np.dot(v[1 - k], weight.value, out=t)
             np.multiply(t, 0.5, out=t)
-            v[k] = _gate(t, v[k], t)
+            np.tanh(t, out=t)
+            np.add(t, 1.0, out=t)
+            v[k] = np.multiply(t, v[k], out=t if new is None else new)
         return v[0], v[1]
 
-    def _activate(self, z: np.ndarray) -> np.ndarray:
-        """The gate activations, in place over z = ([x, h] @ W + b) * scale."""
-        np.tanh(z, out=z)
-        np.multiply(z, self._scale, out=z)
-        return np.add(z, self._shift, out=z)
-
-    def _cell(self, a: np.ndarray, c: np.ndarray, c_new: np.ndarray, h_new: np.ndarray):
-        """c_new = f * c + i * g and h_new = o * tanh(c_new), into the given arrays,
-        from the gate activations a."""
-        H = self.hidden
-        np.multiply(a[:, H:2 * H], c, out=c_new)
-        c_new += a[:, :H] * a[:, 3 * H:]
-        np.tanh(c_new, out=h_new)
-        np.multiply(a[:, 2 * H:3 * H], h_new, out=h_new)
-
-    def step(self, x: np.ndarray, h: np.ndarray, c: np.ndarray):
+    def step(self, x: np.ndarray, h: np.ndarray, c: np.ndarray, out=None):
         """One mogrified recurrence step; returns (h_new, c_new).
 
         The gating rounds, then with gates (i, f, o, g) from one gemm,
-        c_new = f * c + i * g and h_new = o * tanh(c_new).
+        c_new = f * c + i * g and h_new = o * tanh(c_new).  Given `out`, the
+        rounds' arrays (see `mogrify`) followed by [x, h], the gate
+        activations, c_new and h_new are written into its arrays.
         """
-        x, h = self.mogrify(x, h)
-        z = np.dot(np.concatenate((x, h), axis=1), self.W.value)
-        np.add(z, self.b.value, out=z)
-        a = self._activate(np.multiply(z, self._scale, out=z))
-        c_new, h_new = np.empty_like(c), np.empty_like(h)
-        self._cell(a, c, c_new, h_new)
+        H, n = self.hidden, 2 * self.rounds
+        x, h = self.mogrify(x, h, None if out is None else out[:n])
+        xh, a, c_new, h_new = (None,) * 4 if out is None else out[n:]
+        a = np.dot(np.concatenate((x, h), axis=1, out=xh), self.W.value, out=a)
+        np.add(a, self.b.value, out=a)
+        np.multiply(a, self._scale, out=a)
+        np.tanh(a, out=a)
+        np.multiply(a, self._scale, out=a)
+        np.add(a, self._shift, out=a)
+        c_new = np.multiply(a[:, H:2 * H], c, out=c_new)
+        c_new += a[:, :H] * a[:, 3 * H:]
+        h_new = np.tanh(c_new, out=h_new)
+        np.multiply(a[:, 2 * H:3 * H], h_new, out=h_new)
         return h_new, c_new
 
     def sequence(self, x: np.ndarray, batch_sizes, h0: np.ndarray, c0: np.ndarray):
@@ -151,43 +144,37 @@ class MogrifierLstm:
 
         Rows are packed step-major: step t is the next `batch_sizes[t]` rows and
         continues the first `batch_sizes[t]` sequences, so batch sizes never
-        grow.  Each step computes what `step` computes, bit for bit, into
-        preallocated (N, .) arrays; the powers of two that `step` applies
-        after its gemms are folded into the weights once.  Returns (hs, cache
-        for `sequence_backward`).
+        grow.  Each step is one `step` call writing into (N, .) arrays.
+        Returns (hs, cache for `sequence_backward`).
         """
         n_rows, H = len(x), self.hidden
         dims = (self.in_dim, H)
-        bounds = np.cumsum(batch_sizes) - batch_sizes
         xh = np.empty((n_rows, self.in_dim + H))  # the [x, h] rows the cell reads
-        acts, cs, hs = np.empty((n_rows, 4 * H)), np.empty((n_rows, H)), np.empty((n_rows, H))
         xh_parts = (xh[:, :self.in_dim], xh[:, self.in_dim:])
-        # versions[k] holds the successive versions of x (k = 0) and h (k = 1), the
-        # last in xh.  Version 0 of h is each row's incoming state.
+        # versions[k] holds the successive versions of x (k = 0) and h (k = 1).  The
+        # last round of each kind writes into that kind's half of xh, so `step`'s
+        # concatenation copies nothing; version 0 of h is each row's incoming state.
         versions = ([x], [xh_parts[1] if self.rounds < 2 else np.empty((n_rows, H))])
-        if self.rounds == 0:
-            xh_parts[0][...] = x
         # Round i gates kind k from the other kind's latest version u: it reads
         # version v of kind k, writes the next one, and keeps its factors 1 + tanh.
-        rounds = []
+        rounds, arrays = [], []
         for i, weight in enumerate(self.round_weights, start=1):
             k = 1 - i % 2
             new = xh_parts[k] if i + 2 > self.rounds else np.empty((n_rows, dims[k]))
-            rounds.append((weight, 0.5 * weight.value, k, versions[1 - k][-1], versions[k][-1],
-                           new, np.empty((n_rows, dims[k]))))
+            factors = np.empty((n_rows, dims[k]))
+            rounds.append((weight, k, versions[1 - k][-1], versions[k][-1], factors))
             versions[k].append(new)
-        W, b, h_in = self.W.value * self._scale, self.b.value * self._scale, versions[1][0]
-        h, c = h0, c0
-        for lo, n in zip(bounds, batch_sizes):
+            arrays += [factors, new]
+        acts, cs, hs = np.empty((n_rows, 4 * H)), np.empty((n_rows, H)), np.empty((n_rows, H))
+        arrays += [xh, acts, cs, hs]
+        h_in = versions[1][0]
+        h, c, lo = h0, c0, 0
+        for n in batch_sizes:
             rows = slice(lo, lo + n)
             h_in[rows] = h[:n]
-            for _, half, _, u, v, new, factors in rounds:
-                _gate(np.dot(u[rows], half, out=factors[rows]), v[rows], new[rows])
-            a = np.dot(xh[rows], W, out=acts[rows])
-            self._activate(np.add(a, b, out=a))
-            self._cell(a, c[:n], cs[rows], hs[rows])
-            h, c = hs[rows], cs[rows]
-        return hs, (batch_sizes, bounds, c0, xh, acts, cs, h_in, rounds)
+            h, c = self.step(x[rows], h_in[rows], c[:n], [a[rows] for a in arrays])
+            lo += n
+        return hs, (batch_sizes, c0, xh, acts, cs, h_in, rounds)
 
     def sequence_backward(self, cache, g_hs: np.ndarray, chunk: int) -> np.ndarray:
         """Add the W, b, Q and R gradients for the hidden states' gradient g_hs
@@ -199,18 +186,20 @@ class MogrifierLstm:
         each round's over its factors, which the weight gradients read after
         the loop.
         """
-        batch_sizes, bounds, c0, xh, acts, cs, h_in, rounds = cache
+        batch_sizes, c0, xh, acts, cs, h_in, rounds = cache
         H, in_dim = self.hidden, self.in_dim
         # Contiguous transposes: a gemm on a transposed view runs about half as fast.
         W_T = self.W.value.T.copy()
-        halves_T = [half.T.copy() for _, half, *_ in rounds]
+        halves_T = [(0.5 * weight.value).T.copy() for weight, *_ in rounds]
         gx = np.empty((len(xh), in_dim))
         gh, gc = np.zeros((2, batch_sizes[0], H))
+        lo = len(xh)
         for t in range(len(batch_sizes) - 1, -1, -1):
-            lo, n = bounds[t], batch_sizes[t]
+            n = batch_sizes[t]
+            lo -= n
             rows = slice(lo, lo + n)
             a, tanh_c = acts[rows], np.tanh(cs[rows])  # as the forward computed it
-            c_prev = c0[:n] if t == 0 else cs[bounds[t - 1]:bounds[t - 1] + n]
+            c_prev = (c0 if t == 0 else cs[lo - batch_sizes[t - 1]:])[:n]
             g_h = g_hs[rows] + gh[:n]
             g_c = gc[:n] + (g_h * a[:, 2 * H:3 * H]) * (1.0 - tanh_c**2)
             slope = (self._k1 - a) * a + self._k0
@@ -223,7 +212,7 @@ class MogrifierLstm:
             np.multiply(a, slope, out=a)
             g_xh = np.dot(a, W_T)
             grads = [g_xh[:, :in_dim], g_xh[:, in_dim:]]
-            for (_, _, k, u, v, _, factors), half_T in zip(reversed(rounds), reversed(halves_T)):
+            for (_, k, u, v, factors), half_T in zip(reversed(rounds), reversed(halves_T)):
                 g, m = grads[k], factors[rows]
                 g_v = g * v[rows]
                 grads[k] = g * m
@@ -240,7 +229,7 @@ class MogrifierLstm:
         del W_T, halves_T  # freed before the weight gradients are allocated
         self.W.add_grad(np.dot(xh.T, acts))
         self.b.add_grad(acts.sum(axis=0))
-        for weight, _, _, u, _, _, factors in rounds:
+        for weight, _, u, _, factors in rounds:
             # s = u @ (0.5 * weight), so the weight takes half of u.T @ (ds gradient).
             weight.add_grad(np.dot(u.T, factors) * 0.5)
         return gx

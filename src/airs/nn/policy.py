@@ -5,9 +5,11 @@ and one state-independent learnable log-std per action dimension (clamped to
 [-5, 1]).  Critic: two tanh layers to a scalar value.  All math is float64.
 Rollouts call `actor_step` on plain arrays; updates replay stored sequences,
 packed step-major, through `actor_sequence`, which runs the trunk and the mean
-head once over all rows and hands the time loop to the cell.  Each
-forward the update differentiates returns its output and a cache, which its
-`*_backward` reads to add the parameter gradients.
+head once over all rows and hands the time loop to the cell.  Both run the
+one cell forward, `MogrifierLstm.step`: rollout on fresh arrays, replay
+looped by `MogrifierLstm.sequence` into (N, .) arrays.  Each forward the
+update differentiates returns its output and a cache, which its `*_backward`
+reads to add the parameter gradients.
 """
 
 import math

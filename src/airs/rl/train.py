@@ -173,15 +173,14 @@ def run_episodes(env, agent, writer: RunWriter, episodes: int, seed: int, greedy
             done = False
             while not done:
                 action = agent.act(obs, explore_rng, greedy=greedy)
-                next_obs, breakdown, done = env.step(action)
-                record = env.last_slot
+                next_obs, record, done = env.step(action)
                 writer.slot(record)
-                total_reward += breakdown.reward
-                total_energy += breakdown.energy
+                total_reward += record.reward
+                total_energy += record.energy_j
                 sum_f += record.f_t
-                penalties.append(breakdown.penalty)
+                penalties.append(record.penalty)
                 if learner is not None:
-                    learner.step(obs, action, breakdown.reward, next_obs, done)
+                    learner.step(obs, action, record.reward, next_obs, done)
                 obs = next_obs
             stats = {
                 "reward": float(total_reward),

@@ -39,13 +39,6 @@ class Building:
         if self.x1 <= self.x0 or self.y1 <= self.y0:
             raise ScenarioError("building footprint must have positive area")
 
-    def contains(self, p) -> bool:
-        return (
-            self.x0 <= p[0] <= self.x1
-            and self.y0 <= p[1] <= self.y1
-            and 0.0 <= p[2] <= self.height
-        )
-
 
 @dataclass(frozen=True)
 class ScenarioConfig:
@@ -306,63 +299,34 @@ def _place_one(rng, ox, oy, cell, side_lo, side_hi, placed):
 
 
 class BuildingIndex:
-    """Building boxes packed as arrays for vectorized occlusion tests.
+    """Building boxes packed as read-only arrays for vectorized occlusion tests.
 
-    `lo` and `hi` are the (n, 3) lower and upper box corners and the source of
-    truth; assigning either one rebuilds `slabs` on its next use, and the
-    stored arrays are read-only, so an in-place edit cannot leave it stale.
+    `lo` and `hi` are the (n, 3) lower and upper box corners.  `slabs` is the
+    (8, 6, n) table of entry then exit faces of every box, per direction
+    octant: rows 0-2 of octant k are the faces through which a segment enters
+    the x, y and z slabs, rows 3-5 those through which it leaves them.  Octant
+    k holds the segments whose direction component j is negative exactly when
+    bit j of k is set; such a segment enters the slab of axis j through `hi`
+    and leaves it through `lo`.
     """
 
     def __init__(self, buildings):
         self.buildings = list(buildings)
-        self.lo = [[b.x0, b.y0, 0.0] for b in self.buildings]
-        self.hi = [[b.x1, b.y1, b.height] for b in self.buildings]
-
-    @property
-    def lo(self):
-        return self._lo
-
-    @lo.setter
-    def lo(self, value):
-        self._lo = _corners(value)
-        self._slabs = None
-
-    @property
-    def hi(self):
-        return self._hi
-
-    @hi.setter
-    def hi(self, value):
-        self._hi = _corners(value)
-        self._slabs = None
-
-    @property
-    def slabs(self):
-        """(8, 6, n) entry then exit faces of every box, per direction octant.
-
-        Rows 0-2 of octant k are the faces through which a segment enters the
-        x, y and z slabs, rows 3-5 those through which it leaves them.  Octant
-        k holds the segments whose direction component j is negative exactly
-        when bit j of k is set; such a segment enters the slab of axis j
-        through `hi` and leaves it through `lo`.
-        """
-        if self._slabs is None:
-            negative = (np.arange(8)[:, None, None] >> np.arange(3)[:, None]) & 1 == 1
-            lo, hi = self._lo.T, self._hi.T
-            # C order keeps each face row contiguous for the reductions in `_clear`.
-            self._slabs = np.ascontiguousarray(np.concatenate(
-                (np.where(negative, hi, lo), np.where(negative, lo, hi)), axis=1
-            ))
-        return self._slabs
+        lo, hi = (np.array(corners, dtype=float).reshape(-1, 3) for corners in (
+            [[b.x0, b.y0, 0.0] for b in self.buildings],
+            [[b.x1, b.y1, b.height] for b in self.buildings],
+        ))
+        negative = (np.arange(8)[:, None, None] >> np.arange(3)[:, None]) & 1 == 1
+        # C order keeps each face row contiguous for the reductions in `_clear`.
+        slabs = np.ascontiguousarray(np.concatenate(
+            (np.where(negative, hi.T, lo.T), np.where(negative, lo.T, hi.T)), axis=1
+        ))
+        for table in (lo, hi, slabs):
+            table.flags.writeable = False
+        self.lo, self.hi, self.slabs = lo, hi, slabs
 
     def __len__(self):
         return len(self.buildings)
-
-
-def _corners(value) -> np.ndarray:
-    corners = np.array(value, dtype=float).reshape(-1, 3)
-    corners.flags.writeable = False
-    return corners
 
 
 def is_los(a, b, buildings, then=None) -> bool:

@@ -341,12 +341,13 @@ def test_criterion_07_occlusion_against_sampling_oracle():
         oracle = not bool(inside.all(axis=2).any())
         if sc.is_los(a, b, index) != oracle:
             # Disagreements are only tolerable within a 1e-6 boundary band:
-            # the verdict must flip when boxes are inflated vs deflated.
-            grown = sc.BuildingIndex([])
-            grown.lo, grown.hi = index.lo - 1e-6, index.hi + 1e-6
-            shrunk = sc.BuildingIndex([])
-            shrunk.lo, shrunk.hi = index.lo + 1e-6, index.hi - 1e-6
-            grown.buildings = shrunk.buildings = index.buildings
+            # the verdict must flip when boxes are inflated vs deflated.  The
+            # floor face stays at z = 0, below every segment.
+            grown, shrunk = (
+                sc.BuildingIndex([sc.Building(c.x0 - d, c.y0 - d, c.x1 + d, c.y1 + d,
+                                              c.height + d) for c in index.buildings])
+                for d in (1e-6, -1e-6)
+            )
             assert sc.is_los(a, b, grown) != sc.is_los(a, b, shrunk)
             disagreements += 1
     report(7, f"segment-box test agreed with the 10^4-point sampling oracle on "

@@ -260,11 +260,6 @@ def test_coincident_positions_rejected():
         ch.hop_profile(GEOM, p, p)
 
 
-def test_dump_channel_re_im_pairs():
-    vec = np.array([1.0 + 2.0j, -0.5 - 0.25j])
-    assert ch.dump_channel(vec) == [[1.0, 2.0], [-0.5, -0.25]]
-
-
 def test_phase_wrap_range():
     wrapped = ch.wrap_phase(np.array([math.pi, -math.pi, 3 * math.pi, -2.5 * math.pi]))
     assert np.all(wrapped >= -math.pi) and np.all(wrapped < math.pi)

@@ -150,11 +150,11 @@ def test_nlos_slots_have_exactly_zero_reward():
     env.reset(seed=3)
     nlos_seen = 0
     for _ in range(500):
-        _, breakdown, done = env.step(rng.uniform(-1, 1, 3))
-        if not breakdown.los:
+        _, record, done = env.step(rng.uniform(-1, 1, 3))
+        if not record.los:
             nlos_seen += 1
-            assert breakdown.reward == 0.0
-            assert breakdown.rate == 0.0
+            assert record.reward == 0.0
+            assert record.rate_bps == 0.0
         if done:
             env.reset()
     assert nlos_seen > 0
@@ -165,9 +165,9 @@ def test_single_user_reward_formula():
     env.reset(seed=2)
     _, b, _ = env.step(np.array([0.1, -0.2, 0.05]))
     assert b.los and b.penalty == 0.0
-    assert b.fairness == pytest.approx(1.0)  # one user
+    assert b.jain == pytest.approx(1.0)  # one user
     scale = cfg["env"]["rate_scale"]
-    assert b.reward == pytest.approx(b.rate * scale / b.energy, rel=1e-12)
+    assert b.reward == pytest.approx(b.rate_bps * scale / b.energy_j, rel=1e-12)
 
 
 def test_out_of_bounds_penalty_applied():
@@ -183,7 +183,7 @@ def test_out_of_bounds_penalty_applied():
     assert violated is not None
     assert violated.penalty == cfg["env"]["penalty"] == 0.04
     scale = cfg["env"]["rate_scale"]
-    expected = violated.fairness * violated.rate * scale / violated.energy - 0.04
+    expected = violated.jain * violated.rate_bps * scale / violated.energy_j - 0.04
     assert violated.reward == pytest.approx(expected, rel=1e-12)
 
 
@@ -193,7 +193,7 @@ def test_running_fairness_stays_in_bounds():
     env.reset(seed=1)
     for _ in range(300):
         _, b, done = env.step(rng.uniform(-1, 1, 3))
-        assert 1.0 / 3.0 - 1e-12 <= b.fairness <= 1.0 + 1e-12
+        assert 1.0 / 3.0 - 1e-12 <= b.jain <= 1.0 + 1e-12
         if done:
             env.reset()
 
@@ -209,14 +209,14 @@ def test_running_fairness_matches_history_resum(window):
     t = 0
     while not done:
         _, b, done = env.step(rng.uniform(-1, 1, 3))
-        history[t % 3].append((t, b.rate))
+        history[t % 3].append((t, b.rate_bps))
         means = []
         for served in history:
             if window is not None:
                 served = [(s, r) for s, r in served if s > t - window]
             means.append(sum(r for _, r in served) / len(served) if served else 0.0)
         expected = 1.0 / 3.0 if sum(means) == 0.0 else jain_index(means)
-        assert b.fairness == expected
+        assert b.jain == expected
         t += 1
     assert all(any(r > 0.0 for _, r in served) for served in history)
     averages = [sum(r for _, r in h) / len(h) for h in history]
@@ -286,4 +286,4 @@ def test_rate_window_limits_fairness_memory():
     env.reset(seed=0)
     for _ in range(10):
         _, b, _ = env.step(np.zeros(3))
-    assert b.fairness == pytest.approx(1.0)
+    assert b.jain == pytest.approx(1.0)

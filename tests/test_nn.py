@@ -388,15 +388,17 @@ def packed_grid(lengths):
     return live.sum(axis=1), t_idx, b_idx
 
 
-def rollout_hidden(cell, x, batch_sizes, h0, c0):
-    """`cell.step` run over packed rows as rollout runs it, one step at a time."""
-    h, c, out = h0, c0, []
+def rollout_states(cell, x, batch_sizes, h0, c0):
+    """The hidden and cell states of `cell.step` run over packed rows as rollout
+    runs it, one step at a time."""
+    h, c, hs, cs = h0, c0, [], []
     lo = 0
     for n in batch_sizes:
         h, c = cell.step(x[lo:lo + n], h[:n], c[:n])
-        out.append(h)
+        hs.append(h)
+        cs.append(c)
         lo += n
-    return np.concatenate(out)
+    return np.concatenate(hs), np.concatenate(cs)
 
 
 def assert_cell_sequence_matches_primitives(cell, lengths, chunk, read, rng):
@@ -406,7 +408,7 @@ def assert_cell_sequence_matches_primitives(cell, lengths, chunk, read, rng):
 
     The loss weighs the hidden states of the steps `read` names ("all" or
     "last"); the grid's padded slots weigh zero.  Rolling `step` over the
-    packed rows gives the sequence's hidden states bit for bit.
+    packed rows gives the sequence's hidden and cell states bit for bit.
     """
     batch_sizes, t_idx, b_idx = packed_grid(lengths)
     steps, batch = len(batch_sizes), len(lengths)
@@ -439,8 +441,10 @@ def assert_cell_sequence_matches_primitives(cell, lengths, chunk, read, rng):
         return [Tensor(np.stack(hidden)[t_idx, b_idx])], loss
 
     assert_fused_close_to_unfused(build, [x] + [p for _, p in cell.params()], leaves)
-    hs, _ = cell.sequence(x.value, batch_sizes, h0, c0)
-    assert np.array_equal(rollout_hidden(cell, x.value, batch_sizes, h0, c0), hs)
+    hs, cache = cell.sequence(x.value, batch_sizes, h0, c0)
+    rolled_h, rolled_c = rollout_states(cell, x.value, batch_sizes, h0, c0)
+    assert np.array_equal(rolled_h, hs)
+    assert np.array_equal(rolled_c, cache[4])
 
 
 @pytest.mark.parametrize("rounds", [0, 1, 2, 5])
@@ -563,11 +567,19 @@ def assert_sequence_matches_per_step_tape(policy, lengths, rng):
 
 @pytest.mark.parametrize("rounds", [0, 1, 2, 5])
 def test_fused_recurrent_sequence_matches_primitives(rounds, rng):
-    """20 steps at batch 10 with a bptt_chunk cut, no padding."""
+    """20 steps at batch 10 with a bptt_chunk cut, no padding.  A one-step
+    `actor_sequence` gives rollout `actor_step`'s means and state bit for bit."""
     policy = ActorCritic(rng, obs_dim=4, action_dim=3, hidden=6, mogrifier_rounds=rounds,
                          bptt_chunk=8)
     policy.log_std.value = np.array([-6.0, -0.7, 1.5])  # two dims clamped
     assert_sequence_matches_per_step_tape(policy, [20] * 10, rng)
+    obs = rng.standard_normal((10, policy.obs_dim))
+    h0, c0 = rng.standard_normal((2, 10, policy.hidden))
+    mean, (h, c) = policy.actor_step(obs, (h0, c0))
+    means, (_, hs, _, cell) = policy.actor_sequence(obs, [10], h0, c0)
+    assert np.array_equal(mean, means)
+    assert np.array_equal(h, hs)
+    assert np.array_equal(c, cell[4])
 
 
 @pytest.mark.parametrize("rounds", [0, 1, 2, 5])
@@ -599,7 +611,7 @@ def test_sequence_cache_does_not_grow_with_steps(rng):
         x = rng.standard_normal((3 * steps, 4))
         hs, cache = cell.sequence(x, [3] * steps, *cell.initial_state(3))
         counts.append(cache_arrays(cache))
-    acts = cache[4]
+    acts = cache[3]
     before = acts.copy()
     cell.sequence_backward(cache, np.ones_like(hs), 0)
     assert counts[0] == counts[1]

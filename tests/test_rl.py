@@ -333,9 +333,9 @@ def test_slot_rows_are_the_bytes_row_formats(tmp_path):
     numpy scalars as well as Python ones."""
     records = [
         SlotRecord(np.int64(3), 7, 2, np.float64(1234.5678), 1.0 / 3.0, np.float64(0.1),
-                   -0.04, np.float64(1e-300), np.bool_(True), False,
+                   -0.04, np.float64(1e-300), np.bool_(True), False, 0.0,
                    (np.float64(1.5), 2.25, np.float64(-0.0)), (0.1, np.float64(0.2), 1e20)),
-        SlotRecord(0, 0, 0, 0.0, 288.06, 1.0, 0.0, 0.0, False, np.bool_(True),
+        SlotRecord(0, 0, 0, 0.0, 288.06, 1.0, 0.0, 0.0, False, np.bool_(True), 0.0,
                    (620.0, 0.0, 80.0), (-17.320508075688775, 0.0, -0.0)),
     ]
     writer = RunWriter(tmp_path, users=3, log_slots=True, log_trajectory=True)
