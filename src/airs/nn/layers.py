@@ -1,5 +1,6 @@
 """Dense, LSTM, and mogrifier building blocks as array kernels with explicit backwards."""
 
+import functools
 import math
 
 import numpy as np
@@ -10,6 +11,53 @@ from .tensor import Param
 def uniform_init(rng, fan_in: int, shape) -> np.ndarray:
     limit = 1.0 / math.sqrt(max(fan_in, 1))
     return rng.uniform(-limit, limit, size=shape)
+
+
+def _index(rows: np.ndarray):
+    """`rows` as a slice when they are one contiguous run, else read-only."""
+    if len(rows) and np.array_equal(rows, np.arange(rows[0], rows[0] + len(rows))):
+        return slice(int(rows[0]), int(rows[0]) + len(rows))
+    rows.flags.writeable = False  # `lane_blocks` hands the same arrays to every caller
+    return rows
+
+
+@functools.lru_cache(maxsize=8)
+def lane_blocks(batch_sizes: tuple, chunk: int):
+    """The blocks of `MogrifierLstm.sequence_backward`'s reverse walk over packed
+    steps `batch_sizes` whose state gradient is cut every `chunk` steps (0 never
+    cuts), and the largest block's row count.
+
+    A lane is one truncation piece, steps [c * span, (c + 1) * span) for span =
+    min(chunk, T) (T when chunk is 0).  Lanes share no state gradient, so
+    reverse step j = span - 1, ..., 0 runs step c * span + j of every lane as
+    one block.  A block is (rows, prev, to, fresh): its packed rows, lane by
+    lane; the rows of their previous cell states in the cache's `cells` (the
+    packed rows of the step before, then c0's rows for step 0); which rows of
+    the next block take its carried state gradient, row for row (`to`), and
+    which start from zero (`fresh`), both None for the last block.  Contiguous
+    runs are slices, so a single lane indexes views, as a plain time loop does.
+    """
+    sizes = np.asarray(batch_sizes, dtype=np.int64)
+    steps = len(sizes)
+    span = min(chunk, steps) if chunk > 0 else steps
+    # Where each step's rows start; offsets[-1] = N, where c0's rows follow the packed ones.
+    offsets = np.append(np.cumsum(sizes) - sizes, sizes.sum())
+
+    def runs(starts, counts):  # the ranges [start, start + count), concatenated
+        return np.concatenate([np.arange(s, s + n) for s, n in zip(starts, counts)])
+
+    blocks = []
+    for j in range(span - 1, -1, -1):
+        t = np.arange(j, steps, span)  # the block's step in each lane
+        to = fresh = None
+        if j > 0:
+            below = sizes[j - 1::span]  # the next block's lanes
+            to = runs(np.cumsum(below) - below, sizes[t])
+            fresh = _index(np.setdiff1d(np.arange(below.sum()), to))
+            to = _index(to)
+        blocks.append((_index(runs(offsets[t], sizes[t])),
+                       _index(runs(offsets[t - 1], sizes[t])), to, fresh))
+    return tuple(blocks), int(sizes[::span].sum())
 
 
 class Dense:
@@ -55,10 +103,14 @@ class MogrifierLstm:
 
     `step` is the cell's only forward: rollout calls it on fresh arrays, and
     `sequence` runs it over packed rows, writing every intermediate into
-    (N, .) arrays that `sequence_backward` reads.  Each step of the reverse
-    walk does only the work that carries the state; the weight gradients are
-    one gemm each over all N rows after the loop, as cuDNN's RNN backward
-    forms them (Appleyard, Kocisky and Blunsom 2016, arXiv:1604.01946).
+    (N, .) arrays that `sequence_backward` reads.  The backward's truncation
+    cuts split the steps into independent lanes, and its reverse walk runs
+    one step of every lane as one block of rows (`lane_blocks`), so a gemm or
+    an element-wise op serves all lanes at once; with no cut inside the
+    sequence there is one lane, a plain time loop.  Each reverse step does
+    only the work that carries the state; the weight gradients are one gemm
+    each over all N rows after the walk, as cuDNN's RNN backward forms them
+    (Appleyard, Kocisky and Blunsom 2016, arXiv:1604.01946).
     """
 
     GATES = ("i", "f", "o", "g")
@@ -165,7 +217,10 @@ class MogrifierLstm:
             rounds.append((weight, k, versions[1 - k][-1], versions[k][-1], factors))
             versions[k].append(new)
             arrays += [factors, new]
-        acts, cs, hs = np.empty((n_rows, 4 * H)), np.empty((n_rows, H)), np.empty((n_rows, H))
+        # The cell states, then c0's first rows: each row's previous cell state is a row here.
+        cells = np.empty((n_rows + batch_sizes[0], H))
+        cells[n_rows:] = c0[:batch_sizes[0]]
+        acts, cs, hs = np.empty((n_rows, 4 * H)), cells[:n_rows], np.empty((n_rows, H))
         arrays += [xh, acts, cs, hs]
         h_in = versions[1][0]
         h, c, lo = h0, c0, 0
@@ -174,34 +229,35 @@ class MogrifierLstm:
             h_in[rows] = h[:n]
             h, c = self.step(x[rows], h_in[rows], c[:n], [a[rows] for a in arrays])
             lo += n
-        return hs, (batch_sizes, c0, xh, acts, cs, h_in, rounds)
+        return hs, (batch_sizes, cells, xh, acts, cs, h_in, rounds)
 
     def sequence_backward(self, cache, g_hs: np.ndarray, chunk: int) -> np.ndarray:
         """Add the W, b, Q and R gradients for the hidden states' gradient g_hs
         (N, hidden); return the input rows' gradient (N, in_dim).
 
         The state gradient is cut at t = 0 and at every multiple of `chunk`
-        (truncated backpropagation through time; 0 never cuts).  Each step
+        (truncated backpropagation through time; 0 never cuts), so the pieces
+        between cuts are independent lanes, and each reverse step walks one
+        step of every lane as one block of rows (`lane_blocks`).  Each block
         writes its gates' pre-activation gradient over their activations and
         each round's over its factors, which the weight gradients read after
         the loop.
         """
-        batch_sizes, c0, xh, acts, cs, h_in, rounds = cache
+        batch_sizes, cells, xh, acts, cs, h_in, rounds = cache
         H, in_dim = self.hidden, self.in_dim
+        blocks, width = lane_blocks(tuple(batch_sizes), chunk)
         # Contiguous transposes: a gemm on a transposed view runs about half as fast.
         W_T = self.W.value.T.copy()
         halves_T = [(0.5 * weight.value).T.copy() for weight, *_ in rounds]
         gx = np.empty((len(xh), in_dim))
-        gh, gc = np.zeros((2, batch_sizes[0], H))
-        lo = len(xh)
-        for t in range(len(batch_sizes) - 1, -1, -1):
-            n = batch_sizes[t]
-            lo -= n
-            rows = slice(lo, lo + n)
+        carry = np.zeros((2, width, H))  # gh and gc, in the rows of the block that reads them
+        for rows, prev, to, fresh in blocks:
+            # Views where the rows are contiguous; copies, written back below, where not.
             a, tanh_c = acts[rows], np.tanh(cs[rows])  # as the forward computed it
-            c_prev = (c0 if t == 0 else cs[lo - batch_sizes[t - 1]:])[:n]
-            g_h = g_hs[rows] + gh[:n]
-            g_c = gc[:n] + (g_h * a[:, 2 * H:3 * H]) * (1.0 - tanh_c**2)
+            c_prev = cells[prev]
+            gh, gc = carry[:, :len(a)]
+            g_h = g_hs[rows] + gh
+            g_c = gc + (g_h * a[:, 2 * H:3 * H]) * (1.0 - tanh_c**2)
             slope = (self._k1 - a) * a + self._k0
             gc_prev = g_c * a[:, H:2 * H]
             g_g = g_c * a[:, :H]
@@ -210,6 +266,7 @@ class MogrifierLstm:
             np.multiply(g_h, tanh_c, out=a[:, 2 * H:3 * H])
             a[:, 3 * H:] = g_g
             np.multiply(a, slope, out=a)
+            acts[rows] = a
             g_xh = np.dot(a, W_T)
             grads = [g_xh[:, :in_dim], g_xh[:, in_dim:]]
             for (_, k, u, v, factors), half_T in zip(reversed(rounds), reversed(halves_T)):
@@ -220,13 +277,13 @@ class MogrifierLstm:
                 d = np.subtract(2.0, m)
                 np.multiply(d, m, out=d)
                 np.multiply(g_v, d, out=m)
+                factors[rows] = m
                 grads[1 - k] += np.dot(m, half_T)
             gx[rows] = grads[0]
-            if t == 0 or (chunk > 0 and t % chunk == 0):
-                gh[:], gc[:] = 0.0, 0.0
-            else:
-                gh[:n], gc[:n] = grads[1], gc_prev
-        del W_T, halves_T  # freed before the weight gradients are allocated
+            if to is not None:
+                carry[0, to], carry[1, to] = grads[1], gc_prev
+                carry[:, fresh] = 0.0
+        del W_T, halves_T, carry  # freed before the weight gradients are allocated
         self.W.add_grad(np.dot(xh.T, acts))
         self.b.add_grad(acts.sum(axis=0))
         for weight, _, u, _, factors in rounds:

@@ -8,6 +8,7 @@ metrics files on one numeric environment: the same numpy build, BLAS kernel
 and BLAS thread count, which the manifest names.
 """
 
+import ctypes
 import json
 import os
 from pathlib import Path
@@ -52,10 +53,36 @@ def build_agent(config: dict, env, seed: int):
     )
 
 
+def blas_core():
+    """The kernel that numpy's bundled OpenBLAS picked on this machine, or None
+    when it cannot be read.
+
+    A DYNAMIC_ARCH OpenBLAS picks its kernel per CPU at load time (or from
+    OPENBLAS_CORETYPE), and gemm rounding depends on it.  The bundled library
+    is already loaded, so opening it again returns the same instance.
+    """
+    package = Path(np.__file__).parent
+    for path in sorted([*package.parent.glob("numpy.libs/*openblas*"),
+                        *package.glob(".dylibs/*openblas*")]):
+        try:
+            library = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for symbol in ("scipy_openblas_get_corename64_", "scipy_openblas_get_corename",
+                       "openblas_get_corename64_", "openblas_get_corename"):
+            get = getattr(library, symbol, None)
+            if get is not None:
+                get.argtypes, get.restype = [], ctypes.c_char_p
+                name = get()
+                return name.decode() if name else None
+    return None
+
+
 def numeric_environment() -> dict:
     """What a run's bytes depend on besides (config, seed, code): the numpy
     version, its BLAS as numpy was built with it (name, version and
-    configuration string) and the BLAS thread variables."""
+    configuration string) and the kernel it runs (`blas_core`), and the BLAS
+    thread variables."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except TypeError:  # numpy < 1.25 prints its configuration only
@@ -63,7 +90,7 @@ def numeric_environment() -> dict:
     return {
         "numpy": np.__version__,
         "blas": {"name": blas.get("name"), "version": blas.get("version"),
-                 "configuration": blas.get("openblas configuration")},
+                 "configuration": blas.get("openblas configuration"), "core": blas_core()},
         "threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARS},
     }
 

@@ -1,6 +1,7 @@
 import json
 import os
 import pickle
+import platform
 import shutil
 import subprocess
 import sys
@@ -14,6 +15,7 @@ from airs.cli import ABLATION_ROSTER, main
 from airs.config import ConfigError, apply_env_overrides, default_config
 from airs.rl.agents import AGENT_SPECS
 from airs.rl.ppo import NumericAbort, PpoUpdater
+from airs.rl.train import blas_core
 from conftest import toy_overrides
 
 
@@ -135,9 +137,24 @@ def test_manifest_names_the_numeric_environment(tmp_path, capsys):
     assert numeric == {
         "numpy": np.__version__,
         "blas": {"name": blas["name"], "version": blas["version"],
-                 "configuration": blas.get("openblas configuration")},
+                 "configuration": blas.get("openblas configuration"), "core": blas_core()},
         "threads": {name: "1" for name in BLAS_THREAD_VARS},
     }
+
+
+def test_blas_core_is_the_runtime_kernel():
+    """The manifest's `blas.core` is a kernel name or None.  A name is the one
+    OpenBLAS runs, which OPENBLAS_CORETYPE overrides, not the build's."""
+    core = blas_core()
+    assert core is None or isinstance(core, str)
+    if core is None or platform.machine() not in ("x86_64", "AMD64"):
+        pytest.skip("no OpenBLAS kernel name to force on this machine")
+    env = {**os.environ, "OPENBLAS_CORETYPE": "Sandybridge",
+           "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    forced = subprocess.run([sys.executable, "-c",
+                             "from airs.rl.train import blas_core; print(blas_core())"],
+                            env=env, check=True, capture_output=True, text=True, timeout=60)
+    assert forced.stdout.strip() == "Sandybridge"
 
 
 def test_train_bytes_do_not_depend_on_blas_threads(tmp_path):

@@ -619,6 +619,85 @@ def test_sequence_cache_does_not_grow_with_steps(rng):
     assert np.array_equal(cell.b.grad, acts.sum(axis=0))
 
 
+def per_step_sequence_backward(cell, cache, g_hs, chunk):
+    """`sequence_backward` one packed step at a time, the walk the lane walk
+    replaced: adds the W, b, Q and R gradients, returns the input rows' gradient."""
+    batch_sizes, cells, xh, acts, cs, h_in, rounds = cache
+    H, in_dim = cell.hidden, cell.in_dim
+    c0 = cells[len(xh):]
+    W_T = cell.W.value.T.copy()
+    halves_T = [(0.5 * weight.value).T.copy() for weight, *_ in rounds]
+    gx = np.empty((len(xh), in_dim))
+    gh, gc = np.zeros((2, batch_sizes[0], H))
+    lo = len(xh)
+    for t in range(len(batch_sizes) - 1, -1, -1):
+        n = batch_sizes[t]
+        lo -= n
+        rows = slice(lo, lo + n)
+        a, tanh_c = acts[rows], np.tanh(cs[rows])
+        c_prev = (c0 if t == 0 else cs[lo - batch_sizes[t - 1]:])[:n]
+        g_h = g_hs[rows] + gh[:n]
+        g_c = gc[:n] + (g_h * a[:, 2 * H:3 * H]) * (1.0 - tanh_c**2)
+        slope = (cell._k1 - a) * a + cell._k0
+        gc_prev = g_c * a[:, H:2 * H]
+        g_g = g_c * a[:, :H]
+        np.multiply(g_c, a[:, 3 * H:], out=a[:, :H])
+        np.multiply(g_c, c_prev, out=a[:, H:2 * H])
+        np.multiply(g_h, tanh_c, out=a[:, 2 * H:3 * H])
+        a[:, 3 * H:] = g_g
+        np.multiply(a, slope, out=a)
+        g_xh = np.dot(a, W_T)
+        grads = [g_xh[:, :in_dim], g_xh[:, in_dim:]]
+        for (_, k, u, v, factors), half_T in zip(reversed(rounds), reversed(halves_T)):
+            g, m = grads[k], factors[rows]
+            g_v = g * v[rows]
+            grads[k] = g * m
+            d = np.subtract(2.0, m)
+            np.multiply(d, m, out=d)
+            np.multiply(g_v, d, out=m)
+            grads[1 - k] += np.dot(m, half_T)
+        gx[rows] = grads[0]
+        if t == 0 or (chunk > 0 and t % chunk == 0):
+            gh[:], gc[:] = 0.0, 0.0
+        else:
+            gh[:n], gc[:n] = grads[1], gc_prev
+    cell.W.add_grad(np.dot(xh.T, acts))
+    cell.b.add_grad(acts.sum(axis=0))
+    for weight, _, u, _, factors in rounds:
+        weight.add_grad(np.dot(u.T, factors) * 0.5)
+    return gx
+
+
+@pytest.mark.parametrize("rounds", [0, 5])
+@pytest.mark.parametrize("chunk", [0, 1, 3, "T", "T+5"])
+@pytest.mark.parametrize("lengths", [
+    pytest.param([9, 9, 6, 3], id="end-on-piece-boundary"),  # pieces of 3 steps end at 3, 6, 9
+    pytest.param([8, 7, 5, 4, 2, 1], id="end-mid-piece"),
+])
+def test_lane_walk_matches_per_step_walk(rounds, chunk, lengths, rng):
+    """The lane walk runs every truncation piece's reverse step as one block of
+    rows; it gives the per-step walk's input and parameter gradients to 1e-12
+    relative, whatever a BLAS kernel rounds differently by a row's position in
+    a block.  Chunks of T and more are one lane; 0 never cuts."""
+    steps = max(lengths)
+    chunk = {"T": steps, "T+5": steps + 5}.get(chunk, chunk)
+    cell = MogrifierLstm(rng, 4, 5, rounds=rounds, name="m")
+    batch_sizes = packed_grid(lengths)[0]
+    x = rng.standard_normal((sum(lengths), 4))
+    h0, c0 = rng.standard_normal((2, len(lengths), 5))
+    g_hs = rng.standard_normal((sum(lengths), 5))
+    found = []
+    for lane_walk in (True, False):
+        for _, p in cell.params():
+            p.grad = None
+        _, cache = cell.sequence(x, batch_sizes, h0, c0)
+        gx = (cell.sequence_backward(cache, g_hs, chunk) if lane_walk
+              else per_step_sequence_backward(cell, cache, g_hs, chunk))
+        found.append([gx] + [p.grad for _, p in cell.params()])
+    for lane, step in zip(*found):
+        assert_close(lane, step)
+
+
 # -- mogrifier behaviour ----------------------------------------------------------------
 
 

@@ -279,6 +279,30 @@ def test_two_hop_los_equals_both_reference_hops(rng):
     assert outcome(lambda: sc.is_los((0, 0, 0), (1, 1, 1), [], then=(1, 1, 1))) == "raised"
 
 
+@pytest.mark.parametrize("offset", [-5e-7, 0.0, 5e-7])
+def test_boundary_band_verdicts_flip_between_grown_and_shrunk_boxes(offset):
+    """Segments within 1e-6 of a box face or top edge sit in the boundary band
+    that acceptance criterion 07 tolerates: boxes grown by 1e-6 block them and
+    boxes shrunk by 1e-6 do not.  The default verdict is one of the two, and
+    the right one: `offset` > 0 passes outside the box and is clear, < 0 cuts a
+    sliver of it and is blocked.  At 0 the segment in the face's plane counts
+    as inside, and the one touching the edge at a point does not block."""
+    box = sc.Building(10.0, 10.0, 20.0, 20.0, 30.0)
+    grown, shrunk = (sc.BuildingIndex([sc.Building(box.x0 - d, box.y0 - d, box.x1 + d,
+                                                   box.y1 + d, box.height + d)])
+                     for d in (1e-6, -1e-6))
+    x, top = box.x0 - offset, box.height + offset
+    segments = [  # (a, b, clear at offset 0)
+        ((x, 5.0, 12.0), (x, 25.0, 18.0), False),  # along the x0 face
+        ((15.0, 15.0, top + 5.0), (25.0, 15.0, top - 5.0), True),  # over the x1 top edge
+    ]
+    for a, b, clear_on_surface in segments:
+        verdicts = sc.is_los(a, b, grown), sc.is_los(a, b, shrunk)
+        assert verdicts == (False, True), (a, b)
+        expected = offset > 0.0 or (offset == 0.0 and clear_on_surface)
+        assert sc.is_los(a, b, [box]) == expected, (a, b)
+
+
 def test_built_index_is_read_only():
     """An in-place edit of the corners or the face table raises, so the index
     cannot go stale."""

@@ -3,14 +3,15 @@
     python3 tools/compare_numerics.py --base <src> --change <src>
 
 `<src>` is a directory holding the `airs` package (a checkout's `src/`).
-Each tree makes 15 runs, each `airs` call in its own subprocess with BLAS
+Each tree makes 16 runs, each `airs` call in its own subprocess with BLAS
 pinned to one thread:
-- 12 trainings on the benchmark's learning city (`airsbench/workloads.py`
+- 13 trainings on the benchmark's learning city (`airsbench/workloads.py`
   LEARNING_CITY: one user, pure line of sight): eppo, ppo_vanilla,
   ppo_mogrifier and ppo_necsa, once at `rl.batch_size=370` for 12 episodes
   (updates on segments that start mid-episode) and once at 1000 for 20
   episodes; eppo and ppo_vanilla also at 370 with `nn.bptt_chunk` 0 (the
   gradient is never cut) and 7 (cut every 7 steps instead of the default 16);
+  eppo also at 370 with `nn.bptt_chunk=150`, longer than any 100-slot segment;
 - one eppo training on the `eval-city` city (EVAL_CITY: three users, Rician
   k = 10) with 100-slot episodes, `env.rate_window=20` and
   `env.observe_all_users=true`, at `rl.batch_size=250` (updates
@@ -22,6 +23,11 @@ pinned to one thread:
   checkpoint that the tree itself trains on that city (CHECKPOINT_OVERRIDES);
 - one `airs eval --agent random` of the same workload with no training,
   which draws the exploration generator on the evaluation path.
+
+Rounding can depend on the BLAS kernel, so the header names numpy's version
+and the kernel its OpenBLAS runs (`airs.rl.train.blas_core` of the change
+tree; OPENBLAS_CORETYPE, passed on to the runs, overrides it): "0 of N runs
+differ" holds for that kernel.
 
 The tool compares the sha256 of each run's artifacts (metrics.csv,
 slots.csv, trajectory.csv, episodes.jsonl and summary.json of a training;
@@ -86,6 +92,7 @@ RUNS = (
      for batch_size, episodes in ((370, 12), (1000, 20))]
     + [learning_run(agent, 370, 12, chunk) for agent in ("eppo", "ppo_vanilla")
        for chunk in (0, 7)]
+    + [learning_run("eppo", 370, 12, 150)]
     + [Run("eppo_city_window20_all_users",
            EVAL_CITY + ("env.horizon=100", "env.rate_window=20", "env.observe_all_users=true",
                         "rl.agent=eppo", "rl.episodes=6", "rl.batch_size=250",
@@ -163,6 +170,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     sys.path.insert(0, str(args.change.resolve()))
     from airs.nn.checkpoint import load_checkpoint
+    from airs.rl.train import blas_core
+
+    print(f"numpy {np.__version__}, BLAS core {blas_core()} "
+          f"(OPENBLAS_CORETYPE={os.environ.get('OPENBLAS_CORETYPE', 'unset')}), one BLAS thread")
 
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
