@@ -1,6 +1,5 @@
 """Dense, LSTM, and mogrifier building blocks as array kernels with explicit backwards."""
 
-import functools
 import math
 
 import numpy as np
@@ -14,37 +13,55 @@ def uniform_init(rng, fan_in: int, shape) -> np.ndarray:
 
 
 def _index(rows: np.ndarray):
-    """`rows` as a slice when they are one contiguous run, else read-only."""
-    if len(rows) and np.array_equal(rows, np.arange(rows[0], rows[0] + len(rows))):
-        return slice(int(rows[0]), int(rows[0]) + len(rows))
-    rows.flags.writeable = False  # `lane_blocks` hands the same arrays to every caller
+    """`rows` as a slice when they are one contiguous run (or none), else as they are."""
+    first = int(rows[0]) if len(rows) else 0
+    if np.array_equal(rows, np.arange(first, first + len(rows))):
+        return slice(first, first + len(rows))
     return rows
 
 
-@functools.lru_cache(maxsize=8)
-def lane_blocks(batch_sizes: tuple, chunk: int):
-    """The blocks of `MogrifierLstm.sequence_backward`'s reverse walk over packed
-    steps `batch_sizes` whose state gradient is cut every `chunk` steps (0 never
-    cuts), and the largest block's row count.
+def piece_offsets(batch_sizes, chunk: int) -> np.ndarray:
+    """Each packed step's first row when the rows are packed piece-major.
 
-    A lane is one truncation piece, steps [c * span, (c + 1) * span) for span =
-    min(chunk, T) (T when chunk is 0).  Lanes share no state gradient, so
-    reverse step j = span - 1, ..., 0 runs step c * span + j of every lane as
-    one block.  A block is (rows, prev, to, fresh): its packed rows, lane by
-    lane; the rows of their previous cell states in the cache's `cells` (the
-    packed rows of the step before, then c0's rows for step 0); which rows of
-    the next block take its carried state gradient, row for row (`to`), and
-    which start from zero (`fresh`), both None for the last block.  Contiguous
-    runs are slices, so a single lane indexes views, as a plain time loop does.
+    The state gradient is cut every `chunk` steps (0 never cuts), which splits
+    the T = len(batch_sizes) steps into pieces [c * span, (c + 1) * span) for
+    span = min(chunk, T) (T when chunk is 0).  Piece-major order lists the rows
+    by (step mod span, piece, segment rank): step t's `batch_sizes[t]` rows are
+    one run, and so are the rows of step j of every piece, which
+    `MogrifierLstm.sequence_backward` walks as one block.  With one piece (chunk
+    0 or at least T) it is step-major order.
+    """
+    sizes = np.asarray(batch_sizes, dtype=np.int64)
+    span = min(chunk, len(sizes)) if chunk > 0 else len(sizes)
+    ranked = np.argsort(np.arange(len(sizes)) % span, kind="stable")  # steps, piece-major
+    offsets = np.empty(len(sizes), dtype=np.int64)
+    offsets[ranked] = np.cumsum(sizes[ranked]) - sizes[ranked]
+    return offsets
+
+
+def lane_blocks(batch_sizes, chunk: int):
+    """The blocks of `MogrifierLstm.sequence_backward`'s reverse walk over steps
+    `batch_sizes` packed piece-major (`piece_offsets`) and cut every `chunk`
+    steps, and the largest block's row count.
+
+    A lane is one truncation piece.  Lanes share no state gradient, so reverse
+    step j = span - 1, ..., 0 runs step j of every lane as one block.  A block
+    is (rows, prev, to, fresh): its rows, lane by lane, a slice; the rows of
+    their previous cell states in `SequenceWorkspace.cells` (the rows of the
+    step before, then c0's rows for step 0); which rows of the next block take
+    its carried state gradient, row for row (`to`), and which start from zero
+    (`fresh`), both None for the last block.  Contiguous runs are slices, so
+    only the first block's previous states (when there is more than one lane)
+    and the rows around segments that end inside a piece are gathered.
     """
     sizes = np.asarray(batch_sizes, dtype=np.int64)
     steps = len(sizes)
     span = min(chunk, steps) if chunk > 0 else steps
-    # Where each step's rows start; offsets[-1] = N, where c0's rows follow the packed ones.
-    offsets = np.append(np.cumsum(sizes) - sizes, sizes.sum())
+    # Where each step's rows start; starts[-1] = N, where c0's rows follow the packed ones.
+    starts = np.append(piece_offsets(sizes, chunk), sizes.sum())
 
-    def runs(starts, counts):  # the ranges [start, start + count), concatenated
-        return np.concatenate([np.arange(s, s + n) for s, n in zip(starts, counts)])
+    def runs(firsts, counts):  # the ranges [first, first + count), concatenated
+        return np.concatenate([np.arange(s, s + n) for s, n in zip(firsts, counts)])
 
     blocks = []
     for j in range(span - 1, -1, -1):
@@ -55,9 +72,60 @@ def lane_blocks(batch_sizes: tuple, chunk: int):
             to = runs(np.cumsum(below) - below, sizes[t])
             fresh = _index(np.setdiff1d(np.arange(below.sum()), to))
             to = _index(to)
-        blocks.append((_index(runs(offsets[t], sizes[t])),
-                       _index(runs(offsets[t - 1], sizes[t])), to, fresh))
-    return tuple(blocks), int(sizes[::span].sum())
+        rows = slice(int(starts[j]), int(starts[j] + sizes[t].sum()))
+        blocks.append((rows, _index(runs(starts[t - 1], sizes[t])), to, fresh))
+    return blocks, int(sizes[::span].sum())
+
+
+class SequenceWorkspace:
+    """The (N, .) arrays `MogrifierLstm.sequence` writes and `sequence_backward`
+    reads, for rows packed piece-major (`piece_offsets`), with their row views.
+
+    Built once for one (`batch_sizes`, `chunk`): each `sequence` call
+    overwrites the arrays and each `sequence_backward` call reads them, so an
+    update builds one workspace and every epoch reuses its arrays, each step's
+    `out` views and the reverse walk's blocks (`lane_blocks`).  The caller
+    writes the input rows into `x` before `sequence`.
+
+    The arrays: `x` and `h_in` (the rows' input and incoming hidden state);
+    `xh`, the [x, h] rows the gate gemm reads; each gating round's factors
+    1 + tanh and output; the gate activations `acts`; the cell states `cs`,
+    followed in `cells` by c0's first rows, so each row's previous cell state
+    is a row of `cells`; and the hidden states `hs`.
+    """
+
+    def __init__(self, cell, batch_sizes, chunk: int):
+        sizes = np.asarray(batch_sizes, dtype=np.int64)
+        n_rows, H, in_dim = int(sizes.sum()), cell.hidden, cell.in_dim
+        dims = (in_dim, H)
+        self.xh = np.empty((n_rows, in_dim + H))
+        halves = (self.xh[:, :in_dim], self.xh[:, in_dim:])
+        # versions[k] holds the successive versions of x (k = 0) and h (k = 1), the
+        # first the step's input.  The last round of each kind writes into that
+        # kind's half of xh, and a kind no round gates is read from its half, so
+        # `step`'s concatenation copies nothing.
+        versions = [[halves[k] if cell.rounds <= k else np.empty((n_rows, dims[k]))]
+                    for k in (0, 1)]
+        # Round i gates kind k from the other kind's latest version u: it reads
+        # version v of kind k, writes the next one, and keeps its factors 1 + tanh.
+        self.rounds, arrays = [], []
+        for i, weight in enumerate(cell.round_weights, start=1):
+            k = 1 - i % 2
+            new = halves[k] if i + 2 > cell.rounds else np.empty((n_rows, dims[k]))
+            factors = np.empty((n_rows, dims[k]))
+            self.rounds.append((weight, k, versions[1 - k][-1], versions[k][-1], factors))
+            versions[k].append(new)
+            arrays += [factors, new]
+        self.x, self.h_in = versions[0][0], versions[1][0]
+        self.cells = np.empty((n_rows + sizes[0], H))
+        self.cs = self.cells[:n_rows]
+        self.acts, self.hs = np.empty((n_rows, 4 * H)), np.empty((n_rows, H))
+        arrays += [self.xh, self.acts, self.cs, self.hs]
+        self.steps = []  # per packed step in time order: its x and h_in rows, `step`'s out
+        for first, n in zip(piece_offsets(sizes, chunk), sizes):
+            rows = slice(int(first), int(first + n))
+            self.steps.append((self.x[rows], self.h_in[rows], [a[rows] for a in arrays]))
+        self.blocks, self.width = lane_blocks(sizes, chunk)
 
 
 class Dense:
@@ -71,16 +139,16 @@ class Dense:
     def forward(self, x: np.ndarray) -> np.ndarray:
         return x @ self.W.value + self.b.value
 
-    def backward(self, x: np.ndarray, g: np.ndarray, want_x: bool):
+    def backward(self, x: np.ndarray, g: np.ndarray, want_x: bool, out=None):
         """Add the b and W gradients for the output gradient g of `forward(x)`;
-        return x's gradient, or None unless `want_x`.
+        return x's gradient, or None unless `want_x`.  x's gradient is written
+        into `out` when given, which may be x itself: x is read first.
 
         The same arithmetic as the primitive form `add(matmul(x, W), b)`.
         """
         self.b.add_grad(g.sum(axis=0))
-        gx = g @ self.W.value.T if want_x else None
         self.W.add_grad(x.T @ g)
-        return gx
+        return np.matmul(g, self.W.value.T, out=out) if want_x else None
 
     def params(self):
         return [(f"{self.name}.W", self.W), (f"{self.name}.b", self.b)]
@@ -102,15 +170,19 @@ class MogrifierLstm:
     tanh.
 
     `step` is the cell's only forward: rollout calls it on fresh arrays, and
-    `sequence` runs it over packed rows, writing every intermediate into
-    (N, .) arrays that `sequence_backward` reads.  The backward's truncation
-    cuts split the steps into independent lanes, and its reverse walk runs
-    one step of every lane as one block of rows (`lane_blocks`), so a gemm or
-    an element-wise op serves all lanes at once; with no cut inside the
-    sequence there is one lane, a plain time loop.  Each reverse step does
-    only the work that carries the state; the weight gradients are one gemm
-    each over all N rows after the walk, as cuDNN's RNN backward forms them
-    (Appleyard, Kocisky and Blunsom 2016, arXiv:1604.01946).
+    `sequence` runs it over packed rows, writing every intermediate into the
+    (N, .) arrays of a `SequenceWorkspace` that `sequence_backward` reads.
+    An update builds one workspace and reuses it in every epoch.  The
+    backward's truncation cuts split the steps into independent lanes, and
+    its reverse walk runs one step of every lane as one block of rows
+    (`lane_blocks`), so a gemm or an element-wise op serves all lanes at
+    once; with no cut inside the sequence there is one lane, a plain time
+    loop.  The rows are packed piece-major (`piece_offsets`), so each forward
+    step and each reverse block is one run of rows, a view.  As cuDNN lays
+    out independent recurrent work (Appleyard, Kocisky and Blunsom 2016,
+    arXiv:1604.01946), each reverse step does only the work that carries the
+    state, and the weight gradients are one gemm each over all N rows after
+    the walk.
     """
 
     GATES = ("i", "f", "o", "g")
@@ -191,68 +263,45 @@ class MogrifierLstm:
         np.multiply(a[:, 2 * H:3 * H], h_new, out=h_new)
         return h_new, c_new
 
-    def sequence(self, x: np.ndarray, batch_sizes, h0: np.ndarray, c0: np.ndarray):
-        """Hidden states (N, hidden) over packed input rows x (N, in_dim) from (h0, c0).
+    def sequence(self, work: SequenceWorkspace, h0: np.ndarray, c0: np.ndarray):
+        """Hidden states (N, hidden) over the input rows `work.x` from (h0, c0).
 
-        Rows are packed step-major: step t is the next `batch_sizes[t]` rows and
-        continues the first `batch_sizes[t]` sequences, so batch sizes never
-        grow.  Each step is one `step` call writing into (N, .) arrays.
-        Returns (hs, cache for `sequence_backward`).
+        Rows are packed piece-major (`piece_offsets`): step t is one run of
+        `batch_sizes[t]` rows and continues the first `batch_sizes[t]`
+        sequences, so batch sizes never grow.  Each step is one `step` call
+        writing into the workspace's arrays.  Returns `work.hs`.
         """
-        n_rows, H = len(x), self.hidden
-        dims = (self.in_dim, H)
-        xh = np.empty((n_rows, self.in_dim + H))  # the [x, h] rows the cell reads
-        xh_parts = (xh[:, :self.in_dim], xh[:, self.in_dim:])
-        # versions[k] holds the successive versions of x (k = 0) and h (k = 1).  The
-        # last round of each kind writes into that kind's half of xh, so `step`'s
-        # concatenation copies nothing; version 0 of h is each row's incoming state.
-        versions = ([x], [xh_parts[1] if self.rounds < 2 else np.empty((n_rows, H))])
-        # Round i gates kind k from the other kind's latest version u: it reads
-        # version v of kind k, writes the next one, and keeps its factors 1 + tanh.
-        rounds, arrays = [], []
-        for i, weight in enumerate(self.round_weights, start=1):
-            k = 1 - i % 2
-            new = xh_parts[k] if i + 2 > self.rounds else np.empty((n_rows, dims[k]))
-            factors = np.empty((n_rows, dims[k]))
-            rounds.append((weight, k, versions[1 - k][-1], versions[k][-1], factors))
-            versions[k].append(new)
-            arrays += [factors, new]
-        # The cell states, then c0's first rows: each row's previous cell state is a row here.
-        cells = np.empty((n_rows + batch_sizes[0], H))
-        cells[n_rows:] = c0[:batch_sizes[0]]
-        acts, cs, hs = np.empty((n_rows, 4 * H)), cells[:n_rows], np.empty((n_rows, H))
-        arrays += [xh, acts, cs, hs]
-        h_in = versions[1][0]
-        h, c, lo = h0, c0, 0
-        for n in batch_sizes:
-            rows = slice(lo, lo + n)
-            h_in[rows] = h[:n]
-            h, c = self.step(x[rows], h_in[rows], c[:n], [a[rows] for a in arrays])
-            lo += n
-        return hs, (batch_sizes, cells, xh, acts, cs, h_in, rounds)
+        n_rows = len(work.cs)
+        work.cells[n_rows:] = c0[:len(work.cells) - n_rows]
+        h, c = h0, c0
+        for x, h_in, out in work.steps:
+            n = len(x)
+            h_in[...] = h[:n]
+            h, c = self.step(x, h_in, c[:n], out)
+        return work.hs
 
-    def sequence_backward(self, cache, g_hs: np.ndarray, chunk: int) -> np.ndarray:
+    def sequence_backward(self, work: SequenceWorkspace, g_hs: np.ndarray) -> np.ndarray:
         """Add the W, b, Q and R gradients for the hidden states' gradient g_hs
-        (N, hidden); return the input rows' gradient (N, in_dim).
+        (N, hidden) of the last `sequence` on `work`; return the input rows'
+        gradient (N, in_dim).
 
-        The state gradient is cut at t = 0 and at every multiple of `chunk`
-        (truncated backpropagation through time; 0 never cuts), so the pieces
-        between cuts are independent lanes, and each reverse step walks one
-        step of every lane as one block of rows (`lane_blocks`).  Each block
-        writes its gates' pre-activation gradient over their activations and
-        each round's over its factors, which the weight gradients read after
-        the loop.
+        The state gradient is cut at t = 0 and at every multiple of the
+        workspace's chunk (truncated backpropagation through time; 0 never
+        cuts), so the pieces between cuts are independent lanes, and each
+        reverse step walks one step of every lane as one block of rows
+        (`lane_blocks`), a view of the workspace's arrays.  Each block writes
+        its gates' pre-activation gradient over their activations and each
+        round's over its factors, which the weight gradients read after the
+        loop.
         """
-        batch_sizes, cells, xh, acts, cs, h_in, rounds = cache
         H, in_dim = self.hidden, self.in_dim
-        blocks, width = lane_blocks(tuple(batch_sizes), chunk)
+        acts, cs, cells, rounds = work.acts, work.cs, work.cells, work.rounds
         # Contiguous transposes: a gemm on a transposed view runs about half as fast.
         W_T = self.W.value.T.copy()
         halves_T = [(0.5 * weight.value).T.copy() for weight, *_ in rounds]
-        gx = np.empty((len(xh), in_dim))
-        carry = np.zeros((2, width, H))  # gh and gc, in the rows of the block that reads them
-        for rows, prev, to, fresh in blocks:
-            # Views where the rows are contiguous; copies, written back below, where not.
+        gx = np.empty((len(acts), in_dim))
+        carry = np.zeros((2, work.width, H))  # gh and gc, in the rows of the block that reads them
+        for rows, prev, to, fresh in work.blocks:
             a, tanh_c = acts[rows], np.tanh(cs[rows])  # as the forward computed it
             c_prev = cells[prev]
             gh, gc = carry[:, :len(a)]
@@ -266,7 +315,6 @@ class MogrifierLstm:
             np.multiply(g_h, tanh_c, out=a[:, 2 * H:3 * H])
             a[:, 3 * H:] = g_g
             np.multiply(a, slope, out=a)
-            acts[rows] = a
             g_xh = np.dot(a, W_T)
             grads = [g_xh[:, :in_dim], g_xh[:, in_dim:]]
             for (_, k, u, v, factors), half_T in zip(reversed(rounds), reversed(halves_T)):
@@ -277,14 +325,13 @@ class MogrifierLstm:
                 d = np.subtract(2.0, m)
                 np.multiply(d, m, out=d)
                 np.multiply(g_v, d, out=m)
-                factors[rows] = m
                 grads[1 - k] += np.dot(m, half_T)
             gx[rows] = grads[0]
             if to is not None:
                 carry[0, to], carry[1, to] = grads[1], gc_prev
                 carry[:, fresh] = 0.0
         del W_T, halves_T, carry  # freed before the weight gradients are allocated
-        self.W.add_grad(np.dot(xh.T, acts))
+        self.W.add_grad(np.dot(work.xh.T, acts))
         self.b.add_grad(acts.sum(axis=0))
         for weight, _, u, _, factors in rounds:
             # s = u @ (0.5 * weight), so the weight takes half of u.T @ (ds gradient).

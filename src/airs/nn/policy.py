@@ -4,12 +4,13 @@ Actor: dense trunk with tanh, a mogrifier LSTM, a tanh-squashed mean head,
 and one state-independent learnable log-std per action dimension (clamped to
 [-5, 1]).  Critic: two tanh layers to a scalar value.  All math is float64.
 Rollouts call `actor_step` on plain arrays; updates replay stored sequences,
-packed step-major, through `actor_sequence`, which runs the trunk and the mean
-head once over all rows and hands the time loop to the cell.  Both run the
-one cell forward, `MogrifierLstm.step`: rollout on fresh arrays, replay
-looped by `MogrifierLstm.sequence` into (N, .) arrays.  Each forward the
-update differentiates returns its output and a cache, which its `*_backward`
-reads to add the parameter gradients.
+packed piece-major, through `actor_sequence`, which runs the trunk and the
+mean head once over all rows and hands the time loop to the cell.  Both run
+the one cell forward, `MogrifierLstm.step`: rollout on fresh arrays, replay
+looped by `MogrifierLstm.sequence` into the (N, .) arrays of one
+`SequenceWorkspace` per update.  Each forward the update differentiates
+returns its output and a cache, which its `*_backward` reads to add the
+parameter gradients.
 """
 
 import math
@@ -17,7 +18,7 @@ import math
 import numpy as np
 
 from .checkpoint import CheckpointError
-from .layers import Dense, MogrifierLstm
+from .layers import Dense, MogrifierLstm, SequenceWorkspace
 from .tensor import Param
 
 LOG_STD_MIN = -5.0
@@ -110,35 +111,36 @@ class ActorCritic:
         h, c = self.cell.step(x, *state)
         return np.tanh(self.mean_head.forward(h)), (h, c)
 
-    def actor_sequence(self, obs: np.ndarray, batch_sizes, h0: np.ndarray,
+    def actor_sequence(self, obs: np.ndarray, work: SequenceWorkspace, h0: np.ndarray,
                        c0: np.ndarray):
         """Means (N, A) over packed observation rows (N, obs_dim) from state (h0, c0).
 
-        Rows are packed step-major: step t is the next `batch_sizes[t]` rows and
-        continues the first `batch_sizes[t]` sequences, so batch sizes never grow.
-        The trunk and the mean head each run once over all N rows, and the cell
-        runs the time loop (`MogrifierLstm.sequence`).  Returns (means, cache for
+        Rows are packed piece-major in the layout of `work` (see
+        `layers.piece_offsets`): step t is one run of `batch_sizes[t]` rows and
+        continues the first `batch_sizes[t]` sequences, so batch sizes never
+        grow.  The trunk and the mean head each run once over all N rows, the
+        trunk writing into `work.x`, and the cell runs the time loop
+        (`MogrifierLstm.sequence`).  Returns (means, cache for
         `actor_sequence_backward`).
         """
-        hs, cell = self.cell.sequence(np.tanh(self.trunk.forward(obs)), batch_sizes, h0, c0)
-        means = np.tanh(self.mean_head.forward(hs))
-        return means, (obs, hs, means, cell)
+        np.tanh(self.trunk.forward(obs), out=work.x)
+        means = np.tanh(self.mean_head.forward(self.cell.sequence(work, h0, c0)))
+        return means, (obs, means, work)
 
     def actor_sequence_backward(self, cache, g: np.ndarray):
         """Add the actor's trunk, cell and head gradients for the means' gradient g.
 
         Runs the head once, the cell's reverse time loop, then the trunk once.
         The state gradient is cut at t = 0 and at every multiple of `bptt_chunk`
-        (truncated backpropagation through time; 0 never cuts).  The trunk's
-        output is recomputed, not cached, which keeps one (N, hidden) array
-        fewer alive.
+        (truncated backpropagation through time; 0 never cuts).  The hidden
+        states' gradient is written over them in the workspace, which keeps no
+        (N, hidden) array more alive than a cache per epoch did.
         """
-        obs, hs, means, cell = cache
-        g_hs = self.mean_head.backward(hs, g * (1.0 - means**2), True)
-        del cache, hs, means  # the cell's arrays go once its backward returns
-        gx = self.cell.sequence_backward(cell, g_hs, self.bptt_chunk)
-        del cell, g_hs
-        gx *= 1.0 - np.tanh(self.trunk.forward(obs))**2
+        obs, means, work = cache
+        g_hs = self.mean_head.backward(work.hs, g * (1.0 - means**2), True, out=work.hs)
+        del cache, means
+        gx = self.cell.sequence_backward(work, g_hs)
+        gx *= 1.0 - work.x**2
         self.trunk.backward(obs, gx, False)
 
     def value(self, obs: np.ndarray):

@@ -22,12 +22,16 @@ def abstract_state(obs, bins: int, order: int, history=None) -> tuple:
     """
     obs = np.asarray(obs, dtype=float)
     cells = np.minimum((obs * bins).astype(int), bins - 1)
-    current = tuple(int(c) for c in cells)
+    return history_key(tuple(int(c) for c in cells), order, history)
+
+
+def history_key(current: tuple, order: int, history=None) -> tuple:
+    """The discretized observation `current` joined after the last order-1
+    entries of `history`, or `current` alone without a history or at order 1."""
     if history is None or order <= 1:
         return current
-    past = list(history)[-(order - 1):]
     key = ()
-    for item in past:
+    for item in list(history)[-(order - 1):]:
         key += item
     return key + current
 
@@ -101,7 +105,7 @@ class NecsaShaper:
 
     def revise(self, obs, reward: float) -> float:
         cells = abstract_state(obs, self.bins, 1)
-        key = abstract_state(obs, self.bins, self.order, self._history)
+        key = history_key(cells, self.order, self._history)
         revised = necsa_revise(reward, key, self.table, self.weight)
         self._history.append(cells)
         self._visited.append(key)

@@ -10,7 +10,12 @@ gradient steps.  Each epoch replays the segments, packed longest first with
 no padding rows, through one recurrent forward and feeds its log-probs to
 `ppo_loss`, which returns the loss's gradients in closed form; one reverse
 pass chains them through the critic, the Gaussian log-density and the
-recurrence.  The actor side works in packed row order throughout, the critic
+recurrence.  Rows are packed piece-major (`PackedBatch`): ordered by the
+step's place in its `bptt_chunk` piece, then the piece, then the segment,
+so each forward step and each block of the reverse walk is one run of rows.
+The cell's (N, .) arrays are built once per update, in one
+`SequenceWorkspace` that every epoch reuses and that is freed when `update`
+returns.  The actor side works in packed row order throughout, the critic
 in buffer order.  Epoch 0 runs before any parameter moves, so its log-probs
 are the snapshot of the pre-update policy; there is no separate replay pass.
 """
@@ -20,12 +25,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..nn import tensor as T
+from ..nn.layers import SequenceWorkspace, piece_offsets
 from ..nn.optim import Adam
 from ..nn.policy import ActorCritic, gaussian_entropy
 
 
 class NumericAbort(RuntimeError):
-    """Raised when a loss goes non-finite; carries a batch diagnostic dump."""
+    """Raised when an update's loss, global gradient norm or parameters go
+    non-finite; carries a diagnostic dump that names the check."""
 
     def __init__(self, message, dump):
         super().__init__(message, dump)  # both, so the error survives pickling
@@ -155,25 +162,30 @@ def ppo_loss(new_log_probs, old_log_probs, advantages, values, returns, log_std,
 
 
 class PackedBatch:
-    """Segments packed step-major, longest first, as `pack_padded_sequence` packs them.
+    """Segments packed piece-major, longest first, with no padding rows.
 
-    Segments are stably sorted by length; step t holds rows of the first
-    `batch_sizes[t]` (those still running), so `obs` and `actions` are (N, ...)
-    with no padding.  `h0` and `c0` are in sorted order.  `order[i]` is the
-    packed row of buffer index i, so `packed[order]` lists packed rows in
-    buffer order, as `states` holds the observations.
+    Segments are stably sorted by length (their rank); step t holds rows of
+    the first `batch_sizes[t]` (those still running), as `pack_padded_sequence`
+    packs them.  The state gradient is cut every `chunk` steps (0 never cuts),
+    which splits the steps into pieces of span = min(chunk, T) steps (T when
+    chunk is 0), and rows are ordered by (step mod span, piece, rank)
+    (`layers.piece_offsets`): each step's rows are one run, and so are the
+    rows of step j of every piece, which the cell's reverse walk runs as one
+    block.  With one piece that is step-major order.  `obs` and `actions` are
+    (N, ...).  `h0` and `c0` are in rank order.  `order[i]` is the packed row
+    of buffer index i, so `packed[order]` lists packed rows in buffer order,
+    as `states` holds the observations.
     """
 
-    def __init__(self, buffer: RolloutBuffer):
+    def __init__(self, buffer: RolloutBuffer, chunk: int):
         segments = buffer.segments
         lengths = np.array([s.length for s in segments])
         starts = np.array([s.start for s in segments])
         ranked = np.argsort(-lengths, kind="stable")
         rank = np.argsort(ranked)
         self.batch_sizes = (lengths[:, None] > np.arange(lengths.max())).sum(axis=0)
-        step_offsets = np.cumsum(self.batch_sizes) - self.batch_sizes
         t = np.arange(len(buffer)) - np.repeat(starts, lengths)
-        self.order = step_offsets[t] + np.repeat(rank, lengths)
+        self.order = piece_offsets(self.batch_sizes, chunk)[t] + np.repeat(rank, lengths)
         self.states = np.stack([tr.state for tr in buffer.transitions])
         self.obs = self.pack(self.states)
         self.actions = self.pack(np.stack([tr.action for tr in buffer.transitions]))
@@ -203,7 +215,9 @@ class PpoUpdater:
     def update(self, buffer: RolloutBuffer):
         cfg = self.config
         policy = self.policy
-        batch = PackedBatch(buffer)
+        batch = PackedBatch(buffer, policy.bptt_chunk)
+        # The cell's (N, .) arrays, for every epoch; freed when `update` returns.
+        work = SequenceWorkspace(policy.cell, batch.batch_sizes, policy.bptt_chunk)
 
         rewards = np.array([tr.reward for tr in buffer.transitions])
         dones = np.array([tr.done for tr in buffer.transitions])
@@ -216,8 +230,7 @@ class PpoUpdater:
 
         for epoch in range(cfg.epochs):
             self.optimizer.zero_grad()
-            means, actor = policy.actor_sequence(batch.obs, batch.batch_sizes, batch.h0,
-                                                 batch.c0)
+            means, actor = policy.actor_sequence(batch.obs, work, batch.h0, batch.c0)
             log_probs, gaussian = policy.log_prob(means, batch.actions)
             if epoch == 0:
                 # Epoch 0 runs the pre-update policy: its log-probs are the snapshot.
@@ -229,6 +242,7 @@ class PpoUpdater:
                 raise NumericAbort(
                     f"non-finite loss at epoch {epoch}",
                     dump={
+                        "check": "loss",
                         "epoch": epoch,
                         "loss": float(loss),
                         "new_log_probs": log_probs[batch.order].tolist(),
@@ -242,7 +256,33 @@ class PpoUpdater:
             caches = [actor, gaussian, critic]
             del means, actor, gaussian, critic  # `reverse` frees each cache once walked
             T.backward(self.reverse, caches, *grads)
+            self.check_finite("grad_norm", epoch, loss)
             self.optimizer.step()
+            self.check_finite("parameters", epoch, loss)
+
+    def check_finite(self, check: str, epoch: int, loss: float):
+        """Raise NumericAbort when the global gradient norm (`check` "grad_norm",
+        before the Adam step) or a parameter ("parameters", after it) is not
+        finite.  The dump names the check, the epoch and the first parameter at
+        fault: the first whose squared gradient takes the running sum past
+        finite, or the first holding a non-finite value.
+        """
+        named = self.policy.named_params()
+        if check == "grad_norm":
+            running = np.cumsum([0.0 if p.grad is None else np.dot(p.grad.ravel(), p.grad.ravel())
+                                 for _, p in named])
+            faults = ~np.isfinite(running)
+            detail = {"grad_norm": float(np.sqrt(running[-1]))}
+        else:
+            faults = [not np.isfinite(p.value).all() for _, p in named]
+            detail = {}
+        if np.any(faults):
+            name = named[int(np.argmax(faults))][0]
+            raise NumericAbort(
+                f"non-finite {check} at epoch {epoch} (first in {name})",
+                dump={"check": check, "epoch": epoch, "parameter": name, "loss": float(loss),
+                      **detail},
+            )
 
     def reverse(self, caches, g_log_probs, g_values, g_log_std):
         """Chain the loss's closed-form gradients into every parameter's gradient.

@@ -13,6 +13,8 @@ import pytest
 from airs import BLAS_THREAD_VARS
 from airs.cli import ABLATION_ROSTER, main
 from airs.config import ConfigError, apply_env_overrides, default_config
+from airs.nn.optim import Adam
+from airs.nn.policy import ActorCritic
 from airs.rl.agents import AGENT_SPECS
 from airs.rl.ppo import NumericAbort, PpoUpdater
 from airs.rl.train import blas_core
@@ -340,6 +342,37 @@ def test_numeric_abort_exits_3(tmp_path, capsys):
     assert not np.isfinite(dump["loss"])
     assert not (out / ".nan_dump.json.tmp").exists()
     assert str(out / "nan_dump.json") in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("check", ["grad_norm", "parameters"])
+def test_non_finite_gradient_or_parameter_exits_3(tmp_path, capsys, monkeypatch, check):
+    """A NaN written into one gradient while the loss stays finite (or into one
+    parameter after the Adam step) aborts the update before (after) Adam steps;
+    the dump names the check, the epoch and the first parameter at fault."""
+    if check == "grad_norm":
+        real = ActorCritic.value_backward
+
+        def poisoned(policy, cache, g):
+            real(policy, cache, g)
+            policy.v3.b.grad[0] = np.nan
+        monkeypatch.setattr(ActorCritic, "value_backward", poisoned)
+    else:
+        real = Adam.step
+
+        def poisoned(optimizer):
+            real(optimizer)
+            optimizer.params[-1].value[0] = np.nan
+        monkeypatch.setattr(Adam, "step", poisoned)
+    cfg_path = tmp_path / "c.json"
+    write_tiny_config(cfg_path)
+    out = tmp_path / "boom"
+    code = main(["train", "--config", str(cfg_path), "--out", str(out)])
+    assert code == 3
+    dump = json.loads((out / "nan_dump.json").read_text())
+    assert (dump["check"], dump["epoch"], dump["parameter"]) == (check, 0, "critic.out.b")
+    assert np.isfinite(dump["loss"])
+    assert not (out / ".nan_dump.json.tmp").exists()
+    assert f"non-finite {check} at epoch 0 (first in critic.out.b)" in capsys.readouterr().err
 
 
 # -- plotdata ------------------------------------------------------------------------

@@ -7,7 +7,7 @@ import pytest
 
 import tape as T
 from airs.nn.checkpoint import load_checkpoint, save_checkpoint
-from airs.nn.layers import Dense, MogrifierLstm, uniform_init
+from airs.nn.layers import Dense, MogrifierLstm, SequenceWorkspace, uniform_init
 from airs.nn.optim import Adam, adam_update
 from airs.nn.policy import LOG_STD_MAX, LOG_STD_MIN, ActorCritic
 from airs.nn.tensor import Param
@@ -64,13 +64,21 @@ def dense_loss(layer, x):
     return loss
 
 
+def run_sequence(cell, x, batch_sizes, h0, c0, chunk):
+    """`cell.sequence` over input rows x, packed for a cut every `chunk` steps, in
+    a new workspace; returns (hidden states, workspace)."""
+    work = SequenceWorkspace(cell, batch_sizes, chunk)
+    work.x[...] = x
+    return cell.sequence(work, h0, c0), work
+
+
 def sequence_loss(cell, x, batch_sizes, h0, c0, w):
-    """sum(hs * w) for hs = cell.sequence(x, batch_sizes, h0, c0), its gradient by
-    `sequence_backward` (never cut); x is a Param that takes its gradient too."""
+    """sum(hs * w) for hs = cell.sequence over x (never cut), its gradient by
+    `sequence_backward`; x is a Param that takes its gradient too."""
     def loss(grad):
-        hs, cache = cell.sequence(x.value, batch_sizes, h0, c0)
+        hs, work = run_sequence(cell, x.value, batch_sizes, h0, c0, 0)
         if grad:
-            x.add_grad(cell.sequence_backward(cache, w, 0))
+            x.add_grad(cell.sequence_backward(work, w))
         return float((hs * w).sum())
 
     return loss
@@ -81,7 +89,8 @@ def actor_critic_loss(policy, obs, actions, batch_sizes):
     gradient by the program's backward functions, chained as an update chains them."""
     def loss(grad):
         state = policy.initial_state(batch_sizes[0])
-        means, actor = policy.actor_sequence(obs, batch_sizes, *state)
+        work = SequenceWorkspace(policy.cell, batch_sizes, policy.bptt_chunk)
+        means, actor = policy.actor_sequence(obs, work, *state)
         log_probs, gaussian = policy.log_prob(means, actions)
         values, critic = policy.value(obs)
         if grad:
@@ -225,8 +234,8 @@ def dense_node(layer, x):
 
 def cell_sequence_node(cell, x, batch_sizes, h0, c0, chunk):
     """`cell.sequence` over the packed Tensor x as one taped node."""
-    hs, cache = cell.sequence(x.value, batch_sizes, h0, c0)
-    return T.record(hs, lambda g: x.add_grad(cell.sequence_backward(cache, g, chunk)))
+    hs, work = run_sequence(cell, x.value, batch_sizes, h0, c0, chunk)
+    return T.record(hs, lambda g: x.add_grad(cell.sequence_backward(work, g)))
 
 
 def log_prob_node(policy, mean, actions):
@@ -237,7 +246,8 @@ def log_prob_node(policy, mean, actions):
 
 def sequence_node(policy, obs, batch_sizes, h0, c0):
     """`policy.actor_sequence` as one taped node."""
-    means, cache = policy.actor_sequence(obs, batch_sizes, h0, c0)
+    work = SequenceWorkspace(policy.cell, batch_sizes, policy.bptt_chunk)
+    means, cache = policy.actor_sequence(obs, work, h0, c0)
     return T.record(means, lambda g: policy.actor_sequence_backward(cache, g))
 
 
@@ -379,26 +389,28 @@ def test_fused_dense_matches_primitives(batch, input_grad, rng):
     assert_fused_matches_unfused(build, [x, layer.W, layer.b])
 
 
-def packed_grid(lengths):
-    """(batch_sizes, t_idx, b_idx) of segments `lengths`, longest first: packed
-    row i is step t_idx[i] of segment b_idx[i]."""
+def packed_grid(lengths, chunk=0):
+    """(batch_sizes, t_idx, b_idx) of segments `lengths`, longest first, packed
+    piece-major for a cut every `chunk` steps: packed row i is step t_idx[i] of
+    segment b_idx[i], in order of (step mod span, piece, segment)."""
     lengths = np.asarray(lengths)
     live = np.arange(lengths.max())[:, None] < lengths[None, :]
     t_idx, b_idx = np.nonzero(live)
-    return live.sum(axis=1), t_idx, b_idx
+    span = min(chunk, len(live)) if chunk > 0 else len(live)
+    order = np.lexsort((b_idx, t_idx // span, t_idx % span))
+    return live.sum(axis=1), t_idx[order], b_idx[order]
 
 
-def rollout_states(cell, x, batch_sizes, h0, c0):
-    """The hidden and cell states of `cell.step` run over packed rows as rollout
-    runs it, one step at a time."""
-    h, c, hs, cs = h0, c0, [], []
-    lo = 0
-    for n in batch_sizes:
-        h, c = cell.step(x[lo:lo + n], h[:n], c[:n])
-        hs.append(h)
-        cs.append(c)
-        lo += n
-    return np.concatenate(hs), np.concatenate(cs)
+def rollout_states(cell, x, t_idx, h0, c0):
+    """The hidden and cell states of `cell.step` run as rollout runs it, one step
+    at a time, over packed rows whose steps are `t_idx`; in packed order."""
+    h, c = h0, c0
+    hs, cs = np.empty((2, len(x), cell.hidden))
+    for t in range(t_idx.max() + 1):
+        rows = np.flatnonzero(t_idx == t)
+        h, c = cell.step(x[rows], h[:len(rows)], c[:len(rows)])
+        hs[rows], cs[rows] = h, c
+    return hs, cs
 
 
 def assert_cell_sequence_matches_primitives(cell, lengths, chunk, read, rng):
@@ -410,7 +422,7 @@ def assert_cell_sequence_matches_primitives(cell, lengths, chunk, read, rng):
     "last"); the grid's padded slots weigh zero.  Rolling `step` over the
     packed rows gives the sequence's hidden and cell states bit for bit.
     """
-    batch_sizes, t_idx, b_idx = packed_grid(lengths)
+    batch_sizes, t_idx, b_idx = packed_grid(lengths, chunk)
     steps, batch = len(batch_sizes), len(lengths)
     xs = rng.standard_normal((steps, batch, cell.in_dim))
     h0, c0 = rng.standard_normal((2, batch, cell.hidden))
@@ -441,10 +453,10 @@ def assert_cell_sequence_matches_primitives(cell, lengths, chunk, read, rng):
         return [Tensor(np.stack(hidden)[t_idx, b_idx])], loss
 
     assert_fused_close_to_unfused(build, [x] + [p for _, p in cell.params()], leaves)
-    hs, cache = cell.sequence(x.value, batch_sizes, h0, c0)
-    rolled_h, rolled_c = rollout_states(cell, x.value, batch_sizes, h0, c0)
+    hs, work = run_sequence(cell, x.value, batch_sizes, h0, c0, chunk)
+    rolled_h, rolled_c = rollout_states(cell, x.value, t_idx, h0, c0)
     assert np.array_equal(rolled_h, hs)
-    assert np.array_equal(rolled_c, cache[4])
+    assert np.array_equal(rolled_c, work.cs)
 
 
 @pytest.mark.parametrize("rounds", [0, 1, 2, 5])
@@ -529,7 +541,7 @@ def assert_sequence_matches_per_step_tape(policy, lengths, rng):
     """`log_prob(actor_sequence(...))` over packed rows, as the update runs it,
     against the per-step primitive tape over the padded (T, B) grid.
 
-    Packed rows follow the segments longest first (stable), step-major.  Both
+    Packed rows follow the segments longest first (stable), piece-major.  Both
     losses weight each live step's log-prob the same; the grid's padded slots
     weigh zero.  Both also reuse log_std after the log-probs, so it already holds
     a gradient when `log_prob`'s backward adds its own, as in the update.
@@ -537,7 +549,9 @@ def assert_sequence_matches_per_step_tape(policy, lengths, rng):
     lengths = np.array(lengths)
     steps, batch = lengths.max(), len(lengths)
     ranked = np.argsort(-lengths, kind="stable")
-    packed = [(t, b) for t in range(steps) for b in ranked if t < lengths[b]]
+    span = min(policy.bptt_chunk, steps) if policy.bptt_chunk > 0 else steps
+    packed = [(t, b) for j in range(span) for t in range(j, steps, span) for b in ranked
+              if t < lengths[b]]
     batch_sizes = [sum(n > t for n in lengths) for t in range(steps)]
     obs = rng.standard_normal((steps, batch, policy.obs_dim))
     actions = rng.standard_normal((steps, batch, policy.action_dim))
@@ -576,10 +590,11 @@ def test_fused_recurrent_sequence_matches_primitives(rounds, rng):
     obs = rng.standard_normal((10, policy.obs_dim))
     h0, c0 = rng.standard_normal((2, 10, policy.hidden))
     mean, (h, c) = policy.actor_step(obs, (h0, c0))
-    means, (_, hs, _, cell) = policy.actor_sequence(obs, [10], h0, c0)
+    work = SequenceWorkspace(policy.cell, [10], policy.bptt_chunk)
+    means, _ = policy.actor_sequence(obs, work, h0, c0)
     assert np.array_equal(mean, means)
-    assert np.array_equal(h, hs)
-    assert np.array_equal(c, cell[4])
+    assert np.array_equal(h, work.hs)
+    assert np.array_equal(c, work.cs)
 
 
 @pytest.mark.parametrize("rounds", [0, 1, 2, 5])
@@ -594,48 +609,57 @@ def test_actor_sequence_matches_per_step_tape(rounds, chunk, rng):
         assert_sequence_matches_per_step_tape(policy, lengths, rng)
 
 
-def cache_arrays(cache) -> int:
-    """The number of arrays a cache holds, through nested tuples and lists."""
-    if isinstance(cache, (tuple, list)):
-        return sum(cache_arrays(item) for item in cache)
-    return int(isinstance(cache, np.ndarray))
+def owned_arrays(work) -> dict:
+    """The arrays of at least N rows that own the memory of every array a
+    workspace holds, through its attributes and nested tuples and lists, by id."""
+    found, items = {}, list(vars(work).values())
+    while items:  # a loop, not a recursive closure, whose cycle would keep `work` alive
+        item = items.pop()
+        if isinstance(item, (tuple, list)):
+            items.extend(item)
+        elif isinstance(item, np.ndarray):
+            while item.base is not None:
+                item = item.base
+            if len(item) >= len(work.hs):
+                found[id(item)] = item
+    return found
 
 
 def test_sequence_cache_does_not_grow_with_steps(rng):
     """`sequence` writes every step into the same (N, .) arrays: a 40-step
-    sequence caches as many arrays as a 2-step one, and the backward writes the
+    workspace owns as many arrays as a 2-step one, and the backward writes the
     gates' pre-activation gradient over their activations."""
     cell = MogrifierLstm(rng, 4, 5, rounds=5)
     counts = []
     for steps in (2, 40):
         x = rng.standard_normal((3 * steps, 4))
-        hs, cache = cell.sequence(x, [3] * steps, *cell.initial_state(3))
-        counts.append(cache_arrays(cache))
-    acts = cache[3]
-    before = acts.copy()
-    cell.sequence_backward(cache, np.ones_like(hs), 0)
+        hs, work = run_sequence(cell, x, [3] * steps, *cell.initial_state(3), 0)
+        counts.append(len(owned_arrays(work)))
+    before = work.acts.copy()
+    cell.sequence_backward(work, np.ones_like(hs))
     assert counts[0] == counts[1]
-    assert not np.array_equal(acts, before)
-    assert np.array_equal(cell.b.grad, acts.sum(axis=0))
+    assert not np.array_equal(work.acts, before)
+    assert np.array_equal(cell.b.grad, work.acts.sum(axis=0))
 
 
-def per_step_sequence_backward(cell, cache, g_hs, chunk):
+def per_step_sequence_backward(cell, work, g_hs, chunk, t_idx):
     """`sequence_backward` one packed step at a time, the walk the lane walk
-    replaced: adds the W, b, Q and R gradients, returns the input rows' gradient."""
-    batch_sizes, cells, xh, acts, cs, h_in, rounds = cache
+    replaced, over rows whose steps are `t_idx` (each step one run of rows):
+    adds the W, b, Q and R gradients, returns the input rows' gradient."""
+    xh, acts, cs, rounds = work.xh, work.acts, work.cs, work.rounds
     H, in_dim = cell.hidden, cell.in_dim
-    c0 = cells[len(xh):]
+    c0 = work.cells[len(xh):]
     W_T = cell.W.value.T.copy()
     halves_T = [(0.5 * weight.value).T.copy() for weight, *_ in rounds]
     gx = np.empty((len(xh), in_dim))
-    gh, gc = np.zeros((2, batch_sizes[0], H))
-    lo = len(xh)
-    for t in range(len(batch_sizes) - 1, -1, -1):
-        n = batch_sizes[t]
-        lo -= n
-        rows = slice(lo, lo + n)
+    gh, gc = np.zeros((2, len(c0), H))
+    steps = [np.flatnonzero(t_idx == t) for t in range(t_idx.max() + 1)]
+    for t in range(len(steps) - 1, -1, -1):
+        n = len(steps[t])
+        assert np.array_equal(steps[t], np.arange(steps[t][0], steps[t][0] + n))
+        rows = slice(steps[t][0], steps[t][0] + n)
         a, tanh_c = acts[rows], np.tanh(cs[rows])
-        c_prev = (c0 if t == 0 else cs[lo - batch_sizes[t - 1]:])[:n]
+        c_prev = c0[:n] if t == 0 else cs[steps[t - 1][:n]]
         g_h = g_hs[rows] + gh[:n]
         g_c = gc[:n] + (g_h * a[:, 2 * H:3 * H]) * (1.0 - tanh_c**2)
         slope = (cell._k1 - a) * a + cell._k0
@@ -682,7 +706,7 @@ def test_lane_walk_matches_per_step_walk(rounds, chunk, lengths, rng):
     steps = max(lengths)
     chunk = {"T": steps, "T+5": steps + 5}.get(chunk, chunk)
     cell = MogrifierLstm(rng, 4, 5, rounds=rounds, name="m")
-    batch_sizes = packed_grid(lengths)[0]
+    batch_sizes, t_idx, _ = packed_grid(lengths, chunk)
     x = rng.standard_normal((sum(lengths), 4))
     h0, c0 = rng.standard_normal((2, len(lengths), 5))
     g_hs = rng.standard_normal((sum(lengths), 5))
@@ -690,12 +714,66 @@ def test_lane_walk_matches_per_step_walk(rounds, chunk, lengths, rng):
     for lane_walk in (True, False):
         for _, p in cell.params():
             p.grad = None
-        _, cache = cell.sequence(x, batch_sizes, h0, c0)
-        gx = (cell.sequence_backward(cache, g_hs, chunk) if lane_walk
-              else per_step_sequence_backward(cell, cache, g_hs, chunk))
+        _, work = run_sequence(cell, x, batch_sizes, h0, c0, chunk)
+        gx = (cell.sequence_backward(work, g_hs) if lane_walk
+              else per_step_sequence_backward(cell, work, g_hs, chunk, t_idx))
         found.append([gx] + [p.grad for _, p in cell.params()])
     for lane, step in zip(*found):
         assert_close(lane, step)
+
+
+@pytest.mark.parametrize("lengths", [[6, 6, 6], [7, 7, 5, 2]])
+@pytest.mark.parametrize("chunk", [0, 2, 4, 6, 9])
+def test_piece_major_rows_are_runs(lengths, chunk):
+    """Every forward step's rows and every reverse block's rows are one run, a
+    view of the workspace's arrays; for equal-length segments the carried state
+    gradient and the previous cell states after the first block are runs too."""
+    cell = MogrifierLstm(np.random.default_rng(0), 3, 4, rounds=2)
+    batch_sizes, t_idx, _ = packed_grid(lengths, chunk)
+    work = SequenceWorkspace(cell, batch_sizes, chunk)
+    address = lambda a: a.__array_interface__["data"][0]
+    for t, (x, _, out) in enumerate(work.steps):
+        first = np.flatnonzero(t_idx == t)[0]
+        assert len(x) == batch_sizes[t]
+        assert address(x) == address(work.x[first:])
+        assert address(out[-1]) == address(work.hs[first:])
+    equal = len(set(lengths)) == 1
+    for i, (rows, prev, to, fresh) in enumerate(work.blocks):
+        assert isinstance(rows, slice)
+        if equal and i < len(work.blocks) - 1:
+            assert isinstance(to, slice) and isinstance(fresh, slice)
+        if equal and i < len(work.blocks) - 1 or max(lengths) <= chunk or chunk == 0:
+            assert isinstance(prev, slice)
+
+
+def test_one_workspace_serves_every_epoch(rng):
+    """Two epochs (new inputs, weights and gradients) through one workspace give
+    the hidden states and gradients of a fresh workspace per epoch, bit for bit."""
+    cell = MogrifierLstm(rng, 4, 5, rounds=5, name="m")
+    lengths, chunk = [9, 9, 6, 3], 3
+    batch_sizes = packed_grid(lengths, chunk)[0]
+    epochs = [(rng.standard_normal((27, 4)), rng.standard_normal((2, 4, 5)),
+               rng.standard_normal((27, 5)), rng.standard_normal(cell.W.value.shape))
+              for _ in range(2)]
+    start = {name: p.value.copy() for name, p in cell.params()}
+    found = []
+    for shared in (True, False):
+        for name, p in cell.params():
+            p.value = start[name].copy()
+        work = SequenceWorkspace(cell, batch_sizes, chunk)
+        for x, (h0, c0), g_hs, dW in epochs:
+            if not shared:
+                work = SequenceWorkspace(cell, batch_sizes, chunk)
+            for _, p in cell.params():
+                p.grad = None
+            work.x[...] = x
+            hs = cell.sequence(work, h0, c0).copy()
+            gx = cell.sequence_backward(work, g_hs).copy()
+            found.append([hs, gx] + [p.grad for _, p in cell.params()])
+            cell.W.value = cell.W.value + 0.1 * dW
+    for one, fresh in zip(found[:2], found[2:]):
+        for a, b in zip(one, fresh):
+            assert np.array_equal(a, b)
 
 
 # -- mogrifier behaviour ----------------------------------------------------------------

@@ -2,6 +2,7 @@ import gc
 import importlib
 import json
 import math
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -12,7 +13,7 @@ from airs.config import build_env, default_config
 from airs.rl.agents import AGENT_SPECS, AgentSpec, baseline_agent
 from airs.rl.necsa import EpisodicTable, NecsaShaper, abstract_state, necsa_revise
 import airs.rl.ppo as ppo_module
-from airs.nn.layers import MogrifierLstm
+from airs.nn.layers import MogrifierLstm, SequenceWorkspace
 from airs.nn.policy import LOG_STD_MAX, LOG_STD_MIN, ActorCritic
 from airs.rl.ppo import (
     NumericAbort,
@@ -29,6 +30,7 @@ from airs.env import AirsEnv, SlotRecord
 from airs.nn.checkpoint import load_checkpoint
 from airs.rl.train import SLOTS_HEADER, TRAJECTORY_HEADER, RunWriter, _row, train
 from conftest import toy_overrides
+from test_nn import owned_arrays
 from tape import Tensor
 
 
@@ -126,6 +128,26 @@ def test_shaper_updates_table_with_discounted_return():
     expected_return = 1.0 + 0.5 * 2.0
     for key in ((0, 0, 0, 0), (4, 4, 4, 4)):
         assert shaper.table.stats[key][1] == pytest.approx(expected_return)
+
+
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_shaper_discretizes_each_observation_once(order, rng):
+    """`revise` keys each step from the one discretized observation and the
+    history: over a 200-step trajectory its keys and revised rewards equal
+    those of discretizing the observation again with the history."""
+    shaper = NecsaShaper(bins=3, order=order, weight=0.3, discount=0.9)
+    for _ in range(2):  # the first episode fills the table the second scores against
+        shaper.begin_episode()
+        history = []
+        for _ in range(200):
+            obs, reward = rng.uniform(size=2), float(rng.standard_normal())
+            key = abstract_state(obs, shaper.bins, order, history)
+            expected = necsa_revise(reward, key, shaper.table, shaper.weight)
+            assert shaper.revise(obs, reward) == expected
+            assert shaper._visited[-1] == key
+            history.append(abstract_state(obs, shaper.bins, 1))
+        shaper.end_episode()
+    assert len({shaper.table.score(key) for key in shaper.table.stats}) > 1
 
 
 # -- advantage estimation -----------------------------------------------------------
@@ -454,7 +476,7 @@ def collect_and_update(monkeypatch, tmp_path, batch_size=30, episodes=4, horizon
         updates.append({
             "segments": [(seg.start, seg.length, seg.h0.copy()) for seg in buffer.segments],
             "replay": replay_segments(updater.policy, buffer),
-            "order": PackedBatch(buffer).order,
+            "order": PackedBatch(buffer, updater.policy.bptt_chunk).order,
             "epochs": [],
         })
         return real_update(updater, buffer)
@@ -579,6 +601,56 @@ def test_rollout_values_equal_batch_one_critic_calls(monkeypatch):
         assert same == last_done
 
 
+@pytest.mark.parametrize("chunk", [0, 1, 3, 9, 10, 15])
+def test_packed_order_is_piece_major(chunk):
+    """`order` is a permutation that `pack` follows, listing rows by (step mod
+    span, piece, segment rank); with chunk 0 or at least the longest segment
+    that is step-major order."""
+    rng = np.random.default_rng(1)
+    lengths = [7, 10, 3, 10, 6]
+    buffer = random_buffer(ActorCritic(rng, obs_dim=4, action_dim=3, hidden=6), rng, lengths)
+    batch = PackedBatch(buffer, chunk)
+    n = len(buffer)
+    assert np.array_equal(np.sort(batch.order), np.arange(n))
+    rows = rng.standard_normal((n, 2))
+    assert np.array_equal(batch.pack(rows)[batch.order], rows)
+    assert np.array_equal(batch.pack(batch.states), batch.obs)
+
+    t = np.concatenate([np.arange(length) for length in lengths])
+    rank = np.repeat(np.argsort(np.argsort(-np.array(lengths), kind="stable")), lengths)
+    span = min(chunk, 10) if chunk > 0 else 10
+    piece_major = np.lexsort((rank, t // span, t % span))  # buffer indices in packed order
+    assert np.array_equal(batch.order[piece_major], np.arange(n))
+    if chunk == 0 or chunk >= 10:
+        assert np.array_equal(piece_major, np.lexsort((rank, t)))
+
+
+def count_workspaces(monkeypatch):
+    """Records every `SequenceWorkspace` built from now on: weak references to it
+    and to the (N, .) arrays it owns."""
+    built = []
+    real_init = SequenceWorkspace.__init__
+
+    def init(work, *args):
+        real_init(work, *args)
+        built.append([weakref.ref(work)] + [weakref.ref(a) for a in owned_arrays(work).values()])
+
+    monkeypatch.setattr(SequenceWorkspace, "__init__", init)
+    return built
+
+
+def test_update_builds_one_workspace_for_all_epochs(monkeypatch):
+    """The cell's (N, .) arrays are allocated once per update, not per epoch."""
+    built = count_workspaces(monkeypatch)
+    rng = np.random.default_rng(0)
+    policy = ActorCritic(rng, obs_dim=4, action_dim=3, hidden=6, mogrifier_rounds=5,
+                         bptt_chunk=4)
+    updater = PpoUpdater(policy, small_ppo_config(epochs=3))
+    for _ in range(2):
+        updater.update(random_buffer(policy, rng, [7, 10, 3]))
+    assert len(built) == 2
+
+
 class UpdateRowCounter:
     """Counts the rows `MogrifierLstm.sequence` steps inside each `PpoUpdater.update`.
 
@@ -590,10 +662,10 @@ class UpdateRowCounter:
         self._rows = None
         real_sequence, real_update = MogrifierLstm.sequence, PpoUpdater.update
 
-        def sequence(cell, x, batch_sizes, h0, c0):
+        def sequence(cell, work, h0, c0):
             if self._rows is not None:
-                self._rows += int(np.sum(batch_sizes))
-            return real_sequence(cell, x, batch_sizes, h0, c0)
+                self._rows += sum(len(x) for x, _, _ in work.steps)
+            return real_sequence(cell, work, h0, c0)
 
         def update(updater, buffer):
             lengths = [seg.length for seg in buffer.segments]
@@ -650,8 +722,8 @@ def test_bench_tracer_sees_one_backward_per_epoch(monkeypatch, tmp_path):
 @pytest.mark.parametrize("abort", [False, True])
 def test_update_graph_is_freed_without_the_cycle_collector(monkeypatch, abort):
     """After an update, finished or aborted, nothing waits for gc.collect(): the
-    caches of the reverse pass are freed by reference counting.  An abort's dump
-    lists the log-probs in buffer order."""
+    caches of the reverse pass and the cell's workspace are freed by reference
+    counting.  An abort's dump lists the log-probs in buffer order."""
     rng = np.random.default_rng(0)
     policy = ActorCritic(rng, obs_dim=4, action_dim=3, hidden=6, mogrifier_rounds=5,
                          bptt_chunk=4)
@@ -662,6 +734,7 @@ def test_update_graph_is_freed_without_the_cycle_collector(monkeypatch, abort):
         real_loss = ppo_module.ppo_loss
         monkeypatch.setattr(ppo_module, "ppo_loss",
                             lambda *args: (np.nan,) + real_loss(*args)[1:])
+    built = count_workspaces(monkeypatch)
     was_enabled = gc.isenabled()
     gc.collect()
     gc.disable()
@@ -673,6 +746,7 @@ def test_update_graph_is_freed_without_the_cycle_collector(monkeypatch, abort):
             dump = error.dump
         else:
             assert not abort
+        assert len(built) == 1 and all(ref() is None for ref in built[0])  # freed on return
         assert gc.collect() == 0
     finally:
         if was_enabled:

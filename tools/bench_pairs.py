@@ -11,9 +11,12 @@ are traced and the per-layer metrics are recorded instead.
 
 The figures go into the JSON file `--out` under
 `workloads.<workload>.<plain|traced>` (other entries of an existing file are
-kept): each run's correctness and slot counts, and per metric each side's
-values, median and quartiles and the number of pairs the change won by the
-metric's `better` direction in BENCHMARK.json (ties count for neither side).  The file also
+kept): each run's correctness, slot counts and artifact digests (the
+`run seed N: metrics.csv sha256 ...` lines of its report), each tree's
+digests per run seed and the run seeds whose digests differ between the
+trees, and per metric each side's values, median and quartiles and the
+number of pairs the change won by the metric's `better` direction in
+BENCHMARK.json (ties count for neither side).  The file also
 records the machine (nproc), the Python, numpy and BLAS versions, the BLAS
 kernel that ran, and a sha256 of each checkout's `src/` tree with its git
 revision where it has one.
@@ -24,6 +27,7 @@ import hashlib
 import json
 import os
 import platform
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -33,12 +37,31 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 
 
+# A report line `  run seed 7: metrics.csv sha256 <digest> [<digest> ...]`.
+DIGEST_LINE = re.compile(r"^\s*run seed (\d+): (\S+) sha256 (.*)$")
+
+
 def run_benchmark(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
+    """The run's JSON result, with `digests`: the artifact digests its report
+    lists per run seed."""
     out = subprocess.run([sys.executable, str(checkout / "airsbench" / "run.py"),
                           "--workload", workload, "--seed", str(seed),
                           "--seconds", str(seconds), "--trace", str(trace)],
                          check=True, capture_output=True, text=True)
-    return json.loads(out.stdout.strip().splitlines()[-1])
+    lines = out.stdout.strip().splitlines()
+    result = json.loads(lines[-1])
+    result["digests"] = {match[1]: match[3].split() for match in map(DIGEST_LINE.match, lines)
+                         if match}
+    return result
+
+
+def tree_digests(runs: list) -> dict:
+    """Per run seed, the digests any of `runs` reported for it, sorted."""
+    found = {}
+    for run in runs:
+        for seed, digests in run["digests"].items():
+            found.setdefault(seed, set()).update(digests)
+    return {seed: sorted(found[seed]) for seed in sorted(found, key=int)}
 
 
 def source_digest(checkout: Path) -> str:
@@ -115,14 +138,19 @@ def main(argv=None) -> int:
                          "better": better.get(name),
                          **{side: summarize(values[side]) for side in sides},
                          "change_wins": int(wins), "pairs": len(pairs)}
+    digests = {side: tree_digests([p[side] for p in pairs]) for side in sides}
     result = {
         "seconds": args.seconds,
         "seeds": [p["seed"] for p in pairs],
         "all_correct": all(p[side]["correct"] for p in pairs for side in sides),
         "failed_slots": sum(p[side]["failed"] for p in pairs for side in sides),
         "metrics": metrics,
+        "digests": digests,
+        "digests_differ": [seed for seed in digests["base"]
+                           if seed in digests["change"]
+                           and digests["base"][seed] != digests["change"][seed]],
         "runs": [{"seed": p["seed"], "first": p["first"],
-                  **{side: {k: p[side][k] for k in ("correct", "attempted", "failed")}
+                  **{side: {k: p[side][k] for k in ("correct", "attempted", "failed", "digests")}
                      for side in sides}} for p in pairs],
     }
     document = json.loads(args.out.read_text()) if args.out.is_file() else {}
