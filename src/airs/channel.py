@@ -32,12 +32,6 @@ class IrsGeometry:
     element_spacing: float
     wavelength: float
 
-    def __post_init__(self):
-        if self.rows < 1 or self.cols < 1:
-            raise ChannelError("array needs at least one row and one column")
-        if self.element_spacing <= 0 or self.wavelength <= 0:
-            raise ChannelError("element spacing and wavelength must be positive")
-
     @property
     def size(self) -> int:
         return self.rows * self.cols
@@ -64,22 +58,12 @@ class PathLossModel:
     ref_loss_db: float = 30.0
     exponent: float = 2.2
 
-    def __post_init__(self):
-        if self.ref_distance <= 0:
-            raise ChannelError("reference distance must be positive")
-        if self.exponent <= 0:
-            raise ChannelError("path loss exponent must be positive")
-
 
 @dataclass(frozen=True)
 class LinkBudget:
     tx_power: float
     noise_psd: float
     bandwidth: float
-
-    def __post_init__(self):
-        if min(self.tx_power, self.noise_psd, self.bandwidth) <= 0:
-            raise ChannelError("tx power, noise PSD and bandwidth must be positive")
 
 
 @dataclass(frozen=True)

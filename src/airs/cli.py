@@ -101,8 +101,7 @@ def _series_values(columns: dict, series: str, run_name: str) -> np.ndarray:
         stacked = np.stack([columns[k] for k in rate_cols], axis=1)
         if series == "rate":
             return stacked.mean(axis=1)
-        return np.array([jain_index(row) if row.sum() > 0 else 1.0 / row.size
-                         for row in stacked])
+        return np.array([jain_index(row) for row in stacked])
     else:
         raise ConfigError(series, f"unknown series; choose from {SERIES}")
     if key not in columns:

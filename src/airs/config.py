@@ -274,8 +274,8 @@ def _tuples(value):
 
 def from_section(cls, section: dict):
     """A `cls` whose fields take the section's keys of the same name, lists as
-    tuples; fields the section lacks keep their defaults."""
-    return cls(**{f.name: _tuples(section[f.name]) for f in fields(cls) if f.name in section})
+    tuples."""
+    return cls(**{f.name: _tuples(section[f.name]) for f in fields(cls)})
 
 
 def build_scenario(config: dict) -> sc.ScenarioConfig:

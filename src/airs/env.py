@@ -42,17 +42,6 @@ def jain_index(rates) -> float:
     return float(total**2 / (rates.size * np.add.reduce(rates * rates, axis=None)))
 
 
-def objective_ratio(rates, energy: float) -> float:
-    """Fairness-weighted sum rate per joule: jain(rates) * sum(rates) / energy."""
-    if energy <= 0:
-        raise ValueError(f"energy must be positive, got {energy}")
-    rates = np.asarray(rates, dtype=float)
-    total = rates.sum()
-    if total == 0.0:
-        return 0.0
-    return jain_index(rates) * float(total) / energy
-
-
 @dataclass(frozen=True)
 class EpisodeConfig:
     horizon: int = 300
@@ -64,16 +53,6 @@ class EpisodeConfig:
     # Rate units entering the reward; 1e-6 expresses rates in Mbit/s so the
     # penalty stays commensurate with per-slot rewards.
     rate_scale: float = 1e-6
-
-    def __post_init__(self):
-        if self.horizon < 1:
-            raise ValueError("horizon must be >= 1")
-        if self.penalty < 0:
-            raise ValueError("penalty must be >= 0")
-        if self.users < 1:
-            raise ValueError("need at least one user")
-        if self.rate_window is not None and self.rate_window < 1:
-            raise ValueError("rate_window must be >= 1 when set")
 
 
 # The per-slot record is a named tuple: immutable like a frozen dataclass, at
@@ -110,11 +89,6 @@ class AirsEnv:
         phase_control: bool = True,
         seed: int = 0,
     ):
-        if episode_config.users != len(scenario_config.user_initial_positions):
-            raise ValueError(
-                f"episode config declares {episode_config.users} users but the "
-                f"scenario places {len(scenario_config.user_initial_positions)}"
-            )
         self.scenario = scenario_config
         self.cfg = episode_config
         self.geometry = geometry
@@ -175,7 +149,7 @@ class AirsEnv:
                 self._rng_reset.uniform(b.z_min, b.z_max),
             ]
         )
-        self.state = uav.UavState(position, self.slot_duration)
+        self.position = position
         self.tracks = [
             sc.UserTrack.spawn(p, self.network, self.scenario.user_speed, self._rng_users)
             for p in self.scenario.user_initial_positions
@@ -203,9 +177,9 @@ class AirsEnv:
         served = t % self.cfg.users
 
         displacement = uav.scale_action(action[:3], self.cfg.d_max)
-        previous = self.state.position
-        self.state, violated = uav.apply_action(self.state, displacement, self.bounds)
-        irs = self.state.position
+        previous = self.position
+        self.position, violated = uav.apply_action(previous, displacement, self.bounds)
+        irs = self.position
         realized = irs - previous
         energy = uav.propulsion_energy(self.energy_model, realized, self.slot_duration)
 
@@ -287,7 +261,7 @@ class AirsEnv:
 
     def _observation(self) -> np.ndarray:
         b = self.bounds
-        x, y, z = self.state.position.tolist()
+        x, y, z = self.position.tolist()
         out = [
             (x - b.x_min) / (b.x_max - b.x_min),
             (y - b.y_min) / (b.y_max - b.y_min),

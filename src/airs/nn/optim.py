@@ -4,17 +4,28 @@ import numpy as np
 
 
 def adam_update(param, grad, m, v, lr, beta1, beta2, eps, step):
-    """One in-place update; returns the new (m, v) moments.
+    """One update of `param` and its moments, all in place.
 
     m and v are the running first/second moments before this step; `step`
     counts from 1 for bias correction.
     """
-    m = beta1 * m + (1.0 - beta1) * grad
-    v = beta2 * v + (1.0 - beta2) * grad**2
-    m_hat = m / (1.0 - beta1**step)
-    v_hat = v / (1.0 - beta2**step)
-    param -= lr * m_hat / (np.sqrt(v_hat) + eps)
-    return m, v
+    # m = beta1 m + (1 - beta1) g, v = beta2 v + (1 - beta2) g^2 and
+    # param -= (lr * m_hat) / (sqrt(v_hat) + eps), each rounding step in that
+    # order, through two scratch arrays.
+    a = np.multiply(grad, 1.0 - beta1)
+    m *= beta1
+    m += a
+    b = np.square(grad)
+    b *= 1.0 - beta2
+    v *= beta2
+    v += b
+    np.divide(m, 1.0 - beta1**step, out=a)
+    a *= lr
+    np.divide(v, 1.0 - beta2**step, out=b)
+    np.sqrt(b, out=b)
+    b += eps
+    a /= b
+    param -= a
 
 
 class Adam:
@@ -36,7 +47,7 @@ class Adam:
         for i, p in enumerate(self.params):
             if p.grad is None:
                 continue
-            self.m[i], self.v[i] = adam_update(
+            adam_update(
                 p.value, p.grad, self.m[i], self.v[i],
                 self.lr, self.beta1, self.beta2, self.eps, self.step_count,
             )

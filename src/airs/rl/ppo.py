@@ -51,9 +51,6 @@ class PpoConfig:
     critic_weight: float = 0.5
     entropy_weight: float = 0.01
     learning_rate: float = 3e-4
-    adam_beta1: float = 0.9
-    adam_beta2: float = 0.999
-    adam_eps: float = 1e-8
 
 
 @dataclass
@@ -205,12 +202,7 @@ class PpoUpdater:
     def __init__(self, policy: ActorCritic, config: PpoConfig):
         self.policy = policy
         self.config = config
-        self.optimizer = Adam(
-            policy.params(),
-            lr=config.learning_rate,
-            betas=(config.adam_beta1, config.adam_beta2),
-            eps=config.adam_eps,
-        )
+        self.optimizer = Adam(policy.params(), lr=config.learning_rate)
 
     def update(self, buffer: RolloutBuffer):
         cfg = self.config

@@ -69,12 +69,6 @@ class ScenarioConfig:
             raise ScenarioError("area bounds must satisfy min < max")
         if not self.alt_min < self.alt_max:
             raise ScenarioError("alt_min must be below alt_max")
-        if self.grid_cells_per_side < 1:
-            raise ScenarioError("grid_cells_per_side must be >= 1")
-        if self.buildings_per_cell < 0:
-            raise ScenarioError("buildings_per_cell must be >= 0")
-        if self.road_width <= 0 or self.cell_side <= 0:
-            raise ScenarioError("road_width and cell_side must be positive")
         lo, hi = self.building_height_range
         if not (0 < lo <= hi):
             raise ScenarioError("building_height_range must be 0 < low <= high")

@@ -34,11 +34,6 @@ class EnergyModel:
     mass: float = 2.0
     gravity: float = 9.8
 
-    def __post_init__(self):
-        for name in self.__dataclass_fields__:
-            if getattr(self, name) <= 0:
-                raise UavError(f"energy model field {name} must be positive")
-
 
 @dataclass(frozen=True)
 class FlightBounds:
@@ -48,24 +43,6 @@ class FlightBounds:
     y_max: float
     z_min: float
     z_max: float
-
-    def contains(self, p) -> bool:
-        return (
-            self.x_min <= p[0] <= self.x_max
-            and self.y_min <= p[1] <= self.y_max
-            and self.z_min <= p[2] <= self.z_max
-        )
-
-
-@dataclass(frozen=True)
-class UavState:
-    position: np.ndarray
-    slot_duration: float = 1.0
-
-    def __post_init__(self):
-        if self.slot_duration <= 0:
-            raise UavError("slot duration must be positive")
-        object.__setattr__(self, "position", np.asarray(self.position, dtype=float))
 
 
 def scale_action(raw: np.ndarray, d_max: float) -> np.ndarray:
@@ -78,13 +55,15 @@ def scale_action(raw: np.ndarray, d_max: float) -> np.ndarray:
     return raw * (d_max / math.sqrt(3.0))
 
 
-def apply_action(state: UavState, action, bounds: FlightBounds):
-    """Displace the craft, clamping to the flight envelope.
+def apply_action(position: np.ndarray, action, bounds: FlightBounds):
+    """Displace the craft at `position` (x, y, z) by `action`, clamping to the
+    flight envelope.
 
-    Returns (new_state, violated).  Leaving the envelope clamps the position
+    Returns (new_position, violated): the new position as a fresh float array,
+    and whether the target left the envelope.  Leaving it clamps the position
     to the boundary and flags the slot instead of ending the episode.
     """
-    x, y, z = state.position.tolist()
+    x, y, z = position.tolist()
     dx, dy, dz = np.asarray(action, dtype=float).tolist()
     target = (x + dx, y + dy, z + dz)
     clamped = (
@@ -95,7 +74,7 @@ def apply_action(state: UavState, action, bounds: FlightBounds):
     # Elementwise, so a nan target counts as violated; tuple != would take
     # the identical nan objects for equal.
     violated = any(c != t for c, t in zip(clamped, target))
-    return UavState(np.array(clamped), state.slot_duration), violated
+    return np.array(clamped), violated
 
 
 def propulsion_energy(model: EnergyModel, action, dt: float) -> float:

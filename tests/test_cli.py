@@ -12,7 +12,7 @@ import pytest
 
 from airs import BLAS_THREAD_VARS
 from airs.cli import ABLATION_ROSTER, main
-from airs.config import ConfigError, apply_env_overrides, default_config
+from airs.config import RANGE_RULES, ConfigError, apply_env_overrides, default_config
 from airs.nn.optim import Adam
 from airs.nn.policy import ActorCritic
 from airs.rl.agents import AGENT_SPECS
@@ -70,15 +70,26 @@ def test_unknown_key_in_config_file_exits_2(tmp_path, capsys):
 
 # Before every leaf was checked up front, each of these ran silently, crashed
 # with a TypeError or exited 2 without naming its key.
-@pytest.mark.parametrize("override", [
+BAD_VALUES = [
     "nn.hidden=0", "nn.bptt_chunk=-3", "rl.gae_lambda=5", "rl.learning_rate=-1",
     "rl.checkpoint_every=-1", "env.d_max=-5", "scenario.user_speed=-1",
     "scenario.scenario_version=7", "env.log_slots=0", "rl.episodes=true", "nn.hidden=abc",
     "rl.entropy_weight=abc", "env.rate_scale=abc", "env.rate_scale=1e999",
     "scenario.user_initial_positions=[5]", "scenario.su_position=[1,2]", "rl.necsa.bins=0",
     "channel.irs_rows=0", "uav.mass_kg=0", "env.rate_window=0",
-    "scenario.buildings_per_cell=200",
-])
+    "scenario.buildings_per_cell=200", "env.users=2",
+]
+# validate_config is the only range check, so every RANGE_RULES key gets one
+# violating value: an int, which both int and float keys accept as a type.
+RULE_VIOLATIONS = {
+    ">= 1": 0, ">= 0": -1, "> 0": 0, "in (0, 1)": 1, "in (0, 1]": 0, "in [0, 1]": 2,
+    "1, the only version": 2, "null or an integer >= 1": 0,
+}
+BAD_VALUES += [override for text, _, keys in RANGE_RULES for key in keys
+               if (override := f"{key}={RULE_VIOLATIONS[text]}") not in BAD_VALUES]
+
+
+@pytest.mark.parametrize("override", BAD_VALUES)
 def test_bad_value_exits_2_and_names_key(tmp_path, capsys, override):
     cfg = tmp_path / "c.json"
     write_tiny_config(cfg)
@@ -434,6 +445,22 @@ def test_plotdata_moving_average_of_constant_is_constant(tmp_path, capsys):
     capsys.readouterr()
     _, rows = read_series(out / "series_reward.csv")
     assert np.allclose(rows[:, 1], 5.0)
+
+
+def test_plotdata_rate_and_fairness_of_two_users(tmp_path, capsys):
+    run = tmp_path / "two"
+    run.mkdir()
+    (run / "metrics.csv").write_text(
+        "episode,avg_rate_user0,avg_rate_user1\n0,0.0,0.0\n1,1.0,1.0\n2,1.0,3.0\n")
+    out = tmp_path / "plots"
+    assert main(["plotdata", "--runs", str(run), "--series", "rate", "fairness",
+                 "--window", "1", "--out", str(out)]) == 0
+    capsys.readouterr()
+    _, rate = read_series(out / "series_rate.csv")
+    _, fairness = read_series(out / "series_fairness.csv")
+    assert rate[:, 1].tolist() == [0.0, 1.0, 2.0]
+    # All-zero rates read 1/n; (1, 3) reads 16 / (2 * 10).
+    assert fairness[:, 1].tolist() == [0.5, 1.0, 0.8]
 
 
 def test_plotdata_missing_column_names_run(tmp_path, capsys):

@@ -6,7 +6,7 @@ import pytest
 from airs import channel as ch
 from airs import env as env_mod
 from airs.config import build_env, default_config
-from airs.env import jain_index, objective_ratio
+from airs.env import jain_index
 from conftest import toy_overrides
 
 
@@ -77,17 +77,6 @@ def test_jain_index_keeps_numpy_pairwise_sums(n):
         assert jain_index(r.tolist()) == expected
 
 
-def test_objective_ratio_values():
-    assert objective_ratio([0.0, 0.0], 5.0) == 0.0
-    assert objective_ratio([4.0], 2.0) == pytest.approx(2.0)
-    assert objective_ratio([1.0, 1.0], 2.0) == pytest.approx(1.0)
-
-
-def test_objective_ratio_rejects_bad_energy():
-    with pytest.raises(ValueError):
-        objective_ratio([1.0], 0.0)
-
-
 # -- reset ------------------------------------------------------------------------
 
 
@@ -115,7 +104,7 @@ def test_reset_positions_uniform_in_envelope():
     xs = []
     for _ in range(1000):
         env.reset()
-        xs.append(env.state.position[0])
+        xs.append(env.position[0])
     midpoint = (cfg["scenario"]["area_x_min"] + cfg["scenario"]["area_x_max"]) / 2
     width = cfg["scenario"]["area_x_max"] - cfg["scenario"]["area_x_min"]
     assert abs(np.mean(xs) - midpoint) < 0.05 * width
@@ -247,19 +236,12 @@ def test_learned_phase_action_dimension():
     assert obs.shape == (6,)
 
 
-def test_user_count_mismatch_rejected():
-    cfg = toy_overrides(default_config(), users=1)
-    cfg["env"]["users"] = 2
-    with pytest.raises(Exception):
-        build_env(cfg, seed=0)
-
-
 def test_computed_phases_never_beaten_by_random(rng):
     """With deterministic hops, the closed-form phases maximize the slot rate."""
     env, _ = make_env(buildings_per_cell=0)
     env.reset(seed=4)
     env.step(np.array([0.2, 0.1, 0.0]))
-    irs = env.state.position
+    irs = env.position
     user = env.tracks[0].position
     profile_in = ch.hop_profile(env.geometry, irs, env.su)
     profile_out = ch.hop_profile(env.geometry, irs, user)

@@ -955,6 +955,26 @@ def test_adam_first_step_closed_form():
     assert np.allclose(param, expected, rtol=1e-12)
 
 
+def test_adam_moments_in_place_equal_textbook_bit_for_bit():
+    rng = np.random.default_rng(3)
+    t = Param(np.zeros((5, 4)))  # so each step's last bits reach the parameter
+    opt = Adam([t], lr=0.01)
+    m_ref, v_ref, value = np.zeros((5, 4)), np.zeros((5, 4)), t.value.copy()
+    moments = opt.m[0], opt.v[0]
+    for step in range(1, 6):
+        g = rng.standard_normal((5, 4)) * 10.0 ** rng.integers(-6, 3, (5, 4))
+        t.grad = g
+        opt.step()
+        m_ref = 0.9 * m_ref + (1.0 - 0.9) * g
+        v_ref = 0.999 * v_ref + (1.0 - 0.999) * g**2
+        m_hat = m_ref / (1.0 - 0.9**step)
+        v_hat = v_ref / (1.0 - 0.999**step)
+        value -= 0.01 * m_hat / (np.sqrt(v_hat) + 1e-8)
+        assert np.array_equal(t.value, value)
+        assert np.array_equal(opt.m[0], m_ref) and np.array_equal(opt.v[0], v_ref)
+    assert opt.m[0] is moments[0] and opt.v[0] is moments[1]
+
+
 def test_adam_descends_against_constant_gradient():
     t = Param(np.array([2.0]))
     opt = Adam([t], lr=0.05)

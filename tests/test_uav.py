@@ -7,44 +7,43 @@ MODEL = uav.EnergyModel()
 BOUNDS = uav.FlightBounds(0.0, 620.0, 0.0, 620.0, 80.0, 120.0)
 
 
-def state_at(x, y, z):
-    return uav.UavState(np.array([x, y, z]), 1.0)
-
-
 # -- kinematics -----------------------------------------------------------------
 
 
 def test_zero_action_is_identity():
-    state = state_at(100.0, 100.0, 90.0)
-    after, violated = uav.apply_action(state, np.zeros(3), BOUNDS)
-    assert np.array_equal(after.position, state.position)
+    position = np.array([100.0, 100.0, 90.0])
+    after, violated = uav.apply_action(position, np.zeros(3), BOUNDS)
+    assert np.array_equal(after, position)
     assert violated is False
 
 
 def test_descent_below_floor_clamps_and_flags():
-    state = state_at(100.0, 100.0, 81.0)
-    after, violated = uav.apply_action(state, np.array([0.0, 0.0, -5.0]), BOUNDS)
-    assert after.position[2] == 80.0
+    position = np.array([100.0, 100.0, 81.0])
+    after, violated = uav.apply_action(position, np.array([0.0, 0.0, -5.0]), BOUNDS)
+    assert after[2] == 80.0
     assert violated is True
 
 
 def test_random_bounded_actions_never_escape(rng):
-    state = state_at(300.0, 300.0, 100.0)
+    position = np.array([300.0, 300.0, 100.0])
     for _ in range(10_000):
         action = uav.scale_action(rng.uniform(-1, 1, 3), 30.0)
-        state, _ = uav.apply_action(state, action, BOUNDS)
-        assert BOUNDS.contains(state.position)
+        position, _ = uav.apply_action(position, action, BOUNDS)
+        x, y, z = position
+        assert BOUNDS.x_min <= x <= BOUNDS.x_max
+        assert BOUNDS.y_min <= y <= BOUNDS.y_max
+        assert BOUNDS.z_min <= z <= BOUNDS.z_max
 
 
 def test_in_bounds_actions_sum_exactly(rng):
-    state = state_at(300.0, 300.0, 100.0)
-    total = state.position.copy()
+    position = np.array([300.0, 300.0, 100.0])
+    total = position.copy()
     for _ in range(100):
         action = rng.uniform(-0.5, 0.5, 3)
-        state, violated = uav.apply_action(state, action, BOUNDS)
+        position, violated = uav.apply_action(position, action, BOUNDS)
         total = total + action
         assert violated is False
-    assert np.array_equal(state.position, total)
+    assert np.array_equal(position, total)
 
 
 def test_scale_action_caps_euclidean_norm(rng):
@@ -98,11 +97,6 @@ def test_power_at_zero_equals_hover_components():
 def test_energy_rejects_bad_slot_duration():
     with pytest.raises(uav.UavError):
         uav.propulsion_energy(MODEL, np.zeros(3), 0.0)
-
-
-def test_energy_model_rejects_nonpositive_fields():
-    with pytest.raises(uav.UavError):
-        uav.EnergyModel(mass=0.0)
 
 
 # -- distances --------------------------------------------------------------------
