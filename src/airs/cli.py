@@ -16,22 +16,13 @@ from .config import (ConfigError, apply_env_overrides, apply_overrides, load_con
                      validate_config)
 from .env import jain_index
 from .nn.checkpoint import CheckpointError
+from .rl.agents import AGENT_SPECS
 from .rl.ppo import NumericAbort
 from .rl.train import evaluate, train
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_NUMERIC = 3
-
-ABLATION_ROSTER = [
-    "ppo_vanilla",
-    "ppo_necsa",
-    "ppo_phasectl",
-    "ppo_mogrifier",
-    "eppo",
-    "random",
-    "hover",
-]
 
 SERIES = ("reward", "rate", "energy", "penalty", "fairness")
 
@@ -76,18 +67,25 @@ def cmd_eval(args) -> int:
     return EXIT_OK
 
 
-def _load_metrics(run_dir: Path):
-    path = run_dir / "metrics.csv"
+def _load_metrics(path: Path) -> dict:
+    """The columns of a metrics file by header name.  A row that does not fit
+    the header or a field that is not a number is a ConfigError naming the file."""
     if not path.exists():
         raise ConfigError(str(path), "metrics file not found")
     with open(path) as handle:
         header = handle.readline().strip().split(",")
         rows = [line.strip().split(",") for line in handle if line.strip()]
-    columns = {name: np.array([float(r[i]) for r in rows]) for i, name in enumerate(header)}
-    return columns
+    for number, row in enumerate(rows, start=2):
+        if len(row) != len(header):
+            raise ConfigError(str(path), f"line {number} has {len(row)} fields, "
+                                         f"the header {len(header)}")
+    try:
+        return {name: np.array([float(r[i]) for r in rows]) for i, name in enumerate(header)}
+    except ValueError as exc:
+        raise ConfigError(str(path), str(exc)) from None
 
 
-def _series_values(columns: dict, series: str, run_name: str) -> np.ndarray:
+def _series_values(columns: dict, series: str, source: str) -> np.ndarray:
     rate_cols = sorted(k for k in columns if k.startswith("avg_rate_user"))
     if series == "reward":
         key = "cumulative_reward"
@@ -97,15 +95,17 @@ def _series_values(columns: dict, series: str, run_name: str) -> np.ndarray:
         key = "mean_penalty"
     elif series in ("rate", "fairness"):
         if not rate_cols:
-            raise ConfigError(run_name, "metrics have no avg_rate_user columns")
+            raise ConfigError(source, "metrics have no avg_rate_user columns")
         stacked = np.stack([columns[k] for k in rate_cols], axis=1)
         if series == "rate":
             return stacked.mean(axis=1)
+        if (stacked < 0).any():
+            raise ConfigError(source, "an avg_rate_user value is negative")
         return np.array([jain_index(row) for row in stacked])
     else:
         raise ConfigError(series, f"unknown series; choose from {SERIES}")
     if key not in columns:
-        raise ConfigError(run_name, f"metrics are missing column {key}")
+        raise ConfigError(source, f"metrics are missing column {key}")
     return columns[key]
 
 
@@ -125,11 +125,12 @@ def cmd_plotdata(args) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     runs = [Path(r) for r in args.runs]
-    tables = {run.name or str(run): _load_metrics(run) for run in runs}
+    paths = {run.name or str(run): run / "metrics.csv" for run in runs}
+    tables = {name: _load_metrics(path) for name, path in paths.items()}
     for series in args.series:
         per_run = {}
         for name, columns in tables.items():
-            values = _series_values(columns, series, name)
+            values = _series_values(columns, series, str(paths[name]))
             per_run[name] = moving_average(values, args.window)
         length = min(len(v) for v in per_run.values())
         names = list(per_run)
@@ -179,20 +180,20 @@ def cmd_ablate(args) -> int:
     validate_config(config)
     if config["rl"]["episodes"] < 1:
         raise ConfigError("rl.episodes", "ablate needs at least one episode to compare")
-    jobs = [(config, args.out, seed, kind) for kind in ABLATION_ROSTER for seed in args.seeds]
+    jobs = [(config, args.out, seed, kind) for kind in AGENT_SPECS for seed in args.seeds]
     if args.parallel > 1:
         results = _ablate_parallel(jobs, args.parallel)
     else:
         results = [_ablate_one(job) for job in jobs]
 
-    by_kind = {kind: [] for kind in ABLATION_ROSTER}
+    by_kind = {kind: [] for kind in AGENT_SPECS}
     for kind, _seed, summary in results:
         by_kind[kind].append(summary)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     lines = ["agent,seeds,final_mean_reward,final_mean_rate,final_mean_energy\n"]
     table = []
-    for kind in ABLATION_ROSTER:
+    for kind in AGENT_SPECS:
         summaries = by_kind[kind]
         reward = float(np.mean([s["final_window_mean_reward"] for s in summaries]))
         rate = float(np.mean([np.mean(s["final_window_mean_rate_per_user"]) for s in summaries]))

@@ -84,10 +84,10 @@ class AirsEnv:
         loss_model: ch.PathLossModel,
         budget: ch.LinkBudget,
         energy_model: uav.EnergyModel,
-        rician_k: float = 10.0,
-        slot_duration: float = 1.0,
-        phase_control: bool = True,
-        seed: int = 0,
+        rician_k: float,
+        slot_duration: float,
+        phase_control: bool,
+        seed: int,
     ):
         self.scenario = scenario_config
         self.cfg = episode_config

@@ -1,11 +1,10 @@
-from .agents import AGENT_SPECS, baseline_agent
+from .agents import AGENT_SPECS, build_agent
 from .necsa import EpisodicTable, NecsaShaper, abstract_state, necsa_revise
 from .ppo import (
     NumericAbort,
     PpoConfig,
     PpoUpdater,
     RolloutBuffer,
-    Transition,
     gae_advantages,
     normalize_advantages,
     ppo_loss,
@@ -14,7 +13,7 @@ from .train import agent_from_checkpoint, evaluate, train
 
 __all__ = [
     "AGENT_SPECS",
-    "baseline_agent",
+    "build_agent",
     "EpisodicTable",
     "NecsaShaper",
     "abstract_state",
@@ -23,7 +22,6 @@ __all__ = [
     "PpoConfig",
     "PpoUpdater",
     "RolloutBuffer",
-    "Transition",
     "gae_advantages",
     "normalize_advantages",
     "ppo_loss",

@@ -3,14 +3,16 @@
 PPO-family agents differ only in which enhancements are active:
 
     kind            surface phases   gating rounds   episodic revision
-    eppo            computed         5               on
     ppo_vanilla     learned (+M)     0               off
     ppo_necsa       learned (+M)     0               on
     ppo_phasectl    computed         0               off
     ppo_mogrifier   learned (+M)     5               off
+    eppo            computed         5               on
 
 `random` draws uniform displacement commands and `hover` holds position;
-neither trains.
+neither trains.  `AGENT_SPECS` lists the kinds in the ablation's order, and
+`build_agent` sizes every kind by the observation and action widths of the
+env it flies.
 """
 
 from dataclasses import dataclass
@@ -29,15 +31,15 @@ class AgentSpec:
     use_necsa: bool
 
 
-AGENT_SPECS = {
-    "eppo": AgentSpec("eppo", True, True, 5, True),
-    "ppo_vanilla": AgentSpec("ppo_vanilla", True, False, 0, False),
-    "ppo_necsa": AgentSpec("ppo_necsa", True, False, 0, True),
-    "ppo_phasectl": AgentSpec("ppo_phasectl", True, True, 0, False),
-    "ppo_mogrifier": AgentSpec("ppo_mogrifier", True, False, 5, False),
-    "random": AgentSpec("random", False, True, 0, False),
-    "hover": AgentSpec("hover", False, True, 0, False),
-}
+AGENT_SPECS = {spec.kind: spec for spec in (
+    AgentSpec("ppo_vanilla", True, False, 0, False),
+    AgentSpec("ppo_necsa", True, False, 0, True),
+    AgentSpec("ppo_phasectl", True, True, 0, False),
+    AgentSpec("ppo_mogrifier", True, False, 5, False),
+    AgentSpec("eppo", True, True, 5, True),
+    AgentSpec("random", False, True, 0, False),
+    AgentSpec("hover", False, True, 0, False),
+)}
 
 
 class PpoAgent:
@@ -53,10 +55,6 @@ class PpoAgent:
         """The policy's action for `obs`; advances the agent's recurrent state."""
         action, self.state = self.policy.act(obs, self.state, rng, greedy=greedy)
         return action
-
-    def state_arrays(self):
-        h, c = self.state
-        return h[0].copy(), c[0].copy()
 
 
 class RandomAgent:
@@ -87,27 +85,19 @@ class HoverAgent:
         return np.zeros(self.action_dim)
 
 
-def baseline_agent(kind: str, obs_dim: int = 6, irs_elements: int = 16,
-                   init_rng=None, hidden: int = 64, log_std_init: float = -0.5,
-                   bptt_chunk: int = 16):
-    """Construct an agent by kind; trainable kinds need an init generator."""
+def build_agent(kind: str, env, init_rng=None, **nn):
+    """An agent of `kind` for `env`, sized by its observation and action widths.
+
+    Trainable kinds need an init generator; `nn` (the config's `nn` section:
+    hidden, log_std_init, bptt_chunk) goes to their `ActorCritic`.
+    """
     if kind not in AGENT_SPECS:
         raise ValueError(f"unknown agent kind {kind!r}; choose from {sorted(AGENT_SPECS)}")
     spec = AGENT_SPECS[kind]
-    action_dim = 3 if spec.phase_control else 3 + irs_elements
     if not spec.trainable:
-        if kind == "random":
-            return RandomAgent(action_dim)
-        return HoverAgent(action_dim)
+        return (RandomAgent if kind == "random" else HoverAgent)(env.action_dim)
     if init_rng is None:
         raise ValueError(f"agent kind {kind!r} needs an init generator")
-    policy = ActorCritic(
-        init_rng,
-        obs_dim=obs_dim,
-        action_dim=action_dim,
-        hidden=hidden,
-        mogrifier_rounds=spec.mogrifier_rounds,
-        log_std_init=log_std_init,
-        bptt_chunk=bptt_chunk,
-    )
+    policy = ActorCritic(init_rng, obs_dim=env.observation_dim, action_dim=env.action_dim,
+                         mogrifier_rounds=spec.mogrifier_rounds, **nn)
     return PpoAgent(policy, spec)

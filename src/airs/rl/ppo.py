@@ -1,6 +1,6 @@
 """Clipped-surrogate policy optimization over recurrent rollouts.
 
-The buffer stores transitions in collection order, split into segments that
+The buffer keeps plain rows in collection order, split into segments that
 each start at an episode boundary or at a buffer boundary mid-episode; every
 segment carries the recurrent state it started from so updates can replay
 sequences exactly as collected.  When the buffer reaches the configured batch
@@ -53,45 +53,38 @@ class PpoConfig:
     learning_rate: float = 3e-4
 
 
-@dataclass
-class Transition:
-    state: np.ndarray
-    action: np.ndarray
-    reward: float  # after episodic revision, when a shaper is on
-    done: bool
-
-
-@dataclass
-class Segment:
-    start: int
-    length: int
-    h0: np.ndarray
-    c0: np.ndarray
-
-
 class RolloutBuffer:
+    """One update's rows as plain lists: `states`, `actions`, `rewards` (after
+    episodic revision, when a shaper is on) and `dones`.  Segment k starts at
+    row `starts[k]` from the recurrent state (`h0[k]`, `c0[k]`); `next_obs`
+    follows the last row, for the bootstrap.  Nothing is copied: the env and
+    the policy hand out a fresh array on every call, and nothing writes to it.
+    """
+
     def __init__(self):
-        self.transitions = []
-        self.segments = []
-        self.next_obs = None  # observation after the last transition, for the bootstrap
+        self.clear()
 
     def __len__(self):
-        return len(self.transitions)
+        return len(self.states)
 
     def begin_segment(self, lstm_state):
         h, c = lstm_state
-        self.segments.append(Segment(len(self.transitions), 0, h.copy(), c.copy()))
+        self.starts.append(len(self.states))
+        self.h0.append(h)
+        self.c0.append(c)
 
-    def add(self, transition: Transition, next_obs: np.ndarray):
-        if not self.segments:
+    def add(self, state, action, reward: float, done: bool, next_obs):
+        if not self.starts:
             raise RuntimeError("begin_segment() must be called before add()")
-        self.transitions.append(transition)
+        self.states.append(state)
+        self.actions.append(action)
+        self.rewards.append(reward)
+        self.dones.append(done)
         self.next_obs = next_obs
-        self.segments[-1].length += 1
 
     def clear(self):
-        self.transitions = []
-        self.segments = []
+        self.states, self.actions, self.rewards, self.dones = [], [], [], []
+        self.starts, self.h0, self.c0 = [], [], []
         self.next_obs = None
 
 
@@ -175,19 +168,18 @@ class PackedBatch:
     """
 
     def __init__(self, buffer: RolloutBuffer, chunk: int):
-        segments = buffer.segments
-        lengths = np.array([s.length for s in segments])
-        starts = np.array([s.start for s in segments])
+        starts = np.array(buffer.starts)
+        lengths = np.diff(starts, append=len(buffer))
         ranked = np.argsort(-lengths, kind="stable")
         rank = np.argsort(ranked)
         self.batch_sizes = (lengths[:, None] > np.arange(lengths.max())).sum(axis=0)
         t = np.arange(len(buffer)) - np.repeat(starts, lengths)
         self.order = piece_offsets(self.batch_sizes, chunk)[t] + np.repeat(rank, lengths)
-        self.states = np.stack([tr.state for tr in buffer.transitions])
+        self.states = np.stack(buffer.states)
         self.obs = self.pack(self.states)
-        self.actions = self.pack(np.stack([tr.action for tr in buffer.transitions]))
-        self.h0 = np.stack([segments[j].h0 for j in ranked])
-        self.c0 = np.stack([segments[j].c0 for j in ranked])
+        self.actions = self.pack(np.stack(buffer.actions))
+        self.h0 = np.vstack([buffer.h0[j] for j in ranked])
+        self.c0 = np.vstack([buffer.c0[j] for j in ranked])
 
     def pack(self, rows: np.ndarray) -> np.ndarray:
         """Rows listed in buffer order, in packed order."""
@@ -211,11 +203,9 @@ class PpoUpdater:
         # The cell's (N, .) arrays, for every epoch; freed when `update` returns.
         work = SequenceWorkspace(policy.cell, batch.batch_sizes, policy.bptt_chunk)
 
-        rewards = np.array([tr.reward for tr in buffer.transitions])
-        dones = np.array([tr.done for tr in buffer.transitions])
         values, _ = policy.value(np.vstack((batch.states, buffer.next_obs)))
         advantages, returns = gae_advantages(
-            rewards, values, dones, cfg.discount, cfg.gae_lambda
+            buffer.rewards, values, buffer.dones, cfg.discount, cfg.gae_lambda
         )
         advantages = normalize_advantages(advantages)
         packed_advantages = batch.pack(advantages)
@@ -239,7 +229,7 @@ class PpoUpdater:
                         "loss": float(loss),
                         "new_log_probs": log_probs[batch.order].tolist(),
                         "values": value_pred.tolist(),
-                        "rewards": rewards.tolist(),
+                        "rewards": np.array(buffer.rewards).tolist(),
                         "advantages": advantages.tolist(),
                         "returns": returns.tolist(),
                         "old_log_probs": old_log_probs[batch.order].tolist(),

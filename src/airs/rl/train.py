@@ -20,9 +20,9 @@ from ..config import ConfigError, build_env, code_version, from_section, validat
 from ..nn.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from ..nn.policy import ActorCritic
 from ..rng import STREAM_EXPLORATION, STREAM_POLICY_INIT, substream
-from .agents import AGENT_SPECS, PpoAgent, baseline_agent
+from .agents import AGENT_SPECS, PpoAgent, build_agent
 from .necsa import NecsaShaper
-from .ppo import NumericAbort, PpoConfig, PpoUpdater, RolloutBuffer, Transition
+from .ppo import NumericAbort, PpoConfig, PpoUpdater, RolloutBuffer
 
 FINAL_WINDOW = 50
 
@@ -37,20 +37,6 @@ def _fmt(value) -> str:
 
 def _row(*values) -> str:
     return ",".join(_fmt(v) for v in values) + "\n"
-
-
-def build_agent(config: dict, env, seed: int):
-    nn_cfg = config["nn"]
-    init_rng = substream(seed, STREAM_POLICY_INIT)
-    return baseline_agent(
-        config["rl"]["agent"],
-        obs_dim=env.observation_dim,
-        irs_elements=env.geometry.size,
-        init_rng=init_rng,
-        hidden=nn_cfg["hidden"],
-        log_std_init=nn_cfg["log_std_init"],
-        bptt_chunk=nn_cfg["bptt_chunk"],
-    )
 
 
 def blas_core():
@@ -248,15 +234,12 @@ class Learner:
 
     def begin_segment(self):
         """Starts a buffer segment from the agent's current recurrent state."""
-        self.buffer.begin_segment(self.agent.state_arrays())
+        self.buffer.begin_segment(self.agent.state)
 
     def step(self, obs, action, reward: float, next_obs, done: bool):
         if self.shaper is not None:
             reward = self.shaper.revise(next_obs, reward)
-        self.buffer.add(
-            Transition(state=np.array(obs), action=np.array(action), reward=reward, done=done),
-            np.array(next_obs),
-        )
+        self.buffer.add(obs, action, reward, done, next_obs)
         if len(self.buffer) >= self.batch_size:
             self.updater.update(self.buffer)
             self.updates_run += 1
@@ -279,7 +262,7 @@ def train(config: dict, out_dir, seed: int) -> dict:
     out_dir.mkdir(parents=True, exist_ok=True)
     spec = AGENT_SPECS[config["rl"]["agent"]]
     env = build_env(config, seed, phase_control=spec.phase_control)
-    agent = build_agent(config, env, seed)
+    agent = build_agent(spec.kind, env, substream(seed, STREAM_POLICY_INIT), **config["nn"])
     learner = Learner(agent, config, out_dir) if spec.trainable else None
 
     write_manifest(out_dir, config, seed)
@@ -377,8 +360,9 @@ def evaluate(config: dict, out_dir, seed: int, episodes: int,
         spec = AGENT_SPECS[kind]
         if spec.trainable:
             raise ConfigError("rl.agent", f"agent kind {kind!r} needs --checkpoint for evaluation")
-        agent = baseline_agent(kind)
     env = build_env(config, seed, phase_control=spec.phase_control)
+    if checkpoint is None:
+        agent = build_agent(spec.kind, env)
     if spec.trainable:
         if agent.policy.obs_dim != env.observation_dim:
             raise CheckpointError(

@@ -93,7 +93,7 @@ class ScenarioConfig:
 
 
 class RoadNetwork:
-    """Road strips between cells plus the graph of their centerlines."""
+    """Road strips between cells and the nodes along their centerlines."""
 
     def __init__(self, config: ScenarioConfig):
         self.x_min, self.x_max = config.area_x_min, config.area_x_max
@@ -108,29 +108,10 @@ class RoadNetwork:
         self.centers_y = [
             config.area_y_min + k * pitch - self.half_width for k in range(1, n)
         ]
-        # Graph node coordinates along each axis: borders and centerlines.
+        # Node coordinates along each axis: a centerline has a node wherever it
+        # meets another centerline or the area border.
         self.nodes_x = sorted({self.x_min, self.x_max, *self.centers_x})
         self.nodes_y = sorted({self.y_min, self.y_max, *self.centers_y})
-        self._graph = self._build_graph()
-
-    def _build_graph(self):
-        graph = {}
-
-        def add_edge(a, b):
-            graph.setdefault(a, set()).add(b)
-            graph.setdefault(b, set()).add(a)
-
-        for cy in self.centers_y:
-            for a, b in zip(self.nodes_x, self.nodes_x[1:]):
-                add_edge(self._key(a, cy), self._key(b, cy))
-        for cx in self.centers_x:
-            for a, b in zip(self.nodes_y, self.nodes_y[1:]):
-                add_edge(self._key(cx, a), self._key(cx, b))
-        return graph
-
-    @staticmethod
-    def _key(x, y):
-        return (round(float(x), 6), round(float(y), 6))
 
     def on_road(self, x: float, y: float) -> bool:
         """True when (x, y) lies inside some road strip."""
@@ -160,22 +141,29 @@ class RoadNetwork:
             raise ScenarioError("road network has no centerlines")
         return best
 
-    def neighbors(self, node):
-        return self._graph.get(self._key(*node), set())
+    def headings(self, x: float, y: float) -> list:
+        """The unit headings, in sorted order, that run along a centerline
+        through (x, y) and have a node ahead."""
+        return sorted(d for d in self._centerline_headings(x, y) if self.next_node_along(x, y, d) is not None)
 
     def random_heading(self, x: float, y: float, rng) -> np.ndarray:
         """Uniform choice among directions compatible with the roads at (x, y)."""
+        options = self._centerline_headings(x, y)
+        if not options:
+            raise ScenarioError(f"({x}, {y}) is not on a centerline")
+        return np.array(options[int(rng.integers(len(options)))])
+
+    def _centerline_headings(self, x: float, y: float) -> list:
+        """The unit headings along the centerlines through (x, y)."""
         options = []
         if any(abs(y - cy) <= 1e-6 for cy in self.centers_y):
             options += [(1.0, 0.0), (-1.0, 0.0)]
         if any(abs(x - cx) <= 1e-6 for cx in self.centers_x):
             options += [(0.0, 1.0), (0.0, -1.0)]
-        if not options:
-            raise ScenarioError(f"({x}, {y}) is not on a centerline")
-        return np.array(options[int(rng.integers(len(options)))])
+        return options
 
     def next_node_along(self, x, y, heading):
-        """First graph node strictly ahead of (x, y) in direction `heading`."""
+        """First node strictly ahead of (x, y) in direction `heading`."""
         if abs(heading[0]) > 0.5:  # moving along x on a horizontal centerline
             nx = _next_ahead(self.nodes_x, x, heading[0])
             return None if nx is None else (nx, y)
@@ -230,10 +218,7 @@ def step_user(track: UserTrack, dt: float, rng, network: RoadNetwork) -> UserTra
             break
         x, y = node
         remaining -= dist
-        options = sorted(
-            (float((nx > x) - (nx < x)), float((ny > y) - (ny < y)))
-            for nx, ny in network.neighbors((x, y))
-        )
+        options = network.headings(x, y)
         # Exclude the reversal unless nothing else connects (dead end).
         reverse = (-hx, -hy)
         forward = [d for d in options if d != reverse]

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from airs import BLAS_THREAD_VARS
-from airs.cli import ABLATION_ROSTER, main
+from airs.cli import main
 from airs.config import RANGE_RULES, ConfigError, apply_env_overrides, default_config
 from airs.nn.optim import Adam
 from airs.nn.policy import ActorCritic
@@ -473,6 +473,20 @@ def test_plotdata_missing_column_names_run(tmp_path, capsys):
     assert "broken" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("row, series", [("0,-1.0,3.0", "fairness"), ("0,x,3.0", "rate"),
+                                         ("0,1.0", "reward")])
+def test_plotdata_malformed_metrics_exits_2_naming_the_file(tmp_path, capsys, row, series):
+    """A negative rate under fairness, a field that is not a number, and a row
+    shorter than the header are config errors that name the metrics file."""
+    run = tmp_path / "bad"
+    run.mkdir()
+    (run / "metrics.csv").write_text(f"episode,avg_rate_user0,cumulative_reward\n{row}\n")
+    code = main(["plotdata", "--runs", str(run), "--series", series,
+                 "--out", str(tmp_path / "plots")])
+    assert code == 2
+    assert str(run / "metrics.csv") in capsys.readouterr().err
+
+
 # -- ablate ---------------------------------------------------------------------------
 
 
@@ -505,7 +519,7 @@ def test_ablate_numeric_abort_exits_3_and_leaves_dumps(tmp_path, capsys, paralle
                  "--parallel", str(parallel), "--override", "env.rate_scale=1e300"])
     assert code == 3
     assert "nan_dump.json" in capsys.readouterr().err
-    trainable = [kind for kind in ABLATION_ROSTER if AGENT_SPECS[kind].trainable]
+    trainable = [kind for kind in AGENT_SPECS if AGENT_SPECS[kind].trainable]
     # A serial roster stops at its first abort.  A pool starts no job after its
     # first abort, so only the jobs already running (at most one per worker) end,
     # leaving their dumps too.

@@ -10,7 +10,7 @@ import pytest
 
 import tape as T
 from airs.config import build_env, default_config
-from airs.rl.agents import AGENT_SPECS, AgentSpec, baseline_agent
+from airs.rl.agents import AGENT_SPECS, AgentSpec, build_agent
 from airs.rl.necsa import EpisodicTable, NecsaShaper, abstract_state, necsa_revise
 import airs.rl.ppo as ppo_module
 from airs.nn.layers import MogrifierLstm, SequenceWorkspace
@@ -21,7 +21,6 @@ from airs.rl.ppo import (
     PpoConfig,
     PpoUpdater,
     RolloutBuffer,
-    Transition,
     gae_advantages,
     normalize_advantages,
     ppo_loss,
@@ -378,8 +377,7 @@ def test_slot_rows_are_the_bytes_row_formats(tmp_path):
 def test_random_agent_observations_stay_normalized():
     cfg = small_cfg()
     env = build_env(cfg, seed=0)
-    agent = baseline_agent("random")
-    agent.action_dim = env.action_dim
+    agent = build_agent("random", env)
     rng = np.random.default_rng(0)
     obs = env.reset(seed=0)
     for _ in range(100):
@@ -391,13 +389,34 @@ def test_random_agent_observations_stay_normalized():
 
 
 def test_vanilla_agent_action_dimension(rng):
-    agent = baseline_agent("ppo_vanilla", obs_dim=6, irs_elements=16, init_rng=rng)
+    env = build_env(small_cfg(), seed=0, phase_control=False)
+    agent = build_agent("ppo_vanilla", env, init_rng=rng)
     assert agent.policy.action_dim == 19
 
 
 def test_unknown_agent_kind_rejected():
+    env = build_env(small_cfg(), seed=0)
     with pytest.raises(ValueError, match="unknown agent kind"):
-        baseline_agent("sarsa")
+        build_agent("sarsa", env)
+
+
+@pytest.mark.parametrize("users, observe_all", [(1, False), (3, True)])
+@pytest.mark.parametrize("phase_control", [True, False])
+@pytest.mark.parametrize("kind", list(AGENT_SPECS))
+def test_build_agent_is_sized_by_its_env(kind, phase_control, users, observe_all):
+    """Every kind acts with the env's action width, and a trainable kind's
+    policy reads the env's observation width."""
+    cfg = toy_overrides(default_config(), users=users, buildings_per_cell=0)
+    cfg["env"]["observe_all_users"] = observe_all
+    env = build_env(cfg, seed=0, phase_control=phase_control)
+    assert (env.observation_dim, env.action_dim) == (12 if observe_all else 6,
+                                                     3 if phase_control else 19)
+    agent = build_agent(kind, env, np.random.default_rng(0), **cfg["nn"])
+    if AGENT_SPECS[kind].trainable:
+        assert agent.policy.obs_dim == env.observation_dim
+    action = agent.act(env.reset(), np.random.default_rng(1))
+    assert action.shape == (env.action_dim,)
+    env.step(action)
 
 
 def test_agent_specs_toggle_exactly_one_enhancement():
@@ -441,12 +460,12 @@ def test_necsa_zero_weight_trace_matches_disabled(tmp_path):
 def replay_segments(policy, buffer):
     """Log-probs of the buffer's actions, each segment replayed alone at batch 1."""
     out = np.zeros(len(buffer))
-    for seg in buffer.segments:
-        state = (seg.h0[None], seg.c0[None])
-        for i in range(seg.start, seg.start + seg.length):
-            tr = buffer.transitions[i]
-            mean, state = policy.actor_step(tr.state[None], state)
-            out[i] = policy.log_prob(mean, tr.action[None])[0][0]
+    ends = buffer.starts[1:] + [len(buffer)]
+    for start, end, h0, c0 in zip(buffer.starts, ends, buffer.h0, buffer.c0):
+        state = (h0, c0)
+        for i in range(start, end):
+            mean, state = policy.actor_step(buffer.states[i][None], state)
+            out[i] = policy.log_prob(mean, buffer.actions[i][None])[0][0]
     return out
 
 
@@ -474,7 +493,9 @@ def collect_and_update(monkeypatch, tmp_path, batch_size=30, episodes=4, horizon
 
     def spy_update(updater, buffer):
         updates.append({
-            "segments": [(seg.start, seg.length, seg.h0.copy()) for seg in buffer.segments],
+            "segments": list(zip(buffer.starts,
+                                 np.diff(buffer.starts, append=len(buffer)).tolist(),
+                                 [h0.copy() for h0 in buffer.h0])),
             "replay": replay_segments(updater.policy, buffer),
             "order": PackedBatch(buffer, updater.policy.bptt_chunk).order,
             "epochs": [],
@@ -531,7 +552,7 @@ def test_buffered_reward_is_raw_without_shaper(monkeypatch, tmp_path):
         return result
 
     def spy_update(updater, buffer):
-        buffered.extend(tr.reward for tr in buffer.transitions)
+        buffered.extend(buffer.rewards)
         return real_update(updater, buffer)
 
     monkeypatch.setattr(AirsEnv, "step", spy_step)
@@ -560,16 +581,50 @@ def test_periodic_checkpoints_hold_the_parameters_of_their_episode(tmp_path):
     assert not (tmp_path / "hover" / "checkpoints").exists()
 
 
+def test_buffer_keeps_the_env_observations_unshared(monkeypatch, tmp_path):
+    """The buffer's states are the observations the env returned, in order and
+    unchanged, and no two stored rows or segment states share memory, so they
+    need no copies."""
+    # Two updates of 15 rows; the second's first segment starts mid-episode.
+    cfg = small_cfg(episodes=3, horizon=10, batch_size=15)
+    returned, checked = [], []
+    real_reset, real_step, real_update = AirsEnv.reset, AirsEnv.step, PpoUpdater.update
+
+    def spy_reset(env, seed=None):
+        obs = real_reset(env, seed)
+        returned.append((obs, obs.copy()))
+        return obs
+
+    def spy_step(env, action):
+        result = real_step(env, action)
+        if not result[2]:  # the last observation of an episode is never acted on
+            returned.append((result[0], result[0].copy()))
+        return result
+
+    def spy_update(updater, buffer):
+        assert len(buffer.states) == 15
+        for state, (obs, value) in zip(buffer.states, returned[15 * len(checked):]):
+            assert state is obs and np.array_equal(state, value)
+        rows = buffer.states + buffer.actions + buffer.h0 + buffer.c0
+        assert not any(np.shares_memory(a, b) for i, a in enumerate(rows) for b in rows[:i])
+        checked.append(len(buffer.starts))
+        return real_update(updater, buffer)
+
+    monkeypatch.setattr(AirsEnv, "reset", spy_reset)
+    monkeypatch.setattr(AirsEnv, "step", spy_step)
+    monkeypatch.setattr(PpoUpdater, "update", spy_update)
+    train(cfg, tmp_path / "run", seed=0)
+    assert checked == [2, 2]
+
+
 def random_buffer(policy, rng, lengths):
     """A buffer of random transitions in segments of the given lengths."""
     buffer = RolloutBuffer()
     for n in lengths:
-        buffer.begin_segment(tuple(rng.standard_normal((2, policy.hidden))))
+        buffer.begin_segment(tuple(rng.standard_normal((2, 1, policy.hidden))))
         for i in range(n):
-            transition = Transition(rng.uniform(size=policy.obs_dim),
-                                    rng.standard_normal(policy.action_dim),
-                                    float(rng.standard_normal()), i == n - 1)
-            buffer.add(transition, rng.uniform(size=policy.obs_dim))
+            buffer.add(rng.uniform(size=policy.obs_dim), rng.standard_normal(policy.action_dim),
+                       float(rng.standard_normal()), i == n - 1, rng.uniform(size=policy.obs_dim))
     return buffer
 
 
@@ -589,9 +644,9 @@ def test_rollout_values_equal_batch_one_critic_calls(monkeypatch):
         rng = np.random.default_rng(0)
         policy = ActorCritic(rng, obs_dim=4, action_dim=3, hidden=6, mogrifier_rounds=5)
         buffer = random_buffer(policy, rng, [7, 10, 3])
-        buffer.transitions[-1].done = last_done
+        buffer.dones[-1] = last_done
         expected = np.array([policy.value(obs[None])[0][0] for obs in
-                             [tr.state for tr in buffer.transitions] + [buffer.next_obs]])
+                             buffer.states + [buffer.next_obs]])
         seen.clear()
         PpoUpdater(policy, small_ppo_config(epochs=1)).update(buffer)
         assert len(seen) == 1
@@ -668,7 +723,7 @@ class UpdateRowCounter:
             return real_sequence(cell, work, h0, c0)
 
         def update(updater, buffer):
-            lengths = [seg.length for seg in buffer.segments]
+            lengths = np.diff(buffer.starts, append=len(buffer)).tolist()
             self._rows = 0
             try:
                 return real_update(updater, buffer)

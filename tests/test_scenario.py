@@ -374,3 +374,46 @@ def test_spawn_snaps_to_centerline():
     net = sc.RoadNetwork(cfg)
     track = sc.UserTrack.spawn((75.0, 52.5, 0.0), net, 1.0, np.random.default_rng(0))
     assert track.position[1] == pytest.approx(50.0)
+
+
+def graph_headings(network):
+    """Every node of the road graph, with the headings toward its neighbours.
+
+    The oracle for `RoadNetwork.headings`: an explicit dict-of-sets graph of
+    the centerlines, keyed by coordinates rounded to 6 places, with an edge
+    between each two consecutive nodes of a centerline.
+    """
+    graph = {}
+
+    def key(x, y):
+        return (round(float(x), 6), round(float(y), 6))
+
+    def add_edge(a, b):
+        graph.setdefault(a, set()).add(b)
+        graph.setdefault(b, set()).add(a)
+
+    nodes = []
+    for cy in network.centers_y:
+        nodes += [(x, cy) for x in network.nodes_x]
+        for a, b in zip(network.nodes_x, network.nodes_x[1:]):
+            add_edge(key(a, cy), key(b, cy))
+    for cx in network.centers_x:
+        nodes += [(cx, y) for y in network.nodes_y]
+        for a, b in zip(network.nodes_y, network.nodes_y[1:]):
+            add_edge(key(cx, a), key(cx, b))
+    return {
+        (x, y): sorted((float((nx > x) - (nx < x)), float((ny > y) - (ny < y)))
+                       for nx, ny in graph[key(x, y)])
+        for x, y in nodes
+    }
+
+
+@pytest.mark.parametrize("cfg", [default_scenario(), small_scenario()], ids=["default", "toy"])
+def test_headings_match_the_centerline_graph(cfg):
+    net = sc.RoadNetwork(cfg)
+    expected = graph_headings(net)
+    crossings = len(net.centers_x) * len(net.centers_y)
+    assert len(expected) == (len(net.centers_y) * len(net.nodes_x)
+                             + len(net.centers_x) * len(net.nodes_y) - crossings)
+    for (x, y), headings in expected.items():
+        assert net.headings(x, y) == headings, (x, y)
