@@ -1,7 +1,7 @@
 """Radio channel between relay head, reflecting surface, and ground users.
 
 Distance-dependent loss follows a log-distance law in dB,
-``loss(d) = ref_loss_db + 10 * exponent * log10(d / ref_distance)``,
+``loss(d) = ref_loss_db + 10 * path_loss_exponent * log10(d / ref_distance)``,
 applied to channel vectors as a linear field amplitude ``10**(-loss/20)``.
 Each hop is a Rician mix of a deterministic plane-wave component, set by the
 azimuth/elevation of the hop as seen from the surface, and an i.i.d. complex
@@ -25,21 +25,21 @@ class ChannelError(ValueError):
 
 @dataclass(frozen=True)
 class IrsGeometry:
-    """Planar array of rows x cols elements spaced `element_spacing` apart."""
+    """Planar array of irs_rows x irs_cols elements spaced `element_spacing` apart."""
 
-    rows: int
-    cols: int
+    irs_rows: int
+    irs_cols: int
     element_spacing: float
     wavelength: float
 
     @property
     def size(self) -> int:
-        return self.rows * self.cols
+        return self.irs_rows * self.irs_cols
 
     @cached_property
     def element_indices(self):
         """(row, col) pairs in row-major element order, zero based (read-only)."""
-        m_r, m_c = np.divmod(np.arange(self.size), self.cols)
+        m_r, m_c = np.divmod(np.arange(self.size), self.irs_cols)
         m_r.flags.writeable = m_c.flags.writeable = False
         return m_r, m_c
 
@@ -54,16 +54,16 @@ class IrsGeometry:
 
 @dataclass(frozen=True)
 class PathLossModel:
-    ref_distance: float = 1.0
-    ref_loss_db: float = 30.0
-    exponent: float = 2.2
+    ref_distance: float
+    ref_loss_db: float
+    path_loss_exponent: float
 
 
 @dataclass(frozen=True)
 class LinkBudget:
-    tx_power: float
-    noise_psd: float
-    bandwidth: float
+    tx_power_w: float
+    noise_psd_w_per_hz: float
+    bandwidth_hz: float
 
 
 @dataclass(frozen=True)
@@ -86,14 +86,16 @@ class PhaseShifts:
 
 def wrap_phase(x):
     """Map angles into [-pi, pi)."""
-    return (np.asarray(x, dtype=float) + math.pi) % TWO_PI - math.pi
+    # A tiny negative x + pi has a remainder that rounds up to 2 pi; the second
+    # remainder takes that to 0 and leaves every other value as it is.
+    return (np.asarray(x, dtype=float) + math.pi) % TWO_PI % TWO_PI - math.pi
 
 
 def path_loss_db(model: PathLossModel, d: float) -> float:
     """Log-distance loss in dB at range d (meters)."""
     if d <= 0:
         raise ChannelError(f"distance must be positive, got {d}")
-    return model.ref_loss_db + 10.0 * model.exponent * math.log10(d / model.ref_distance)
+    return model.ref_loss_db + 10.0 * model.path_loss_exponent * math.log10(d / model.ref_distance)
 
 
 def amplitude_from_db(loss_db: float) -> float:
@@ -129,12 +131,10 @@ def sample_channel(profile, loss_db, k, rng) -> np.ndarray:
     """One Rician channel vector of a hop: amplitude * (LoS + scatter mix).
 
     `profile` is the hop's per-element plane-wave phase (`hop_profile`).
-    `k` is the power ratio of the deterministic component to the scattered
+    `k >= 0` is the power ratio of the deterministic component to the scattered
     one; `k = inf` selects the deterministic component exactly.  Scatter
     entries are circularly-symmetric complex Gaussian with unit variance.
     """
-    if not (k >= 0):
-        raise ChannelError(f"Rician factor must be >= 0, got {k}")
     amp = amplitude_from_db(loss_db)
     los = los_steering(profile)
     if math.isinf(k):
@@ -161,8 +161,8 @@ def cascaded_gain(g: np.ndarray, phases: PhaseShifts, h: np.ndarray) -> complex:
 def achievable_rate(budget: LinkBudget, g, phases: PhaseShifts, h) -> float:
     """Shannon rate in bit/s with SNR = P*|gain|^2 / (B*noise_psd)."""
     gain = cascaded_gain(g, phases, h)
-    snr = budget.tx_power * abs(gain) ** 2 / (budget.bandwidth * budget.noise_psd)
-    return budget.bandwidth * math.log2(1.0 + snr)
+    snr = budget.tx_power_w * abs(gain) ** 2 / (budget.bandwidth_hz * budget.noise_psd_w_per_hz)
+    return budget.bandwidth_hz * math.log2(1.0 + snr)
 
 
 def optimal_phases(profile_in, profile_out) -> PhaseShifts:

@@ -226,8 +226,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_train.set_defaults(func=cmd_train)
 
     p_eval = sub.add_parser("eval", help="greedy evaluation of a checkpoint or baseline")
-    p_eval.add_argument("--checkpoint", default=None, help="checkpoint directory")
-    p_eval.add_argument("--agent", default=None, choices=["random", "hover"],
+    policy = p_eval.add_mutually_exclusive_group()
+    policy.add_argument("--checkpoint", default=None, help="checkpoint directory")
+    policy.add_argument("--agent", default=None, choices=["random", "hover"],
                         help="evaluate a baseline instead of a checkpoint")
     p_eval.add_argument("--config", default=None)
     p_eval.add_argument("--episodes", type=count, default=10)

@@ -6,6 +6,9 @@ variables prefixed AIRS_ (double underscores become dots, e.g.
 AIRS_ENV__HORIZON=100 sets env.horizon), explicit key=value overrides.
 The fully resolved document is what lands in the run manifest, so a run never
 depends on hidden defaults.
+
+DEFAULT_CONFIG is the only home of a default: the records built from a
+section declare none, and each field has the name of the key it reads.
 """
 
 import copy
@@ -75,8 +78,10 @@ DEFAULT_CONFIG = {
         "d_max": 30.0,
         "penalty": 0.04,
         "users": 1,
-        "rate_window": None,
+        "rate_window": None,  # null: running average over the episode
         "observe_all_users": False,
+        # Rate units entering the reward; 1e-6 expresses rates in Mbit/s so the
+        # penalty stays commensurate with per-slot rewards.
         "rate_scale": 1e-6,
         "log_slots": True,
         "log_trajectory": True,
@@ -286,29 +291,15 @@ def build_scenario(config: dict) -> sc.ScenarioConfig:
 
 
 def build_env(config: dict, seed: int, phase_control: bool = True) -> env_mod.AirsEnv:
-    c = config["channel"]
-    u = config["uav"]
-    geometry = IrsGeometry(c["irs_rows"], c["irs_cols"], c["element_spacing"], c["wavelength"])
-    loss = PathLossModel(c["ref_distance"], c["ref_loss_db"], c["path_loss_exponent"])
-    budget = LinkBudget(c["tx_power_w"], c["noise_psd_w_per_hz"], c["bandwidth_hz"])
-    energy = EnergyModel(
-        blade_power=u["blade_power_w"],
-        induced_power=u["induced_power_w"],
-        tip_speed=u["tip_speed_ms"],
-        hover_induced_velocity=u["hover_induced_velocity_ms"],
-        drag_ratio=u["drag_ratio"],
-        rotor_solidity=u["rotor_solidity"],
-        air_density=u["air_density_kg_m3"],
-        disc_area=u["disc_area_m2"],
-        mass=u["mass_kg"],
-        gravity=u["gravity_ms2"],
-    )
-    episode = from_section(env_mod.EpisodeConfig, config["env"])
-    rician = float("inf") if c["pure_los"] else c["rician_k"]
+    channel, flight = config["channel"], config["uav"]
+    rician = float("inf") if channel["pure_los"] else channel["rician_k"]
     try:
-        return env_mod.AirsEnv(build_scenario(config), episode, geometry, loss, budget, energy,
-                               rician_k=rician, slot_duration=u["slot_duration_s"],
-                               phase_control=phase_control, seed=seed)
+        return env_mod.AirsEnv(
+            build_scenario(config), from_section(env_mod.EpisodeConfig, config["env"]),
+            from_section(IrsGeometry, channel), from_section(PathLossModel, channel),
+            from_section(LinkBudget, channel), from_section(EnergyModel, flight),
+            rician_k=rician, slot_duration=flight["slot_duration_s"],
+            phase_control=phase_control, seed=seed)
     except sc.ScenarioError as exc:  # a cell cannot fit its buildings
         raise ConfigError("scenario.buildings_per_cell", str(exc)) from exc
 

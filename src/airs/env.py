@@ -44,15 +44,13 @@ def jain_index(rates) -> float:
 
 @dataclass(frozen=True)
 class EpisodeConfig:
-    horizon: int = 300
-    d_max: float = 30.0
-    penalty: float = 0.04
-    users: int = 1
-    rate_window: int | None = None  # None: running average over the episode
-    observe_all_users: bool = False
-    # Rate units entering the reward; 1e-6 expresses rates in Mbit/s so the
-    # penalty stays commensurate with per-slot rewards.
-    rate_scale: float = 1e-6
+    horizon: int
+    d_max: float
+    penalty: float
+    users: int
+    rate_window: int | None
+    observe_all_users: bool
+    rate_scale: float
 
 
 # The per-slot record is a named tuple: immutable like a frozen dataclass, at

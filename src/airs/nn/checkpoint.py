@@ -3,7 +3,8 @@
 The manifest records each parameter's name, shape, and byte offset into
 params.bin, alongside step count and arbitrary hyperparameter metadata.
 Round-trips are byte exact.  A save writes both files into a temporary
-sibling directory and then moves it onto the target, so a save that fails
+sibling directory, moves the previous checkpoint aside, moves the new one
+into its place and only then deletes the old one, so a save that fails
 leaves the previous checkpoint whole.
 
 Format 3 stores each LSTM's gates fused, as `<cell>.W` of shape
@@ -51,18 +52,26 @@ def save_checkpoint(directory, named_arrays, step: int, hyperparams: dict):
         "params": entries,
     }
     staging = directory.with_name(f".{directory.name}.tmp")
-    if staging.exists():
-        shutil.rmtree(staging)
+    aside = directory.with_name(f".{directory.name}.old")
+    for stale in (staging, aside):
+        if stale.exists():
+            shutil.rmtree(stale)
     staging.mkdir()
     try:
         (staging / "params.bin").write_bytes(b"".join(blobs))
         (staging / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True))
         if directory.exists():
-            shutil.rmtree(directory)
-        os.replace(staging, directory)
+            os.replace(directory, aside)
+        try:
+            os.replace(staging, directory)
+        except BaseException:
+            if aside.exists():
+                os.replace(aside, directory)
+            raise
     except BaseException:
         shutil.rmtree(staging, ignore_errors=True)
         raise
+    shutil.rmtree(aside, ignore_errors=True)
 
 
 def _fuse_gates(arrays: dict, version: int) -> dict:

@@ -29,7 +29,7 @@ def adam_update(param, grad, m, v, lr, beta1, beta2, eps, step):
 
 
 class Adam:
-    def __init__(self, params, lr=3e-4, betas=(0.9, 0.999), eps=1e-8):
+    def __init__(self, params, lr, betas=(0.9, 0.999), eps=1e-8):
         self.params = list(params)
         self.lr = lr
         self.beta1, self.beta2 = betas

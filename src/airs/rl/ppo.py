@@ -44,13 +44,13 @@ class NumericAbort(RuntimeError):
 
 @dataclass(frozen=True)
 class PpoConfig:
-    clip_epsilon: float = 0.02
-    discount: float = 0.99
-    gae_lambda: float = 0.95
-    epochs: int = 10
-    critic_weight: float = 0.5
-    entropy_weight: float = 0.01
-    learning_rate: float = 3e-4
+    clip_epsilon: float
+    discount: float
+    gae_lambda: float
+    epochs: int
+    critic_weight: float
+    entropy_weight: float
+    learning_rate: float
 
 
 class RolloutBuffer:

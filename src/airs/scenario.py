@@ -48,21 +48,21 @@ class ScenarioConfig:
     strips between cells spans the whole area on each axis.
     """
 
-    area_x_min: float = 0.0
-    area_x_max: float = 620.0
-    area_y_min: float = 0.0
-    area_y_max: float = 620.0
-    alt_min: float = 80.0
-    alt_max: float = 120.0
-    grid_cells_per_side: int = 3
-    cell_side: float = 200.0
-    road_width: float = 10.0
-    buildings_per_cell: int = 8
-    building_height_range: tuple = (20.0, 70.0)
-    su_position: tuple = (-200.0, 0.0, 25.0)
-    user_initial_positions: tuple = ((305.0, 205.0, 0.0),)
-    user_speed: float = 1.0
-    seed: int = 0
+    area_x_min: float
+    area_x_max: float
+    area_y_min: float
+    area_y_max: float
+    alt_min: float
+    alt_max: float
+    grid_cells_per_side: int
+    cell_side: float
+    road_width: float
+    buildings_per_cell: int
+    building_height_range: tuple
+    su_position: tuple
+    user_initial_positions: tuple
+    user_speed: float
+    seed: int
 
     def __post_init__(self):
         if not (self.area_x_min < self.area_x_max and self.area_y_min < self.area_y_max):

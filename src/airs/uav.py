@@ -17,22 +17,18 @@ from dataclasses import dataclass
 import numpy as np
 
 
-class UavError(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class EnergyModel:
-    blade_power: float = 199.4
-    induced_power: float = 88.66
-    tip_speed: float = 120.0
-    hover_induced_velocity: float = 4.03
-    drag_ratio: float = 0.6
-    rotor_solidity: float = 0.05
-    air_density: float = 1.225
-    disc_area: float = 0.53
-    mass: float = 2.0
-    gravity: float = 9.8
+    blade_power_w: float
+    induced_power_w: float
+    tip_speed_ms: float
+    hover_induced_velocity_ms: float
+    drag_ratio: float
+    rotor_solidity: float
+    air_density_kg_m3: float
+    disc_area_m2: float
+    mass_kg: float
+    gravity_ms2: float
 
 
 @dataclass(frozen=True)
@@ -78,9 +74,7 @@ def apply_action(position: np.ndarray, action, bounds: FlightBounds):
 
 
 def propulsion_energy(model: EnergyModel, action, dt: float) -> float:
-    """Slot energy in joules for a displacement flown over dt seconds."""
-    if dt <= 0:
-        raise UavError(f"slot duration must be positive, got {dt}")
+    """Slot energy in joules for a displacement flown over dt > 0 seconds."""
     dx, dy, dz = np.asarray(action, dtype=float).tolist()
     v_h = math.hypot(dx, dy) / dt
     v_v = abs(dz) / dt
@@ -89,21 +83,21 @@ def propulsion_energy(model: EnergyModel, action, dt: float) -> float:
 
 def power_at(model: EnergyModel, v_h: float, v_v: float = 0.0) -> float:
     """Instantaneous propulsion power in watts at the given velocities."""
-    blade = model.blade_power * (1.0 + 3.0 * v_h**2 / model.tip_speed**2)
-    v0 = model.hover_induced_velocity
+    blade = model.blade_power_w * (1.0 + 3.0 * v_h**2 / model.tip_speed_ms**2)
+    v0 = model.hover_induced_velocity_ms
     # The bracket is mathematically >= 0; clip guards against cancellation
     # at extreme speeds.
     bracket = math.sqrt(1.0 + v_h**4 / (4.0 * v0**4)) - v_h**2 / (2.0 * v0**2)
-    induced = model.induced_power * math.sqrt(max(bracket, 0.0))
+    induced = model.induced_power_w * math.sqrt(max(bracket, 0.0))
     parasite = (
         0.5
         * model.drag_ratio
-        * model.air_density
+        * model.air_density_kg_m3
         * model.rotor_solidity
-        * model.disc_area
+        * model.disc_area_m2
         * v_h**3
     )
-    climb = model.mass * model.gravity * v_v
+    climb = model.mass_kg * model.gravity_ms2 * v_v
     return blade + induced + parasite + climb
 
 

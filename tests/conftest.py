@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 import tape
-from airs.config import default_config
+from airs.config import default_config, from_section
 
 
 @pytest.fixture(autouse=True)
@@ -11,6 +11,11 @@ def clean_tape():
     tape.clear_tape()
     yield
     tape.clear_tape()
+
+
+def record(cls, section, **overrides):
+    """A `cls` read from the default config's `section`, with `overrides` on top."""
+    return from_section(cls, {**default_config()[section], **overrides})
 
 
 def toy_overrides(cfg, users=1, pure_los=True, buildings_per_cell=5):

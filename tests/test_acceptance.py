@@ -28,7 +28,7 @@ from airs.rl.agents import AGENT_SPECS, AgentSpec
 from airs.rl.ppo import PpoConfig, gae_advantages, ppo_loss
 from airs.rl.train import train
 from airs.cli import main as cli_main
-from conftest import toy_overrides
+from conftest import record, toy_overrides
 from test_nn import actor_critic_loss, dense_loss, finite_difference_check, sequence_loss
 from test_rl import entropy_oracle, gae_oracle, loss_oracle
 
@@ -106,7 +106,7 @@ def test_criterion_01_phase_alignment_optimality():
         su = rng.uniform([-300, -300, 5], [300, 300, 60])
         irs = rng.uniform([0, 0, 60], [600, 600, 140])
         user = rng.uniform([0, 0, 0], [600, 600, 2])
-        model = ch.PathLossModel()
+        model = record(ch.PathLossModel, "channel")
         profile_in = ch.hop_profile(geom, irs, su)
         profile_out = ch.hop_profile(geom, irs, user)
         g = ch.sample_channel(
@@ -136,7 +136,7 @@ def test_criterion_01_phase_alignment_optimality():
 
 def test_criterion_02_energy_closed_forms():
     start = time.monotonic()
-    model = uav.EnergyModel()
+    model = record(uav.EnergyModel, "uav")
     hover = uav.propulsion_energy(model, np.zeros(3), 1.0)
     assert abs(hover - 288.06) < 1e-9
     climb = uav.propulsion_energy(model, np.array([0.0, 0.0, 1.0]), 1.0)
@@ -247,7 +247,7 @@ def test_criterion_04_mogrifier_degeneracy():
 
 def test_criterion_05_ppo_mechanics(tmp_path):
     rng = np.random.default_rng(11)
-    cfg = PpoConfig(clip_epsilon=0.2, epochs=1)
+    cfg = record(PpoConfig, "rl", clip_epsilon=0.2, epochs=1)
     n = 256
     new_lp = rng.standard_normal(n) * 0.4
     old_lp = new_lp + rng.standard_normal(n) * 0.3
@@ -328,7 +328,7 @@ def test_criterion_06_fairness_index():
 
 
 def test_criterion_07_occlusion_against_sampling_oracle():
-    cfg = sc.ScenarioConfig()
+    cfg = record(sc.ScenarioConfig, "scenario")
     index = sc.BuildingIndex(sc.generate_city(cfg))
     rng = np.random.default_rng(31)
     ts = np.linspace(0.0, 1.0, 10_002)[1:-1][:, None]

@@ -111,6 +111,15 @@ def test_bad_argument_exits_2(tmp_path, capsys, argv):
     assert not (tmp_path / "o").exists()
 
 
+def test_eval_checkpoint_with_agent_exits_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["eval", "--checkpoint", str(tmp_path / "ck"), "--agent", "random",
+              "--out", str(tmp_path / "o")])
+    assert exit_info.value.code == 2
+    assert "not allowed with argument --checkpoint" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def test_internal_error_propagates(tmp_path, monkeypatch):
     cfg = tmp_path / "c.json"
     write_tiny_config(cfg)

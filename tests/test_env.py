@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -5,8 +6,13 @@ import pytest
 
 from airs import channel as ch
 from airs import env as env_mod
+from airs import scenario as sc
+from airs import uav
 from airs.config import build_env, default_config
 from airs.env import jain_index
+from airs.rl.agents import build_agent
+from airs.rl.ppo import PpoConfig
+from airs.rl.train import Learner
 from conftest import toy_overrides
 
 
@@ -15,6 +21,39 @@ def make_env(users=1, pure_los=True, buildings_per_cell=5, seed=0, **env_updates
                         buildings_per_cell=buildings_per_cell)
     cfg["env"].update(env_updates)
     return build_env(cfg, seed=seed), cfg
+
+
+# -- records built from the config ----------------------------------------------
+
+# Each record the builders make, its config section and where a built run holds it.
+RECORDS = [
+    (sc.ScenarioConfig, "scenario", lambda env, learner: env.scenario),
+    (env_mod.EpisodeConfig, "env", lambda env, learner: env.cfg),
+    (ch.IrsGeometry, "channel", lambda env, learner: env.geometry),
+    (ch.PathLossModel, "channel", lambda env, learner: env.loss_model),
+    (ch.LinkBudget, "channel", lambda env, learner: env.budget),
+    (uav.EnergyModel, "uav", lambda env, learner: env.energy_model),
+    (PpoConfig, "rl", lambda env, learner: learner.updater.config),
+]
+
+
+@pytest.mark.parametrize("cls, section, built", RECORDS, ids=[r[0].__name__ for r in RECORDS])
+def test_record_fields_are_their_section_keys(toy_config, tmp_path, cls, section, built):
+    env = build_env(toy_config, seed=0)
+    agent = build_agent("eppo", env, np.random.default_rng(0), **toy_config["nn"])
+    record = built(env, Learner(agent, toy_config, tmp_path))
+    assert type(record) is cls
+    names = {field.name for field in dataclasses.fields(cls)}
+    if cls is sc.ScenarioConfig:  # the scenario record reads its whole section
+        assert names == set(toy_config["scenario"]) - {"scenario_version"}
+    for field in dataclasses.fields(cls):
+        assert field.name in toy_config[section], field.name
+        assert field.default is dataclasses.MISSING, field.name
+        assert field.default_factory is dataclasses.MISSING, field.name
+        value = toy_config[section][field.name]
+        if isinstance(value, list):
+            value = tuple(tuple(v) if isinstance(v, list) else v for v in value)
+        assert getattr(record, field.name) == value, field.name
 
 
 # -- fairness helpers ------------------------------------------------------------

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 from pathlib import Path
 
 import numpy as np
@@ -1118,15 +1119,24 @@ def test_failed_save_leaves_previous_checkpoint(tmp_path, rng, monkeypatch):
     def fail(*args, **kwargs):
         raise OSError("disk full")
 
-    monkeypatch.setattr(Path, "write_text", fail)  # the manifest, after params.bin
-    with pytest.raises(OSError):
-        save_checkpoint(target, [(n, v + 1.0) for n, v in named], step=2, hyperparams={})
-    monkeypatch.undo()
-    manifest, arrays = load_checkpoint(target)
-    assert manifest["step"] == 1
-    for name, value in named:
-        assert np.array_equal(arrays[name], value)
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["ck"]
+    replace = os.replace
+
+    def fail_moving_new_in(src, dst):  # moving the old one aside and back still works
+        if json.loads((Path(src) / "manifest.json").read_text())["step"] == 2:
+            fail()
+        replace(src, dst)
+
+    # The manifest's write, after params.bin; then the move of the new one in.
+    for owner, attr, patch in ((Path, "write_text", fail), (os, "replace", fail_moving_new_in)):
+        monkeypatch.setattr(owner, attr, patch)
+        with pytest.raises(OSError):
+            save_checkpoint(target, [(n, v + 1.0) for n, v in named], step=2, hyperparams={})
+        monkeypatch.undo()
+        manifest, arrays = load_checkpoint(target)
+        assert manifest["step"] == 1
+        for name, value in named:
+            assert np.array_equal(arrays[name], value)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["ck"]
 
     # A save that completes replaces the old checkpoint.
     save_checkpoint(target, [(n, v + 1.0) for n, v in named], step=2, hyperparams={})

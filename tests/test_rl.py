@@ -28,16 +28,13 @@ from airs.rl.ppo import (
 from airs.env import AirsEnv, SlotRecord
 from airs.nn.checkpoint import load_checkpoint
 from airs.rl.train import SLOTS_HEADER, TRAJECTORY_HEADER, RunWriter, _row, train
-from conftest import toy_overrides
+from conftest import record, toy_overrides
 from test_nn import owned_arrays
 from tape import Tensor
 
 
 def small_ppo_config(**kw):
-    base = dict(clip_epsilon=0.2, discount=0.99, gae_lambda=0.95, epochs=3,
-                learning_rate=3e-4)
-    base.update(kw)
-    return PpoConfig(**base)
+    return record(PpoConfig, "rl", **{"clip_epsilon": 0.2, "epochs": 3, **kw})
 
 
 # -- state abstraction ---------------------------------------------------------

@@ -1,14 +1,12 @@
-from dataclasses import fields
-
 import numpy as np
 import pytest
 
 from airs import scenario as sc
-from airs.config import build_scenario, default_config
+from conftest import record
 
 
 def default_scenario(**kw):
-    return sc.ScenarioConfig(**kw)
+    return record(sc.ScenarioConfig, "scenario", **kw)
 
 
 def small_scenario(buildings_per_cell=2, **kw):
@@ -26,7 +24,7 @@ def small_scenario(buildings_per_cell=2, **kw):
         seed=0,
     )
     base.update(kw)
-    return sc.ScenarioConfig(**base)
+    return default_scenario(**base)
 
 
 # -- configuration validation -------------------------------------------------
@@ -45,18 +43,6 @@ def test_user_off_road_rejected():
 def test_user_above_ground_rejected():
     with pytest.raises(sc.ScenarioError, match="ground point"):
         small_scenario(user_initial_positions=((75.0, 50.0, 1.0),))
-
-
-def test_build_scenario_maps_every_field(toy_config):
-    assert build_scenario(default_config()) == sc.ScenarioConfig()
-    names = [field.name for field in fields(sc.ScenarioConfig)]
-    assert set(names) == set(toy_config["scenario"]) - {"scenario_version"}
-    built = build_scenario(toy_config)
-    for name in names:
-        value = toy_config["scenario"][name]
-        if isinstance(value, list):
-            value = tuple(tuple(v) if isinstance(v, list) else v for v in value)
-        assert getattr(built, name) == value, name
 
 
 # -- city generation ----------------------------------------------------------

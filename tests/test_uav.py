@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from airs import uav
+from conftest import record
 
-MODEL = uav.EnergyModel()
+MODEL = record(uav.EnergyModel, "uav")
 BOUNDS = uav.FlightBounds(0.0, 620.0, 0.0, 620.0, 80.0, 120.0)
 
 
@@ -90,13 +91,8 @@ def test_energy_strictly_increasing_in_vertical_speed():
 
 def test_power_at_zero_equals_hover_components():
     assert uav.power_at(MODEL, 0.0, 0.0) == pytest.approx(
-        MODEL.blade_power + MODEL.induced_power
+        MODEL.blade_power_w + MODEL.induced_power_w
     )
-
-
-def test_energy_rejects_bad_slot_duration():
-    with pytest.raises(uav.UavError):
-        uav.propulsion_energy(MODEL, np.zeros(3), 0.0)
 
 
 # -- distances --------------------------------------------------------------------
