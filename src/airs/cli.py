@@ -122,10 +122,15 @@ def moving_average(values: np.ndarray, window: int) -> np.ndarray:
 
 
 def cmd_plotdata(args) -> int:
+    runs = [Path(r) for r in args.runs]
+    labels = [run.name or str(run) for run in runs]
+    shared = sorted({label for label in labels if labels.count(label) > 1})
+    if shared:
+        raise ConfigError("--runs", f"each run's column is named after its directory, and "
+                                    f"more than one run is named {', '.join(shared)}")
+    paths = {label: run / "metrics.csv" for label, run in zip(labels, runs)}
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
-    runs = [Path(r) for r in args.runs]
-    paths = {run.name or str(run): run / "metrics.csv" for run in runs}
     tables = {name: _load_metrics(path) for name, path in paths.items()}
     for series in args.series:
         per_run = {}

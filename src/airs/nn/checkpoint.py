@@ -7,12 +7,12 @@ sibling directory, moves the previous checkpoint aside, moves the new one
 into its place and only then deletes the old one, so a save that fails
 leaves the previous checkpoint whole.
 
-Format 3 stores each LSTM's gates fused, as `<cell>.W` of shape
+Format 3 is the only format: the manifest's `hyperparams` hold the agent
+kind, the `nn` section and the `rl` section of the run that saved it, and
+each LSTM's gates are stored fused, as `<cell>.W` of shape
 (in + hidden, 4 * hidden) and `<cell>.b` of shape (4 * hidden,)
-(`MogrifierLstm`'s layout).  Format 2 stored them stacked gate-major
-(`<cell>.Wx` (4, in, hidden), `<cell>.Wh` (4, hidden, hidden), `<cell>.b`
-(4, hidden)) and format 1 one array per gate (`<cell>.Wx_i`, ...);
-`load_checkpoint` still reads both and fuses their gates.
+(`MogrifierLstm`'s layout).  The program has written nothing else since the
+gates were fused; a manifest of any other format is rejected.
 """
 
 import json
@@ -21,8 +21,6 @@ import shutil
 from pathlib import Path
 
 import numpy as np
-
-from .layers import MogrifierLstm
 
 FORMAT_VERSION = 3
 
@@ -74,34 +72,8 @@ def save_checkpoint(directory, named_arrays, step: int, hyperparams: dict):
     shutil.rmtree(aside, ignore_errors=True)
 
 
-def _fuse_gates(arrays: dict, version: int) -> dict:
-    """Format 1's per-gate or format 2's stacked LSTM arrays as format 3's fused ones.
-
-    A gate count or shape that does not fit the policy is left for
-    `ActorCritic.load_state` to reject.
-    """
-    first = ".Wx_i" if version == 1 else ".Wx"
-    for name in [n for n in arrays if n.endswith(first)]:
-        cell = name[: -len(first)]
-        gates = {}
-        for kind in ("Wx", "Wh", "b"):
-            keys = ([f"{cell}.{kind}_{gate}" for gate in MogrifierLstm.GATES] if version == 1
-                    else [f"{cell}.{kind}"])
-            for key in keys:
-                if key not in arrays:
-                    raise CheckpointError(f"checkpoint is missing parameter {key}")
-            stacks = [arrays.pop(key) for key in keys]
-            gates[kind] = stacks if version == 1 else list(stacks[0])
-        try:
-            arrays[f"{cell}.W"] = np.block([gates["Wx"], gates["Wh"]])
-            arrays[f"{cell}.b"] = np.concatenate(gates["b"])
-        except ValueError as exc:
-            raise CheckpointError(f"checkpoint gates of {cell} do not fit together: {exc}") from None
-    return arrays
-
-
 def load_checkpoint(directory):
-    """Returns (manifest, dict name -> float64 array); reads formats 1 to 3."""
+    """Returns (manifest, dict name -> float64 array) of a format-3 checkpoint."""
     directory = Path(directory)
     try:
         manifest = json.loads((directory / "manifest.json").read_text())
@@ -111,18 +83,26 @@ def load_checkpoint(directory):
     except json.JSONDecodeError as exc:
         raise CheckpointError(f"checkpoint {directory} manifest is not JSON: {exc}") from exc
     version = manifest.get("format_version") if isinstance(manifest, dict) else None
-    if version not in (1, 2, FORMAT_VERSION):
-        raise CheckpointError(f"unsupported checkpoint format {version}")
+    if version != FORMAT_VERSION:
+        raise CheckpointError(f"checkpoint {directory} has unsupported checkpoint format "
+                              f"{version}; only format {FORMAT_VERSION} is read")
     arrays = {}
     try:
         for entry in manifest["params"]:
-            start = entry["offset"]
-            blob = raw[start : start + entry["nbytes"]]
-            if len(blob) != entry["nbytes"]:
-                raise CheckpointError(f"checkpoint {directory} params.bin is cut short")
-            arrays[entry["name"]] = np.frombuffer(blob, dtype="<f8").reshape(entry["shape"]).copy()
+            start, nbytes = entry["offset"], entry["nbytes"]
+            blob = raw[start : start + nbytes]
+            if start < 0 or len(blob) != nbytes:
+                raise CheckpointError(f"checkpoint {directory} params.bin has no bytes "
+                                      f"[{start}, {start + nbytes}) for {entry['name']}")
+            try:
+                array = np.frombuffer(blob, dtype="<f8").reshape(entry["shape"])
+            except ValueError as exc:
+                raise CheckpointError(
+                    f"checkpoint {directory} parameter {entry['name']}: {exc}") from None
+            arrays[entry["name"]] = array.copy()
     except KeyError as exc:
         raise CheckpointError(f"checkpoint {directory} manifest is missing {exc}") from None
-    if version != FORMAT_VERSION:
-        arrays = _fuse_gates(arrays, version)
+    except TypeError as exc:  # params not a list of objects, or a byte range not integers
+        raise CheckpointError(
+            f"checkpoint {directory} manifest params are malformed: {exc}") from None
     return manifest, arrays

@@ -40,20 +40,9 @@ def gaussian_entropy(log_std: np.ndarray):
 
 
 class ActorCritic:
-    def __init__(
-        self,
-        rng,
-        obs_dim: int,
-        action_dim: int,
-        hidden: int = 64,
-        mogrifier_rounds: int = 5,
-        log_std_init: float = -0.5,
-        bptt_chunk: int = 16,
-    ):
-        self.obs_dim = obs_dim
+    def __init__(self, rng, obs_dim: int, action_dim: int, hidden: int, mogrifier_rounds: int,
+                 log_std_init: float, bptt_chunk: int):
         self.action_dim = action_dim
-        self.hidden = hidden
-        self.mogrifier_rounds = mogrifier_rounds
         self.bptt_chunk = bptt_chunk
         self.trunk = Dense(rng, obs_dim, hidden, "actor.trunk")
         self.cell = MogrifierLstm(rng, hidden, hidden, mogrifier_rounds, "actor.lstm")
@@ -81,24 +70,21 @@ class ActorCritic:
         return [p for _, p in self.named_params()]
 
     def load_state(self, state: dict):
+        """Take each parameter's value from `state` (name -> array).  This is
+        where a checkpoint is checked against the policy its env sizes."""
+        extra = sorted(state.keys() - dict(self.named_params()).keys())
+        if extra:
+            raise CheckpointError(f"checkpoint has parameters this policy does not: {extra}")
         for name, param in self.named_params():
             if name not in state:
                 raise CheckpointError(f"checkpoint is missing parameter {name}")
             arr = state[name]
             if arr.shape != param.value.shape:
                 raise CheckpointError(
-                    f"parameter {name} has shape {arr.shape}, expected {param.value.shape}"
+                    f"checkpoint parameter {name} has shape {arr.shape}, but the policy for "
+                    f"this environment needs {param.value.shape}"
                 )
             param.value = arr.astype(np.float64)
-
-    def architecture(self) -> dict:
-        return {
-            "obs_dim": self.obs_dim,
-            "action_dim": self.action_dim,
-            "hidden": self.hidden,
-            "mogrifier_rounds": self.mogrifier_rounds,
-            "bptt_chunk": self.bptt_chunk,
-        }
 
     # -- forward pieces --------------------------------------------------------
 

@@ -9,7 +9,7 @@ from .ppo import (
     normalize_advantages,
     ppo_loss,
 )
-from .train import agent_from_checkpoint, evaluate, train
+from .train import evaluate, train
 
 __all__ = [
     "AGENT_SPECS",
@@ -25,7 +25,6 @@ __all__ = [
     "gae_advantages",
     "normalize_advantages",
     "ppo_loss",
-    "agent_from_checkpoint",
     "evaluate",
     "train",
 ]

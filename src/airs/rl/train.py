@@ -18,7 +18,6 @@ import numpy as np
 from .. import BLAS_THREAD_VARS, __version__
 from ..config import ConfigError, build_env, code_version, from_section, validate_config
 from ..nn.checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from ..nn.policy import ActorCritic
 from ..rng import STREAM_EXPLORATION, STREAM_POLICY_INIT, substream
 from .agents import AGENT_SPECS, PpoAgent, build_agent
 from .necsa import NecsaShaper
@@ -314,12 +313,7 @@ def summarize(episode_stats, window: int = FINAL_WINDOW) -> dict:
 
 
 def _save_agent(directory, agent: PpoAgent, config: dict):
-    hyperparams = {
-        "agent": agent.spec.kind,
-        "architecture": agent.policy.architecture(),
-        "nn": config["nn"],
-        "rl": config["rl"],
-    }
+    hyperparams = {"agent": agent.spec.kind, "nn": config["nn"], "rl": config["rl"]}
     save_checkpoint(
         directory,
         [(name, param.value) for name, param in agent.policy.named_params()],
@@ -328,52 +322,47 @@ def _save_agent(directory, agent: PpoAgent, config: dict):
     )
 
 
-def agent_from_checkpoint(path) -> PpoAgent:
-    manifest, arrays = load_checkpoint(path)
+def _checkpoint_kind(path, manifest: dict, config: dict):
+    """The agent kind and `nn` section a checkpoint was saved with.
+
+    They are checked by `validate_config`, swapped into `config` (already
+    valid), so a checkpoint's `nn` obeys the config's own type and range rules.
+    """
+    hyperparams = manifest.get("hyperparams")
+    if not isinstance(hyperparams, dict):
+        raise CheckpointError(f"checkpoint {path} hyperparams are not an object")
+    kind, nn = hyperparams.get("agent"), hyperparams.get("nn")
     try:
-        hp = manifest["hyperparams"]
-        kind = hp["agent"]
-        arch = hp["architecture"]
-        sizes = {key: arch[key] for key in
-                 ("obs_dim", "action_dim", "hidden", "mogrifier_rounds", "bptt_chunk")}
-    except KeyError as exc:
-        raise CheckpointError(f"checkpoint {path} manifest is missing {exc}") from None
-    spec = AGENT_SPECS.get(kind)
-    if spec is None:
-        raise CheckpointError(f"checkpoint {path} names unknown agent kind {kind!r}")
-    policy = ActorCritic(np.random.default_rng(0), **sizes)
-    policy.load_state(arrays)
-    return PpoAgent(policy, spec)
+        validate_config({**config, "nn": nn, "rl": {**config["rl"], "agent": kind}})
+    except ConfigError as exc:
+        raise CheckpointError(f"checkpoint {path} hyperparams: {exc}") from None
+    if not AGENT_SPECS[kind].trainable:
+        raise CheckpointError(f"checkpoint {path} names agent kind {kind!r}, which has no policy")
+    return kind, nn
 
 
 def evaluate(config: dict, out_dir, seed: int, episodes: int,
              checkpoint=None, agent_kind: str = None) -> dict:
-    """Greedy-policy evaluation over a number of fresh episodes."""
+    """Greedy-policy evaluation over a number of fresh episodes.
+
+    A checkpoint's policy is built by `build_agent` from the kind and `nn`
+    section it was saved with, for the configured env, and then takes the
+    saved parameters; a parameter shape that does not fit is a CheckpointError.
+    """
     validate_config(config)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if checkpoint is not None:
-        agent = agent_from_checkpoint(checkpoint)
-        spec = agent.spec
-    else:
-        kind = agent_kind or config["rl"]["agent"]
-        spec = AGENT_SPECS[kind]
-        if spec.trainable:
-            raise ConfigError("rl.agent", f"agent kind {kind!r} needs --checkpoint for evaluation")
-    env = build_env(config, seed, phase_control=spec.phase_control)
     if checkpoint is None:
-        agent = build_agent(spec.kind, env)
-    if spec.trainable:
-        if agent.policy.obs_dim != env.observation_dim:
-            raise CheckpointError(
-                f"checkpoint expects {agent.policy.obs_dim}-dim observations but the "
-                f"configured environment produces {env.observation_dim}"
-            )
-        if agent.policy.action_dim != env.action_dim:
-            raise CheckpointError(
-                f"checkpoint expects {agent.policy.action_dim}-dim actions but the "
-                f"configured environment takes {env.action_dim}"
-            )
+        kind, nn, arrays = agent_kind or config["rl"]["agent"], {}, None
+        if AGENT_SPECS[kind].trainable:
+            raise ConfigError("rl.agent", f"agent kind {kind!r} needs --checkpoint for evaluation")
+    else:
+        manifest, arrays = load_checkpoint(checkpoint)
+        kind, nn = _checkpoint_kind(checkpoint, manifest, config)
+    env = build_env(config, seed, phase_control=AGENT_SPECS[kind].phase_control)
+    agent = build_agent(kind, env, np.random.default_rng(0), **nn)
+    if arrays is not None:
+        agent.policy.load_state(arrays)
     writer = RunWriter(
         out_dir,
         users=config["env"]["users"],

@@ -18,6 +18,11 @@ def record(cls, section, **overrides):
     return from_section(cls, {**default_config()[section], **overrides})
 
 
+def nn_section(**overrides):
+    """The default config's `nn` section with `overrides` on top."""
+    return {**default_config()["nn"], **overrides}
+
+
 def toy_overrides(cfg, users=1, pure_los=True, buildings_per_cell=5):
     """Small fast scenario shared by env/rl/cli tests."""
     cfg["scenario"].update(

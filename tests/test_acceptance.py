@@ -28,7 +28,7 @@ from airs.rl.agents import AGENT_SPECS, AgentSpec
 from airs.rl.ppo import PpoConfig, gae_advantages, ppo_loss
 from airs.rl.train import train
 from airs.cli import main as cli_main
-from conftest import record, toy_overrides
+from conftest import nn_section, record, toy_overrides
 from test_nn import actor_critic_loss, dense_loss, finite_difference_check, sequence_loss
 from test_rl import entropy_oracle, gae_oracle, loss_oracle
 
@@ -162,7 +162,7 @@ def test_criterion_03_gradient_integrity():
     worst = 0.0
 
     # dense + activations
-    policy = ActorCritic(rng, obs_dim=5, action_dim=3, hidden=8, mogrifier_rounds=5)
+    policy = ActorCritic(rng, obs_dim=5, action_dim=3, mogrifier_rounds=5, **nn_section(hidden=8))
     obs = rng.standard_normal((4, 5))
     actions = rng.standard_normal((4, 3))
 
@@ -184,8 +184,8 @@ def test_criterion_03_gradient_integrity():
     loss = actor_critic_loss(policy, obs, actions, [4])
     worst = max(worst, finite_difference_check(loss, policy.params(), rng))
 
-    deep = ActorCritic(rng, obs_dim=3, action_dim=2, hidden=5, mogrifier_rounds=5,
-                       bptt_chunk=0)
+    deep = ActorCritic(rng, obs_dim=3, action_dim=2, mogrifier_rounds=5,
+                       **nn_section(hidden=5, bptt_chunk=0))
     obs_seq = rng.standard_normal((16, 3))  # 8 steps of 2 rows, packed step-major
     act_seq = rng.standard_normal((16, 2))
     loss = actor_critic_loss(deep, obs_seq, act_seq, [2] * 8)

@@ -297,17 +297,69 @@ def _drop_param(manifest):
     manifest["params"] = [e for e in manifest["params"] if e["name"] != "actor.log_std"]
 
 
-def _drop_architecture(manifest):
-    del manifest["hyperparams"]["architecture"]
+def _drop_nn(manifest):
+    del manifest["hyperparams"]["nn"]
 
 
 def _drop_param_list(manifest):
     del manifest["params"]
 
 
+def _hyperparams_not_an_object(manifest):
+    manifest["hyperparams"] = "oops"
+
+
+def _hidden_not_a_number(manifest):
+    manifest["hyperparams"]["nn"]["hidden"] = "x"
+
+
+def _hidden_zero(manifest):
+    manifest["hyperparams"]["nn"]["hidden"] = 0
+
+
+def _phasectl_kind(manifest):  # eppo's shapes without its gating rounds
+    manifest["hyperparams"]["agent"] = "ppo_phasectl"
+
+
+def _hover_kind(manifest):
+    manifest["hyperparams"]["agent"] = "hover"
+
+
+def _shape_against_nbytes(manifest):
+    entry = next(e for e in manifest["params"] if e["name"] == "critic.out.b")
+    entry["shape"] = [2]  # nbytes holds one float64
+
+
+def _offset_not_an_integer(manifest):
+    manifest["params"][0]["offset"] = 1.5
+
+
+def _offset_negative(manifest):
+    entry = next(e for e in manifest["params"] if e["name"] == "critic.out.b")
+    entry["offset"] = -16  # would read the bytes before the last parameter's
+
+
+def _format_1(manifest):
+    manifest["format_version"] = 1
+
+
+def _format_2(manifest):
+    manifest["format_version"] = 2
+
+
 @pytest.mark.parametrize("corrupt, named", [(_drop_param, "actor.log_std"),
-                                             (_drop_architecture, "architecture"),
-                                             (_drop_param_list, "params")])
+                                             (_drop_nn, "nn"),
+                                             (_drop_param_list, "params"),
+                                             (_hyperparams_not_an_object, "hyperparams"),
+                                             (_hidden_not_a_number, "nn.hidden"),
+                                             (_hidden_zero, "nn.hidden"),
+                                             (_phasectl_kind, "actor.lstm.Q1"),
+                                             (_hover_kind, "hover"),
+                                             (_shape_against_nbytes, "critic.out.b"),
+                                             (_offset_not_an_integer, "params"),
+                                             (_offset_negative, "critic.out.b"),
+                                             (_format_1, "unsupported checkpoint format"),
+                                             (_format_2, "unsupported checkpoint format")])
 def test_eval_bad_checkpoint_exits_2(tmp_path, capsys, corrupt, named):
     cfg_path = tmp_path / "c.json"
     write_tiny_config(cfg_path)
@@ -322,6 +374,32 @@ def test_eval_bad_checkpoint_exits_2(tmp_path, capsys, corrupt, named):
                  "--episodes", "1", "--out", str(tmp_path / "ev")])
     assert code == 2
     assert named in capsys.readouterr().err
+
+
+def test_eval_ignores_an_old_architecture_block(tmp_path, capsys):
+    """A checkpoint that still carries the `architecture` block older trees
+    wrote evaluates to the same bytes as the same checkpoint without it."""
+    cfg_path = tmp_path / "c.json"
+    write_tiny_config(cfg_path)
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_path), "--out", str(run)]) == 0
+    checkpoint = run / "checkpoints" / "final"
+    manifest_path = checkpoint / "manifest.json"
+
+    def eval_metrics(name):
+        assert main(["eval", "--checkpoint", str(checkpoint), "--config", str(cfg_path),
+                     "--episodes", "2", "--out", str(tmp_path / name)]) == 0
+        return (tmp_path / name / "eval_metrics.csv").read_bytes()
+
+    fresh = eval_metrics("fresh")
+    manifest = json.loads(manifest_path.read_text())
+    assert "architecture" not in manifest["hyperparams"]
+    manifest["hyperparams"]["architecture"] = {
+        "obs_dim": 6, "action_dim": 3, "hidden": 64, "mogrifier_rounds": 5, "bptt_chunk": 16}
+    manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True))
+    old_style = eval_metrics("old_style")
+    capsys.readouterr()
+    assert fresh == old_style
 
 
 def _cut_params_short(checkpoint):
@@ -480,6 +558,21 @@ def test_plotdata_missing_column_names_run(tmp_path, capsys):
                  "--out", str(tmp_path / "plots")])
     assert code == 2
     assert "broken" in capsys.readouterr().err
+
+
+def test_plotdata_runs_sharing_a_name_exit_2(tmp_path, capsys):
+    """Each run's column is named after its directory, so two runs with one
+    name would share a column: that exits 2 naming the name."""
+    for parent in ("a", "b"):
+        run = tmp_path / parent / "run"
+        run.mkdir(parents=True)
+        (run / "metrics.csv").write_text("episode,cumulative_reward\n0,1.0\n")
+    out = tmp_path / "plots"
+    code = main(["plotdata", "--runs", str(tmp_path / "a" / "run"), str(tmp_path / "b" / "run"),
+                 "--out", str(out)])
+    assert code == 2
+    assert "named run" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("row, series", [("0,-1.0,3.0", "fairness"), ("0,x,3.0", "rate"),

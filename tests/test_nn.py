@@ -12,6 +12,7 @@ from airs.nn.layers import Dense, MogrifierLstm, SequenceWorkspace, uniform_init
 from airs.nn.optim import Adam, adam_update
 from airs.nn.policy import LOG_STD_MAX, LOG_STD_MIN, ActorCritic
 from airs.nn.tensor import Param
+from conftest import nn_section
 from tape import Tensor
 
 FD_STEP = 1e-5
@@ -184,7 +185,7 @@ def test_lstm_step_gradients(rng):
 
 
 def test_gaussian_log_prob_gradients(rng):
-    policy = ActorCritic(rng, obs_dim=4, action_dim=3, hidden=6, mogrifier_rounds=0)
+    policy = ActorCritic(rng, obs_dim=4, action_dim=3, mogrifier_rounds=0, **nn_section(hidden=6))
     obs = rng.standard_normal((5, 4))
     actions = rng.standard_normal((5, 3))
     loss = actor_critic_loss(policy, obs, actions, [5])
@@ -192,7 +193,7 @@ def test_gaussian_log_prob_gradients(rng):
 
 
 def test_full_actor_critic_gradients(rng):
-    policy = ActorCritic(rng, obs_dim=5, action_dim=3, hidden=8, mogrifier_rounds=5)
+    policy = ActorCritic(rng, obs_dim=5, action_dim=3, mogrifier_rounds=5, **nn_section(hidden=8))
     obs = rng.standard_normal((4, 5))
     actions = rng.standard_normal((4, 3))
     loss = actor_critic_loss(policy, obs, actions, [4])
@@ -200,8 +201,8 @@ def test_full_actor_critic_gradients(rng):
 
 
 def test_bptt_8_step_gradients(rng):
-    policy = ActorCritic(rng, obs_dim=3, action_dim=2, hidden=5, mogrifier_rounds=5,
-                         bptt_chunk=0)
+    policy = ActorCritic(rng, obs_dim=3, action_dim=2, mogrifier_rounds=5,
+                         **nn_section(hidden=5, bptt_chunk=0))
     obs_seq = rng.standard_normal((16, 3))  # 8 steps of 2 rows, packed step-major
     act_seq = rng.standard_normal((16, 2))
     loss = actor_critic_loss(policy, obs_seq, act_seq, [2] * 8)
@@ -511,7 +512,7 @@ def test_fused_lstm_step_matches_primitives(batch, uses, input_grad, rng):
     pytest.param(1000, [-4.2, -0.7, 0.4, 0.9], id="1000"),
 ])
 def test_fused_log_prob_matches_primitives(batch, log_std, rng):
-    policy = ActorCritic(rng, obs_dim=4, action_dim=4, hidden=6, mogrifier_rounds=0)
+    policy = ActorCritic(rng, obs_dim=4, action_dim=4, mogrifier_rounds=0, **nn_section(hidden=6))
     policy.log_std.value = np.array(log_std)
     mean = Tensor(rng.standard_normal((batch, 4)), requires_grad=True)
     actions = rng.standard_normal((batch, 4))
@@ -554,9 +555,9 @@ def assert_sequence_matches_per_step_tape(policy, lengths, rng):
     packed = [(t, b) for j in range(span) for t in range(j, steps, span) for b in ranked
               if t < lengths[b]]
     batch_sizes = [sum(n > t for n in lengths) for t in range(steps)]
-    obs = rng.standard_normal((steps, batch, policy.obs_dim))
+    obs = rng.standard_normal((steps, batch, policy.trunk.W.value.shape[0]))
     actions = rng.standard_normal((steps, batch, policy.action_dim))
-    h0, c0 = rng.standard_normal((2, batch, policy.hidden))
+    h0, c0 = rng.standard_normal((2, batch, policy.cell.hidden))
     live = np.arange(steps)[:, None] < lengths[None, :]
     weights = rng.standard_normal((steps, batch)) * live
     t_idx, b_idx = np.array(packed).T
@@ -584,12 +585,12 @@ def assert_sequence_matches_per_step_tape(policy, lengths, rng):
 def test_fused_recurrent_sequence_matches_primitives(rounds, rng):
     """20 steps at batch 10 with a bptt_chunk cut, no padding.  A one-step
     `actor_sequence` gives rollout `actor_step`'s means and state bit for bit."""
-    policy = ActorCritic(rng, obs_dim=4, action_dim=3, hidden=6, mogrifier_rounds=rounds,
-                         bptt_chunk=8)
+    policy = ActorCritic(rng, obs_dim=4, action_dim=3, mogrifier_rounds=rounds,
+                         **nn_section(hidden=6, bptt_chunk=8))
     policy.log_std.value = np.array([-6.0, -0.7, 1.5])  # two dims clamped
     assert_sequence_matches_per_step_tape(policy, [20] * 10, rng)
-    obs = rng.standard_normal((10, policy.obs_dim))
-    h0, c0 = rng.standard_normal((2, 10, policy.hidden))
+    obs = rng.standard_normal((10, policy.trunk.W.value.shape[0]))
+    h0, c0 = rng.standard_normal((2, 10, policy.cell.hidden))
     mean, (h, c) = policy.actor_step(obs, (h0, c0))
     work = SequenceWorkspace(policy.cell, [10], policy.bptt_chunk)
     means, _ = policy.actor_sequence(obs, work, h0, c0)
@@ -603,8 +604,8 @@ def test_fused_recurrent_sequence_matches_primitives(rounds, rng):
 def test_actor_sequence_matches_per_step_tape(rounds, chunk, rng):
     """Cut never, often, or once at t = 16: the unpadded 20x10 grid, then segments
     of 17, 9, 4, 17 and 12 steps (the packed batch shrinks as they end)."""
-    policy = ActorCritic(rng, obs_dim=4, action_dim=3, hidden=6, mogrifier_rounds=rounds,
-                         bptt_chunk=chunk)
+    policy = ActorCritic(rng, obs_dim=4, action_dim=3, mogrifier_rounds=rounds,
+                         **nn_section(hidden=6, bptt_chunk=chunk))
     policy.log_std.value = np.array([-6.0, -0.7, 1.5])  # two dims clamped
     for lengths in ([20] * 10, [17, 9, 4, 17, 12]):
         assert_sequence_matches_per_step_tape(policy, lengths, rng)
@@ -1002,7 +1003,7 @@ def test_same_seed_identical_networks_and_outputs():
     outs = []
     for _ in range(2):
         policy = ActorCritic(np.random.default_rng(77), obs_dim=4, action_dim=2,
-                             hidden=6, mogrifier_rounds=5)
+                             mogrifier_rounds=5, **nn_section(hidden=6))
         mean, _ = policy.actor_step(obs, policy.initial_state(3))
         value, _ = policy.value(obs)
         outs.append((mean.copy(), value.copy()))
@@ -1011,7 +1012,7 @@ def test_same_seed_identical_networks_and_outputs():
 
 
 def test_checkpoint_round_trip_byte_exact(tmp_path, rng):
-    policy = ActorCritic(rng, obs_dim=4, action_dim=3, hidden=6, mogrifier_rounds=5)
+    policy = ActorCritic(rng, obs_dim=4, action_dim=3, mogrifier_rounds=5, **nn_section(hidden=6))
     named = [(n, p.value) for n, p in policy.named_params()]
     save_checkpoint(tmp_path / "ck", named, step=17, hyperparams={"note": "x"})
     manifest, arrays = load_checkpoint(tmp_path / "ck")
@@ -1026,7 +1027,7 @@ def test_checkpoint_round_trip_byte_exact(tmp_path, rng):
 
 
 def test_checkpoint_shape_mismatch_rejected(tmp_path, rng):
-    policy = ActorCritic(rng, obs_dim=4, action_dim=3, hidden=6, mogrifier_rounds=5)
+    policy = ActorCritic(rng, obs_dim=4, action_dim=3, mogrifier_rounds=5, **nn_section(hidden=6))
     save_checkpoint(
         tmp_path / "ck",
         [(n, p.value) for n, p in policy.named_params()],
@@ -1034,7 +1035,7 @@ def test_checkpoint_shape_mismatch_rejected(tmp_path, rng):
         hyperparams={},
     )
     _, arrays = load_checkpoint(tmp_path / "ck")
-    other = ActorCritic(rng, obs_dim=5, action_dim=3, hidden=6, mogrifier_rounds=5)
+    other = ActorCritic(rng, obs_dim=5, action_dim=3, mogrifier_rounds=5, **nn_section(hidden=6))
     with pytest.raises(ValueError):
         other.load_state(arrays)
 
@@ -1044,52 +1045,6 @@ def gate_blocks(cell):
     H, n_in, gates = cell.hidden, cell.in_dim, len(cell.GATES)
     w = cell.W.value.reshape(n_in + H, gates, H).transpose(1, 0, 2)
     return w[:, :n_in], w[:, n_in:], cell.b.value.reshape(gates, H)
-
-
-def save_old_format(directory, policy, version):
-    """Save `policy` as a format-1 (one array per gate) or format-2 (stacked
-    gates) checkpoint."""
-    cell_names = {f"{policy.cell.name}.W", f"{policy.cell.name}.b"}
-    named = []
-    for name, param in policy.named_params():
-        if name == f"{policy.cell.name}.W":
-            for kind, stack in zip(("Wx", "Wh", "b"), gate_blocks(policy.cell)):
-                if version == 1:
-                    named += [(f"{policy.cell.name}.{kind}_{gate}", stack[k])
-                              for k, gate in enumerate(MogrifierLstm.GATES)]
-                else:
-                    named.append((f"{policy.cell.name}.{kind}", stack))
-        elif name not in cell_names:
-            named.append((name, param.value))
-    save_checkpoint(directory, named, step=0, hyperparams={})
-    manifest_path = directory / "manifest.json"
-    manifest = json.loads(manifest_path.read_text())
-    manifest["format_version"] = version
-    manifest_path.write_text(json.dumps(manifest))
-
-
-def assert_old_format_loads_bit_equal(directory, version, rng):
-    policy = ActorCritic(rng, obs_dim=4, action_dim=3, hidden=6, mogrifier_rounds=5)
-    save_old_format(directory, policy, version)
-    _, arrays = load_checkpoint(directory)
-    assert sorted(arrays) == sorted(name for name, _ in policy.named_params())
-    for name, param in policy.named_params():
-        assert arrays[name].tobytes() == param.value.tobytes()
-    other = ActorCritic(np.random.default_rng(1), obs_dim=4, action_dim=3, hidden=6,
-                        mogrifier_rounds=5)
-    other.load_state(arrays)
-    for mine, theirs in zip(policy.params(), other.params()):
-        assert np.array_equal(mine.value, theirs.value)
-
-
-def test_v1_checkpoint_loads_bit_equal(tmp_path, rng):
-    """A format-1 checkpoint (one array per gate) loads as the fused parameters."""
-    assert_old_format_loads_bit_equal(tmp_path / "v1", 1, rng)
-
-
-def test_v2_checkpoint_loads_bit_equal(tmp_path, rng):
-    """A format-2 checkpoint (gates stacked gate-major) loads as the fused parameters."""
-    assert_old_format_loads_bit_equal(tmp_path / "v2", 2, rng)
 
 
 def test_seed_gives_the_per_gate_draw_order_weights():
@@ -1111,7 +1066,7 @@ def test_seed_gives_the_per_gate_draw_order_weights():
 
 
 def test_failed_save_leaves_previous_checkpoint(tmp_path, rng, monkeypatch):
-    policy = ActorCritic(rng, obs_dim=4, action_dim=3, hidden=6, mogrifier_rounds=0)
+    policy = ActorCritic(rng, obs_dim=4, action_dim=3, mogrifier_rounds=0, **nn_section(hidden=6))
     named = [(n, p.value) for n, p in policy.named_params()]
     target = tmp_path / "ck"
     save_checkpoint(target, named, step=1, hyperparams={})

@@ -28,7 +28,7 @@ from airs.rl.ppo import (
 from airs.env import AirsEnv, SlotRecord
 from airs.nn.checkpoint import load_checkpoint
 from airs.rl.train import SLOTS_HEADER, TRAJECTORY_HEADER, RunWriter, _row, train
-from conftest import record, toy_overrides
+from conftest import nn_section, record, toy_overrides
 from test_nn import owned_arrays
 from tape import Tensor
 
@@ -387,7 +387,7 @@ def test_random_agent_observations_stay_normalized():
 
 def test_vanilla_agent_action_dimension(rng):
     env = build_env(small_cfg(), seed=0, phase_control=False)
-    agent = build_agent("ppo_vanilla", env, init_rng=rng)
+    agent = build_agent("ppo_vanilla", env, init_rng=rng, **nn_section())
     assert agent.policy.action_dim == 19
 
 
@@ -410,7 +410,7 @@ def test_build_agent_is_sized_by_its_env(kind, phase_control, users, observe_all
                                                      3 if phase_control else 19)
     agent = build_agent(kind, env, np.random.default_rng(0), **cfg["nn"])
     if AGENT_SPECS[kind].trainable:
-        assert agent.policy.obs_dim == env.observation_dim
+        assert agent.policy.trunk.W.value.shape[0] == env.observation_dim
     action = agent.act(env.reset(), np.random.default_rng(1))
     assert action.shape == (env.action_dim,)
     env.step(action)
@@ -617,11 +617,12 @@ def test_buffer_keeps_the_env_observations_unshared(monkeypatch, tmp_path):
 def random_buffer(policy, rng, lengths):
     """A buffer of random transitions in segments of the given lengths."""
     buffer = RolloutBuffer()
+    obs_dim = policy.trunk.W.value.shape[0]
     for n in lengths:
-        buffer.begin_segment(tuple(rng.standard_normal((2, 1, policy.hidden))))
+        buffer.begin_segment(tuple(rng.standard_normal((2, 1, policy.cell.hidden))))
         for i in range(n):
-            buffer.add(rng.uniform(size=policy.obs_dim), rng.standard_normal(policy.action_dim),
-                       float(rng.standard_normal()), i == n - 1, rng.uniform(size=policy.obs_dim))
+            buffer.add(rng.uniform(size=obs_dim), rng.standard_normal(policy.action_dim),
+                       float(rng.standard_normal()), i == n - 1, rng.uniform(size=obs_dim))
     return buffer
 
 
@@ -639,7 +640,8 @@ def test_rollout_values_equal_batch_one_critic_calls(monkeypatch):
     monkeypatch.setattr(ppo_module, "gae_advantages", spy_gae)
     for last_done in (False, True):
         rng = np.random.default_rng(0)
-        policy = ActorCritic(rng, obs_dim=4, action_dim=3, hidden=6, mogrifier_rounds=5)
+        policy = ActorCritic(rng, obs_dim=4, action_dim=3, mogrifier_rounds=5,
+                             **nn_section(hidden=6))
         buffer = random_buffer(policy, rng, [7, 10, 3])
         buffer.dones[-1] = last_done
         expected = np.array([policy.value(obs[None])[0][0] for obs in
@@ -660,7 +662,8 @@ def test_packed_order_is_piece_major(chunk):
     that is step-major order."""
     rng = np.random.default_rng(1)
     lengths = [7, 10, 3, 10, 6]
-    buffer = random_buffer(ActorCritic(rng, obs_dim=4, action_dim=3, hidden=6), rng, lengths)
+    buffer = random_buffer(ActorCritic(rng, obs_dim=4, action_dim=3, mogrifier_rounds=5,
+                                       **nn_section(hidden=6)), rng, lengths)
     batch = PackedBatch(buffer, chunk)
     n = len(buffer)
     assert np.array_equal(np.sort(batch.order), np.arange(n))
@@ -695,8 +698,8 @@ def test_update_builds_one_workspace_for_all_epochs(monkeypatch):
     """The cell's (N, .) arrays are allocated once per update, not per epoch."""
     built = count_workspaces(monkeypatch)
     rng = np.random.default_rng(0)
-    policy = ActorCritic(rng, obs_dim=4, action_dim=3, hidden=6, mogrifier_rounds=5,
-                         bptt_chunk=4)
+    policy = ActorCritic(rng, obs_dim=4, action_dim=3, mogrifier_rounds=5,
+                         **nn_section(hidden=6, bptt_chunk=4))
     updater = PpoUpdater(policy, small_ppo_config(epochs=3))
     for _ in range(2):
         updater.update(random_buffer(policy, rng, [7, 10, 3]))
@@ -741,7 +744,7 @@ def test_update_steps_one_cell_row_per_transition(monkeypatch, tmp_path):
     """
     counter = UpdateRowCounter(monkeypatch)
     rng = np.random.default_rng(0)
-    policy = ActorCritic(rng, obs_dim=4, action_dim=3, hidden=6, mogrifier_rounds=1)
+    policy = ActorCritic(rng, obs_dim=4, action_dim=3, mogrifier_rounds=1, **nn_section(hidden=6))
     PpoUpdater(policy, small_ppo_config(epochs=2)).update(
         random_buffer(policy, rng, [300, 300, 300, 124]))
     assert counter.updates == [([300, 300, 300, 124], 1024, 2 * 1024)]
@@ -777,8 +780,8 @@ def test_update_graph_is_freed_without_the_cycle_collector(monkeypatch, abort):
     caches of the reverse pass and the cell's workspace are freed by reference
     counting.  An abort's dump lists the log-probs in buffer order."""
     rng = np.random.default_rng(0)
-    policy = ActorCritic(rng, obs_dim=4, action_dim=3, hidden=6, mogrifier_rounds=5,
-                         bptt_chunk=4)
+    policy = ActorCritic(rng, obs_dim=4, action_dim=3, mogrifier_rounds=5,
+                         **nn_section(hidden=6, bptt_chunk=4))
     updater = PpoUpdater(policy, small_ppo_config(epochs=2))
     buffer = random_buffer(policy, rng, [7, 10, 3])
     replay = replay_segments(policy, buffer)

@@ -4,7 +4,7 @@
 
 `<src>` is a directory holding the `airs` package (a checkout's `src/`).
 Each tree makes 16 runs, each `airs` call in its own subprocess with BLAS
-pinned to one thread:
+pinned to one thread, and the change tree makes a 17th:
 - 13 trainings on the benchmark's learning city (`airsbench/workloads.py`
   LEARNING_CITY: one user, pure line of sight): eppo, ppo_vanilla,
   ppo_mogrifier and ppo_necsa, once at `rl.batch_size=370` for 12 episodes
@@ -22,23 +22,26 @@ pinned to one thread:
   episodes of 1500 slots, slot and trajectory logs on) from an eppo
   checkpoint that the tree itself trains on that city (CHECKPOINT_OVERRIDES);
 - one `airs eval --agent random` of the same workload with no training,
-  which draws the exploration generator on the evaluation path.
+  which draws the exploration generator on the evaluation path;
+- the change tree's `airs eval` of the base tree's `eval_city` checkpoint,
+  compared with the base tree's own eval of it, so a checkpoint written
+  before the change must still restore to the same eval artifacts.
 
 Rounding can depend on the BLAS kernel, so the header names numpy's version
 and the kernel its OpenBLAS runs (`airs.rl.train.blas_core` of the change
 tree; OPENBLAS_CORETYPE, passed on to the runs, overrides it): "0 of N runs
 differ" holds for that kernel.
 
-The tool compares the sha256 of each run's artifacts (metrics.csv,
-slots.csv, trajectory.csv, episodes.jsonl and summary.json of a training;
-the eval files too for an eval run), then loads every checkpoint directory
-(`checkpoints/*/`) of both trees with the change's loader and compares every
-parameter array.  Checkpoint file bytes are not compared, so a change of
-checkpoint layout alone is not a difference.  For a run that differs it also
-prints each tree's `final_window_mean_reward` and the largest relative
-parameter difference (max |base - change| over max |base|, worst parameter
-of any checkpoint), so a change that moves numerics on purpose shows how
-far.  Exits 1 on any difference, 0 otherwise.
+The tool compares the sha256 of each run's artifacts (metrics.csv, slots.csv,
+trajectory.csv, episodes.jsonl and summary.json of a training; the eval files
+too for an eval run), then, for a run that trains, loads every checkpoint
+directory (`checkpoints/*/`) of both trees with the change's loader and
+compares every parameter array.  Checkpoint file bytes are not compared, so a
+change of checkpoint layout alone is not a difference.  For a run that differs
+it also prints each tree's `final_window_mean_reward` and the largest relative
+parameter difference (max |base - change| over max |base|, worst parameter of
+any checkpoint), so a change that moves numerics on purpose shows how far.
+Exits 1 on any difference, 0 otherwise.
 """
 
 import argparse
@@ -75,6 +78,7 @@ class Run:
     artifacts: tuple = TRAIN_ARTIFACTS
     evaluate: tuple = None  # overrides of an `airs eval` run
     eval_agent: str = None  # the eval's `--agent`; None evaluates the final checkpoint
+    base_checkpoint: str = None  # label of the run whose base-tree checkpoint the change evals
 
 
 def learning_run(agent, batch_size, episodes, chunk=None) -> Run:
@@ -98,7 +102,9 @@ RUNS = (
                         "rl.agent=eppo", "rl.episodes=6", "rl.batch_size=250",
                         "rl.checkpoint_every=2")),
        Run("eval_city", CHECKPOINT_OVERRIDES, CHECKPOINT_EVAL_ARTIFACTS, evaluate=EVAL_CITY),
-       Run("eval_city_random", None, EVAL_ARTIFACTS, evaluate=EVAL_CITY, eval_agent="random")]
+       Run("eval_city_random", None, EVAL_ARTIFACTS, evaluate=EVAL_CITY, eval_agent="random"),
+       Run("eval_city_base_checkpoint", None, EVAL_ARTIFACTS, evaluate=EVAL_CITY,
+           base_checkpoint="eval_city")]
 )
 
 
@@ -110,12 +116,12 @@ def airs(src: Path, *args):
                    stdout=subprocess.DEVNULL)
 
 
-def make_run(src: Path, out_dir: Path, run: Run):
+def make_run(src: Path, out_dir: Path, run: Run, checkpoint: Path = None):
     if run.train is not None:
         airs(src, "train", "--out", str(out_dir), "--seed", str(SEED), "--override", *run.train)
     if run.evaluate is not None:
         if run.eval_agent is None:
-            agent = ("--checkpoint", str(out_dir / "checkpoints" / "final"))
+            agent = ("--checkpoint", str(checkpoint or out_dir / "checkpoints" / "final"))
         else:
             agent = ("--agent", run.eval_agent)
         airs(src, "eval", *agent, "--episodes", str(EVAL_EPISODES), "--out",
@@ -135,12 +141,13 @@ def compare_run(base_dir: Path, change_dir: Path, run: Run, load_checkpoint) -> 
     """Differences between two run directories, as messages."""
     problems = [f"{name} differs" for name in run.artifacts
                 if digest(base_dir / name) != digest(change_dir / name)]
-    names = checkpoint_names(base_dir)
-    if names != checkpoint_names(change_dir):
-        problems.append(f"checkpoint directories differ: {names} -> "
-                        f"{checkpoint_names(change_dir)}")
+    # An eval alone saves no checkpoint (its base directory may hold the one it read).
+    base_names, change_names = ((checkpoint_names(base_dir), checkpoint_names(change_dir))
+                                if run.train is not None else ([], []))
+    if base_names != change_names:
+        problems.append(f"checkpoint directories differ: {base_names} -> {change_names}")
     relative = []
-    for checkpoint in sorted(set(names) & set(checkpoint_names(change_dir))):
+    for checkpoint in sorted(set(base_names) & set(change_names)):
         _, base = load_checkpoint(base_dir / "checkpoints" / checkpoint)
         _, change = load_checkpoint(change_dir / "checkpoints" / checkpoint)
         if base.keys() != change.keys():
@@ -179,10 +186,14 @@ def main(argv=None) -> int:
         out = Path(tmp)
         failures = 0
         for run in RUNS:
-            dirs = {}
-            for side in ("base", "change"):
-                dirs[side] = out / side / run.label
-                make_run(getattr(args, side).resolve(), dirs[side], run)
+            dirs = {side: out / side / run.label for side in ("base", "change")}
+            if run.base_checkpoint is None:
+                for side, out_dir in dirs.items():
+                    make_run(getattr(args, side).resolve(), out_dir, run)
+            else:
+                dirs["base"] = out / "base" / run.base_checkpoint
+                make_run(args.change.resolve(), dirs["change"], run,
+                         dirs["base"] / "checkpoints" / "final")
             problems = compare_run(dirs["base"], dirs["change"], run, load_checkpoint)
             failures += bool(problems)
             print(f"{run.label}: {'; '.join(problems) if problems else 'identical'}")
