@@ -169,6 +169,17 @@ class MogrifierLstm:
     sigmoid gates are 0.5 + 0.5 * tanh(0.5 * z), so all four gates take one
     tanh.
 
+    The forward reads pre-scaled copies of the parameters, W * scale and
+    b * scale (scale 0.5 in the sigmoid gates' columns, 1 in g's) and
+    0.5 * Q_i and 0.5 * R_i for the rounds, so no tanh's argument takes a
+    multiply of its own.  A power-of-two scale commutes with every rounding
+    step (dot(u, 0.5 * Q) == 0.5 * dot(u, Q) and (z + b) * s == z * s + b * s,
+    barring underflow), so the copies give the unscaled forms' floats bit for
+    bit.  `refresh` rewrites them in place and runs wherever a parameter
+    moves: here, in `ActorCritic.load_state` and after each Adam step of
+    `PpoUpdater.update`; code that writes a parameter's value itself must call
+    it before the next forward.
+
     `step` is the cell's only forward: rollout calls it on fresh arrays, and
     `sequence` runs it over packed rows, writing every intermediate into the
     (N, .) arrays of a `SequenceWorkspace` that `sequence_backward` reads.
@@ -219,6 +230,19 @@ class MogrifierLstm:
         self._scale = 1.0 - self._shift
         self._k1 = 2.0 * self._shift
         self._k0 = 1.0 - self._k1
+        # The pre-scaled copies `step` reads in place of the parameters: W * scale,
+        # b * scale and each round's 0.5 * weight (in `round_weights` order).
+        self._W_scaled = np.empty_like(self.W.value)
+        self._b_scaled = np.empty_like(self.b.value)
+        self._halves = [np.empty_like(weight.value) for weight in self.round_weights]
+        self.refresh()
+
+    def refresh(self):
+        """Rewrite the pre-scaled copies from the parameters' values, in place."""
+        np.multiply(self.W.value, self._scale, out=self._W_scaled)
+        np.multiply(self.b.value, self._scale, out=self._b_scaled)
+        for weight, half in zip(self.round_weights, self._halves):
+            np.multiply(weight.value, 0.5, out=half)
 
     def initial_state(self, batch: int = 1):
         return np.zeros((batch, self.hidden)), np.zeros((batch, self.hidden))
@@ -226,15 +250,15 @@ class MogrifierLstm:
     def mogrify(self, x: np.ndarray, h: np.ndarray, out=None):
         """The gating rounds; returns the gated (x, h), x and h themselves when r = 0.
 
-        Round i writes its factors 1 + tanh(0.5 * (u @ weight)) and its output
-        into `out[2i - 2]` and `out[2i - 1]` when given, else into a new array.
+        Round i writes its factors 1 + tanh(u @ (0.5 * weight)), the same floats
+        as 1 + tanh(0.5 * (u @ weight)), and its output into `out[2i - 2]` and
+        `out[2i - 1]` when given, else into a new array.
         """
         v = [x, h]
-        for i, weight in enumerate(self.round_weights):
+        for i, half in enumerate(self._halves):
             k = i % 2
             t, new = (None, None) if out is None else out[2 * i:2 * i + 2]
-            t = np.dot(v[1 - k], weight.value, out=t)
-            np.multiply(t, 0.5, out=t)
+            t = np.dot(v[1 - k], half, out=t)
             np.tanh(t, out=t)
             np.add(t, 1.0, out=t)
             v[k] = np.multiply(t, v[k], out=t if new is None else new)
@@ -251,9 +275,8 @@ class MogrifierLstm:
         H, n = self.hidden, 2 * self.rounds
         x, h = self.mogrify(x, h, None if out is None else out[:n])
         xh, a, c_new, h_new = (None,) * 4 if out is None else out[n:]
-        a = np.dot(np.concatenate((x, h), axis=1, out=xh), self.W.value, out=a)
-        np.add(a, self.b.value, out=a)
-        np.multiply(a, self._scale, out=a)
+        a = np.dot(np.concatenate((x, h), axis=1, out=xh), self._W_scaled, out=a)
+        np.add(a, self._b_scaled, out=a)
         np.tanh(a, out=a)
         np.multiply(a, self._scale, out=a)
         np.add(a, self._shift, out=a)
@@ -298,7 +321,7 @@ class MogrifierLstm:
         acts, cs, cells, rounds = work.acts, work.cs, work.cells, work.rounds
         # Contiguous transposes: a gemm on a transposed view runs about half as fast.
         W_T = self.W.value.T.copy()
-        halves_T = [(0.5 * weight.value).T.copy() for weight, *_ in rounds]
+        halves_T = [half.T.copy() for half in self._halves]
         gx = np.empty((len(acts), in_dim))
         carry = np.zeros((2, work.width, H))  # gh and gc, in the rows of the block that reads them
         for rows, prev, to, fresh in work.blocks:

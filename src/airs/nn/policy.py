@@ -10,7 +10,9 @@ the one cell forward, `MogrifierLstm.step`: rollout on fresh arrays, replay
 looped by `MogrifierLstm.sequence` into the (N, .) arrays of one
 `SequenceWorkspace` per update.  Each forward the update differentiates
 returns its output and a cache, which its `*_backward` reads to add the
-parameter gradients.
+parameter gradients.  The cell's pre-scaled weights and `act`'s sampling std
+are derived from the parameters by `ActorCritic.refresh`, at every point
+where a parameter moves.
 """
 
 import math
@@ -51,6 +53,18 @@ class ActorCritic:
         self.v1 = Dense(rng, obs_dim, hidden, "critic.l1")
         self.v2 = Dense(rng, hidden, hidden, "critic.l2")
         self.v3 = Dense(rng, hidden, 1, "critic.out")
+        self._std = np.empty(action_dim)  # act's sampling std, exp of the clamped log-std
+        self.refresh()
+
+    def refresh(self):
+        """Rewrite what the forwards derive from the parameters, in place: the
+        cell's pre-scaled copies (`MogrifierLstm.refresh`) and `act`'s sampling
+        std.  Runs here, in `load_state` and after each Adam step of
+        `PpoUpdater.update`; code that writes a parameter's value itself must
+        call it before the next forward."""
+        self.cell.refresh()
+        np.clip(self.log_std.value, LOG_STD_MIN, LOG_STD_MAX, out=self._std)
+        np.exp(self._std, out=self._std)
 
     # -- parameter plumbing --------------------------------------------------
 
@@ -85,6 +99,7 @@ class ActorCritic:
                     f"this environment needs {param.value.shape}"
                 )
             param.value = arr.astype(np.float64)
+        self.refresh()
 
     # -- forward pieces --------------------------------------------------------
 
@@ -176,5 +191,4 @@ class ActorCritic:
         mu = mean[0]
         if greedy:
             return mu.copy(), new_state
-        std = np.exp(np.clip(self.log_std.value, LOG_STD_MIN, LOG_STD_MAX))
-        return mu + std * rng.standard_normal(self.action_dim), new_state
+        return mu + self._std * rng.standard_normal(self.action_dim), new_state

@@ -240,6 +240,7 @@ class PpoUpdater:
             T.backward(self.reverse, caches, *grads)
             self.check_finite("grad_norm", epoch, loss)
             self.optimizer.step()
+            policy.refresh()  # the parameters moved: rewrite what the forwards derive
             self.check_finite("parameters", epoch, loss)
 
     def check_finite(self, check: str, epoch: int, loss: float):

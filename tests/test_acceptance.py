@@ -209,9 +209,11 @@ def test_criterion_04_mogrifier_degeneracy():
         q.value = np.zeros_like(q.value)
     for r in gated.R:
         r.value = np.zeros_like(r.value)
+    gated.refresh()
     plain = MogrifierLstm(np.random.default_rng(0), 6, 7, rounds=0, name="b")
     plain.W.value = gated.W.value.copy()
     plain.b.value = gated.b.value.copy()
+    plain.refresh()
     xs = rng.standard_normal((6, 3, 6))
     state_a = gated.initial_state(3)
     state_b = plain.initial_state(3)

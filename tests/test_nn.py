@@ -78,6 +78,7 @@ def sequence_loss(cell, x, batch_sizes, h0, c0, w):
     """sum(hs * w) for hs = cell.sequence over x (never cut), its gradient by
     `sequence_backward`; x is a Param that takes its gradient too."""
     def loss(grad):
+        cell.refresh()  # the check perturbs parameter values in place
         hs, work = run_sequence(cell, x.value, batch_sizes, h0, c0, 0)
         if grad:
             x.add_grad(cell.sequence_backward(work, w))
@@ -90,6 +91,7 @@ def actor_critic_loss(policy, obs, actions, batch_sizes):
     """sum(log_prob(actor_sequence(obs), actions)) + sum(value(obs)**2), its
     gradient by the program's backward functions, chained as an update chains them."""
     def loss(grad):
+        policy.refresh()  # the check perturbs parameter values in place
         state = policy.initial_state(batch_sizes[0])
         work = SequenceWorkspace(policy.cell, batch_sizes, policy.bptt_chunk)
         means, actor = policy.actor_sequence(obs, work, *state)
@@ -762,6 +764,7 @@ def test_one_workspace_serves_every_epoch(rng):
     for shared in (True, False):
         for name, p in cell.params():
             p.value = start[name].copy()
+        cell.refresh()
         work = SequenceWorkspace(cell, batch_sizes, chunk)
         for x, (h0, c0), g_hs, dW in epochs:
             if not shared:
@@ -773,6 +776,7 @@ def test_one_workspace_serves_every_epoch(rng):
             gx = cell.sequence_backward(work, g_hs).copy()
             found.append([hs, gx] + [p.grad for _, p in cell.params()])
             cell.W.value = cell.W.value + 0.1 * dW
+            cell.refresh()
     for one, fresh in zip(found[:2], found[2:]):
         for a, b in zip(one, fresh):
             assert np.array_equal(a, b)
@@ -784,6 +788,7 @@ def test_one_workspace_serves_every_epoch(rng):
 def copy_lstm_weights(dst: MogrifierLstm, src: MogrifierLstm):
     dst.W.value = src.W.value.copy()
     dst.b.value = src.b.value.copy()
+    dst.refresh()
 
 
 def test_zero_mogrifier_matches_plain_lstm_bitwise(rng):
@@ -792,6 +797,7 @@ def test_zero_mogrifier_matches_plain_lstm_bitwise(rng):
         q.value = np.zeros_like(q.value)
     for r in gated.R:
         r.value = np.zeros_like(r.value)
+    gated.refresh()
     plain = MogrifierLstm(np.random.default_rng(0), 6, 7, rounds=0, name="b")
     copy_lstm_weights(plain, gated)
     x = rng.standard_normal((3, 6))
@@ -840,6 +846,7 @@ def test_lstm_zero_everything_gives_zero_hidden(rng):
     cell = MogrifierLstm(rng, 3, 4, rounds=0)
     cell.W.value = np.zeros_like(cell.W.value)
     cell.b.value = np.zeros_like(cell.b.value)
+    cell.refresh()
     h, c = cell.step(np.zeros((2, 3)), *cell.initial_state(2))
     assert np.array_equal(h, np.zeros((2, 4)))
 
@@ -852,6 +859,7 @@ def test_lstm_forced_gates_carry_memory(rng):
     gates[gate("f")] = 40.0   # forget gate pinned to 1
     gates[gate("i")] = -40.0  # input gate pinned to 0
     gates[gate("o")] = 0.0
+    cell.refresh()
     c0 = rng.standard_normal((2, 4))
     h, c = cell.step(np.zeros((2, 3)), np.zeros((2, 4)), c0)
     assert np.max(np.abs(c - c0)) < 1e-12

@@ -26,7 +26,7 @@ from airs.rl.ppo import (
     ppo_loss,
 )
 from airs.env import AirsEnv, SlotRecord
-from airs.nn.checkpoint import load_checkpoint
+from airs.nn.checkpoint import load_checkpoint, save_checkpoint
 from airs.rl.train import SLOTS_HEADER, TRAJECTORY_HEADER, RunWriter, _row, train
 from conftest import nn_section, record, toy_overrides
 from test_nn import owned_arrays
@@ -810,3 +810,72 @@ def test_update_graph_is_freed_without_the_cycle_collector(monkeypatch, abort):
         assert dump["epoch"] == 0
         assert np.max(np.abs(np.array(dump["new_log_probs"]) - replay)) < 1e-12
         assert dump["old_log_probs"] == dump["new_log_probs"]
+
+
+# -- the forwards' derived copies --------------------------------------------------
+
+
+def unfolded_step(cell, x, h, c):
+    """`MogrifierLstm.step` from the parameters' values, in the op order of the
+    forward before its constants were folded into copies: each round's dot,
+    then * 0.5, tanh and + 1; the gates' dot, then + b and * scale."""
+    H = cell.hidden
+    scale = np.repeat([0.5, 0.5, 0.5, 1.0], H)  # sigmoid gates i, f, o; tanh gate g
+    v = [x, h]
+    for i, weight in enumerate(cell.round_weights):
+        k = i % 2
+        t = np.dot(v[1 - k], weight.value)
+        t = np.tanh(t * 0.5) + 1.0
+        v[k] = t * v[k]
+    a = np.dot(np.concatenate(v, axis=1), cell.W.value)
+    a = (a + cell.b.value) * scale
+    a = np.tanh(a) * scale + (1.0 - scale)
+    c_new = a[:, H:2 * H] * c
+    c_new += a[:, :H] * a[:, 3 * H:]
+    return a[:, 2 * H:3 * H] * np.tanh(c_new), c_new
+
+
+def assert_forwards_read_current_values(policy, rng):
+    """`step` at 1 and 10 rows equals `unfolded_step` bit for bit, and `act`'s
+    sample is mean + exp(clip(log_std)) * noise, both from the values now held."""
+    cell = policy.cell
+    for rows in (1, 10):
+        x = rng.standard_normal((rows, cell.in_dim))
+        h, c = rng.standard_normal((2, rows, cell.hidden))
+        for got, want in zip(cell.step(x, h, c), unfolded_step(cell, x, h, c)):
+            assert np.array_equal(got, want)
+    obs = rng.uniform(size=policy.trunk.W.value.shape[0])
+    state = tuple(rng.standard_normal((2, 1, cell.hidden)))
+    mean, _ = policy.actor_step(obs.reshape(1, -1), state)
+    action, _ = policy.act(obs, state, np.random.default_rng(3))
+    noise = np.random.default_rng(3).standard_normal(policy.action_dim)
+    std = np.exp(np.clip(policy.log_std.value, LOG_STD_MIN, LOG_STD_MAX))
+    assert np.array_equal(action, mean[0] + std * noise)
+
+
+@pytest.mark.parametrize("rounds", [0, 5])
+def test_forwards_follow_every_parameter_move(rounds, tmp_path):
+    """The pre-scaled copies `step` reads and `act`'s std are never stale: on a
+    fresh policy, after an update (Adam moved every parameter), after
+    `load_state` from a checkpoint, and after values written directly and
+    `refresh()`."""
+    rng = np.random.default_rng(0)
+    dims = dict(obs_dim=4, action_dim=3, mogrifier_rounds=rounds, **nn_section(hidden=6))
+    policy = ActorCritic(rng, **dims)
+    assert_forwards_read_current_values(policy, rng)
+
+    before = [p.value.copy() for p in policy.params()]
+    PpoUpdater(policy, small_ppo_config(epochs=1)).update(random_buffer(policy, rng, [7, 10, 3]))
+    assert not any(np.array_equal(a, p.value) for a, p in zip(before, policy.params()))
+    assert_forwards_read_current_values(policy, rng)
+
+    save_checkpoint(tmp_path / "ck", [(n, p.value) for n, p in policy.named_params()],
+                    step=1, hyperparams={})
+    restored = ActorCritic(np.random.default_rng(1), **dims)
+    restored.load_state(load_checkpoint(tmp_path / "ck")[1])
+    assert_forwards_read_current_values(restored, rng)
+
+    for p in restored.params():
+        p.value = p.value + 0.1 * rng.standard_normal(p.value.shape)
+    restored.refresh()
+    assert_forwards_read_current_values(restored, rng)

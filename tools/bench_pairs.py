@@ -3,23 +3,28 @@
     python3 tools/bench_pairs.py --base <checkout> --change <checkout> \\
         --workload train-eppo --pairs 10 --first-seed 20 --seconds 30 --out BENCH.json
 
-A checkout is a directory holding `airsbench/` and `src/` (the benchmark runs
-the program of its own checkout).  Pair i runs `airsbench/run.py` of both
-checkouts on workload seed `first-seed + i`, the base first when i is even and
-the change first when it is odd, one run at a time.  With `--trace 1` the runs
-are traced and the per-layer metrics are recorded instead.
+A checkout is a directory holding `BENCHMARK.json`, `airsbench/` and `src/`
+(the benchmark runs the program of its own checkout); before any run, the tool
+exits 2 naming the first file of `REQUIRED` a checkout lacks.  Pair i runs
+`airsbench/run.py` of both checkouts on workload seed `first-seed + i`, the
+base first when i is even and the change first when it is odd, one run at a
+time.  With `--trace 1` the runs are traced and the per-layer metrics are
+recorded instead.  A run that exits non-zero stops the tool with exit 1, after
+it prints the checkout, the seed and the tail of the run's stderr.
 
 The figures go into the JSON file `--out` under
 `workloads.<workload>.<plain|traced>` (other entries of an existing file are
 kept): each run's correctness, slot counts and artifact digests (the
 `run seed N: metrics.csv sha256 ...` lines of its report), each tree's
 digests per run seed and the run seeds whose digests differ between the
-trees, and per metric each side's values, median and quartiles and the
+trees, and per metric each side's values, median and quartiles, the same
+figures of the per-pair ratio change / base (`ratio`; None when a base value
+is 0), which varies less from run to run than either side's median, and the
 number of pairs the change won by the metric's `better` direction in
-BENCHMARK.json (ties count for neither side).  The file also
-records the machine (nproc), the Python, numpy and BLAS versions, the BLAS
-kernel that ran, and a sha256 of each checkout's `src/` tree with its git
-revision where it has one.
+BENCHMARK.json (ties count for neither side).  The file also records the
+machine (nproc), the Python, numpy and BLAS versions, the BLAS kernel that
+ran, and a sha256 of each checkout's `src/` tree with its git revision where
+it has one.
 """
 
 import argparse
@@ -39,15 +44,22 @@ ROOT = Path(__file__).resolve().parent.parent
 
 # A report line `  run seed 7: metrics.csv sha256 <digest> [<digest> ...]`.
 DIGEST_LINE = re.compile(r"^\s*run seed (\d+): (\S+) sha256 (.*)$")
+# The files a checkout must hold, relative to it.
+REQUIRED = ("BENCHMARK.json", "airsbench/run.py", "src/airs/__init__.py")
+STDERR_TAIL = 20  # lines of a failed run's stderr to print
 
 
 def run_benchmark(checkout: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
     """The run's JSON result, with `digests`: the artifact digests its report
-    lists per run seed."""
+    lists per run seed.  A run that exits non-zero ends the tool with exit 1."""
     out = subprocess.run([sys.executable, str(checkout / "airsbench" / "run.py"),
                           "--workload", workload, "--seed", str(seed),
                           "--seconds", str(seconds), "--trace", str(trace)],
-                         check=True, capture_output=True, text=True)
+                         capture_output=True, text=True)
+    if out.returncode != 0:
+        tail = "\n".join(out.stderr.splitlines()[-STDERR_TAIL:])
+        raise SystemExit(f"bench_pairs: {workload} run failed with exit {out.returncode}: "
+                         f"checkout {checkout}, seed {seed}; its stderr ends:\n{tail}")
     lines = out.stdout.strip().splitlines()
     result = json.loads(lines[-1])
     result["digests"] = {match[1]: match[3].split() for match in map(DIGEST_LINE.match, lines)
@@ -114,6 +126,10 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in spec["end_to_end"] + spec["per_layer"]}
     sides = {"base": args.base.resolve(), "change": args.change.resolve()}
+    for side, checkout in sides.items():
+        for name in REQUIRED:
+            if not (checkout / name).is_file():
+                parser.error(f"the {side} checkout {checkout} has no {name}")  # exits 2
 
     pairs = []
     for i in range(args.pairs):
@@ -133,10 +149,13 @@ def main(argv=None) -> int:
         values = {side: [p[side]["metrics"][name]["value"] for p in pairs]
                   for side in sides}
         sign = 1.0 if better.get(name) == "higher" else -1.0
-        wins = sum(sign * (c - b) > 0 for b, c in zip(values["base"], values["change"]))
+        paired = list(zip(values["base"], values["change"]))
+        wins = sum(sign * (c - b) > 0 for b, c in paired)
+        ratio = summarize([c / b for b, c in paired]) if all(values["base"]) else None
         metrics[name] = {"unit": pairs[0]["base"]["metrics"][name]["unit"],
                          "better": better.get(name),
                          **{side: summarize(values[side]) for side in sides},
+                         "ratio": ratio,
                          "change_wins": int(wins), "pairs": len(pairs)}
     digests = {side: tree_digests([p[side] for p in pairs]) for side in sides}
     result = {
