@@ -12,89 +12,25 @@ def uniform_init(rng, fan_in: int, shape) -> np.ndarray:
     return rng.uniform(-limit, limit, size=shape)
 
 
-def _index(rows: np.ndarray):
-    """`rows` as a slice when they are one contiguous run (or none), else as they are."""
-    first = int(rows[0]) if len(rows) else 0
-    if np.array_equal(rows, np.arange(first, first + len(rows))):
-        return slice(first, first + len(rows))
-    return rows
-
-
-def piece_offsets(batch_sizes, chunk: int) -> np.ndarray:
-    """Each packed step's first row when the rows are packed piece-major.
-
-    The state gradient is cut every `chunk` steps (0 never cuts), which splits
-    the T = len(batch_sizes) steps into pieces [c * span, (c + 1) * span) for
-    span = min(chunk, T) (T when chunk is 0).  Piece-major order lists the rows
-    by (step mod span, piece, segment rank): step t's `batch_sizes[t]` rows are
-    one run, and so are the rows of step j of every piece, which
-    `MogrifierLstm.sequence_backward` walks as one block.  With one piece (chunk
-    0 or at least T) it is step-major order.
-    """
-    sizes = np.asarray(batch_sizes, dtype=np.int64)
-    span = min(chunk, len(sizes)) if chunk > 0 else len(sizes)
-    ranked = np.argsort(np.arange(len(sizes)) % span, kind="stable")  # steps, piece-major
-    offsets = np.empty(len(sizes), dtype=np.int64)
-    offsets[ranked] = np.cumsum(sizes[ranked]) - sizes[ranked]
-    return offsets
-
-
-def lane_blocks(batch_sizes, chunk: int):
-    """The blocks of `MogrifierLstm.sequence_backward`'s reverse walk over steps
-    `batch_sizes` packed piece-major (`piece_offsets`) and cut every `chunk`
-    steps, and the largest block's row count.
-
-    A lane is one truncation piece.  Lanes share no state gradient, so reverse
-    step j = span - 1, ..., 0 runs step j of every lane as one block.  A block
-    is (rows, prev, to, fresh): its rows, lane by lane, a slice; the rows of
-    their previous cell states in `SequenceWorkspace.cells` (the rows of the
-    step before, then c0's rows for step 0); which rows of the next block take
-    its carried state gradient, row for row (`to`), and which start from zero
-    (`fresh`), both None for the last block.  Contiguous runs are slices, so
-    only the first block's previous states (when there is more than one lane)
-    and the rows around segments that end inside a piece are gathered.
-    """
-    sizes = np.asarray(batch_sizes, dtype=np.int64)
-    steps = len(sizes)
-    span = min(chunk, steps) if chunk > 0 else steps
-    # Where each step's rows start; starts[-1] = N, where c0's rows follow the packed ones.
-    starts = np.append(piece_offsets(sizes, chunk), sizes.sum())
-
-    def runs(firsts, counts):  # the ranges [first, first + count), concatenated
-        return np.concatenate([np.arange(s, s + n) for s, n in zip(firsts, counts)])
-
-    blocks = []
-    for j in range(span - 1, -1, -1):
-        t = np.arange(j, steps, span)  # the block's step in each lane
-        to = fresh = None
-        if j > 0:
-            below = sizes[j - 1::span]  # the next block's lanes
-            to = runs(np.cumsum(below) - below, sizes[t])
-            fresh = _index(np.setdiff1d(np.arange(below.sum()), to))
-            to = _index(to)
-        rows = slice(int(starts[j]), int(starts[j] + sizes[t].sum()))
-        blocks.append((rows, _index(runs(starts[t - 1], sizes[t])), to, fresh))
-    return blocks, int(sizes[::span].sum())
-
-
 class SequenceWorkspace:
     """The (N, .) arrays `MogrifierLstm.sequence` writes and `sequence_backward`
-    reads, for rows packed piece-major (`piece_offsets`), with their row views.
+    reads, for rows packed step-major, with their row views.
 
-    Built once for one (`batch_sizes`, `chunk`): each `sequence` call
-    overwrites the arrays and each `sequence_backward` call reads them, so an
-    update builds one workspace and every epoch reuses its arrays, each step's
-    `out` views and the reverse walk's blocks (`lane_blocks`).  The caller
-    writes the input rows into `x` before `sequence`.
+    Step t is one run of `batch_sizes[t]` rows that continues the first
+    `batch_sizes[t]` segments of step t - 1, so batch sizes never grow.  Built
+    once for one `batch_sizes`: each `sequence` call overwrites the arrays and
+    each `sequence_backward` call reads them, so an update builds one
+    workspace and every epoch reuses its arrays and each step's `out` views.
+    The caller writes the input rows into `x` before `sequence`.
 
     The arrays: `x` and `h_in` (the rows' input and incoming hidden state);
     `xh`, the [x, h] rows the gate gemm reads; each gating round's factors
     1 + tanh and output; the gate activations `acts`; the cell states `cs`,
-    followed in `cells` by c0's first rows, so each row's previous cell state
-    is a row of `cells`; and the hidden states `hs`.
+    followed in `cells` by c0's rows, so each row's previous cell state is a
+    row of `cells`; and the hidden states `hs`.
     """
 
-    def __init__(self, cell, batch_sizes, chunk: int):
+    def __init__(self, cell, batch_sizes):
         sizes = np.asarray(batch_sizes, dtype=np.int64)
         n_rows, H, in_dim = int(sizes.sum()), cell.hidden, cell.in_dim
         dims = (in_dim, H)
@@ -121,11 +57,11 @@ class SequenceWorkspace:
         self.cs = self.cells[:n_rows]
         self.acts, self.hs = np.empty((n_rows, 4 * H)), np.empty((n_rows, H))
         arrays += [self.xh, self.acts, self.cs, self.hs]
-        self.steps = []  # per packed step in time order: its x and h_in rows, `step`'s out
-        for first, n in zip(piece_offsets(sizes, chunk), sizes):
+        # Per step in time order: its rows, their x and h_in, and `step`'s out.
+        self.steps = []
+        for first, n in zip(np.cumsum(sizes) - sizes, sizes):
             rows = slice(int(first), int(first + n))
-            self.steps.append((self.x[rows], self.h_in[rows], [a[rows] for a in arrays]))
-        self.blocks, self.width = lane_blocks(sizes, chunk)
+            self.steps.append((rows, self.x[rows], self.h_in[rows], [a[rows] for a in arrays]))
 
 
 class Dense:
@@ -183,14 +119,9 @@ class MogrifierLstm:
     `step` is the cell's only forward: rollout calls it on fresh arrays, and
     `sequence` runs it over packed rows, writing every intermediate into the
     (N, .) arrays of a `SequenceWorkspace` that `sequence_backward` reads.
-    An update builds one workspace and reuses it in every epoch.  The
-    backward's truncation cuts split the steps into independent lanes, and
-    its reverse walk runs one step of every lane as one block of rows
-    (`lane_blocks`), so a gemm or an element-wise op serves all lanes at
-    once; with no cut inside the sequence there is one lane, a plain time
-    loop.  The rows are packed piece-major (`piece_offsets`), so each forward
-    step and each reverse block is one run of rows, a view.  As cuDNN lays
-    out independent recurrent work (Appleyard, Kocisky and Blunsom 2016,
+    An update builds one workspace and reuses it in every epoch.  Each
+    forward step and each reverse step is one run of rows, a view.  As cuDNN
+    lays out recurrent work (Appleyard, Kocisky and Blunsom 2016,
     arXiv:1604.01946), each reverse step does only the work that carries the
     state, and the weight gradients are one gemm each over all N rows after
     the walk.
@@ -289,15 +220,14 @@ class MogrifierLstm:
     def sequence(self, work: SequenceWorkspace, h0: np.ndarray, c0: np.ndarray):
         """Hidden states (N, hidden) over the input rows `work.x` from (h0, c0).
 
-        Rows are packed piece-major (`piece_offsets`): step t is one run of
-        `batch_sizes[t]` rows and continues the first `batch_sizes[t]`
-        sequences, so batch sizes never grow.  Each step is one `step` call
-        writing into the workspace's arrays.  Returns `work.hs`.
+        Rows are packed step-major (see `SequenceWorkspace`), one row of h0
+        and c0 per segment.  Each step is one `step` call writing into the
+        workspace's arrays.  Returns `work.hs`.
         """
         n_rows = len(work.cs)
-        work.cells[n_rows:] = c0[:len(work.cells) - n_rows]
+        work.cells[n_rows:] = c0
         h, c = h0, c0
-        for x, h_in, out in work.steps:
+        for _, x, h_in, out in work.steps:
             n = len(x)
             h_in[...] = h[:n]
             h, c = self.step(x, h_in, c[:n], out)
@@ -308,14 +238,11 @@ class MogrifierLstm:
         (N, hidden) of the last `sequence` on `work`; return the input rows'
         gradient (N, in_dim).
 
-        The state gradient is cut at t = 0 and at every multiple of the
-        workspace's chunk (truncated backpropagation through time; 0 never
-        cuts), so the pieces between cuts are independent lanes, and each
-        reverse step walks one step of every lane as one block of rows
-        (`lane_blocks`), a view of the workspace's arrays.  Each block writes
-        its gates' pre-activation gradient over their activations and each
-        round's over its factors, which the weight gradients read after the
-        loop.
+        The reverse walk runs the steps from last to first; the state
+        gradient starts at zero at each segment's end and stops at (h0, c0).
+        Each step writes its gates' pre-activation gradient over their
+        activations and each round's over its factors, which the weight
+        gradients read after the loop.
         """
         H, in_dim = self.hidden, self.in_dim
         acts, cs, cells, rounds = work.acts, work.cs, work.cells, work.rounds
@@ -323,11 +250,17 @@ class MogrifierLstm:
         W_T = self.W.value.T.copy()
         halves_T = [half.T.copy() for half in self._halves]
         gx = np.empty((len(acts), in_dim))
-        carry = np.zeros((2, work.width, H))  # gh and gc, in the rows of the block that reads them
-        for rows, prev, to, fresh in work.blocks:
+        # gh and gc, in the rows of the step the walk reaches next.  Batch sizes
+        # only grow as the walk goes back, so the rows past a step's are still
+        # zero when it reads them: the segments that end there start from zero.
+        carry = np.zeros((2, len(cells) - len(cs), H))
+        for t in range(len(work.steps) - 1, -1, -1):
+            rows = work.steps[t][0]
+            first = work.steps[t - 1][0].start if t else len(cs)
             a, tanh_c = acts[rows], np.tanh(cs[rows])  # as the forward computed it
-            c_prev = cells[prev]
-            gh, gc = carry[:, :len(a)]
+            n = len(a)
+            c_prev = cells[first:first + n]
+            gh, gc = carry[:, :n]
             g_h = g_hs[rows] + gh
             g_c = gc + (g_h * a[:, 2 * H:3 * H]) * (1.0 - tanh_c**2)
             slope = (self._k1 - a) * a + self._k0
@@ -350,9 +283,7 @@ class MogrifierLstm:
                 np.multiply(g_v, d, out=m)
                 grads[1 - k] += np.dot(m, half_T)
             gx[rows] = grads[0]
-            if to is not None:
-                carry[0, to], carry[1, to] = grads[1], gc_prev
-                carry[:, fresh] = 0.0
+            carry[0, :n], carry[1, :n] = grads[1], gc_prev
         del W_T, halves_T, carry  # freed before the weight gradients are allocated
         self.W.add_grad(np.dot(work.xh.T, acts))
         self.b.add_grad(acts.sum(axis=0))

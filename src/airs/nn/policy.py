@@ -3,9 +3,10 @@
 Actor: dense trunk with tanh, a mogrifier LSTM, a tanh-squashed mean head,
 and one state-independent learnable log-std per action dimension (clamped to
 [-5, 1]).  Critic: two tanh layers to a scalar value.  All math is float64.
-Rollouts call `actor_step` on plain arrays; updates replay stored sequences,
-packed piece-major, through `actor_sequence`, which runs the trunk and the
-mean head once over all rows and hands the time loop to the cell.  Both run
+Rollouts call `actor_step` on plain arrays; updates replay stored segments,
+each from the recurrent state the rollout stored for it and packed
+step-major, through `actor_sequence`, which runs the trunk and the mean head
+once over all rows and hands the time loop to the cell.  Both run
 the one cell forward, `MogrifierLstm.step`: rollout on fresh arrays, replay
 looped by `MogrifierLstm.sequence` into the (N, .) arrays of one
 `SequenceWorkspace` per update.  Each forward the update differentiates
@@ -45,7 +46,7 @@ class ActorCritic:
     def __init__(self, rng, obs_dim: int, action_dim: int, hidden: int, mogrifier_rounds: int,
                  log_std_init: float, bptt_chunk: int):
         self.action_dim = action_dim
-        self.bptt_chunk = bptt_chunk
+        self.bptt_chunk = bptt_chunk  # the rollout's segment length cap (`Learner`; 0: none)
         self.trunk = Dense(rng, obs_dim, hidden, "actor.trunk")
         self.cell = MogrifierLstm(rng, hidden, hidden, mogrifier_rounds, "actor.lstm")
         self.mean_head = Dense(rng, hidden, action_dim, "actor.mean")
@@ -116,13 +117,12 @@ class ActorCritic:
                        c0: np.ndarray):
         """Means (N, A) over packed observation rows (N, obs_dim) from state (h0, c0).
 
-        Rows are packed piece-major in the layout of `work` (see
-        `layers.piece_offsets`): step t is one run of `batch_sizes[t]` rows and
-        continues the first `batch_sizes[t]` sequences, so batch sizes never
-        grow.  The trunk and the mean head each run once over all N rows, the
-        trunk writing into `work.x`, and the cell runs the time loop
-        (`MogrifierLstm.sequence`).  Returns (means, cache for
-        `actor_sequence_backward`).
+        Rows are packed step-major in the layout of `work`: step t is one run
+        of `batch_sizes[t]` rows and continues the first `batch_sizes[t]`
+        segments, so batch sizes never grow.  The trunk and the mean head
+        each run once over all N rows, the trunk writing into `work.x`, and
+        the cell runs the time loop (`MogrifierLstm.sequence`).  Returns
+        (means, cache for `actor_sequence_backward`).
         """
         np.tanh(self.trunk.forward(obs), out=work.x)
         means = np.tanh(self.mean_head.forward(self.cell.sequence(work, h0, c0)))
@@ -132,8 +132,9 @@ class ActorCritic:
         """Add the actor's trunk, cell and head gradients for the means' gradient g.
 
         Runs the head once, the cell's reverse time loop, then the trunk once.
-        The state gradient is cut at t = 0 and at every multiple of `bptt_chunk`
-        (truncated backpropagation through time; 0 never cuts).  The hidden
+        The state gradient runs within each segment and stops at its stored
+        start state; the rollout cuts segments every `bptt_chunk` rows
+        (truncated backpropagation through time).  The hidden
         states' gradient is written over them in the workspace, which keeps no
         (N, hidden) array more alive than a cache per epoch did.
         """

@@ -1,18 +1,19 @@
 """Clipped-surrogate policy optimization over recurrent rollouts.
 
-The buffer keeps plain rows in collection order, split into segments that
-each start at an episode boundary or at a buffer boundary mid-episode; every
-segment carries the recurrent state it started from so updates can replay
-sequences exactly as collected.  When the buffer reaches the configured batch
-size the trainer computes values and advantages (one critic pass over the
-states and the bootstrap observation) and runs K epochs of full-batch
-gradient steps.  Each epoch replays the segments, packed longest first with
-no padding rows, through one recurrent forward and feeds its log-probs to
-`ppo_loss`, which returns the loss's gradients in closed form; one reverse
-pass chains them through the critic, the Gaussian log-density and the
-recurrence.  Rows are packed piece-major (`PackedBatch`): ordered by the
-step's place in its `bptt_chunk` piece, then the piece, then the segment,
-so each forward step and each block of the reverse walk is one run of rows.
+The buffer keeps plain rows in collection order, split into segments; every
+segment carries the recurrent state the rollout stood in before its first
+row, so updates replay each segment from the state it was collected from
+(stored-state replay, Kapturowski et al., ICLR 2019).  The trainer starts a
+segment at each episode start, after each update and every `nn.bptt_chunk`
+rows, so a segment is one truncated piece of backpropagation through time.
+When the buffer reaches the configured batch size the trainer computes
+values and advantages (one critic pass over the states and the bootstrap
+observation) and runs K epochs of full-batch gradient steps.  Each epoch
+replays the segments, packed step-major and longest first with no padding
+rows (`PackedBatch`), through one recurrent forward and feeds its log-probs
+to `ppo_loss`, which returns the loss's gradients in closed form; one
+reverse pass chains them through the critic, the Gaussian log-density and
+the recurrence, whose state gradient starts at zero at each segment's end.
 The cell's (N, .) arrays are built once per update, in one
 `SequenceWorkspace` that every epoch reuses and that is freed when `update`
 returns.  The actor side works in packed row order throughout, the critic
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..nn import tensor as T
-from ..nn.layers import SequenceWorkspace, piece_offsets
+from ..nn.layers import SequenceWorkspace
 from ..nn.optim import Adam
 from ..nn.policy import ActorCritic, gaussian_entropy
 
@@ -152,29 +153,25 @@ def ppo_loss(new_log_probs, old_log_probs, advantages, values, returns, log_std,
 
 
 class PackedBatch:
-    """Segments packed piece-major, longest first, with no padding rows.
+    """Segments packed step-major, longest first, with no padding rows.
 
-    Segments are stably sorted by length (their rank); step t holds rows of
-    the first `batch_sizes[t]` (those still running), as `pack_padded_sequence`
-    packs them.  The state gradient is cut every `chunk` steps (0 never cuts),
-    which splits the steps into pieces of span = min(chunk, T) steps (T when
-    chunk is 0), and rows are ordered by (step mod span, piece, rank)
-    (`layers.piece_offsets`): each step's rows are one run, and so are the
-    rows of step j of every piece, which the cell's reverse walk runs as one
-    block.  With one piece that is step-major order.  `obs` and `actions` are
-    (N, ...).  `h0` and `c0` are in rank order.  `order[i]` is the packed row
-    of buffer index i, so `packed[order]` lists packed rows in buffer order,
-    as `states` holds the observations.
+    Segments are stably sorted by length (their rank); step t holds one row
+    of each of the first `batch_sizes[t]` (those still running), as
+    `pack_padded_sequence` packs them, so each step's rows are one run.
+    `obs` and `actions` are (N, ...).  `h0` and `c0` are in rank order.
+    `order[i]` is the packed row of buffer index i, so `packed[order]` lists
+    packed rows in buffer order, as `states` holds the observations.
     """
 
-    def __init__(self, buffer: RolloutBuffer, chunk: int):
+    def __init__(self, buffer: RolloutBuffer):
         starts = np.array(buffer.starts)
         lengths = np.diff(starts, append=len(buffer))
         ranked = np.argsort(-lengths, kind="stable")
         rank = np.argsort(ranked)
         self.batch_sizes = (lengths[:, None] > np.arange(lengths.max())).sum(axis=0)
         t = np.arange(len(buffer)) - np.repeat(starts, lengths)
-        self.order = piece_offsets(self.batch_sizes, chunk)[t] + np.repeat(rank, lengths)
+        offsets = np.cumsum(self.batch_sizes) - self.batch_sizes  # each step's first row
+        self.order = offsets[t] + np.repeat(rank, lengths)
         self.states = np.stack(buffer.states)
         self.obs = self.pack(self.states)
         self.actions = self.pack(np.stack(buffer.actions))
@@ -199,9 +196,9 @@ class PpoUpdater:
     def update(self, buffer: RolloutBuffer):
         cfg = self.config
         policy = self.policy
-        batch = PackedBatch(buffer, policy.bptt_chunk)
+        batch = PackedBatch(buffer)
         # The cell's (N, .) arrays, for every epoch; freed when `update` returns.
-        work = SequenceWorkspace(policy.cell, batch.batch_sizes, policy.bptt_chunk)
+        work = SequenceWorkspace(policy.cell, batch.batch_sizes)
 
         values, _ = policy.value(np.vstack((batch.states, buffer.next_obs)))
         advantages, returns = gae_advantages(

@@ -4,8 +4,12 @@ A run directory holds manifest.json (the fully resolved configuration, seed,
 code hash and numeric environment), per-episode metrics.csv, episode
 summaries as JSON lines, optional per-slot and trajectory CSVs, and
 checkpoints.  Identical (config, seed, code) triples produce byte-identical
-metrics files on one numeric environment: the same numpy build, BLAS kernel
-and BLAS thread count, which the manifest names.
+metrics files on one numeric environment: the same numpy build, BLAS kernel,
+BLAS thread count and numpy SIMD dispatch (the baseline, the runtime targets
+and the NPY_DISABLE_CPU_FEATURES and NPY_ENABLE_CPU_FEATURES variables), which
+the manifest names.  The SIMD fields matter: with only the others recorded,
+two runs with equal records wrote different metrics.csv bytes when one of
+them ran with NPY_DISABLE_CPU_FEATURES turning AVX-512 dispatch off.
 """
 
 import ctypes
@@ -63,11 +67,35 @@ def blas_core():
     return None
 
 
+CPU_FEATURE_VARS = ("NPY_DISABLE_CPU_FEATURES", "NPY_ENABLE_CPU_FEATURES")
+
+
+def simd_dispatch() -> dict:
+    """numpy's SIMD state on this machine: the `baseline` it was built for, the
+    runtime `dispatch` targets it enabled (None where numpy does not expose
+    them), and the two variables that turn targets off or on.
+
+    numpy picks some ufuncs' loops by the targets it dispatches to, and the
+    loops round differently (`exp`, `log`, `log1p` and `power` were seen to
+    move with AVX-512 support and `tanh` with AVX2), so the bytes depend on
+    this as they do on the BLAS kernel.
+    """
+    try:
+        from numpy._core import _multiarray_umath as umath
+        baseline = list(umath.__cpu_baseline__)
+        dispatch = [target for target in umath.__cpu_dispatch__
+                    if umath.__cpu_features__.get(target)]
+    except (ImportError, AttributeError):
+        baseline = dispatch = None
+    return {"baseline": baseline, "dispatch": dispatch,
+            **{name: os.environ.get(name) for name in CPU_FEATURE_VARS}}
+
+
 def numeric_environment() -> dict:
     """What a run's bytes depend on besides (config, seed, code): the numpy
     version, its BLAS as numpy was built with it (name, version and
-    configuration string) and the kernel it runs (`blas_core`), and the BLAS
-    thread variables."""
+    configuration string) and the kernel it runs (`blas_core`), the BLAS
+    thread variables, and numpy's SIMD dispatch (`simd_dispatch`)."""
     try:
         blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     except TypeError:  # numpy < 1.25 prints its configuration only
@@ -77,6 +105,7 @@ def numeric_environment() -> dict:
         "blas": {"name": blas.get("name"), "version": blas.get("version"),
                  "configuration": blas.get("openblas configuration"), "core": blas_core()},
         "threads": {name: os.environ.get(name) for name in BLAS_THREAD_VARS},
+        "simd": simd_dispatch(),
     }
 
 
@@ -213,7 +242,13 @@ def run_episodes(env, agent, writer: RunWriter, episodes: int, seed: int, greedy
 class Learner:
     """Buffers the transitions of a training run, revises their rewards when the
     agent uses NECSA, runs a PPO update whenever the batch fills, and saves the
-    periodic checkpoints."""
+    periodic checkpoints.
+
+    A buffer segment starts at each episode start, after each update and, within
+    an episode, every `nn.bptt_chunk` rows (0: never), from the agent's state
+    after the row before it; so the update replays no segment longer than the
+    chunk, and its gradient through the recurrent state is cut there.
+    """
 
     def __init__(self, agent: PpoAgent, config: dict, out_dir: Path):
         rl = config["rl"]
@@ -221,6 +256,7 @@ class Learner:
         self.config = config
         self.out_dir = out_dir
         self.batch_size = rl["batch_size"]
+        self.chunk = agent.policy.bptt_chunk
         self.checkpoint_every = rl["checkpoint_every"]
         self.shaper = None
         if agent.spec.use_necsa:
@@ -238,13 +274,15 @@ class Learner:
     def step(self, obs, action, reward: float, next_obs, done: bool):
         if self.shaper is not None:
             reward = self.shaper.revise(next_obs, reward)
-        self.buffer.add(obs, action, reward, done, next_obs)
-        if len(self.buffer) >= self.batch_size:
-            self.updater.update(self.buffer)
+        buffer = self.buffer
+        buffer.add(obs, action, reward, done, next_obs)
+        full = len(buffer) >= self.batch_size
+        if full:
+            self.updater.update(buffer)
             self.updates_run += 1
-            self.buffer.clear()
-            if not done:
-                self.begin_segment()
+            buffer.clear()
+        if not done and (full or len(buffer) - buffer.starts[-1] == self.chunk):
+            self.begin_segment()
 
     def end_episode(self, episode: int):
         if self.shaper is not None:

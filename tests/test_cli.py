@@ -17,7 +17,7 @@ from airs.nn.optim import Adam
 from airs.nn.policy import ActorCritic
 from airs.rl.agents import AGENT_SPECS
 from airs.rl.ppo import NumericAbort, PpoUpdater
-from airs.rl.train import blas_core
+from airs.rl.train import blas_core, simd_dispatch
 from conftest import toy_overrides
 
 
@@ -161,6 +161,7 @@ def test_manifest_names_the_numeric_environment(tmp_path, capsys):
         "blas": {"name": blas["name"], "version": blas["version"],
                  "configuration": blas.get("openblas configuration"), "core": blas_core()},
         "threads": {name: "1" for name in BLAS_THREAD_VARS},
+        "simd": simd_dispatch(),
     }
 
 
@@ -177,6 +178,26 @@ def test_blas_core_is_the_runtime_kernel():
                              "from airs.rl.train import blas_core; print(blas_core())"],
                             env=env, check=True, capture_output=True, text=True, timeout=60)
     assert forced.stdout.strip() == "Sandybridge"
+
+
+def test_simd_dispatch_records_disabled_targets():
+    """The manifest's `simd.dispatch` lists the targets numpy runs, so turning
+    AVX-512 dispatch off by NPY_DISABLE_CPU_FEATURES shows in it, with the
+    variable's value."""
+    recorded = simd_dispatch()
+    if recorded["dispatch"] is None or "X86_V4" not in recorded["dispatch"]:
+        pytest.skip("numpy dispatches no X86_V4 target on this machine")
+    disabled = "AVX512_SPR AVX512_ICL X86_V4"
+    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": disabled,
+           "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    env.pop("NPY_ENABLE_CPU_FEATURES", None)
+    out = subprocess.run([sys.executable, "-c", "import json; from airs.rl.train import "
+                          "numeric_environment; print(json.dumps(numeric_environment()))"],
+                         env=env, check=True, capture_output=True, text=True, timeout=60)
+    simd = json.loads(out.stdout)["simd"]
+    assert "X86_V4" not in simd["dispatch"]
+    assert simd["baseline"] == recorded["baseline"]
+    assert simd["NPY_DISABLE_CPU_FEATURES"] == disabled
 
 
 def test_train_bytes_do_not_depend_on_blas_threads(tmp_path):

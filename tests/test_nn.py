@@ -66,20 +66,20 @@ def dense_loss(layer, x):
     return loss
 
 
-def run_sequence(cell, x, batch_sizes, h0, c0, chunk):
-    """`cell.sequence` over input rows x, packed for a cut every `chunk` steps, in
-    a new workspace; returns (hidden states, workspace)."""
-    work = SequenceWorkspace(cell, batch_sizes, chunk)
+def run_sequence(cell, x, batch_sizes, h0, c0):
+    """`cell.sequence` over input rows x, packed step-major, in a new workspace;
+    returns (hidden states, workspace)."""
+    work = SequenceWorkspace(cell, batch_sizes)
     work.x[...] = x
     return cell.sequence(work, h0, c0), work
 
 
 def sequence_loss(cell, x, batch_sizes, h0, c0, w):
-    """sum(hs * w) for hs = cell.sequence over x (never cut), its gradient by
+    """sum(hs * w) for hs = cell.sequence over x, its gradient by
     `sequence_backward`; x is a Param that takes its gradient too."""
     def loss(grad):
         cell.refresh()  # the check perturbs parameter values in place
-        hs, work = run_sequence(cell, x.value, batch_sizes, h0, c0, 0)
+        hs, work = run_sequence(cell, x.value, batch_sizes, h0, c0)
         if grad:
             x.add_grad(cell.sequence_backward(work, w))
         return float((hs * w).sum())
@@ -93,7 +93,7 @@ def actor_critic_loss(policy, obs, actions, batch_sizes):
     def loss(grad):
         policy.refresh()  # the check perturbs parameter values in place
         state = policy.initial_state(batch_sizes[0])
-        work = SequenceWorkspace(policy.cell, batch_sizes, policy.bptt_chunk)
+        work = SequenceWorkspace(policy.cell, batch_sizes)
         means, actor = policy.actor_sequence(obs, work, *state)
         log_probs, gaussian = policy.log_prob(means, actions)
         values, critic = policy.value(obs)
@@ -236,9 +236,9 @@ def dense_node(layer, x):
     return T.record(out, backward_fn)
 
 
-def cell_sequence_node(cell, x, batch_sizes, h0, c0, chunk):
+def cell_sequence_node(cell, x, batch_sizes, h0, c0):
     """`cell.sequence` over the packed Tensor x as one taped node."""
-    hs, work = run_sequence(cell, x.value, batch_sizes, h0, c0, chunk)
+    hs, work = run_sequence(cell, x.value, batch_sizes, h0, c0)
     return T.record(hs, lambda g: x.add_grad(cell.sequence_backward(work, g)))
 
 
@@ -250,7 +250,7 @@ def log_prob_node(policy, mean, actions):
 
 def sequence_node(policy, obs, batch_sizes, h0, c0):
     """`policy.actor_sequence` as one taped node."""
-    work = SequenceWorkspace(policy.cell, batch_sizes, policy.bptt_chunk)
+    work = SequenceWorkspace(policy.cell, batch_sizes)
     means, cache = policy.actor_sequence(obs, work, h0, c0)
     return T.record(means, lambda g: policy.actor_sequence_backward(cache, g))
 
@@ -393,16 +393,21 @@ def test_fused_dense_matches_primitives(batch, input_grad, rng):
     assert_fused_matches_unfused(build, [x, layer.W, layer.b])
 
 
-def packed_grid(lengths, chunk=0):
-    """(batch_sizes, t_idx, b_idx) of segments `lengths`, longest first, packed
-    piece-major for a cut every `chunk` steps: packed row i is step t_idx[i] of
-    segment b_idx[i], in order of (step mod span, piece, segment)."""
+def cut_every(lengths, chunk):
+    """The lengths of segments `lengths` cut every `chunk` steps (0 never cuts),
+    in order, as the rollout cuts them."""
+    if chunk == 0:
+        return list(lengths)
+    return [min(chunk, n - s) for n in lengths for s in range(0, n, chunk)]
+
+
+def packed_grid(lengths):
+    """(batch_sizes, t_idx, b_idx) of segments `lengths`, listed longest first,
+    packed step-major: packed row i is step t_idx[i] of segment b_idx[i]."""
     lengths = np.asarray(lengths)
     live = np.arange(lengths.max())[:, None] < lengths[None, :]
     t_idx, b_idx = np.nonzero(live)
-    span = min(chunk, len(live)) if chunk > 0 else len(live)
-    order = np.lexsort((b_idx, t_idx // span, t_idx % span))
-    return live.sum(axis=1), t_idx[order], b_idx[order]
+    return live.sum(axis=1), t_idx, b_idx
 
 
 def rollout_states(cell, x, t_idx, h0, c0):
@@ -417,16 +422,16 @@ def rollout_states(cell, x, t_idx, h0, c0):
     return hs, cs
 
 
-def assert_cell_sequence_matches_primitives(cell, lengths, chunk, read, rng):
+def assert_cell_sequence_matches_primitives(cell, lengths, read, rng):
     """`sequence` and its backward over packed rows of segments `lengths`
-    (longest first), against the primitive rounds and cell stepped over the
-    padded (T, B) grid, with the state detached every `chunk` steps.
+    (longest first), each from its own state, against the primitive rounds
+    and cell stepped over the padded (T, B) grid.
 
     The loss weighs the hidden states of the steps `read` names ("all" or
     "last"); the grid's padded slots weigh zero.  Rolling `step` over the
     packed rows gives the sequence's hidden and cell states bit for bit.
     """
-    batch_sizes, t_idx, b_idx = packed_grid(lengths, chunk)
+    batch_sizes, t_idx, b_idx = packed_grid(lengths)
     steps, batch = len(batch_sizes), len(lengths)
     xs = rng.standard_normal((steps, batch, cell.in_dim))
     h0, c0 = rng.standard_normal((2, batch, cell.hidden))
@@ -443,12 +448,10 @@ def assert_cell_sequence_matches_primitives(cell, lengths, chunk, read, rng):
 
     def build(fused):
         if fused:
-            hs = cell_sequence_node(cell, x, batch_sizes, h0, c0, chunk)
+            hs = cell_sequence_node(cell, x, batch_sizes, h0, c0)
             return [hs], T.sum_all(T.mul(hs, Tensor(weights[t_idx, b_idx])))
         state, hidden, loss = (Tensor(h0), Tensor(c0)), [], None
         for t in range(steps):
-            if chunk > 0 and t > 0 and t % chunk == 0:
-                state = (Tensor(state[0].value), Tensor(state[1].value))
             mx, mh = unfused_mogrify(cell, grid[t], state[0])
             state = unfused_lstm_step(cell, mx, (mh, state[1]), leaves)
             term = T.sum_all(T.mul(state[0], Tensor(weights[t])))
@@ -457,7 +460,7 @@ def assert_cell_sequence_matches_primitives(cell, lengths, chunk, read, rng):
         return [Tensor(np.stack(hidden)[t_idx, b_idx])], loss
 
     assert_fused_close_to_unfused(build, [x] + [p for _, p in cell.params()], leaves)
-    hs, work = run_sequence(cell, x.value, batch_sizes, h0, c0, chunk)
+    hs, work = run_sequence(cell, x.value, batch_sizes, h0, c0)
     rolled_h, rolled_c = rollout_states(cell, x.value, t_idx, h0, c0)
     assert np.array_equal(rolled_h, hs)
     assert np.array_equal(rolled_c, work.cs)
@@ -472,16 +475,17 @@ def test_fused_mogrify_matches_primitives(rounds, batch, grads, shrinks, rng):
     primitive rounds and cell.
 
     `grads` names the paths the gradient takes into each step's inputs: "x"
-    alone is a state cut at every step (`bptt_chunk` 1); with "h" the loss
-    reads the last step only, so the earlier steps take their gradient
-    through the carried state pair alone; "both" reads every step, uncut.
-    With `shrinks` two more segments end after one and two steps, so the
-    later steps carry a prefix of the earlier steps' rows.
+    alone cuts the segments every step (`bptt_chunk` 1), so each row starts
+    from its own state; with "h" the loss reads the last step only, so the
+    earlier steps take their gradient through the carried state pair alone;
+    "both" reads every step, uncut.  With `shrinks` two more segments end
+    after one and two steps, so the later steps carry a prefix of the
+    earlier steps' rows.
     """
     cell = MogrifierLstm(rng, 4, 5, rounds=rounds, name="m")
-    lengths = [3] * batch + ([2, 1] if shrinks else [])
-    assert_cell_sequence_matches_primitives(cell, lengths, 1 if grads == "x" else 0,
-                                            "last" if grads == "h" else "all", rng)
+    lengths = cut_every([3] * batch + ([2, 1] if shrinks else []), 1 if grads == "x" else 0)
+    assert_cell_sequence_matches_primitives(cell, lengths, "last" if grads == "h" else "all",
+                                            rng)
 
 
 @pytest.mark.parametrize("batch", [1, 10])
@@ -503,7 +507,7 @@ def test_fused_lstm_step_matches_primitives(batch, uses, input_grad, rng):
     if uses != "h":
         assert_close(nc, ref_c.value)
     if input_grad:
-        assert_cell_sequence_matches_primitives(cell, [1] * batch, 0, "all", rng)
+        assert_cell_sequence_matches_primitives(cell, [1] * batch, "all", rng)
 
 
 @pytest.mark.parametrize("batch, log_std", [
@@ -529,13 +533,10 @@ def test_fused_log_prob_matches_primitives(batch, log_std, rng):
 
 def unfused_log_probs(policy, obs, h0, c0, actions, leaves):
     """Per-step log-prob Tensors of the primitive per-step tape over a (T, B) grid,
-    with the state detached every `bptt_chunk` steps."""
-    chunk = policy.bptt_chunk
+    column b from state (h0[b], c0[b])."""
     state = (Tensor(h0), Tensor(c0))
     out = []
     for t in range(len(obs)):
-        if chunk > 0 and t > 0 and t % chunk == 0:
-            state = (Tensor(state[0].value), Tensor(state[1].value))
         mean, state = unfused_actor_step(policy, Tensor(obs[t]), state, leaves)
         out.append(unfused_log_prob(policy, mean, Tensor(actions[t])))
     return out
@@ -543,9 +544,10 @@ def unfused_log_probs(policy, obs, h0, c0, actions, leaves):
 
 def assert_sequence_matches_per_step_tape(policy, lengths, rng):
     """`log_prob(actor_sequence(...))` over packed rows, as the update runs it,
-    against the per-step primitive tape over the padded (T, B) grid.
+    against the per-step primitive tape over the padded (T, B) grid, each
+    segment from its own state.
 
-    Packed rows follow the segments longest first (stable), piece-major.  Both
+    Packed rows follow the segments longest first (stable), step-major.  Both
     losses weight each live step's log-prob the same; the grid's padded slots
     weigh zero.  Both also reuse log_std after the log-probs, so it already holds
     a gradient when `log_prob`'s backward adds its own, as in the update.
@@ -553,9 +555,7 @@ def assert_sequence_matches_per_step_tape(policy, lengths, rng):
     lengths = np.array(lengths)
     steps, batch = lengths.max(), len(lengths)
     ranked = np.argsort(-lengths, kind="stable")
-    span = min(policy.bptt_chunk, steps) if policy.bptt_chunk > 0 else steps
-    packed = [(t, b) for j in range(span) for t in range(j, steps, span) for b in ranked
-              if t < lengths[b]]
+    packed = [(t, b) for t in range(steps) for b in ranked if t < lengths[b]]
     batch_sizes = [sum(n > t for n in lengths) for t in range(steps)]
     obs = rng.standard_normal((steps, batch, policy.trunk.W.value.shape[0]))
     actions = rng.standard_normal((steps, batch, policy.action_dim))
@@ -585,16 +585,18 @@ def assert_sequence_matches_per_step_tape(policy, lengths, rng):
 
 @pytest.mark.parametrize("rounds", [0, 1, 2, 5])
 def test_fused_recurrent_sequence_matches_primitives(rounds, rng):
-    """20 steps at batch 10 with a bptt_chunk cut, no padding.  A one-step
-    `actor_sequence` gives rollout `actor_step`'s means and state bit for bit."""
+    """Ten 20-step segments cut every 8 steps, as the rollout cuts them at
+    `bptt_chunk` 8: 30 segments of 8, 8 and 4 steps, each from its own state.
+    A one-step `actor_sequence` gives rollout `actor_step`'s means and state
+    bit for bit."""
     policy = ActorCritic(rng, obs_dim=4, action_dim=3, mogrifier_rounds=rounds,
-                         **nn_section(hidden=6, bptt_chunk=8))
+                         **nn_section(hidden=6))
     policy.log_std.value = np.array([-6.0, -0.7, 1.5])  # two dims clamped
-    assert_sequence_matches_per_step_tape(policy, [20] * 10, rng)
+    assert_sequence_matches_per_step_tape(policy, cut_every([20] * 10, 8), rng)
     obs = rng.standard_normal((10, policy.trunk.W.value.shape[0]))
     h0, c0 = rng.standard_normal((2, 10, policy.cell.hidden))
     mean, (h, c) = policy.actor_step(obs, (h0, c0))
-    work = SequenceWorkspace(policy.cell, [10], policy.bptt_chunk)
+    work = SequenceWorkspace(policy.cell, [10])
     means, _ = policy.actor_sequence(obs, work, h0, c0)
     assert np.array_equal(mean, means)
     assert np.array_equal(h, work.hs)
@@ -604,13 +606,14 @@ def test_fused_recurrent_sequence_matches_primitives(rounds, rng):
 @pytest.mark.parametrize("rounds", [0, 1, 2, 5])
 @pytest.mark.parametrize("chunk", [0, 3, 16])
 def test_actor_sequence_matches_per_step_tape(rounds, chunk, rng):
-    """Cut never, often, or once at t = 16: the unpadded 20x10 grid, then segments
-    of 17, 9, 4, 17 and 12 steps (the packed batch shrinks as they end)."""
+    """The unpadded 20x10 grid, then segments of 17, 9, 4, 17 and 12 steps (the
+    packed batch shrinks as they end), cut as the rollout cuts them: never,
+    every 3 steps, or once at t = 16."""
     policy = ActorCritic(rng, obs_dim=4, action_dim=3, mogrifier_rounds=rounds,
-                         **nn_section(hidden=6, bptt_chunk=chunk))
+                         **nn_section(hidden=6))
     policy.log_std.value = np.array([-6.0, -0.7, 1.5])  # two dims clamped
     for lengths in ([20] * 10, [17, 9, 4, 17, 12]):
-        assert_sequence_matches_per_step_tape(policy, lengths, rng)
+        assert_sequence_matches_per_step_tape(policy, cut_every(lengths, chunk), rng)
 
 
 def owned_arrays(work) -> dict:
@@ -637,63 +640,13 @@ def test_sequence_cache_does_not_grow_with_steps(rng):
     counts = []
     for steps in (2, 40):
         x = rng.standard_normal((3 * steps, 4))
-        hs, work = run_sequence(cell, x, [3] * steps, *cell.initial_state(3), 0)
+        hs, work = run_sequence(cell, x, [3] * steps, *cell.initial_state(3))
         counts.append(len(owned_arrays(work)))
     before = work.acts.copy()
     cell.sequence_backward(work, np.ones_like(hs))
     assert counts[0] == counts[1]
     assert not np.array_equal(work.acts, before)
     assert np.array_equal(cell.b.grad, work.acts.sum(axis=0))
-
-
-def per_step_sequence_backward(cell, work, g_hs, chunk, t_idx):
-    """`sequence_backward` one packed step at a time, the walk the lane walk
-    replaced, over rows whose steps are `t_idx` (each step one run of rows):
-    adds the W, b, Q and R gradients, returns the input rows' gradient."""
-    xh, acts, cs, rounds = work.xh, work.acts, work.cs, work.rounds
-    H, in_dim = cell.hidden, cell.in_dim
-    c0 = work.cells[len(xh):]
-    W_T = cell.W.value.T.copy()
-    halves_T = [(0.5 * weight.value).T.copy() for weight, *_ in rounds]
-    gx = np.empty((len(xh), in_dim))
-    gh, gc = np.zeros((2, len(c0), H))
-    steps = [np.flatnonzero(t_idx == t) for t in range(t_idx.max() + 1)]
-    for t in range(len(steps) - 1, -1, -1):
-        n = len(steps[t])
-        assert np.array_equal(steps[t], np.arange(steps[t][0], steps[t][0] + n))
-        rows = slice(steps[t][0], steps[t][0] + n)
-        a, tanh_c = acts[rows], np.tanh(cs[rows])
-        c_prev = c0[:n] if t == 0 else cs[steps[t - 1][:n]]
-        g_h = g_hs[rows] + gh[:n]
-        g_c = gc[:n] + (g_h * a[:, 2 * H:3 * H]) * (1.0 - tanh_c**2)
-        slope = (cell._k1 - a) * a + cell._k0
-        gc_prev = g_c * a[:, H:2 * H]
-        g_g = g_c * a[:, :H]
-        np.multiply(g_c, a[:, 3 * H:], out=a[:, :H])
-        np.multiply(g_c, c_prev, out=a[:, H:2 * H])
-        np.multiply(g_h, tanh_c, out=a[:, 2 * H:3 * H])
-        a[:, 3 * H:] = g_g
-        np.multiply(a, slope, out=a)
-        g_xh = np.dot(a, W_T)
-        grads = [g_xh[:, :in_dim], g_xh[:, in_dim:]]
-        for (_, k, u, v, factors), half_T in zip(reversed(rounds), reversed(halves_T)):
-            g, m = grads[k], factors[rows]
-            g_v = g * v[rows]
-            grads[k] = g * m
-            d = np.subtract(2.0, m)
-            np.multiply(d, m, out=d)
-            np.multiply(g_v, d, out=m)
-            grads[1 - k] += np.dot(m, half_T)
-        gx[rows] = grads[0]
-        if t == 0 or (chunk > 0 and t % chunk == 0):
-            gh[:], gc[:] = 0.0, 0.0
-        else:
-            gh[:n], gc[:n] = grads[1], gc_prev
-    cell.W.add_grad(np.dot(xh.T, acts))
-    cell.b.add_grad(acts.sum(axis=0))
-    for weight, _, u, _, factors in rounds:
-        weight.add_grad(np.dot(u.T, factors) * 0.5)
-    return gx
 
 
 @pytest.mark.parametrize("rounds", [0, 5])
@@ -703,24 +656,34 @@ def per_step_sequence_backward(cell, work, g_hs, chunk, t_idx):
     pytest.param([8, 7, 5, 4, 2, 1], id="end-mid-piece"),
 ])
 def test_lane_walk_matches_per_step_walk(rounds, chunk, lengths, rng):
-    """The lane walk runs every truncation piece's reverse step as one block of
-    rows; it gives the per-step walk's input and parameter gradients to 1e-12
-    relative, whatever a BLAS kernel rounds differently by a row's position in
-    a block.  Chunks of T and more are one lane; 0 never cuts."""
+    """The reverse walk runs one step of every packed segment (a lane) as one
+    block of rows, and starts each segment's state gradient at zero at its
+    end; it gives the input and parameter gradients of walking each segment
+    alone, one row per step, to 1e-12 relative, whatever a BLAS kernel rounds
+    differently by a row's position in a block.  The segments are `lengths`
+    cut every `chunk` steps, as the rollout cuts them; chunks of T and more
+    leave them whole, as 0 does."""
     steps = max(lengths)
     chunk = {"T": steps, "T+5": steps + 5}.get(chunk, chunk)
     cell = MogrifierLstm(rng, 4, 5, rounds=rounds, name="m")
-    batch_sizes, t_idx, _ = packed_grid(lengths, chunk)
-    x = rng.standard_normal((sum(lengths), 4))
-    h0, c0 = rng.standard_normal((2, len(lengths), 5))
-    g_hs = rng.standard_normal((sum(lengths), 5))
+    pieces = sorted(cut_every(lengths, chunk), reverse=True)
+    batch_sizes, _, b_idx = packed_grid(pieces)
+    x = rng.standard_normal((sum(pieces), 4))
+    h0, c0 = rng.standard_normal((2, len(pieces), 5))
+    g_hs = rng.standard_normal((sum(pieces), 5))
     found = []
     for lane_walk in (True, False):
         for _, p in cell.params():
             p.grad = None
-        _, work = run_sequence(cell, x, batch_sizes, h0, c0, chunk)
-        gx = (cell.sequence_backward(work, g_hs) if lane_walk
-              else per_step_sequence_backward(cell, work, g_hs, chunk, t_idx))
+        if lane_walk:
+            _, work = run_sequence(cell, x, batch_sizes, h0, c0)
+            gx = cell.sequence_backward(work, g_hs)
+        else:
+            gx = np.empty_like(x)
+            for b, length in enumerate(pieces):
+                rows = np.flatnonzero(b_idx == b)  # segment b's rows, in step order
+                _, work = run_sequence(cell, x[rows], [1] * length, h0[b:b + 1], c0[b:b + 1])
+                gx[rows] = cell.sequence_backward(work, g_hs[rows])
         found.append([gx] + [p.grad for _, p in cell.params()])
     for lane, step in zip(*found):
         assert_close(lane, step)
@@ -729,33 +692,29 @@ def test_lane_walk_matches_per_step_walk(rounds, chunk, lengths, rng):
 @pytest.mark.parametrize("lengths", [[6, 6, 6], [7, 7, 5, 2]])
 @pytest.mark.parametrize("chunk", [0, 2, 4, 6, 9])
 def test_piece_major_rows_are_runs(lengths, chunk):
-    """Every forward step's rows and every reverse block's rows are one run, a
-    view of the workspace's arrays; for equal-length segments the carried state
-    gradient and the previous cell states after the first block are runs too."""
+    """Segments cut every `chunk` steps into pieces, as the rollout cuts them,
+    and packed step-major: every step's rows are one run, and the x, h_in and
+    `out` arrays the forward and reverse walks read for it are views of the
+    workspace's arrays at its first row."""
     cell = MogrifierLstm(np.random.default_rng(0), 3, 4, rounds=2)
-    batch_sizes, t_idx, _ = packed_grid(lengths, chunk)
-    work = SequenceWorkspace(cell, batch_sizes, chunk)
+    batch_sizes, t_idx, _ = packed_grid(sorted(cut_every(lengths, chunk), reverse=True))
+    work = SequenceWorkspace(cell, batch_sizes)
     address = lambda a: a.__array_interface__["data"][0]
-    for t, (x, _, out) in enumerate(work.steps):
+    assert len(work.steps) == len(batch_sizes)
+    for t, (rows, x, h_in, out) in enumerate(work.steps):
         first = np.flatnonzero(t_idx == t)[0]
-        assert len(x) == batch_sizes[t]
+        assert rows == slice(first, first + batch_sizes[t])
+        assert len(x) == len(h_in) == batch_sizes[t]
         assert address(x) == address(work.x[first:])
+        assert address(h_in) == address(work.h_in[first:])
         assert address(out[-1]) == address(work.hs[first:])
-    equal = len(set(lengths)) == 1
-    for i, (rows, prev, to, fresh) in enumerate(work.blocks):
-        assert isinstance(rows, slice)
-        if equal and i < len(work.blocks) - 1:
-            assert isinstance(to, slice) and isinstance(fresh, slice)
-        if equal and i < len(work.blocks) - 1 or max(lengths) <= chunk or chunk == 0:
-            assert isinstance(prev, slice)
 
 
 def test_one_workspace_serves_every_epoch(rng):
     """Two epochs (new inputs, weights and gradients) through one workspace give
     the hidden states and gradients of a fresh workspace per epoch, bit for bit."""
     cell = MogrifierLstm(rng, 4, 5, rounds=5, name="m")
-    lengths, chunk = [9, 9, 6, 3], 3
-    batch_sizes = packed_grid(lengths, chunk)[0]
+    batch_sizes = packed_grid([9, 9, 6, 3])[0]
     epochs = [(rng.standard_normal((27, 4)), rng.standard_normal((2, 4, 5)),
                rng.standard_normal((27, 5)), rng.standard_normal(cell.W.value.shape))
               for _ in range(2)]
@@ -765,10 +724,10 @@ def test_one_workspace_serves_every_epoch(rng):
         for name, p in cell.params():
             p.value = start[name].copy()
         cell.refresh()
-        work = SequenceWorkspace(cell, batch_sizes, chunk)
+        work = SequenceWorkspace(cell, batch_sizes)
         for x, (h0, c0), g_hs, dW in epochs:
             if not shared:
-                work = SequenceWorkspace(cell, batch_sizes, chunk)
+                work = SequenceWorkspace(cell, batch_sizes)
             for _, p in cell.params():
                 p.grad = None
             work.x[...] = x

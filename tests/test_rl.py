@@ -10,7 +10,7 @@ import pytest
 
 import tape as T
 from airs.config import build_env, default_config
-from airs.rl.agents import AGENT_SPECS, AgentSpec, build_agent
+from airs.rl.agents import AGENT_SPECS, AgentSpec, PpoAgent, build_agent
 from airs.rl.necsa import EpisodicTable, NecsaShaper, abstract_state, necsa_revise
 import airs.rl.ppo as ppo_module
 from airs.nn.layers import MogrifierLstm, SequenceWorkspace
@@ -29,7 +29,7 @@ from airs.env import AirsEnv, SlotRecord
 from airs.nn.checkpoint import load_checkpoint, save_checkpoint
 from airs.rl.train import SLOTS_HEADER, TRAJECTORY_HEADER, RunWriter, _row, train
 from conftest import nn_section, record, toy_overrides
-from test_nn import owned_arrays
+from test_nn import cut_every, owned_arrays
 from tape import Tensor
 
 
@@ -494,7 +494,7 @@ def collect_and_update(monkeypatch, tmp_path, batch_size=30, episodes=4, horizon
                                  np.diff(buffer.starts, append=len(buffer)).tolist(),
                                  [h0.copy() for h0 in buffer.h0])),
             "replay": replay_segments(updater.policy, buffer),
-            "order": PackedBatch(buffer, updater.policy.bptt_chunk).order,
+            "order": PackedBatch(buffer).order,
             "epochs": [],
         })
         return real_update(updater, buffer)
@@ -657,27 +657,30 @@ def test_rollout_values_equal_batch_one_critic_calls(monkeypatch):
 
 @pytest.mark.parametrize("chunk", [0, 1, 3, 9, 10, 15])
 def test_packed_order_is_piece_major(chunk):
-    """`order` is a permutation that `pack` follows, listing rows by (step mod
-    span, piece, segment rank); with chunk 0 or at least the longest segment
-    that is step-major order."""
+    """Segments of 7, 10, 3, 10 and 6 rows cut every `chunk` rows into pieces,
+    as the rollout cuts them: `order` is a permutation that `pack` follows,
+    listing rows by (step within the piece, piece rank), the pieces ranked
+    longest first and stably; with chunk 0 or at least the longest segment the
+    pieces are the segments."""
     rng = np.random.default_rng(1)
     lengths = [7, 10, 3, 10, 6]
+    pieces = cut_every(lengths, chunk)
+    assert (pieces == lengths) == (chunk == 0 or chunk >= 10)
     buffer = random_buffer(ActorCritic(rng, obs_dim=4, action_dim=3, mogrifier_rounds=5,
-                                       **nn_section(hidden=6)), rng, lengths)
-    batch = PackedBatch(buffer, chunk)
+                                       **nn_section(hidden=6)), rng, pieces)
+    batch = PackedBatch(buffer)
     n = len(buffer)
     assert np.array_equal(np.sort(batch.order), np.arange(n))
     rows = rng.standard_normal((n, 2))
     assert np.array_equal(batch.pack(rows)[batch.order], rows)
     assert np.array_equal(batch.pack(batch.states), batch.obs)
 
-    t = np.concatenate([np.arange(length) for length in lengths])
-    rank = np.repeat(np.argsort(np.argsort(-np.array(lengths), kind="stable")), lengths)
-    span = min(chunk, 10) if chunk > 0 else 10
-    piece_major = np.lexsort((rank, t // span, t % span))  # buffer indices in packed order
-    assert np.array_equal(batch.order[piece_major], np.arange(n))
-    if chunk == 0 or chunk >= 10:
-        assert np.array_equal(piece_major, np.lexsort((rank, t)))
+    t = np.concatenate([np.arange(length) for length in pieces])
+    rank = np.repeat(np.argsort(np.argsort(-np.array(pieces), kind="stable")), pieces)
+    step_major = np.lexsort((rank, t))  # buffer indices in packed order
+    assert np.array_equal(batch.order[step_major], np.arange(n))
+    assert batch.batch_sizes.tolist() == [sum(k > step for k in pieces)
+                                          for step in range(max(pieces))]
 
 
 def count_workspaces(monkeypatch):
@@ -719,7 +722,7 @@ class UpdateRowCounter:
 
         def sequence(cell, work, h0, c0):
             if self._rows is not None:
-                self._rows += sum(len(x) for x, _, _ in work.steps)
+                self._rows += sum(len(x) for _, x, _, _ in work.steps)
             return real_sequence(cell, work, h0, c0)
 
         def update(updater, buffer):
@@ -740,7 +743,8 @@ def test_update_steps_one_cell_row_per_transition(monkeypatch, tmp_path):
 
     Segments of 300, 300, 300 and 124 are a package-default batch of 1024 (a
     300 x 4 grid would step 1200 rows).  At batch 370 with 100-slot episodes the
-    second update starts mid-episode.
+    second update starts mid-episode, and the rollout cuts a segment every
+    `nn.bptt_chunk` (16) rows after a segment start.
     """
     counter = UpdateRowCounter(monkeypatch)
     rng = np.random.default_rng(0)
@@ -752,10 +756,49 @@ def test_update_steps_one_cell_row_per_transition(monkeypatch, tmp_path):
     counter.updates.clear()
     cfg = small_cfg(episodes=8, horizon=100, batch_size=370)
     train(cfg, tmp_path / "run", seed=0)
-    assert [lengths for lengths, _, _ in counter.updates] == [[100, 100, 100, 70],
-                                                              [30, 100, 100, 100, 40]]
+    episode = [16] * 6 + [4]
+    assert [lengths for lengths, _, _ in counter.updates] == [
+        episode * 3 + [16] * 4 + [6],
+        [16, 14] + episode * 3 + [16, 16, 8],
+    ]
     epochs = cfg["rl"]["epochs"]
     assert all(n == 370 and rows == epochs * 370 for _, n, rows in counter.updates)
+
+
+def test_rollout_cuts_a_segment_every_chunk_rows(monkeypatch, tmp_path):
+    """At `nn.bptt_chunk` 7, buffer segments start at each episode start, after
+    each update and every 7 rows after a segment start.  Each segment's
+    (h0, c0) is the agent state its first row's `act` was passed, bit for bit,
+    so the update replays every piece from the state it was collected from."""
+    cfg = small_cfg(episodes=8, horizon=100, batch_size=370)
+    cfg["nn"]["bptt_chunk"] = 7
+    acted, seen = [], []  # per row the state `act` was passed; per update its buffer
+    real_act, real_update = PpoAgent.act, PpoUpdater.update
+
+    def spy_act(agent, obs, rng, greedy=False):
+        acted.append(tuple(a.copy() for a in agent.state))
+        return real_act(agent, obs, rng, greedy)
+
+    def spy_update(updater, buffer):
+        seen.append((list(buffer.starts), len(buffer), buffer.h0[:], buffer.c0[:]))
+        return real_update(updater, buffer)
+
+    monkeypatch.setattr(PpoAgent, "act", spy_act)
+    monkeypatch.setattr(PpoUpdater, "update", spy_update)
+    train(cfg, tmp_path / "run", seed=0)
+    assert [n for _, n, _, _ in seen] == [370, 370]
+    first = 0  # the run's row index of the update's first row
+    for starts, n, h0, c0 in seen:
+        expected = []
+        for i in range(n):
+            if i == 0 or (first + i) % 100 == 0 or i - expected[-1] == 7:
+                expected.append(i)
+        assert starts == expected
+        for start, h, c in zip(starts, h0, c0):
+            passed_h, passed_c = acted[first + start]
+            assert h.tobytes() == passed_h.tobytes() and c.tobytes() == passed_c.tobytes()
+        first += n
+    assert any(np.any(h != 0.0) for _, _, h0, _ in seen for h in h0)  # not only resets
 
 
 def test_bench_tracer_sees_one_backward_per_epoch(monkeypatch, tmp_path):

@@ -9,9 +9,12 @@ pinned to one thread, and the change tree makes a 17th:
   LEARNING_CITY: one user, pure line of sight): eppo, ppo_vanilla,
   ppo_mogrifier and ppo_necsa, once at `rl.batch_size=370` for 12 episodes
   (updates on segments that start mid-episode) and once at 1000 for 20
-  episodes; eppo and ppo_vanilla also at 370 with `nn.bptt_chunk` 0 (the
-  gradient is never cut) and 7 (cut every 7 steps instead of the default 16);
-  eppo also at 370 with `nn.bptt_chunk=150`, longer than any 100-slot segment;
+  episodes; eppo and ppo_vanilla also at 370 with `nn.bptt_chunk` 0 and 7,
+  and eppo at 370 with `nn.bptt_chunk=150`.  The chunk is the rollout's
+  segment length cap: 0 and 150 (longer than any 100-slot episode) cut
+  nowhere, so segments end only at episode and buffer boundaries, while 7
+  starts a segment every 7 rows after a segment start, cuts that fall off
+  both episode and buffer boundaries (the default 16 runs above);
 - one eppo training on the `eval-city` city (EVAL_CITY: three users, Rician
   k = 10) with 100-slot episodes, `env.rate_window=20` and
   `env.observe_all_users=true`, at `rl.batch_size=250` (updates
@@ -27,10 +30,12 @@ pinned to one thread, and the change tree makes a 17th:
   compared with the base tree's own eval of it, so a checkpoint written
   before the change must still restore to the same eval artifacts.
 
-Rounding can depend on the BLAS kernel, so the header names numpy's version
-and the kernel its OpenBLAS runs (`airs.rl.train.blas_core` of the change
-tree; OPENBLAS_CORETYPE, passed on to the runs, overrides it): "0 of N runs
-differ" holds for that kernel.
+Rounding can depend on the BLAS kernel and on numpy's SIMD dispatch, so the
+header names numpy's version, the kernel its OpenBLAS runs
+(`airs.rl.train.blas_core` of the change tree; OPENBLAS_CORETYPE, passed on
+to the runs, overrides it) and NPY_DISABLE_CPU_FEATURES, also passed on,
+which turns dispatch targets off: "0 of N runs differ" holds for that
+kernel and that setting.
 
 The tool compares the sha256 of each run's artifacts (metrics.csv, slots.csv,
 trajectory.csv, episodes.jsonl and summary.json of a training; the eval files
@@ -180,7 +185,8 @@ def main(argv=None) -> int:
     from airs.rl.train import blas_core
 
     print(f"numpy {np.__version__}, BLAS core {blas_core()} "
-          f"(OPENBLAS_CORETYPE={os.environ.get('OPENBLAS_CORETYPE', 'unset')}), one BLAS thread")
+          f"(OPENBLAS_CORETYPE={os.environ.get('OPENBLAS_CORETYPE', 'unset')}), one BLAS thread, "
+          f"NPY_DISABLE_CPU_FEATURES={os.environ.get('NPY_DISABLE_CPU_FEATURES', 'unset')}")
 
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
