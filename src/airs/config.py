@@ -23,6 +23,7 @@ from pathlib import Path
 from . import env as env_mod
 from . import scenario as sc
 from .channel import IrsGeometry, LinkBudget, PathLossModel
+from .rl.agents import AGENT_SPECS
 from .uav import EnergyModel
 
 ENV_PREFIX = "AIRS_"
@@ -253,8 +254,6 @@ def validate_config(config: dict):
     """Checks every leaf of a resolved document before anything is built: its
     type against DEFAULT_CONFIG, its range by RANGE_RULES, then the rules that
     span keys.  Every failure is a ConfigError naming its dotted key."""
-    from .rl.agents import AGENT_SPECS  # airs.rl imports this module
-
     _check_types(config, DEFAULT_CONFIG)
     for text, holds, keys in RANGE_RULES:
         for key in keys:

@@ -108,16 +108,13 @@ class AirsEnv:
             scenario_config.alt_max,
         )
         self.su = np.asarray(scenario_config.su_position, dtype=float)
-        self._seed(seed)
+        self._rng_reset = substream(seed, STREAM_RESET)
+        self._rng_users = substream(seed, STREAM_USERS)
+        self._rng_channel = substream(seed, STREAM_CHANNEL)
         self._episode = -1
         self._t = 0
         self._done = True
         self.last_slot: SlotRecord | None = None
-
-    def _seed(self, seed: int):
-        self._rng_reset = substream(seed, STREAM_RESET)
-        self._rng_users = substream(seed, STREAM_USERS)
-        self._rng_channel = substream(seed, STREAM_CHANNEL)
 
     # -- action interface ---------------------------------------------------
 
@@ -135,10 +132,8 @@ class AirsEnv:
 
     # -- lifecycle ------------------------------------------------------------
 
-    def reset(self, seed: int | None = None) -> np.ndarray:
+    def reset(self) -> np.ndarray:
         """Start a new episode; craft placed uniformly inside the envelope."""
-        if seed is not None:
-            self._seed(seed)
         b = self.bounds
         position = np.array(
             [

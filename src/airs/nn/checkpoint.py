@@ -1,7 +1,7 @@
 """Checkpoints: a JSON manifest plus raw little-endian float64 buffers.
 
 The manifest records each parameter's name, shape, and byte offset into
-params.bin, alongside step count and arbitrary hyperparameter metadata.
+params.bin, alongside arbitrary hyperparameter metadata.
 Round-trips are byte exact.  A save writes both files into a temporary
 sibling directory, moves the previous checkpoint aside, moves the new one
 into its place and only then deletes the old one, so a save that fails
@@ -30,7 +30,7 @@ class CheckpointError(ValueError):
     does not fit the policy or environment it is loaded into."""
 
 
-def save_checkpoint(directory, named_arrays, step: int, hyperparams: dict):
+def save_checkpoint(directory, named_arrays, hyperparams: dict):
     directory = Path(directory)
     directory.parent.mkdir(parents=True, exist_ok=True)
     entries = []
@@ -45,7 +45,6 @@ def save_checkpoint(directory, named_arrays, step: int, hyperparams: dict):
         offset += len(raw)
     manifest = {
         "format_version": FORMAT_VERSION,
-        "step": step,
         "hyperparams": hyperparams,
         "params": entries,
     }

@@ -1,9 +1,8 @@
 """Run orchestration: the training loop, greedy evaluation, and run artifacts.
 
 A run directory holds manifest.json (the fully resolved configuration, seed,
-code hash and numeric environment), per-episode metrics.csv, episode
-summaries as JSON lines, optional per-slot and trajectory CSVs, and
-checkpoints.  Identical (config, seed, code) triples produce byte-identical
+code hash and numeric environment), per-episode metrics.csv, optional per-slot
+and trajectory CSVs, and checkpoints.  Identical (config, seed, code) triples produce byte-identical
 metrics files on one numeric environment: the same numpy build, BLAS kernel,
 BLAS thread count and numpy SIMD dispatch (the baseline, the runtime targets
 and the NPY_DISABLE_CPU_FEATURES and NPY_ENABLE_CPU_FEATURES variables), which
@@ -139,7 +138,6 @@ class RunWriter:
         rates = ",".join(f"avg_rate_user{i}" for i in range(users))
         self.metrics = open(out_dir / metrics_name, "w", newline="")
         self.metrics.write(METRICS_HEADER.format(rates=rates))
-        self.episodes = open(out_dir / "episodes.jsonl", "w", newline="")
         self.slots = None
         self.trajectory = None
         if log_slots:
@@ -174,22 +172,9 @@ class RunWriter:
             _row(index, stats["reward"], *stats["rates"], stats["energy"], stats["sum_f"],
                  stats["mean_penalty"])
         )
-        self.episodes.write(
-            json.dumps(
-                {
-                    "episode": index,
-                    "cumulative_reward": stats["reward"],
-                    "avg_rate_per_user": stats["rates"],
-                    "cumulative_energy": stats["energy"],
-                    "sum_f_t": stats["sum_f"],
-                },
-                sort_keys=True,
-            )
-            + "\n"
-        )
 
     def close(self):
-        for handle in (self.metrics, self.episodes, self.slots, self.trajectory):
+        for handle in (self.metrics, self.slots, self.trajectory):
             if handle is not None:
                 handle.close()
 
@@ -355,7 +340,6 @@ def _save_agent(directory, agent: PpoAgent, config: dict):
     save_checkpoint(
         directory,
         [(name, param.value) for name, param in agent.policy.named_params()],
-        step=0,
         hyperparams=hyperparams,
     )
 

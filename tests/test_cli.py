@@ -233,8 +233,8 @@ def test_same_seed_runs_are_byte_identical(tmp_path, capsys):
         assert main(["train", "--config", str(cfg), "--out", str(tmp_path / name),
                      "--seed", "11"]) == 0
     capsys.readouterr()
-    for artifact in ("metrics.csv", "slots.csv", "trajectory.csv", "episodes.jsonl",
-                     "manifest.json", "summary.json"):
+    for artifact in ("metrics.csv", "slots.csv", "trajectory.csv", "manifest.json",
+                     "summary.json"):
         a = (tmp_path / "a" / artifact).read_bytes()
         b = (tmp_path / "b" / artifact).read_bytes()
         assert a == b, artifact

@@ -120,16 +120,16 @@ def test_jain_index_keeps_numpy_pairwise_sums(n):
 
 
 def test_reset_deterministic_for_seed():
-    env, _ = make_env()
-    a = env.reset(seed=42)
-    env2, _ = make_env()
-    b = env2.reset(seed=42)
+    env, _ = make_env(seed=42)
+    a = env.reset()
+    env2, _ = make_env(seed=42)
+    b = env2.reset()
     assert np.array_equal(a, b)
 
 
 def test_observation_in_unit_box():
-    env, _ = make_env(users=3)
-    obs = env.reset(seed=1)
+    env, _ = make_env(users=3, seed=1)
+    obs = env.reset()
     rng = np.random.default_rng(0)
     for _ in range(200):
         assert np.all(obs >= 0.0) and np.all(obs <= 1.0)
@@ -154,7 +154,7 @@ def test_reset_positions_uniform_in_envelope():
 
 def test_episode_runs_exactly_horizon_steps():
     env, cfg = make_env()
-    env.reset(seed=0)
+    env.reset()
     done = False
     steps = 0
     while not done:
@@ -167,15 +167,15 @@ def test_episode_runs_exactly_horizon_steps():
 
 def test_wrong_action_shape_rejected():
     env, _ = make_env()
-    env.reset(seed=0)
+    env.reset()
     with pytest.raises(env_mod.EnvError):
         env.step(np.zeros(5))
 
 
 def test_nlos_slots_have_exactly_zero_reward():
-    env, _ = make_env(pure_los=True, buildings_per_cell=6)
+    env, _ = make_env(pure_los=True, buildings_per_cell=6, seed=3)
     rng = np.random.default_rng(5)
-    env.reset(seed=3)
+    env.reset()
     nlos_seen = 0
     for _ in range(500):
         _, record, done = env.step(rng.uniform(-1, 1, 3))
@@ -189,8 +189,8 @@ def test_nlos_slots_have_exactly_zero_reward():
 
 
 def test_single_user_reward_formula():
-    env, cfg = make_env(buildings_per_cell=0)  # open sky: always line of sight
-    env.reset(seed=2)
+    env, cfg = make_env(buildings_per_cell=0, seed=2)  # open sky: always line of sight
+    env.reset()
     _, b, _ = env.step(np.array([0.1, -0.2, 0.05]))
     assert b.los and b.penalty == 0.0
     assert b.jain == pytest.approx(1.0)  # one user
@@ -199,8 +199,8 @@ def test_single_user_reward_formula():
 
 
 def test_out_of_bounds_penalty_applied():
-    env, cfg = make_env(buildings_per_cell=0)
-    env.reset(seed=2)
+    env, cfg = make_env(buildings_per_cell=0, seed=2)
+    env.reset()
     # Fly straight up well beyond the ceiling until a violation happens.
     violated = None
     for _ in range(10):
@@ -216,9 +216,9 @@ def test_out_of_bounds_penalty_applied():
 
 
 def test_running_fairness_stays_in_bounds():
-    env, _ = make_env(users=3)
+    env, _ = make_env(users=3, seed=1)
     rng = np.random.default_rng(1)
-    env.reset(seed=1)
+    env.reset()
     for _ in range(300):
         _, b, done = env.step(rng.uniform(-1, 1, 3))
         assert 1.0 / 3.0 - 1e-12 <= b.jain <= 1.0 + 1e-12
@@ -229,9 +229,9 @@ def test_running_fairness_stays_in_bounds():
 @pytest.mark.parametrize("window", [None, 7])
 def test_running_fairness_matches_history_resum(window):
     """Running sums equal re-summing each user's served-slot rate history."""
-    env, _ = make_env(users=3, rate_window=window)
+    env, _ = make_env(users=3, rate_window=window, seed=2)
     rng = np.random.default_rng(2)
-    env.reset(seed=2)
+    env.reset()
     history = [[], [], []]  # (slot, rate) pairs per user
     done = False
     t = 0
@@ -253,14 +253,14 @@ def test_running_fairness_matches_history_resum(window):
 
 def test_observe_all_users_dimension():
     env, _ = make_env(users=3, observe_all_users=True)
-    obs = env.reset(seed=0)
+    obs = env.reset()
     assert env.observation_dim == 12
     assert obs.shape == (12,)
 
 
 def test_round_robin_service_order():
     env, _ = make_env(users=3)
-    env.reset(seed=0)
+    env.reset()
     for t in range(9):
         env.step(np.zeros(3))
         assert env.last_slot.served_user == t % 3
@@ -270,15 +270,15 @@ def test_learned_phase_action_dimension():
     cfg = toy_overrides(default_config())
     env = build_env(cfg, seed=0, phase_control=False)
     assert env.action_dim == 3 + 16
-    env.reset(seed=0)
+    env.reset()
     obs, b, done = env.step(np.zeros(env.action_dim))
     assert obs.shape == (6,)
 
 
 def test_computed_phases_never_beaten_by_random(rng):
     """With deterministic hops, the closed-form phases maximize the slot rate."""
-    env, _ = make_env(buildings_per_cell=0)
-    env.reset(seed=4)
+    env, _ = make_env(buildings_per_cell=0, seed=4)
+    env.reset()
     env.step(np.array([0.2, 0.1, 0.0]))
     irs = env.position
     user = env.tracks[0].position
@@ -304,7 +304,7 @@ def test_computed_phases_never_beaten_by_random(rng):
 
 def test_rate_window_limits_fairness_memory():
     env, _ = make_env(users=1, buildings_per_cell=0, rate_window=5)
-    env.reset(seed=0)
+    env.reset()
     for _ in range(10):
         _, b, _ = env.step(np.zeros(3))
     assert b.jain == pytest.approx(1.0)

@@ -981,13 +981,13 @@ def test_same_seed_identical_networks_and_outputs():
 def test_checkpoint_round_trip_byte_exact(tmp_path, rng):
     policy = ActorCritic(rng, obs_dim=4, action_dim=3, mogrifier_rounds=5, **nn_section(hidden=6))
     named = [(n, p.value) for n, p in policy.named_params()]
-    save_checkpoint(tmp_path / "ck", named, step=17, hyperparams={"note": "x"})
+    save_checkpoint(tmp_path / "ck", named, hyperparams={"note": "x"})
     manifest, arrays = load_checkpoint(tmp_path / "ck")
-    assert manifest["step"] == 17
+    assert manifest["hyperparams"] == {"note": "x"}
     for name, value in named:
         assert arrays[name].tobytes() == value.astype("<f8").tobytes()
     # A second save of the loaded arrays reproduces the file bytes exactly.
-    save_checkpoint(tmp_path / "ck2", [(n, arrays[n]) for n, _ in named], 17, {"note": "x"})
+    save_checkpoint(tmp_path / "ck2", [(n, arrays[n]) for n, _ in named], {"note": "x"})
     assert (tmp_path / "ck" / "params.bin").read_bytes() == (
         tmp_path / "ck2" / "params.bin"
     ).read_bytes()
@@ -998,7 +998,6 @@ def test_checkpoint_shape_mismatch_rejected(tmp_path, rng):
     save_checkpoint(
         tmp_path / "ck",
         [(n, p.value) for n, p in policy.named_params()],
-        step=0,
         hyperparams={},
     )
     _, arrays = load_checkpoint(tmp_path / "ck")
@@ -1036,7 +1035,7 @@ def test_failed_save_leaves_previous_checkpoint(tmp_path, rng, monkeypatch):
     policy = ActorCritic(rng, obs_dim=4, action_dim=3, mogrifier_rounds=0, **nn_section(hidden=6))
     named = [(n, p.value) for n, p in policy.named_params()]
     target = tmp_path / "ck"
-    save_checkpoint(target, named, step=1, hyperparams={})
+    save_checkpoint(target, named, hyperparams={"save": 1})
 
     def fail(*args, **kwargs):
         raise OSError("disk full")
@@ -1044,7 +1043,7 @@ def test_failed_save_leaves_previous_checkpoint(tmp_path, rng, monkeypatch):
     replace = os.replace
 
     def fail_moving_new_in(src, dst):  # moving the old one aside and back still works
-        if json.loads((Path(src) / "manifest.json").read_text())["step"] == 2:
+        if json.loads((Path(src) / "manifest.json").read_text())["hyperparams"] == {"save": 2}:
             fail()
         replace(src, dst)
 
@@ -1052,18 +1051,18 @@ def test_failed_save_leaves_previous_checkpoint(tmp_path, rng, monkeypatch):
     for owner, attr, patch in ((Path, "write_text", fail), (os, "replace", fail_moving_new_in)):
         monkeypatch.setattr(owner, attr, patch)
         with pytest.raises(OSError):
-            save_checkpoint(target, [(n, v + 1.0) for n, v in named], step=2, hyperparams={})
+            save_checkpoint(target, [(n, v + 1.0) for n, v in named], hyperparams={"save": 2})
         monkeypatch.undo()
         manifest, arrays = load_checkpoint(target)
-        assert manifest["step"] == 1
+        assert manifest["hyperparams"] == {"save": 1}
         for name, value in named:
             assert np.array_equal(arrays[name], value)
         assert sorted(p.name for p in tmp_path.iterdir()) == ["ck"]
 
     # A save that completes replaces the old checkpoint.
-    save_checkpoint(target, [(n, v + 1.0) for n, v in named], step=2, hyperparams={})
+    save_checkpoint(target, [(n, v + 1.0) for n, v in named], hyperparams={"save": 2})
     manifest, arrays = load_checkpoint(target)
-    assert manifest["step"] == 2
+    assert manifest["hyperparams"] == {"save": 2}
     for name, value in named:
         assert np.array_equal(arrays[name], value + 1.0)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["ck"]

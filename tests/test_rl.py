@@ -11,7 +11,7 @@ import pytest
 import tape as T
 from airs.config import build_env, default_config
 from airs.rl.agents import AGENT_SPECS, AgentSpec, PpoAgent, build_agent
-from airs.rl.necsa import EpisodicTable, NecsaShaper, abstract_state, necsa_revise
+from airs.rl.necsa import NecsaShaper
 import airs.rl.ppo as ppo_module
 from airs.nn.layers import MogrifierLstm, SequenceWorkspace
 from airs.nn.policy import LOG_STD_MAX, LOG_STD_MIN, ActorCritic
@@ -37,93 +37,135 @@ def small_ppo_config(**kw):
     return record(PpoConfig, "rl", **{"clip_epsilon": 0.2, "epochs": 3, **kw})
 
 
-# -- state abstraction ---------------------------------------------------------
+# -- NECSA: state abstraction --------------------------------------------------
+
+
+def visited_keys(observations, bins, order=1):
+    """The keys a fresh shaper gives one episode's observations, in order."""
+    shaper = NecsaShaper(bins=bins, order=order, weight=0.0, discount=1.0)
+    for obs in observations:
+        shaper.revise(np.array(obs, dtype=float), 0.0)
+    return shaper._visited
 
 
 def test_abstract_state_zero_observation():
-    assert abstract_state(np.zeros(4), bins=5, order=1) == (0, 0, 0, 0)
+    assert visited_keys([np.zeros(4)], bins=5) == [(0, 0, 0, 0)]
 
 
 def test_abstract_state_upper_boundary_clamps():
-    key = abstract_state(np.array([0.999, 1.0]), bins=5, order=1)
-    assert key == (4, 4)
+    assert visited_keys([[0.999, 1.0]], bins=5) == [(4, 4)]
 
 
-def test_abstract_state_same_cell_same_key(rng):
-    base = rng.uniform(0, 1, 6)
-    jitter = np.clip(base + rng.uniform(-1e-4, 1e-4, 6), 0, 1)
-    bins = 5
-    if abstract_state(base, bins, 1) == abstract_state(jitter, bins, 1):
-        assert True
+def test_abstract_state_same_cell_same_key():
     # Two observations in the same hypercube always share a key.
-    a = np.full(3, 0.42)
-    b = np.full(3, 0.45)
-    assert abstract_state(a, 10, 1) == abstract_state(b, 10, 1)
+    a, b = visited_keys([np.full(3, 0.42), np.full(3, 0.45)], bins=10)
+    assert a == b == (4, 4, 4)
 
 
 def test_abstract_state_order_two_concatenates():
-    history = [(1, 2)]
-    key = abstract_state(np.array([0.55, 0.05]), bins=10, order=2, history=history)
-    assert key == (1, 2, 5, 0)
+    """A key joins the previous step's cells before the current one's; the
+    episode's first step has no predecessor."""
+    keys = visited_keys([[0.15, 0.25], [0.55, 0.05], [0.95, 0.35]], bins=10, order=2)
+    assert keys == [(1, 2), (1, 2, 5, 0), (5, 0, 9, 3)]
 
 
-# -- episodic revision -----------------------------------------------------------
+# -- NECSA: episodic revision --------------------------------------------------
+
+
+def one_step_episode(shaper, obs, reward: float):
+    """Records `reward` as the return of one visit to the key of `obs`."""
+    shaper.revise(np.array(obs, dtype=float), reward)
+    shaper.end_episode()
 
 
 def test_revision_disabled_at_zero_weight():
-    table = EpisodicTable()
-    table.record((1,), 10.0)
+    shaper = NecsaShaper(bins=2, order=1, weight=0.0, discount=1.0)
+    one_step_episode(shaper, [0.9], 10.0)
     for r in (0.0, -2.5, 7.25):
-        assert necsa_revise(r, (1,), table, 0.0) == r
+        assert shaper.revise(np.array([0.9]), r) == r
 
 
 def test_empty_table_gives_neutral_prior():
-    table = EpisodicTable()
-    assert necsa_revise(1.0, (0,), table, 0.4) == pytest.approx(1.0 + 0.2)
+    shaper = NecsaShaper(bins=2, order=1, weight=0.4, discount=1.0)
+    assert shaper.score((0,)) == 0.5
+    assert shaper.revise(np.array([0.1]), 1.0) == pytest.approx(1.0 + 0.2)
 
 
 def test_two_key_normalization_by_hand():
-    table = EpisodicTable()
-    table.record((0,), 1.0)
-    table.record((1,), 3.0)
-    assert table.score((0,)) == pytest.approx(0.0)
-    assert table.score((1,)) == pytest.approx(1.0)
-    assert necsa_revise(0.5, (1,), table, 0.2) == pytest.approx(0.7)
+    shaper = NecsaShaper(bins=2, order=1, weight=0.2, discount=1.0)
+    one_step_episode(shaper, [0.1], 1.0)
+    one_step_episode(shaper, [0.9], 3.0)
+    assert shaper.score((0,)) == pytest.approx(0.0)
+    assert shaper.score((1,)) == pytest.approx(1.0)
+    assert shaper.revise(np.array([0.9]), 0.5) == pytest.approx(0.7)
     # Unknown key falls back to the neutral prior.
-    assert table.score((9,)) == 0.5
+    assert shaper.score((9,)) == 0.5
 
 
 def test_single_value_table_neutral():
-    table = EpisodicTable()
-    table.record((0,), 2.0)
-    table.record((1,), 2.0)
-    assert table.score((0,)) == 0.5
+    shaper = NecsaShaper(bins=2, order=1, weight=0.2, discount=1.0)
+    one_step_episode(shaper, [0.1], 2.0)
+    one_step_episode(shaper, [0.9], 2.0)
+    assert shaper.score((0,)) == 0.5
 
 
 def test_episodic_table_mean_is_exact(rng):
-    table = EpisodicTable()
+    shaper = NecsaShaper(bins=3, order=1, weight=0.2, discount=1.0)
     keys = [(0,), (1,), (2,)]
     recorded_by_key = {key: [] for key in keys}
     for _ in range(500):
         key = keys[int(rng.integers(3))]
         episode_return = float(rng.standard_normal())
-        table.record(key, episode_return)
+        one_step_episode(shaper, [(key[0] + 0.5) / 3], episode_return)
         recorded_by_key[key].append(episode_return)
     for key in keys:
         recorded = recorded_by_key[key]
-        assert table.stats[key][0] == len(recorded)
-        assert table.stats[key][1] == pytest.approx(np.mean(recorded), abs=1e-12)
+        assert shaper.table[key][0] == len(recorded)
+        assert shaper.table[key][1] == pytest.approx(np.mean(recorded), abs=1e-12)
+
+
+def test_extremes_only_widen():
+    """A key whose mean moves inward leaves min_mean/max_mean where they were,
+    so scores normalize against the widest means the table has held."""
+    shaper = NecsaShaper(bins=2, order=1, weight=0.2, discount=1.0)
+    one_step_episode(shaper, [0.1], 0.0)
+    one_step_episode(shaper, [0.9], 10.0)
+    one_step_episode(shaper, [0.9], 2.0)  # (1,) moves in from 10 to 6
+    one_step_episode(shaper, [0.1], 4.0)  # (0,) moves in from 0 to 2
+    assert shaper.table == {(0,): [2, 2.0], (1,): [2, 6.0]}
+    assert (shaper.min_mean, shaper.max_mean) == (0.0, 10.0)
+    assert shaper.score((0,)) == pytest.approx(0.2)
+    assert shaper.score((1,)) == pytest.approx(0.6)
 
 
 def test_shaper_updates_table_with_discounted_return():
+    """Every step's key gets the episode's discounted return of the raw rewards,
+    once per visit."""
     shaper = NecsaShaper(bins=5, order=1, weight=0.1, discount=0.5)
     shaper.begin_episode()
     shaper.revise(np.array([0.1] * 4), 1.0)
     shaper.revise(np.array([0.9] * 4), 2.0)
+    shaper.revise(np.array([0.1] * 4), 4.0)
     shaper.end_episode()
-    expected_return = 1.0 + 0.5 * 2.0
-    for key in ((0, 0, 0, 0), (4, 4, 4, 4)):
-        assert shaper.table.stats[key][1] == pytest.approx(expected_return)
+    expected_return = 1.0 + 0.5 * 2.0 + 0.25 * 4.0
+    assert shaper.table == {(0, 0, 0, 0): [2, expected_return],
+                            (4, 4, 4, 4): [1, expected_return]}
+
+
+def grid_cells(obs, bins: int) -> tuple:
+    """One observation's bin per dimension, clamped to the last bin."""
+    cells = np.minimum((np.asarray(obs, dtype=float) * bins).astype(int), bins - 1)
+    return tuple(int(c) for c in cells)
+
+
+def joined_key(current: tuple, order: int, history: list) -> tuple:
+    """`current` after the last order-1 entries of `history`."""
+    if order <= 1:
+        return current
+    key = ()
+    for item in history[-(order - 1):]:
+        key += item
+    return key + current
 
 
 @pytest.mark.parametrize("order", [1, 2, 3])
@@ -137,13 +179,13 @@ def test_shaper_discretizes_each_observation_once(order, rng):
         history = []
         for _ in range(200):
             obs, reward = rng.uniform(size=2), float(rng.standard_normal())
-            key = abstract_state(obs, shaper.bins, order, history)
-            expected = necsa_revise(reward, key, shaper.table, shaper.weight)
+            key = joined_key(grid_cells(obs, shaper.bins), order, history)
+            expected = reward + shaper.weight * shaper.score(key)
             assert shaper.revise(obs, reward) == expected
             assert shaper._visited[-1] == key
-            history.append(abstract_state(obs, shaper.bins, 1))
+            history.append(grid_cells(obs, shaper.bins))
         shaper.end_episode()
-    assert len({shaper.table.score(key) for key in shaper.table.stats}) > 1
+    assert len({shaper.score(key) for key in shaper.table}) > 1
 
 
 # -- advantage estimation -----------------------------------------------------------
@@ -376,7 +418,7 @@ def test_random_agent_observations_stay_normalized():
     env = build_env(cfg, seed=0)
     agent = build_agent("random", env)
     rng = np.random.default_rng(0)
-    obs = env.reset(seed=0)
+    obs = env.reset()
     for _ in range(100):
         action = agent.act(obs, rng)
         obs, _, done = env.step(action)
@@ -587,8 +629,8 @@ def test_buffer_keeps_the_env_observations_unshared(monkeypatch, tmp_path):
     returned, checked = [], []
     real_reset, real_step, real_update = AirsEnv.reset, AirsEnv.step, PpoUpdater.update
 
-    def spy_reset(env, seed=None):
-        obs = real_reset(env, seed)
+    def spy_reset(env):
+        obs = real_reset(env)
         returned.append((obs, obs.copy()))
         return obs
 
@@ -913,7 +955,7 @@ def test_forwards_follow_every_parameter_move(rounds, tmp_path):
     assert_forwards_read_current_values(policy, rng)
 
     save_checkpoint(tmp_path / "ck", [(n, p.value) for n, p in policy.named_params()],
-                    step=1, hyperparams={})
+                    hyperparams={})
     restored = ActorCritic(np.random.default_rng(1), **dims)
     restored.load_state(load_checkpoint(tmp_path / "ck")[1])
     assert_forwards_read_current_values(restored, rng)

@@ -3,9 +3,9 @@
     python3 tools/compare_numerics.py --base <src> --change <src>
 
 `<src>` is a directory holding the `airs` package (a checkout's `src/`).
-Each tree makes 16 runs, each `airs` call in its own subprocess with BLAS
-pinned to one thread, and the change tree makes a 17th:
-- 13 trainings on the benchmark's learning city (`airsbench/workloads.py`
+Each tree makes 17 runs, each `airs` call in its own subprocess with BLAS
+pinned to one thread, and the change tree makes an 18th:
+- 14 trainings on the benchmark's learning city (`airsbench/workloads.py`
   LEARNING_CITY: one user, pure line of sight): eppo, ppo_vanilla,
   ppo_mogrifier and ppo_necsa, once at `rl.batch_size=370` for 12 episodes
   (updates on segments that start mid-episode) and once at 1000 for 20
@@ -14,7 +14,9 @@ pinned to one thread, and the change tree makes a 17th:
   segment length cap: 0 and 150 (longer than any 100-slot episode) cut
   nowhere, so segments end only at episode and buffer boundaries, while 7
   starts a segment every 7 rows after a segment start, cuts that fall off
-  both episode and buffer boundaries (the default 16 runs above);
+  both episode and buffer boundaries (the default 16 runs above); and eppo
+  at 370 with `rl.necsa.order=3`, the one run whose NECSA keys join several
+  observations (every other run keys on one);
 - one eppo training on the `eval-city` city (EVAL_CITY: three users, Rician
   k = 10) with 100-slot episodes, `env.rate_window=20` and
   `env.observe_all_users=true`, at `rl.batch_size=250` (updates
@@ -38,7 +40,7 @@ which turns dispatch targets off: "0 of N runs differ" holds for that
 kernel and that setting.
 
 The tool compares the sha256 of each run's artifacts (metrics.csv, slots.csv,
-trajectory.csv, episodes.jsonl and summary.json of a training; the eval files
+trajectory.csv and summary.json of a training; the eval files
 too for an eval run), then, for a run that trains, loads every checkpoint
 directory (`checkpoints/*/`) of both trees with the change's loader and
 compares every parameter array.  Checkpoint file bytes are not compared, so a
@@ -67,12 +69,11 @@ from airsbench.workloads import (  # noqa: E402
     BLAS_THREAD_VARS, CHECKPOINT_OVERRIDES, EVAL_CITY, EVAL_EPISODES, LEARNING_CITY,
 )
 
-TRAIN_ARTIFACTS = ("metrics.csv", "slots.csv", "trajectory.csv", "episodes.jsonl",
-                   "summary.json")
+TRAIN_ARTIFACTS = ("metrics.csv", "slots.csv", "trajectory.csv", "summary.json")
 EVAL_ARTIFACTS = ("eval/eval_metrics.csv", "eval/slots.csv", "eval/trajectory.csv",
-                  "eval/episodes.jsonl", "eval/eval_summary.json")
+                  "eval/eval_summary.json")
 # The checkpoint training of the eval run writes no slot or trajectory log.
-CHECKPOINT_EVAL_ARTIFACTS = ("metrics.csv", "episodes.jsonl", "summary.json") + EVAL_ARTIFACTS
+CHECKPOINT_EVAL_ARTIFACTS = ("metrics.csv", "summary.json") + EVAL_ARTIFACTS
 SEED = 7
 
 
@@ -86,12 +87,14 @@ class Run:
     base_checkpoint: str = None  # label of the run whose base-tree checkpoint the change evals
 
 
-def learning_run(agent, batch_size, episodes, chunk=None) -> Run:
-    label = f"{agent}_b{batch_size}" + ("" if chunk is None else f"_chunk{chunk}")
+def learning_run(agent, batch_size, episodes, chunk=None, order=None) -> Run:
+    label = f"{agent}_b{batch_size}"
     overrides = LEARNING_CITY + (f"rl.agent={agent}", f"rl.batch_size={batch_size}",
                                  f"rl.episodes={episodes}")
-    if chunk is not None:
-        overrides += (f"nn.bptt_chunk={chunk}",)
+    for name, key, value in (("chunk", "nn.bptt_chunk", chunk), ("order", "rl.necsa.order", order)):
+        if value is not None:
+            label += f"_{name}{value}"
+            overrides += (f"{key}={value}",)
     return Run(label, overrides)
 
 
@@ -101,7 +104,7 @@ RUNS = (
      for batch_size, episodes in ((370, 12), (1000, 20))]
     + [learning_run(agent, 370, 12, chunk) for agent in ("eppo", "ppo_vanilla")
        for chunk in (0, 7)]
-    + [learning_run("eppo", 370, 12, 150)]
+    + [learning_run("eppo", 370, 12, 150), learning_run("eppo", 370, 12, order=3)]
     + [Run("eppo_city_window20_all_users",
            EVAL_CITY + ("env.horizon=100", "env.rate_window=20", "env.observe_all_users=true",
                         "rl.agent=eppo", "rl.episodes=6", "rl.batch_size=250",
