@@ -109,7 +109,8 @@ def angles_between(origin, target):
     Azimuth is atan2(dy, dx); elevation is the angle above the horizontal
     plane.  Raises for coincident points.
     """
-    dx, dy, dz = (np.asarray(target, dtype=float) - np.asarray(origin, dtype=float)).tolist()
+    (ox, oy, oz), (tx, ty, tz) = origin, target
+    dx, dy, dz = tx - ox, ty - oy, tz - oz
     horizontal = math.hypot(dx, dy)
     if horizontal == 0.0 and dz == 0.0:
         raise ChannelError("cannot compute angles between coincident points")

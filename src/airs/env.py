@@ -5,6 +5,15 @@ displacement, every ground user advances along the roads, and the user whose
 turn it is (round robin) is served through the reflecting surface.  The slot
 reward is fairness * rate / energy minus an out-of-bounds penalty, and zero
 whenever either hop of the relay path is occluded.
+
+A slot's small vectors, the craft's position and displacement and each
+user's position and heading, are tuples of Python floats from `reset` to the
+`SlotRecord`, since numpy's per-call cost outweighs arithmetic on three
+numbers and a float operation rounds as numpy's elementwise one does.  numpy
+keeps the ops whose rounding it sets, and the wide arrays: `uav.distance`
+(the BLAS dot product), `jain_index` from 8 rates up (numpy's pairwise
+sums), the building slabs of `scenario.is_los`, and the per-element channel
+vectors.
 """
 
 import math
@@ -28,18 +37,29 @@ def jain_index(rates) -> float:
     """Fairness of an allocation: (sum r)^2 / (n * sum r^2), in [1/n, 1].
 
     The all-zero allocation maps to the worst case 1/n so the index is
-    defined on every reachable rate vector.
+    defined on every reachable rate vector.  The sums are numpy's pairwise
+    sums, which add fewer than 8 terms left to right: below 8 rates a Python
+    loop gives the same bits at a fraction of the cost.
     """
-    rates = np.asarray(rates, dtype=float)
-    if rates.size == 0:
+    n = len(rates)
+    if n == 0:
         raise ValueError("jain_index needs at least one rate")
-    if (rates < 0).any():
-        raise ValueError("rates must be nonnegative")
-    # numpy's pairwise sums, which Python's sum() matches only below 8 terms.
-    total = np.add.reduce(rates, axis=None)
+    if n < 8:
+        total = square_sum = 0.0
+        for r in rates:
+            if r < 0:
+                raise ValueError("rates must be nonnegative")
+            total += r
+            square_sum += r * r
+    else:
+        rates = np.asarray(rates, dtype=float)
+        if (rates < 0).any():
+            raise ValueError("rates must be nonnegative")
+        total = np.add.reduce(rates, axis=None)
+        square_sum = np.add.reduce(rates * rates, axis=None)
     if total == 0.0:
-        return 1.0 / rates.size
-    return float(total**2 / (rates.size * np.add.reduce(rates * rates, axis=None)))
+        return 1.0 / n
+    return float(total**2 / (n * square_sum))
 
 
 @dataclass(frozen=True)
@@ -99,15 +119,16 @@ class AirsEnv:
         self.buildings = sc.generate_city(scenario_config)
         self.index = sc.BuildingIndex(self.buildings)
         self.network = sc.RoadNetwork(scenario_config)
-        self.bounds = uav.FlightBounds(
+        # Floats, so that a position clamped to the envelope is all floats.
+        self.bounds = uav.FlightBounds(*map(float, (
             scenario_config.area_x_min,
             scenario_config.area_x_max,
             scenario_config.area_y_min,
             scenario_config.area_y_max,
             scenario_config.alt_min,
             scenario_config.alt_max,
-        )
-        self.su = np.asarray(scenario_config.su_position, dtype=float)
+        )))
+        self.su = tuple(map(float, scenario_config.su_position))
         self._rng_reset = substream(seed, STREAM_RESET)
         self._rng_users = substream(seed, STREAM_USERS)
         self._rng_channel = substream(seed, STREAM_CHANNEL)
@@ -135,14 +156,11 @@ class AirsEnv:
     def reset(self) -> np.ndarray:
         """Start a new episode; craft placed uniformly inside the envelope."""
         b = self.bounds
-        position = np.array(
-            [
-                self._rng_reset.uniform(b.x_min, b.x_max),
-                self._rng_reset.uniform(b.y_min, b.y_max),
-                self._rng_reset.uniform(b.z_min, b.z_max),
-            ]
+        self.position = (
+            self._rng_reset.uniform(b.x_min, b.x_max),
+            self._rng_reset.uniform(b.y_min, b.y_max),
+            self._rng_reset.uniform(b.z_min, b.z_max),
         )
-        self.position = position
         self.tracks = [
             sc.UserTrack.spawn(p, self.network, self.scenario.user_speed, self._rng_users)
             for p in self.scenario.user_initial_positions
@@ -169,11 +187,12 @@ class AirsEnv:
         t = self._t
         served = t % self.cfg.users
 
-        displacement = uav.scale_action(action[:3], self.cfg.d_max)
+        displacement = uav.scale_action(action[:3].tolist(), self.cfg.d_max)
         previous = self.position
         self.position, violated = uav.apply_action(previous, displacement, self.bounds)
         irs = self.position
-        realized = irs - previous
+        (x, y, z), (px, py, pz) = irs, previous
+        realized = (x - px, y - py, z - pz)
         energy = uav.propulsion_energy(self.energy_model, realized, self.slot_duration)
 
         self.tracks = [
@@ -204,8 +223,6 @@ class AirsEnv:
             self._recent_rates[served].append((t, rate))
         fairness = self._running_fairness(t)
 
-        rate = float(rate)
-        energy = float(energy)
         scaled = rate * self.cfg.rate_scale
         penalty = self.cfg.penalty if (violated and los) else 0.0
         reward = (fairness * scaled / energy - penalty) if los else 0.0
@@ -226,8 +243,8 @@ class AirsEnv:
             los=los,
             violated=violated,
             penalty=penalty,
-            uav_position=tuple(irs.tolist()),
-            displacement=tuple(realized.tolist()),
+            uav_position=irs,
+            displacement=realized,
         )
         return obs, self.last_slot, self._done
 
@@ -254,7 +271,7 @@ class AirsEnv:
 
     def _observation(self) -> np.ndarray:
         b = self.bounds
-        x, y, z = self.position.tolist()
+        x, y, z = self.position
         out = [
             (x - b.x_min) / (b.x_max - b.x_min),
             (y - b.y_min) / (b.y_max - b.y_min),
@@ -265,7 +282,7 @@ class AirsEnv:
         else:
             targets = [self.tracks[self._t % self.cfg.users]]
         for track in targets:
-            qx, qy, qz = track.position.tolist()
+            qx, qy, qz = track.position
             out += [
                 (qx - b.x_min) / (b.x_max - b.x_min),
                 (qy - b.y_min) / (b.y_max - b.y_min),

@@ -96,8 +96,9 @@ class RoadNetwork:
     """Road strips between cells and the nodes along their centerlines."""
 
     def __init__(self, config: ScenarioConfig):
-        self.x_min, self.x_max = config.area_x_min, config.area_x_max
-        self.y_min, self.y_max = config.area_y_min, config.area_y_max
+        # Floats, so that a walker stopped on a border node holds float coordinates.
+        self.x_min, self.x_max = float(config.area_x_min), float(config.area_x_max)
+        self.y_min, self.y_max = float(config.area_y_min), float(config.area_y_max)
         self.half_width = config.road_width / 2.0
         n = config.grid_cells_per_side
         pitch = config.cell_side + config.road_width
@@ -146,12 +147,12 @@ class RoadNetwork:
         through (x, y) and have a node ahead."""
         return sorted(d for d in self._centerline_headings(x, y) if self.next_node_along(x, y, d) is not None)
 
-    def random_heading(self, x: float, y: float, rng) -> np.ndarray:
+    def random_heading(self, x: float, y: float, rng) -> tuple:
         """Uniform choice among directions compatible with the roads at (x, y)."""
         options = self._centerline_headings(x, y)
         if not options:
             raise ScenarioError(f"({x}, {y}) is not on a centerline")
-        return np.array(options[int(rng.integers(len(options)))])
+        return options[int(rng.integers(len(options)))]
 
     def _centerline_headings(self, x: float, y: float) -> list:
         """The unit headings along the centerlines through (x, y)."""
@@ -182,17 +183,20 @@ def _next_ahead(nodes, v, direction):
 
 @dataclass
 class UserTrack:
-    """A ground user walking the road network at constant speed."""
+    """A ground user walking the road network at constant speed.
 
-    position: np.ndarray
-    heading: np.ndarray
+    `position` is an (x, y, 0.0) and `heading` a unit (hx, hy) tuple of floats.
+    """
+
+    position: tuple
+    heading: tuple
     speed: float
 
     @staticmethod
     def spawn(position, network: RoadNetwork, speed: float, rng) -> "UserTrack":
         x, y = network.snap_to_centerline(position[0], position[1])
         heading = network.random_heading(x, y, rng)
-        return UserTrack(np.array([x, y, 0.0]), heading, float(speed))
+        return UserTrack((float(x), float(y), 0.0), heading, float(speed))
 
 
 def step_user(track: UserTrack, dt: float, rng, network: RoadNetwork) -> UserTrack:
@@ -202,8 +206,8 @@ def step_user(track: UserTrack, dt: float, rng, network: RoadNetwork) -> UserTra
     border).  The returned track is a new object; the input is untouched.
     """
     remaining = track.speed * dt
-    x, y = track.position.tolist()[:2]
-    hx, hy = track.heading.tolist()
+    x, y, _ = track.position
+    hx, hy = track.heading
     while remaining > 1e-12:
         node = network.next_node_along(x, y, (hx, hy))
         if node is None:
@@ -226,7 +230,7 @@ def step_user(track: UserTrack, dt: float, rng, network: RoadNetwork) -> UserTra
             hx, hy = reverse
         else:
             hx, hy = forward[int(rng.integers(len(forward)))]
-    return UserTrack(np.array([x, y, 0.0]), np.array([hx, hy]), track.speed)
+    return UserTrack((x, y, 0.0), (hx, hy), track.speed)
 
 
 def generate_city(config: ScenarioConfig) -> list:
@@ -323,7 +327,7 @@ def is_los(a, b, buildings, then=None) -> bool:
     """
     index = buildings if isinstance(buildings, BuildingIndex) else BuildingIndex(buildings)
     points = (a, b) if then is None else (a, b, then)
-    path = [np.asarray(p, dtype=float).tolist() for p in points]
+    path = [tuple(p) for p in points]
     segments = []
     for p, q in zip(path, path[1:]):
         if p == q:

@@ -9,6 +9,13 @@ m*g*v_v; multiplied by the slot duration it gives the slot energy:
     E = (P_B*(1 + 3 v_h^2 / U_tip^2)
          + P_I*(sqrt(1 + v_h^4/(4 v_0^4)) - v_h^2/(2 v_0^2))^(1/2)
          + 0.5*d_0*rho*s*G*v_h^3 + m*g*v_v) * dt
+
+Positions and displacements are (x, y, z) tuples of Python floats: a slot
+handles a few 3-vectors, for which numpy's call overhead outweighs the
+arithmetic, and each float operation rounds as numpy's elementwise one does.
+`distance` alone goes through numpy, for its BLAS dot product: some BLAS
+kernels (OpenBLAS SkylakeX) fuse its multiply-adds, so a Python sum of
+squares would round differently there.
 """
 
 import math
@@ -41,26 +48,27 @@ class FlightBounds:
     z_max: float
 
 
-def scale_action(raw: np.ndarray, d_max: float) -> np.ndarray:
+def scale_action(raw, d_max: float) -> tuple:
     """Map a raw [-1, 1]^3 command to a displacement with 2-norm <= d_max.
 
     Components are clipped then scaled by d_max/sqrt(3), which caps the
-    infinity norm and therefore the Euclidean norm at d_max.
+    infinity norm and therefore the Euclidean norm at d_max.  A nan
+    component stays nan.
     """
-    raw = np.minimum(np.maximum(np.asarray(raw, dtype=float), -1.0), 1.0)
-    return raw * (d_max / math.sqrt(3.0))
+    scale = d_max / math.sqrt(3.0)
+    return tuple([min(max(r, -1.0), 1.0) * scale for r in raw])
 
 
-def apply_action(position: np.ndarray, action, bounds: FlightBounds):
+def apply_action(position, action, bounds: FlightBounds):
     """Displace the craft at `position` (x, y, z) by `action`, clamping to the
     flight envelope.
 
-    Returns (new_position, violated): the new position as a fresh float array,
-    and whether the target left the envelope.  Leaving it clamps the position
-    to the boundary and flags the slot instead of ending the episode.
+    Returns (new_position, violated): the new position as a tuple, and whether
+    the target left the envelope.  Leaving it clamps the position to the
+    boundary and flags the slot instead of ending the episode.
     """
-    x, y, z = position.tolist()
-    dx, dy, dz = np.asarray(action, dtype=float).tolist()
+    x, y, z = position
+    dx, dy, dz = action
     target = (x + dx, y + dy, z + dz)
     clamped = (
         min(max(target[0], bounds.x_min), bounds.x_max),
@@ -70,12 +78,12 @@ def apply_action(position: np.ndarray, action, bounds: FlightBounds):
     # Elementwise, so a nan target counts as violated; tuple != would take
     # the identical nan objects for equal.
     violated = any(c != t for c, t in zip(clamped, target))
-    return np.array(clamped), violated
+    return clamped, violated
 
 
 def propulsion_energy(model: EnergyModel, action, dt: float) -> float:
     """Slot energy in joules for a displacement flown over dt > 0 seconds."""
-    dx, dy, dz = np.asarray(action, dtype=float).tolist()
+    dx, dy, dz = action
     v_h = math.hypot(dx, dy) / dt
     v_v = abs(dz) / dt
     return power_at(model, v_h, v_v) * dt
@@ -103,6 +111,7 @@ def power_at(model: EnergyModel, v_h: float, v_v: float = 0.0) -> float:
 
 def distance(a, b) -> float:
     """Euclidean distance between two 3-D points."""
-    delta = np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
+    (ax, ay, az), (bx, by, bz) = a, b
+    delta = np.array((ax - bx, ay - by, az - bz), dtype=float)
     # What np.linalg.norm computes for a vector, without its dispatch.
     return math.sqrt(delta.dot(delta))

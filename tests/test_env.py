@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -104,16 +105,49 @@ def test_jain_bounds(rng):
         assert 1.0 / n - 1e-12 <= value <= 1.0 + 1e-12
 
 
-@pytest.mark.parametrize("n", [3, 9])
+@pytest.mark.parametrize("n", range(1, 21))
 def test_jain_index_keeps_numpy_pairwise_sums(n):
-    """Bit-equal to numpy's reductions; at 9 rates Python's sum() would
-    differ, because numpy's pairwise sum unrolls by 8."""
+    """Bit-equal to numpy's reductions on both sides of the 8-rate edge where
+    jain_index turns from a Python loop to numpy; from 8 rates a left-to-right
+    sum would differ, because numpy's pairwise sum unrolls by 8."""
     rng = np.random.default_rng(n)
     for _ in range(300):
         r = rng.uniform(0.0, 1e7, n) * rng.uniform(0.0, 1.0, n) ** 4
         expected = float(r.sum() ** 2 / (n * np.square(r).sum()))
         assert jain_index(r) == expected
         assert jain_index(r.tolist()) == expected
+
+
+# The layer functions airsbench/tracing.py times by wrapping their module
+# attributes.
+TRACED_LAYERS = [
+    (sc, "is_los"), (sc, "step_user"), (uav, "apply_action"), (uav, "propulsion_energy"),
+    (ch, "sample_channel"), (ch, "optimal_phases"), (ch, "achievable_rate"),
+]
+
+
+def test_step_reaches_each_traced_layer_through_its_module(monkeypatch):
+    """`step` looks each traced layer up on its module every slot, so a
+    wrapper put there sees every call; an inlined layer would leave its span
+    empty."""
+    env, _ = make_env(users=3, buildings_per_cell=0, seed=5)  # open sky
+    calls = Counter()
+    for module, name in TRACED_LAYERS:
+        def counting(*args, _layer=getattr(module, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _layer(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counting)
+    env.reset()
+    rng = np.random.default_rng(5)
+    for slot in range(1, 7):
+        _, record, _ = env.step(rng.uniform(-1, 1, 3))
+        assert record.los
+        assert calls == {
+            "is_los": slot, "step_user": 3 * slot, "apply_action": slot,
+            "propulsion_energy": slot, "sample_channel": 2 * slot, "optimal_phases": slot,
+            "achievable_rate": slot,
+        }
 
 
 # -- reset ------------------------------------------------------------------------
@@ -258,6 +292,29 @@ def test_observe_all_users_dimension():
     assert obs.shape == (12,)
 
 
+def test_integer_config_numbers_fly_as_floats():
+    """A config number may be an integer.  A craft clamped to the envelope and
+    a user spawned on a road or stopped on its border node still hold floats,
+    which the records write as float text."""
+    cfg = toy_overrides(default_config(), buildings_per_cell=0)
+    cfg["scenario"].update({"area_x_min": 0, "area_x_max": 100, "area_y_min": 0, "area_y_max": 100,
+                            "alt_min": 25, "alt_max": 60,
+                            "su_position": [-20, 50, 15], "user_initial_positions": [[50, 50, 0]],
+                            "user_speed": 1})
+    cfg["uav"]["slot_duration_s"] = 1
+    env = build_env(cfg, seed=0)
+    env.reset()
+    assert all(type(v) is float for v in env.tracks[0].position)
+    clamped = 0
+    for _ in range(60):  # the user reaches a border node 50 m away in slot 50
+        _, record, _ = env.step(np.array([1.0, 0.0, 1.0]))
+        clamped += record.violated
+        (track,) = env.tracks
+        values = record.uav_position + record.displacement + track.position + track.heading
+        assert all(type(v) is float for v in values), values
+    assert clamped > 0
+
+
 def test_round_robin_service_order():
     env, _ = make_env(users=3)
     env.reset()
@@ -286,13 +343,13 @@ def test_computed_phases_never_beaten_by_random(rng):
     profile_out = ch.hop_profile(env.geometry, irs, user)
     g = ch.sample_channel(
         profile_in,
-        ch.path_loss_db(env.loss_model, float(np.linalg.norm(env.su - irs))),
+        ch.path_loss_db(env.loss_model, float(np.linalg.norm(np.subtract(env.su, irs)))),
         float("inf"),
         None,
     )
     h = ch.sample_channel(
         profile_out,
-        ch.path_loss_db(env.loss_model, float(np.linalg.norm(user - irs))),
+        ch.path_loss_db(env.loss_model, float(np.linalg.norm(np.subtract(user, irs)))),
         float("inf"),
         None,
     )

@@ -106,3 +106,17 @@ def test_distance_triangle_inequality(rng):
 
 def test_distance_basic():
     assert uav.distance((0, 0, 0), (3, 4, 0)) == pytest.approx(5.0)
+
+
+def test_distance_is_the_blas_norm(rng):
+    """Bit-equal to np.linalg.norm, the square root of the BLAS dot product.
+
+    A Python sum of squares agrees with the dot product on most BLAS kernels,
+    so this test fails for one only on hosts whose kernel fuses the
+    multiply-adds (OpenBLAS SkylakeX).
+    """
+    for _ in range(2000):
+        a, b = rng.uniform(-700.0, 700.0, size=(2, 3))
+        expected = np.linalg.norm(a - b)
+        assert uav.distance(a, b) == expected
+        assert uav.distance(tuple(a.tolist()), tuple(b.tolist())) == expected

@@ -3,8 +3,8 @@
     python3 tools/compare_numerics.py --base <src> --change <src>
 
 `<src>` is a directory holding the `airs` package (a checkout's `src/`).
-Each tree makes 17 runs, each `airs` call in its own subprocess with BLAS
-pinned to one thread, and the change tree makes an 18th:
+Each tree makes 18 runs, each `airs` call in its own subprocess with BLAS
+pinned to one thread, and the change tree makes a 19th:
 - 14 trainings on the benchmark's learning city (`airsbench/workloads.py`
   LEARNING_CITY: one user, pure line of sight): eppo, ppo_vanilla,
   ppo_mogrifier and ppo_necsa, once at `rl.batch_size=370` for 12 episodes
@@ -28,6 +28,10 @@ pinned to one thread, and the change tree makes an 18th:
   checkpoint that the tree itself trains on that city (CHECKPOINT_OVERRIDES);
 - one `airs eval --agent random` of the same workload with no training,
   which draws the exploration generator on the evaluation path;
+- one `airs eval --agent random` of that city with nine users
+  (NINE_USER_CITY), placed off the road centerlines for `UserTrack.spawn` to
+  snap, so nine user tracks and the Jain index of 8 rates and more (numpy's
+  pairwise sums) reach `slots.csv`;
 - the change tree's `airs eval` of the base tree's `eval_city` checkpoint,
   compared with the base tree's own eval of it, so a checkpoint written
   before the change must still restore to the same eval artifacts.
@@ -75,6 +79,12 @@ EVAL_ARTIFACTS = ("eval/eval_metrics.csv", "eval/slots.csv", "eval/trajectory.cs
 # The checkpoint training of the eval run writes no slot or trajectory log.
 CHECKPOINT_EVAL_ARTIFACTS = ("metrics.csv", "summary.json") + EVAL_ARTIFACTS
 SEED = 7
+NINE_USER_CITY = EVAL_CITY + (
+    "env.users=9",
+    "scenario.user_initial_positions=[[305.0, 205.0, 0.0], [205.0, 305.0, 0.0], "
+    "[415.0, 515.0, 0.0], [100.0, 207.5, 0.0], [203.0, 100.0, 0.0], [517.0, 413.0, 0.0], "
+    "[10.0, 416.0, 0.0], [418.0, 600.0, 0.0], [560.0, 202.0, 0.0]]",
+)
 
 
 @dataclass(frozen=True)
@@ -111,6 +121,8 @@ RUNS = (
                         "rl.checkpoint_every=2")),
        Run("eval_city", CHECKPOINT_OVERRIDES, CHECKPOINT_EVAL_ARTIFACTS, evaluate=EVAL_CITY),
        Run("eval_city_random", None, EVAL_ARTIFACTS, evaluate=EVAL_CITY, eval_agent="random"),
+       Run("eval_city_random_9_users", None, EVAL_ARTIFACTS, evaluate=NINE_USER_CITY,
+           eval_agent="random"),
        Run("eval_city_base_checkpoint", None, EVAL_ARTIFACTS, evaluate=EVAL_CITY,
            base_checkpoint="eval_city")]
 )
