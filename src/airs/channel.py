@@ -8,6 +8,12 @@ azimuth/elevation of the hop as seen from the surface, and an i.i.d. complex
 Gaussian scatter term.  The surface applies one programmable phase per
 element; `optimal_phases` picks the per-element phases that make every term
 of the cascaded two-hop gain add coherently.
+
+`hop_profile` and `sample_channel` work on a stack of K hops, (K, M) arrays
+with one row per hop.  Every operation is elementwise along a row, so row k
+has the bits a one-hop stack of hop k would have, and the scatter draws go
+hop by hop: a stack may be cut or joined anywhere without moving a bit or
+the generator's state.
 """
 
 import math
@@ -38,18 +44,24 @@ class IrsGeometry:
 
     @cached_property
     def element_indices(self):
-        """(row, col) pairs in row-major element order, zero based (read-only)."""
-        m_r, m_c = np.divmod(np.arange(self.size), self.irs_cols)
+        """(row, col) pairs in row-major element order, zero based, as floats
+        (read-only): integer indices would be cast on every multiply."""
+        m_r, m_c = np.divmod(np.arange(float(self.size)), float(self.irs_cols))
         m_r.flags.writeable = m_c.flags.writeable = False
         return m_r, m_c
 
-    def phase_profile(self, azimuth: float, elevation: float) -> np.ndarray:
-        """Per-element plane-wave phase for a direction given at the array."""
+    def phase_profile(self, directions) -> np.ndarray:
+        """Per-element plane-wave phases (K, M), one row per (azimuth,
+        elevation) pair of `directions`, each given at the array.
+
+        Row k is scale * (m_c * sin(az) * cos(el) + m_r * sin(el)) in that
+        order, with the trig from `math`, so it does not depend on the other
+        rows.
+        """
         m_r, m_c = self.element_indices
         scale = TWO_PI * self.element_spacing / self.wavelength
-        return scale * (
-            m_c * math.sin(azimuth) * math.cos(elevation) + m_r * math.sin(elevation)
-        )
+        trig = np.array([(math.sin(az), math.cos(el), math.sin(el)) for az, el in directions])
+        return scale * (m_c * trig[:, 0:1] * trig[:, 1:2] + m_r * trig[:, 2:3])
 
 
 @dataclass(frozen=True)
@@ -117,10 +129,11 @@ def angles_between(origin, target):
     return math.atan2(dy, dx), math.atan2(dz, horizontal)
 
 
-def hop_profile(geom: IrsGeometry, surface, far_end) -> np.ndarray:
-    """Per-element plane-wave phase of the hop between the surface and
-    `far_end`, at the direction of `far_end` seen from the surface."""
-    return geom.phase_profile(*angles_between(surface, far_end))
+def hop_profile(geom: IrsGeometry, surface, far_ends) -> np.ndarray:
+    """Per-element plane-wave phases (K, M) of the K hops between the surface
+    and each point of `far_ends`, row k at the direction of `far_ends[k]` seen
+    from the surface."""
+    return geom.phase_profile([angles_between(surface, p) for p in far_ends])
 
 
 def los_steering(profile: np.ndarray) -> np.ndarray:
@@ -128,21 +141,24 @@ def los_steering(profile: np.ndarray) -> np.ndarray:
     return np.exp(1j * profile)
 
 
-def sample_channel(profile, loss_db, k, rng) -> np.ndarray:
-    """One Rician channel vector of a hop: amplitude * (LoS + scatter mix).
+def sample_channel(profiles, losses_db, k, rng) -> np.ndarray:
+    """The Rician channel vectors (K, M) of K hops: row k is
+    amplitude(losses_db[k]) * (LoS + scatter mix).
 
-    `profile` is the hop's per-element plane-wave phase (`hop_profile`).
+    `profiles` holds the hops' per-element plane-wave phases (`hop_profile`).
     `k >= 0` is the power ratio of the deterministic component to the scattered
-    one; `k = inf` selects the deterministic component exactly.  Scatter
-    entries are circularly-symmetric complex Gaussian with unit variance.
+    one; `k = inf` selects the deterministic component exactly and draws
+    nothing.  Scatter entries are circularly-symmetric complex Gaussian with
+    unit variance, drawn as one (K, 2, M) block: hop by hop, the real parts
+    before the imaginary ones, so the stream is consumed as K one-hop calls
+    would consume it, and each row is what a one-hop call would return.
     """
-    amp = amplitude_from_db(loss_db)
-    los = los_steering(profile)
+    amp = np.array([(amplitude_from_db(loss),) for loss in losses_db])
+    los = los_steering(profiles)
     if math.isinf(k):
         return amp * los
-    nlos = (
-        rng.standard_normal(profile.size) + 1j * rng.standard_normal(profile.size)
-    ) / math.sqrt(2.0)
+    draws = rng.standard_normal((len(profiles), 2, profiles.shape[1]))
+    nlos = (draws[:, 0] + 1j * draws[:, 1]) / math.sqrt(2.0)
     return amp * (
         math.sqrt(k / (1.0 + k)) * los + math.sqrt(1.0 / (1.0 + k)) * nlos
     )
@@ -169,8 +185,8 @@ def achievable_rate(budget: LinkBudget, g, phases: PhaseShifts, h) -> float:
 def optimal_phases(profile_in, profile_out) -> PhaseShifts:
     """Per-element phases that align both hops.
 
-    `profile_in` and `profile_out` are the `hop_profile`s towards the head
-    and towards the user.  Each element's phase cancels the combined
+    `profile_in` and `profile_out` are the `hop_profile` rows towards the
+    head and towards the user.  Each element's phase cancels the combined
     plane-wave phase it would accumulate on arrival (head -> surface) and
     departure (surface -> user), so all element contributions to the
     cascaded gain share one phase and their magnitudes add.  Output is

@@ -13,7 +13,12 @@ numbers and a float operation rounds as numpy's elementwise one does.  numpy
 keeps the ops whose rounding it sets, and the wide arrays: `uav.distance`
 (the BLAS dot product), `jain_index` from 8 rates up (numpy's pairwise
 sums), the building slabs of `scenario.is_los`, and the per-element channel
-vectors.
+vectors.  A line-of-sight slot synthesizes both hops in one stacked pass:
+one `channel.hop_profile` and one `channel.sample_channel` call with the
+head's hop as row 0 and the user's as row 1.  Each row has the bits of a
+one-hop call, and the scatter is drawn hop by hop, real parts before
+imaginary ones, so the channel stream is consumed in the order two one-hop
+calls would consume it.
 """
 
 import math
@@ -205,16 +210,15 @@ class AirsEnv:
 
         rate = 0.0
         if los:
-            profile_in = ch.hop_profile(self.geometry, irs, self.su)
-            profile_out = ch.hop_profile(self.geometry, irs, user)
+            # Both hops in one stacked pass: row 0 the head's, row 1 the user's.
+            profiles = ch.hop_profile(self.geometry, irs, (self.su, user))
             if self.phase_control:
-                phases = ch.optimal_phases(profile_in, profile_out)
+                phases = ch.optimal_phases(profiles[0], profiles[1])
             else:
                 phases = ch.PhaseShifts(ch.wrap_phase(action[3:] * math.pi))
-            loss_in = ch.path_loss_db(self.loss_model, uav.distance(self.su, irs))
-            loss_out = ch.path_loss_db(self.loss_model, uav.distance(irs, user))
-            g = ch.sample_channel(profile_in, loss_in, self.rician_k, self._rng_channel)
-            h = ch.sample_channel(profile_out, loss_out, self.rician_k, self._rng_channel)
+            losses = (ch.path_loss_db(self.loss_model, uav.distance(self.su, irs)),
+                      ch.path_loss_db(self.loss_model, uav.distance(irs, user)))
+            g, h = ch.sample_channel(profiles, losses, self.rician_k, self._rng_channel)
             rate = ch.achievable_rate(self.budget, g, phases, h)
 
         self._rate_sums[served] += rate
@@ -224,28 +228,16 @@ class AirsEnv:
         fairness = self._running_fairness(t)
 
         scaled = rate * self.cfg.rate_scale
-        penalty = self.cfg.penalty if (violated and los) else 0.0
+        # float(): the configured penalty may be an integer.
+        penalty = float(self.cfg.penalty) if (violated and los) else 0.0
         reward = (fairness * scaled / energy - penalty) if los else 0.0
         f_t = fairness * scaled / energy
 
         self._t += 1
         self._done = self._t >= self.cfg.horizon
         obs = self._observation()
-        self.last_slot = SlotRecord(
-            episode=self._episode,
-            t=t,
-            served_user=served,
-            rate_bps=rate,
-            energy_j=energy,
-            jain=fairness,
-            reward=reward,
-            f_t=f_t,
-            los=los,
-            violated=violated,
-            penalty=penalty,
-            uav_position=irs,
-            displacement=realized,
-        )
+        self.last_slot = SlotRecord(self._episode, t, served, rate, energy, fairness, reward,
+                                    f_t, los, violated, penalty, irs, realized)
         return obs, self.last_slot, self._done
 
     # -- internals ------------------------------------------------------------

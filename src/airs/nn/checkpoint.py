@@ -72,7 +72,10 @@ def save_checkpoint(directory, named_arrays, hyperparams: dict):
 
 
 def load_checkpoint(directory):
-    """Returns (manifest, dict name -> float64 array) of a format-3 checkpoint."""
+    """Returns (manifest, dict name -> float64 array) of a format-3 checkpoint.
+
+    A parameter holding a nan or an infinity is rejected: no finite run saves
+    one, and a policy built from it would fly nan positions."""
     directory = Path(directory)
     try:
         manifest = json.loads((directory / "manifest.json").read_text())
@@ -98,6 +101,9 @@ def load_checkpoint(directory):
             except ValueError as exc:
                 raise CheckpointError(
                     f"checkpoint {directory} parameter {entry['name']}: {exc}") from None
+            if not np.isfinite(array).all():
+                raise CheckpointError(f"checkpoint {directory} parameter {entry['name']} "
+                                      f"holds a non-finite value")
             arrays[entry["name"]] = array.copy()
     except KeyError as exc:
         raise CheckpointError(f"checkpoint {directory} manifest is missing {exc}") from None

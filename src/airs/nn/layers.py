@@ -73,7 +73,11 @@ class Dense:
         self.b = Param(np.zeros(out_dim))
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        return x @ self.W.value + self.b.value
+        # np.dot calls the gemm (or gemv) that x @ W does, without the ufunc
+        # dispatch, and the bias adds into its fresh output.
+        out = np.dot(x, self.W.value)
+        out += self.b.value
+        return out
 
     def backward(self, x: np.ndarray, g: np.ndarray, want_x: bool, out=None):
         """Add the b and W gradients for the output gradient g of `forward(x)`;

@@ -191,5 +191,5 @@ class ActorCritic:
         mean, new_state = self.actor_step(obs.reshape(1, -1), state)
         mu = mean[0]
         if greedy:
-            return mu.copy(), new_state
+            return mu, new_state
         return mu + self._std * rng.standard_normal(self.action_dim), new_state

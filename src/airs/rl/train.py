@@ -148,22 +148,23 @@ class RunWriter:
             self.trajectory.write(TRAJECTORY_HEADER)
 
     def slot(self, record):
-        # One f-string per row gives the bytes `_row` would: repr of each float
-        # (made a Python float, since numpy 2 scalars repr as np.float64(...)),
-        # 0/1 for each flag and str for the rest.
+        # One f-string per row gives the bytes `_row` would: repr of each float,
+        # 0/1 for each flag and str for the rest.  Every float field of a
+        # SlotRecord is a Python float, never np.float64, whose repr would read
+        # np.float64(...) (tests/test_env.py checks this), so each float takes
+        # its `!r` as it is.
         r = record
+        energy = repr(r.energy_j)
         if self.slots is not None:
             self.slots.write(
-                f"{r.episode},{r.t},{r.served_user},{float(r.rate_bps)!r},"
-                f"{float(r.energy_j)!r},{float(r.jain)!r},{float(r.reward)!r},"
-                f"{float(r.f_t)!r},{int(r.los)},{int(r.violated)}\n"
+                f"{r.episode},{r.t},{r.served_user},{r.rate_bps!r},{energy},{r.jain!r},"
+                f"{r.reward!r},{r.f_t!r},{int(r.los)},{int(r.violated)}\n"
             )
         if self.trajectory is not None:
             x, y, z = r.uav_position
             ax, ay, az = r.displacement
             self.trajectory.write(
-                f"{r.episode},{r.t},{float(x)!r},{float(y)!r},{float(z)!r},"
-                f"{float(ax)!r},{float(ay)!r},{float(az)!r},{float(r.energy_j)!r},"
+                f"{r.episode},{r.t},{x!r},{y!r},{z!r},{ax!r},{ay!r},{az!r},{energy},"
                 f"{int(r.violated)}\n"
             )
 

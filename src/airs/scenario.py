@@ -353,15 +353,17 @@ def _clear(index: BuildingIndex, segments) -> bool:
         starts += [x0, y0, z0] * 2
         steps += d * 2
     start, step = np.array(starts + steps).reshape(2, len(segments), 6, 1)
-    offsets = index.slabs.take(octants, axis=0) - start
+    # The slab parameters t = (face - start) / step, in place in take's copy.
+    t = index.slabs.take(octants, axis=0)
+    t -= start
     if flat:
         # On a flat axis the slab parameter is +-inf, or nan when the start
         # lies on that face; fmax/fmin below skip nan, so a face counts as
         # inside the slab, as it does for a grazing segment.
         with np.errstate(divide="ignore", invalid="ignore"):
-            t = offsets / step
+            t /= step
     else:
-        t = offsets / step
+        t /= step
     enter = np.fmax.reduce(t[:, :3], axis=1, initial=0.0)
     leave = np.fmin.reduce(t[:, 3:], axis=1, initial=1.0)
     return not (leave > enter).any()

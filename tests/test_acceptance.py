@@ -107,15 +107,12 @@ def test_criterion_01_phase_alignment_optimality():
         irs = rng.uniform([0, 0, 60], [600, 600, 140])
         user = rng.uniform([0, 0, 0], [600, 600, 2])
         model = record(ch.PathLossModel, "channel")
-        profile_in = ch.hop_profile(geom, irs, su)
-        profile_out = ch.hop_profile(geom, irs, user)
-        g = ch.sample_channel(
-            profile_in, ch.path_loss_db(model, float(np.linalg.norm(su - irs))),
+        profiles = ch.hop_profile(geom, irs, (su, user))
+        g, h = ch.sample_channel(
+            profiles, (ch.path_loss_db(model, float(np.linalg.norm(su - irs))),
+                       ch.path_loss_db(model, float(np.linalg.norm(user - irs)))),
             float("inf"), None)
-        h = ch.sample_channel(
-            profile_out, ch.path_loss_db(model, float(np.linalg.norm(user - irs))),
-            float("inf"), None)
-        phases = ch.optimal_phases(profile_in, profile_out)
+        phases = ch.optimal_phases(*profiles)
         gain = abs(ch.cascaded_gain(g, phases, h))
         bound = float(np.sum(np.abs(g) * np.abs(h)))
         gap = abs(gain - bound) / bound

@@ -16,15 +16,10 @@ def pure_los_pair(rng, geom=GEOM):
     irs = rng.uniform([0, 0, 60], [600, 600, 140])
     user = rng.uniform([0, 0, 0], [600, 600, 2])
     model = record(ch.PathLossModel, "channel")
-    g = ch.sample_channel(
-        ch.hop_profile(geom, irs, su),
-        ch.path_loss_db(model, float(np.linalg.norm(su - irs))),
-        float("inf"),
-        None,
-    )
-    h = ch.sample_channel(
-        ch.hop_profile(geom, irs, user),
-        ch.path_loss_db(model, float(np.linalg.norm(user - irs))),
+    g, h = ch.sample_channel(
+        ch.hop_profile(geom, irs, (su, user)),
+        (ch.path_loss_db(model, float(np.linalg.norm(su - irs))),
+         ch.path_loss_db(model, float(np.linalg.norm(user - irs)))),
         float("inf"),
         None,
     )
@@ -32,7 +27,7 @@ def pure_los_pair(rng, geom=GEOM):
 
 
 def aligned_phases(su, irs, user, geom=GEOM):
-    return ch.optimal_phases(ch.hop_profile(geom, irs, su), ch.hop_profile(geom, irs, user))
+    return ch.optimal_phases(*ch.hop_profile(geom, irs, (su, user)))
 
 
 # -- path loss -----------------------------------------------------------------
@@ -68,19 +63,19 @@ def test_path_loss_rejects_nonpositive_distance():
 
 
 def test_steering_reference_element_is_unity():
-    vec = ch.los_steering(GEOM.phase_profile(0.7, -0.3))
+    vec = ch.los_steering(GEOM.phase_profile([(0.7, -0.3)])[0])
     assert vec[0] == pytest.approx(1.0 + 0.0j)
 
 
 def test_steering_unit_modulus():
-    vec = ch.los_steering(GEOM.phase_profile(1.1, 0.4))
+    vec = ch.los_steering(GEOM.phase_profile([(1.1, 0.4)])[0])
     assert np.max(np.abs(np.abs(vec) - 1.0)) < 1e-12
 
 
 def test_steering_matches_per_element_formula():
     geom = ch.IrsGeometry(irs_rows=2, irs_cols=2, element_spacing=0.005, wavelength=0.01)
     az = el = math.pi / 6
-    vec = ch.los_steering(geom.phase_profile(az, el))
+    vec = ch.los_steering(geom.phase_profile([(az, el)])[0])
     scale = 2.0 * math.pi * geom.element_spacing / geom.wavelength
     for m_r in range(2):
         for m_c in range(2):
@@ -93,8 +88,8 @@ def test_steering_matches_per_element_formula():
 def test_steering_conjugate_under_angle_negation(rng):
     for _ in range(25):
         az, el = rng.uniform(-math.pi, math.pi, size=2)
-        a = ch.los_steering(GEOM.phase_profile(az, el))
-        b = ch.los_steering(GEOM.phase_profile(-az, -el))
+        a = ch.los_steering(GEOM.phase_profile([(az, el)])[0])
+        b = ch.los_steering(GEOM.phase_profile([(-az, -el)])[0])
         assert np.allclose(b, np.conj(a), atol=1e-12)
 
 
@@ -102,31 +97,73 @@ def test_steering_conjugate_under_angle_negation(rng):
 
 
 def test_sample_pure_los_is_exact():
-    profile = GEOM.phase_profile(0.3, 0.2)
-    vec = ch.sample_channel(profile, 60.0, float("inf"), None)
+    profile = GEOM.phase_profile([(0.3, 0.2)])
+    vec = ch.sample_channel(profile, (60.0,), float("inf"), None)
     expected = ch.amplitude_from_db(60.0) * ch.los_steering(profile)
     assert np.array_equal(vec, expected)
 
 
 def test_sample_k0_variance_matches_amplitude(rng):
     amp = ch.amplitude_from_db(20.0)
-    profile = GEOM.phase_profile(0.5, 0.1)
-    draws = np.stack([ch.sample_channel(profile, 20.0, 0.0, rng) for _ in range(100_000)])
+    profile = GEOM.phase_profile([(0.5, 0.1)])
+    draws = np.stack([ch.sample_channel(profile, (20.0,), 0.0, rng) for _ in range(100_000)])
     variance = np.var(draws, axis=0).mean()
     assert abs(variance - amp**2) / amp**2 < 0.03
 
 
 def test_sample_deterministic_for_fixed_seed():
-    a = ch.sample_channel(GEOM.phase_profile(0.1, 0.2), 30.0, 5.0, np.random.default_rng(11))
-    b = ch.sample_channel(GEOM.phase_profile(0.1, 0.2), 30.0, 5.0, np.random.default_rng(11))
+    profile = GEOM.phase_profile([(0.1, 0.2)])
+    a = ch.sample_channel(profile, (30.0,), 5.0, np.random.default_rng(11))
+    b = ch.sample_channel(profile, (30.0,), 5.0, np.random.default_rng(11))
     assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("geom", [GEOM, ch.IrsGeometry(3, 5, 0.005, 0.01)], ids=["4x4", "3x5"])
+@pytest.mark.parametrize("k", [10.0, 0.0, math.inf], ids=["k10", "k0", "kinf"])
+def test_stacked_hops_equal_one_hop_calls(geom, k):
+    """A K-row `hop_profile` and `sample_channel` give, row for row, the bits
+    of K one-row calls, and leave the generator in the same state, so a stack
+    of hops may be cut or joined anywhere.  At k = inf nothing is drawn."""
+    rng = np.random.default_rng(24)
+    for n_hops in (1, 2, 3, 5):
+        for seed in range(40):
+            surface = tuple(rng.uniform([0, 0, 60], [600, 600, 140]).tolist())
+            far_ends = [tuple(p) for p in
+                        rng.uniform([-300, -300, 0], [600, 600, 50], (n_hops, 3)).tolist()]
+            losses = tuple(rng.uniform(40.0, 120.0, n_hops).tolist())
+            profiles = ch.hop_profile(geom, surface, far_ends)
+            assert profiles.shape == (n_hops, geom.size)
+            stacked, single = np.random.default_rng(seed), np.random.default_rng(seed)
+            vectors = ch.sample_channel(profiles, losses, k, stacked)
+            assert vectors.shape == (n_hops, geom.size)
+            for row, (far_end, loss) in enumerate(zip(far_ends, losses)):
+                profile = ch.hop_profile(geom, surface, [far_end])
+                assert profile[0].tobytes() == profiles[row].tobytes()
+                vector = ch.sample_channel(profile, (loss,), k, single)
+                assert vector[0].tobytes() == vectors[row].tobytes()
+            assert stacked.bit_generator.state == single.bit_generator.state
+            if math.isinf(k):
+                assert stacked.bit_generator.state == np.random.default_rng(seed).bit_generator.state
+
+
+def test_scatter_draws_hop_by_hop_real_before_imaginary():
+    """Each hop's scatter is (re + j im) / sqrt(2), with re and im the next two
+    blocks of M standard normals: at k = 0 and 0 dB the vector is that scatter
+    exactly."""
+    profiles = GEOM.phase_profile([(0.1, 0.2), (-0.7, 0.4), (1.3, -0.5)])
+    vectors = ch.sample_channel(profiles, (0.0, 0.0, 0.0), 0.0, np.random.default_rng(5))
+    reference = np.random.default_rng(5)
+    for vector in vectors:
+        re = reference.standard_normal(GEOM.size)
+        im = reference.standard_normal(GEOM.size)
+        assert vector.tobytes() == ((re + 1j * im) / math.sqrt(2.0)).tobytes()
 
 
 @pytest.mark.parametrize("k", [1.0, 5.0, 10.0])
 def test_rician_factor_recovered_from_samples(k):
     rng = np.random.default_rng(99)
-    profile = GEOM.phase_profile(0.4, -0.2)
-    draws = np.stack([ch.sample_channel(profile, 0.0, k, rng) for _ in range(100_000)])
+    profile = GEOM.phase_profile([(0.4, -0.2)])
+    draws = np.stack([ch.sample_channel(profile, (0.0,), k, rng) for _ in range(100_000)])
     mean = draws.mean(axis=0)
     scatter = draws - mean
     estimate = (np.abs(mean) ** 2 / scatter.var(axis=0)).mean()
@@ -254,7 +291,7 @@ def test_per_element_phase_identity(rng):
 def test_coincident_positions_rejected():
     p = np.array([1.0, 2.0, 3.0])
     with pytest.raises(ch.ChannelError):
-        ch.hop_profile(GEOM, p, p)
+        ch.hop_profile(GEOM, p, [p])
 
 
 def test_phase_wrap_range():

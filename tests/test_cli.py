@@ -448,6 +448,30 @@ def test_eval_unreadable_checkpoint_exits_2(tmp_path, capsys, damage):
     assert "checkpoint" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_eval_non_finite_checkpoint_exits_2(tmp_path, capsys, value):
+    """A checkpoint with one non-finite parameter value is rejected with the
+    parameter's name, before anything is flown: its policy would write nan
+    positions and energies to the eval files."""
+    cfg_path = tmp_path / "c.json"
+    write_tiny_config(cfg_path)
+    run = tmp_path / "run"
+    assert main(["train", "--config", str(cfg_path), "--out", str(run)]) == 0
+    checkpoint = run / "checkpoints" / "final"
+    manifest = json.loads((checkpoint / "manifest.json").read_text())
+    entry = next(e for e in manifest["params"] if e["name"] == "actor.mean.b")
+    params = bytearray((checkpoint / "params.bin").read_bytes())
+    params[entry["offset"] + 8:entry["offset"] + 16] = np.array([value], "<f8").tobytes()
+    (checkpoint / "params.bin").write_bytes(bytes(params))
+    capsys.readouterr()
+    out = tmp_path / "ev"
+    code = main(["eval", "--checkpoint", str(checkpoint), "--config", str(cfg_path),
+                 "--episodes", "1", "--out", str(out)])
+    assert code == 2
+    assert "actor.mean.b" in capsys.readouterr().err
+    assert not (out / "trajectory.csv").exists()
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_numeric_abort_exits_3(tmp_path, capsys):
     cfg_path = tmp_path / "c.json"

@@ -145,7 +145,7 @@ def test_step_reaches_each_traced_layer_through_its_module(monkeypatch):
         assert record.los
         assert calls == {
             "is_los": slot, "step_user": 3 * slot, "apply_action": slot,
-            "propulsion_energy": slot, "sample_channel": 2 * slot, "optimal_phases": slot,
+            "propulsion_energy": slot, "sample_channel": slot, "optimal_phases": slot,
             "achievable_rate": slot,
         }
 
@@ -315,6 +315,37 @@ def test_integer_config_numbers_fly_as_floats():
     assert clamped > 0
 
 
+SLOT_FLOAT_FIELDS = ("rate_bps", "energy_j", "jain", "reward", "f_t", "penalty")
+
+
+@pytest.mark.parametrize("integers", [False, True], ids=["float_config", "integer_config"])
+@pytest.mark.parametrize("phase_control", [True, False], ids=["computed", "learned"])
+def test_slot_record_floats_are_python_floats(phase_control, integers):
+    """Every float field of a SlotRecord, the position and displacement
+    included, is a Python float and never np.float64, on line-of-sight and
+    occluded slots, penalised or not, with computed or learned phases and with
+    integer config numbers: `RunWriter.slot` writes each with `!r`, which
+    reads np.float64(...) for a numpy scalar."""
+    cfg = toy_overrides(default_config(), users=3, pure_los=False)
+    if integers:
+        cfg["env"].update({"penalty": 1, "rate_scale": 1})
+        cfg["channel"].update({"tx_power_w": 15, "bandwidth_hz": 2000000})
+        cfg["uav"].update({"slot_duration_s": 1, "mass_kg": 2})
+    env = build_env(cfg, seed=3, phase_control=phase_control)
+    rng = np.random.default_rng(3)
+    seen = Counter()
+    for _ in range(3):
+        env.reset()
+        done = False
+        while not done:
+            _, record, done = env.step(rng.uniform(-1.0, 1.0, env.action_dim))
+            values = ([getattr(record, name) for name in SLOT_FLOAT_FIELDS]
+                      + list(record.uav_position) + list(record.displacement))
+            assert all(type(v) is float for v in values), record
+            seen[record.los, record.violated] += 1
+    assert seen[True, True] and seen[True, False] and seen[False, False], seen
+
+
 def test_round_robin_service_order():
     env, _ = make_env(users=3)
     env.reset()
@@ -339,21 +370,15 @@ def test_computed_phases_never_beaten_by_random(rng):
     env.step(np.array([0.2, 0.1, 0.0]))
     irs = env.position
     user = env.tracks[0].position
-    profile_in = ch.hop_profile(env.geometry, irs, env.su)
-    profile_out = ch.hop_profile(env.geometry, irs, user)
-    g = ch.sample_channel(
-        profile_in,
-        ch.path_loss_db(env.loss_model, float(np.linalg.norm(np.subtract(env.su, irs)))),
+    profiles = ch.hop_profile(env.geometry, irs, (env.su, user))
+    g, h = ch.sample_channel(
+        profiles,
+        (ch.path_loss_db(env.loss_model, float(np.linalg.norm(np.subtract(env.su, irs)))),
+         ch.path_loss_db(env.loss_model, float(np.linalg.norm(np.subtract(user, irs))))),
         float("inf"),
         None,
     )
-    h = ch.sample_channel(
-        profile_out,
-        ch.path_loss_db(env.loss_model, float(np.linalg.norm(np.subtract(user, irs)))),
-        float("inf"),
-        None,
-    )
-    best = ch.achievable_rate(env.budget, g, ch.optimal_phases(profile_in, profile_out), h)
+    best = ch.achievable_rate(env.budget, g, ch.optimal_phases(*profiles), h)
     for _ in range(100):
         random_phases = ch.PhaseShifts(rng.uniform(-math.pi, math.pi, env.geometry.size))
         assert ch.achievable_rate(env.budget, g, random_phases, h) <= best

@@ -393,6 +393,21 @@ def test_fused_dense_matches_primitives(batch, input_grad, rng):
     assert_fused_matches_unfused(build, [x, layer.W, layer.b])
 
 
+@pytest.mark.parametrize("obs_dim, action_dim", [(6, 3), (6, 19), (12, 3), (30, 19)])
+def test_dense_forward_is_matmul_plus_bias_on_policy_shapes(obs_dim, action_dim):
+    """`Dense.forward` (np.dot, then the bias added in place) gives the bits of
+    x @ W + b on every layer of a policy, at the row counts of an `act` (1),
+    of replay steps and of whole updates."""
+    policy = ActorCritic(np.random.default_rng(obs_dim), obs_dim, action_dim,
+                         mogrifier_rounds=5, **nn_section())
+    rng = np.random.default_rng(action_dim)
+    for layer in (policy.trunk, policy.mean_head, policy.v1, policy.v2, policy.v3):
+        layer.b.value = rng.standard_normal(layer.b.value.shape)
+        for rows in (1, 2, 3, 7, 16, 64, 250, 1000):
+            x = rng.standard_normal((rows, layer.W.value.shape[0]))
+            assert layer.forward(x).tobytes() == (x @ layer.W.value + layer.b.value).tobytes()
+
+
 def cut_every(lengths, chunk):
     """The lengths of segments `lengths` cut every `chunk` steps (0 never cuts),
     in order, as the rollout cuts them."""

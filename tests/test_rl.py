@@ -389,12 +389,12 @@ def test_hover_agent_holds_position_and_hover_energy(tmp_path):
 
 
 def test_slot_rows_are_the_bytes_row_formats(tmp_path):
-    """`RunWriter.slot` writes what `_row` makes of the same values, for
-    numpy scalars as well as Python ones."""
+    """`RunWriter.slot` writes what `_row` makes of the same values, for numpy
+    integers and flags as well as Python ones.  Float fields are Python floats,
+    as the env makes them (`test_env.py::test_slot_record_floats_are_python_floats`)."""
     records = [
-        SlotRecord(np.int64(3), 7, 2, np.float64(1234.5678), 1.0 / 3.0, np.float64(0.1),
-                   -0.04, np.float64(1e-300), np.bool_(True), False, 0.0,
-                   (np.float64(1.5), 2.25, np.float64(-0.0)), (0.1, np.float64(0.2), 1e20)),
+        SlotRecord(np.int64(3), 7, 2, 1234.5678, 1.0 / 3.0, 0.1, -0.04, 1e-300,
+                   np.bool_(True), False, 0.0, (1.5, 2.25, -0.0), (0.1, 0.2, 1e20)),
         SlotRecord(0, 0, 0, 0.0, 288.06, 1.0, 0.0, 0.0, False, np.bool_(True), 0.0,
                    (620.0, 0.0, 80.0), (-17.320508075688775, 0.0, -0.0)),
     ]

@@ -3,8 +3,8 @@
     python3 tools/compare_numerics.py --base <src> --change <src>
 
 `<src>` is a directory holding the `airs` package (a checkout's `src/`).
-Each tree makes 18 runs, each `airs` call in its own subprocess with BLAS
-pinned to one thread, and the change tree makes a 19th:
+Each tree makes 19 runs, each `airs` call in its own subprocess with BLAS
+pinned to one thread, and the change tree makes a 20th:
 - 14 trainings on the benchmark's learning city (`airsbench/workloads.py`
   LEARNING_CITY: one user, pure line of sight): eppo, ppo_vanilla,
   ppo_mogrifier and ppo_necsa, once at `rl.batch_size=370` for 12 episodes
@@ -23,6 +23,10 @@ pinned to one thread, and the change tree makes a 19th:
   mid-episode) with `rl.checkpoint_every=2`, so windowed three-user
   fairness, the Rician draws and the periodic checkpoints reach the
   artifacts and the update;
+- one ppo_vanilla training on that city with 100-slot episodes at
+  `rl.batch_size=250`, the one run that joins the Rician draws with learned
+  phases (every other learned-phase run flies the pure line-of-sight
+  learning city);
 - one `airs eval` of the `eval-city` workload (EVAL_CITY, EVAL_EPISODES
   episodes of 1500 slots, slot and trajectory logs on) from an eppo
   checkpoint that the tree itself trains on that city (CHECKPOINT_OVERRIDES);
@@ -119,6 +123,9 @@ RUNS = (
            EVAL_CITY + ("env.horizon=100", "env.rate_window=20", "env.observe_all_users=true",
                         "rl.agent=eppo", "rl.episodes=6", "rl.batch_size=250",
                         "rl.checkpoint_every=2")),
+       Run("ppo_vanilla_city",
+           EVAL_CITY + ("env.horizon=100", "rl.agent=ppo_vanilla", "rl.episodes=6",
+                        "rl.batch_size=250")),
        Run("eval_city", CHECKPOINT_OVERRIDES, CHECKPOINT_EVAL_ARTIFACTS, evaluate=EVAL_CITY),
        Run("eval_city_random", None, EVAL_ARTIFACTS, evaluate=EVAL_CITY, eval_agent="random"),
        Run("eval_city_random_9_users", None, EVAL_ARTIFACTS, evaluate=NINE_USER_CITY,
