@@ -92,6 +92,17 @@ class PhaseShifts:
         if (omega < -math.pi).any() or (omega >= math.pi).any():
             raise ChannelError("phases must lie in [-pi, pi)")
 
+    @classmethod
+    def wrapped(cls, x) -> "PhaseShifts":
+        """The phases `wrap_phase(x)`, without the range check that
+        `wrap_phase` makes redundant: equal to `PhaseShifts(wrap_phase(x))`."""
+        omega = wrap_phase(x)
+        if omega.ndim != 1:
+            raise ChannelError("phase vector must be one-dimensional")
+        shifts = object.__new__(cls)
+        object.__setattr__(shifts, "omega", omega)
+        return shifts
+
     def reflection(self) -> np.ndarray:
         return np.exp(1j * self.omega)
 
@@ -192,4 +203,4 @@ def optimal_phases(profile_in, profile_out) -> PhaseShifts:
     cascaded gain share one phase and their magnitudes add.  Output is
     wrapped into [-pi, pi).
     """
-    return PhaseShifts(wrap_phase(-(profile_in + profile_out)))
+    return PhaseShifts.wrapped(-(profile_in + profile_out))

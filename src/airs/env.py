@@ -13,12 +13,14 @@ numbers and a float operation rounds as numpy's elementwise one does.  numpy
 keeps the ops whose rounding it sets, and the wide arrays: `uav.distance`
 (the BLAS dot product), `jain_index` from 8 rates up (numpy's pairwise
 sums), the building slabs of `scenario.is_los`, and the per-element channel
-vectors.  A line-of-sight slot synthesizes both hops in one stacked pass:
-one `channel.hop_profile` and one `channel.sample_channel` call with the
-head's hop as row 0 and the user's as row 1.  Each row has the bits of a
-one-hop call, and the scatter is drawn hop by hop, real parts before
-imaginary ones, so the channel stream is consumed in the order two one-hop
-calls would consume it.
+vectors.  `is_los` settles most blocked slots in Python against the index's
+few most recent occluders, with the slab pass's arithmetic, and the numpy
+slab pass over every box decides the rest.  A line-of-sight slot
+synthesizes both hops in one stacked pass: one `channel.hop_profile` and
+one `channel.sample_channel` call with the head's hop as row 0 and the
+user's as row 1.  Each row has the bits of a one-hop call, and the scatter
+is drawn hop by hop, real parts before imaginary ones, so the channel stream
+is consumed in the order two one-hop calls would consume it.
 """
 
 import math
@@ -215,7 +217,7 @@ class AirsEnv:
             if self.phase_control:
                 phases = ch.optimal_phases(profiles[0], profiles[1])
             else:
-                phases = ch.PhaseShifts(ch.wrap_phase(action[3:] * math.pi))
+                phases = ch.PhaseShifts.wrapped(action[3:] * math.pi)
             losses = (ch.path_loss_db(self.loss_model, uav.distance(self.su, irs)),
                       ch.path_loss_db(self.loss_model, uav.distance(irs, user)))
             g, h = ch.sample_channel(profiles, losses, self.rician_k, self._rng_channel)

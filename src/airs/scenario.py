@@ -6,6 +6,7 @@ cell, so they never overlap a road.  Ground users walk along road centerlines
 at constant speed and pick a random continuation at each intersection.
 """
 
+import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
@@ -17,6 +18,9 @@ from .rng import STREAM_CITY, substream
 # side, which keeps layouts feasible at any map scale.
 FOOTPRINT_FRACTION = (0.10, 0.30)
 _PLACEMENT_ATTEMPTS = 200
+# The length of `BuildingIndex.occluders`, the boxes that line-of-sight tests
+# try before all others.
+RECENT_OCCLUDERS = 4
 
 
 class ScenarioError(ValueError):
@@ -291,6 +295,11 @@ class BuildingIndex:
     k holds the segments whose direction component j is negative exactly when
     bit j of k is set; such a segment enters the slab of axis j through `hi`
     and leaves it through `lo`.
+
+    `occluders` lists, most recent first, up to RECENT_OCCLUDERS boxes that
+    `is_los` last found blocking (a shadow cache): `is_los` tests them first,
+    in Python, and runs the slab pass over all boxes only when none of them
+    blocks.  It is a test-order hint, so no verdict depends on what it holds.
     """
 
     def __init__(self, buildings):
@@ -307,6 +316,9 @@ class BuildingIndex:
         for table in (lo, hi, slabs):
             table.flags.writeable = False
         self.lo, self.hi, self.slabs = lo, hi, slabs
+        # _faces[i][k] is slabs[k, :, i] as Python floats, for `_blocks`.
+        self._faces = slabs.transpose(2, 0, 1).tolist()
+        self.occluders = []
 
     def __len__(self):
         return len(self.buildings)
@@ -323,7 +335,10 @@ def is_los(a, b, buildings, then=None) -> bool:
     Slab test per axis; a box counts as hit only when the segment spends a
     positive-length parameter interval inside it, so surface grazes do not
     block.  Endpoints are ordered canonically, which makes the test exactly
-    symmetric in its arguments.
+    symmetric in its arguments.  Most blocked paths are settled in Python
+    against the index's recent `occluders`, and the numpy slab pass over
+    every box decides the rest; both make the same arithmetic, so the
+    verdict does not depend on the list.
     """
     index = buildings if isinstance(buildings, BuildingIndex) else BuildingIndex(buildings)
     points = (a, b) if then is None else (a, b, then)
@@ -340,8 +355,14 @@ def is_los(a, b, buildings, then=None) -> bool:
 
 def _clear(index: BuildingIndex, segments) -> bool:
     """True when no segment (start, end) spends a positive-length parameter
-    interval inside a box."""
-    octants, starts, steps = [], [], []
+    interval inside a box.
+
+    The boxes of `index.occluders` are tested first, one at a time in Python
+    (`_blocks`); a blocking one moves to the front of the list.  When none
+    blocks, the slab pass below tests every box, and a box it finds blocking
+    goes to the front of the list.
+    """
+    octants, starts, steps, directions = [], [], [], []
     flat = False
     for (x0, y0, z0), (x1, y1, z1) in segments:
         # Adding 0.0 turns a -0.0 difference into 0.0: a flat axis takes the
@@ -352,6 +373,15 @@ def _clear(index: BuildingIndex, segments) -> bool:
         octants.append((d[0] < 0.0) + 2 * (d[1] < 0.0) + 4 * (d[2] < 0.0))
         starts += [x0, y0, z0] * 2
         steps += d * 2
+        directions.append(d)
+    occluders = index.occluders
+    for rank, box in enumerate(occluders):
+        faces = index._faces[box]
+        for (start, _), octant, step in zip(segments, octants, directions):
+            if _blocks(faces[octant], start, step):
+                del occluders[rank]
+                occluders.insert(0, box)
+                return False
     start, step = np.array(starts + steps).reshape(2, len(segments), 6, 1)
     # The slab parameters t = (face - start) / step, in place in take's copy.
     t = index.slabs.take(octants, axis=0)
@@ -366,4 +396,43 @@ def _clear(index: BuildingIndex, segments) -> bool:
         t /= step
     enter = np.fmax.reduce(t[:, :3], axis=1, initial=0.0)
     leave = np.fmin.reduce(t[:, 3:], axis=1, initial=1.0)
-    return not (leave > enter).any()
+    hit = leave > enter
+    if not hit.any():
+        return True
+    # The first blocking box of the (segments, boxes) table.
+    occluders.insert(0, int(hit.argmax()) % len(index))
+    del occluders[RECENT_OCCLUDERS:]
+    return False
+
+
+def _blocks(faces, start, step) -> bool:
+    """The slab pass's verdict on one box and one segment `start + t * step`,
+    0 < t < 1, on Python floats with its arithmetic: `faces` is the box's
+    column of `slabs` for the segment's octant, the slab parameters are
+    (face - start) / step, and the segment is inside while the max of the
+    entries from 0.0 stays below the min of the exits from 1.0, nan skipped.
+    Both bounds only tighten, so the test stops once they meet."""
+    enter, leave = 0.0, 1.0
+    for j in (0, 1, 2):
+        s, d = start[j], step[j]
+        if d:
+            near, far = (faces[j] - s) / d, (faces[j + 3] - s) / d
+        else:
+            near, far = _flat_parameter(faces[j] - s), _flat_parameter(faces[j + 3] - s)
+        if near > enter:
+            enter = near
+        if far < leave:
+            leave = far
+        if leave <= enter:
+            return False
+    return True
+
+
+def _flat_parameter(offset):
+    """numpy's `offset / +0.0`: +-inf by the sign of `offset`, nan for a zero
+    or nan offset, where Python would raise ZeroDivisionError."""
+    if offset > 0.0:
+        return math.inf
+    if offset < 0.0:
+        return -math.inf
+    return math.nan

@@ -294,12 +294,30 @@ def test_coincident_positions_rejected():
         ch.hop_profile(GEOM, p, [p])
 
 
+# Just below -pi: one ulp below, x + pi is a tiny negative number whose
+# remainder rounds up to 2 pi; two ulps below, it does not.
+WRAP_INPUTS = np.array([math.pi, -math.pi, 3 * math.pi, -2.5 * math.pi,
+                        np.nextafter(-math.pi, -4.0), np.nextafter(-1.0, -2.0) * math.pi])
+
+
 def test_phase_wrap_range():
-    # Just below -pi: one ulp below, x + pi is a tiny negative number whose
-    # remainder rounds up to 2 pi; two ulps below, it does not.
-    below = [np.nextafter(-math.pi, -4.0), np.nextafter(-1.0, -2.0) * math.pi]
-    wrapped = ch.wrap_phase(np.array([math.pi, -math.pi, 3 * math.pi, -2.5 * math.pi, *below]))
+    wrapped = ch.wrap_phase(WRAP_INPUTS)
     assert np.all(wrapped >= -math.pi) and np.all(wrapped < math.pi)
     assert wrapped[0] == pytest.approx(-math.pi)
     assert wrapped[4] == -math.pi
     ch.PhaseShifts(wrapped)
+
+
+def test_wrapped_phase_shifts_equal_checked_ones(rng):
+    """`PhaseShifts.wrapped(x)`, which skips the range check, holds the bits
+    of `PhaseShifts(wrap_phase(x))`; a phase vector built any other way is
+    still range-checked."""
+    for x in (WRAP_INPUTS, rng.uniform(-20.0, 20.0, 16)):
+        fast, checked = ch.PhaseShifts.wrapped(x), ch.PhaseShifts(ch.wrap_phase(x))
+        assert type(fast) is ch.PhaseShifts
+        assert fast.omega.dtype == checked.omega.dtype
+        assert fast.omega.tobytes() == checked.omega.tobytes()
+    with pytest.raises(ch.ChannelError):
+        ch.PhaseShifts.wrapped(np.zeros((2, 2)))
+    with pytest.raises(ch.ChannelError):
+        ch.PhaseShifts(np.array([0.0, math.pi]))

@@ -346,6 +346,49 @@ def test_slot_record_floats_are_python_floats(phase_control, integers):
     assert seen[True, True] and seen[True, False] and seen[False, False], seen
 
 
+def eval_city_env(seed=0, **scenario_updates):
+    """The eval-city benchmark's env: the default 72-building city, three
+    users, Rician channel."""
+    cfg = default_config()
+    cfg["env"]["users"] = 3
+    cfg["scenario"]["user_initial_positions"] = [[305.0, 205.0, 0.0], [205.0, 305.0, 0.0],
+                                                 [415.0, 515.0, 0.0]]
+    cfg["scenario"].update(scenario_updates)
+    return build_env(cfg, seed=seed)
+
+
+def fly(envs, actions):
+    """Each env's records when every action steps each env in turn, a
+    finished episode followed by a reset."""
+    records = [[] for _ in envs]
+    for env in envs:
+        env.reset()
+    for action in actions:
+        for env, out in zip(envs, records):
+            _, record, done = env.step(action)
+            out.append(record)
+            if done:
+                env.reset()
+    return records
+
+
+def test_occluder_list_changes_no_slot_record():
+    """The line-of-sight cache only orders the box tests: an env whose index
+    starts with every box listed as a recent occluder, and two envs of
+    different cities stepped in turn, write the records each env writes
+    fresh and alone."""
+    actions = np.random.default_rng(11).uniform(-1.0, 1.0, (600, 3))
+    (alone,) = fly([eval_city_env()], actions)
+    assert {record.los for record in alone} == {True, False}
+    prefilled = eval_city_env()
+    prefilled.index.occluders[:] = range(len(prefilled.index))
+    assert fly([prefilled], actions) == [alone]
+    # A city of another size, so box numbers of one index are no boxes of the other.
+    (other,) = fly([eval_city_env(seed=1, buildings_per_cell=3)], actions)
+    assert fly([eval_city_env(), eval_city_env(seed=1, buildings_per_cell=3)],
+               actions) == [alone, other]
+
+
 def test_round_robin_service_order():
     env, _ = make_env(users=3)
     env.reset()

@@ -173,8 +173,15 @@ def reference_is_los(a, b, index):
     b = np.asarray(b, dtype=float)
     if np.array_equal(a, b):
         raise sc.ScenarioError("is_los requires distinct endpoints")
+    return not reference_hits(a, b, index).any()
+
+
+def reference_hits(a, b, index):
+    """Per box of `index`, whether `reference_is_los` finds it blocking."""
+    a = np.asarray(a, dtype=float)
+    b = np.asarray(b, dtype=float)
     if len(index) == 0:
-        return True
+        return np.zeros(0, dtype=bool)
     if tuple(b.tolist()) < tuple(a.tolist()):
         a, b = b, a
     d = b - a
@@ -192,7 +199,7 @@ def reference_is_los(a, b, index):
         axis_hi = np.where(flat & ~inside, -np.inf, axis_hi)
     t_enter = axis_lo.max(axis=1)
     t_exit = axis_hi.min(axis=1)
-    return not bool((np.minimum(t_exit, 1.0) > np.maximum(t_enter, 0.0)).any())
+    return np.minimum(t_exit, 1.0) > np.maximum(t_enter, 0.0)
 
 
 def hard_segments(index, rng, count):
@@ -263,6 +270,56 @@ def test_two_hop_los_equals_both_reference_hops(rng):
             outcomes.append(expected)
     assert {True, False, "raised"} <= set(outcomes)
     assert outcome(lambda: sc.is_los((0, 0, 0), (1, 1, 1), [], then=(1, 1, 1))) == "raised"
+
+
+def test_los_verdict_does_not_depend_on_the_occluder_list(rng):
+    """Whatever boxes `occluders` holds before a call, blocking or not, in any
+    order, `is_los` gives the verdict of a fresh index, one-hop and two-hop
+    with the same raises, and the list stays within its cap.  On one-hop
+    segments the list changes as documented: the first listed box that blocks
+    moves to the front, else a box the slab pass finds blocking is put there."""
+    city = sc.generate_city(default_scenario())
+    index, fresh = sc.BuildingIndex(city), sc.BuildingIndex(city)
+    segments = list(hard_segments(index, rng, 1500))
+    for a, b in segments[:300]:  # a nan coordinate in either endpoint
+        (a if rng.random() < 0.5 else b)[rng.integers(3)] = np.nan
+    rng.shuffle(segments)
+    taken = {"cache hit": 0, "slab pass hit": 0}
+
+    def outcome(target, *points):
+        if target is fresh:
+            fresh.occluders.clear()
+        try:
+            return sc.is_los(*points[:2], target, then=points[2] if len(points) > 2 else None)
+        except sc.ScenarioError:
+            return "raised"
+        finally:
+            assert len(target.occluders) <= sc.RECENT_OCCLUDERS
+
+    for (a, b), (c, _) in zip(segments, segments[1:]):
+        finite = np.isfinite([a, b]).all()
+        blocking = set(np.flatnonzero(reference_hits(a, b, index)).tolist()) if finite else set()
+        pool = np.concatenate([sorted(blocking), rng.integers(len(index), size=4)]).astype(int)
+        for points in ((a, b), (a, b, b.copy()), (a, a.copy(), b), (a, b, c), (c, a, b)):
+            held = rng.choice(pool, size=rng.integers(sc.RECENT_OCCLUDERS + 1)).tolist()
+            index.occluders[:] = held
+            verdict = outcome(index, *points)
+            assert verdict == outcome(fresh, *points), points
+            if len(points) > 2 or not finite:
+                continue
+            assert verdict == reference_is_los(a, b, index)
+            first = next((box for box in held if box in blocking), None)
+            if first is not None:
+                held.remove(first)
+                assert index.occluders == [first] + held
+                taken["cache hit"] += 1
+            elif not verdict:
+                assert index.occluders[0] in blocking
+                assert index.occluders[1:] == held[:sc.RECENT_OCCLUDERS - 1]
+                taken["slab pass hit"] += 1
+            else:
+                assert index.occluders == held
+    assert min(taken.values()) > 100, taken
 
 
 @pytest.mark.parametrize("offset", [-5e-7, 0.0, 5e-7])
